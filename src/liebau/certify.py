@@ -26,8 +26,6 @@ systems.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,19 +454,6 @@ class SearchOptions:
     radius_lo: float = 1e-6
     radius_hi: float = 1e8
     eps: float = 0.0
-    threads: int | None = None  # None: LIEBAU_THREADS env, default cpu count
-
-
-def _thread_count(opts: SearchOptions) -> int:
-    if opts.threads is not None:
-        return max(1, opts.threads)
-    env = os.environ.get("LIEBAU_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions()):
@@ -481,8 +466,9 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     geometric midpoint is used.  The route is picked from the sign of the
     forcing minimum: strictly positive forcing uses the two-inequality
     criterion, sign-changing forcing uses the kappa system (whose root
-    clearance bound is only meaningful there).  Results are merged in grid
-    order, so the outcome does not depend on scheduling.
+    clearance bound is only meaningful there).  The m grid is scanned
+    serially in grid order and ties keep the earliest grid point, so the
+    result is a pure function of the problem and the options.
     """
     ebar, ok = check_necessary(lp)
     if not ok:
@@ -493,15 +479,9 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     ms = m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
 
     if e_min > 0.0:
-        worker = lambda m: check_positive_forcing(lp, float(m), eps=opts.eps)
-        n_threads = _thread_count(opts)
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as pool:
-                certs = list(pool.map(worker, ms))
-        else:
-            certs = [worker(m) for m in ms]
         best = None
-        for cert in certs:
+        for m in ms:
+            cert = check_positive_forcing(lp, float(m), eps=opts.eps)
             if cert.passed and (best is None or cert.min_relative_margin() > best.min_relative_margin()):
                 best = cert
         return best
@@ -550,15 +530,9 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
                     best = (score, float(r1), kappa, float(r2))
         return best
 
-    n_threads = _thread_count(opts)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(scan_m, ms))
-    else:
-        results = [scan_m(m) for m in ms]
-
     winner = None  # (score, m, r1, kappa, r2)
-    for m, res in zip(ms, results):
+    for m in ms:
+        res = scan_m(m)
         if res is not None and (winner is None or res[0] > winner[0]):
             winner = (res[0], float(m), res[1], res[2], res[3])
     if winner is None:

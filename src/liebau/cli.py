@@ -9,9 +9,10 @@ the emitted JSON and CSV is printed with 17 significant digits in a fixed
 field order, so identical inputs produce byte-identical output.
 
 Exit codes: 0 success (certificate passed / solver converged / all checks
-green), 2 configuration or usage error, 3 certificate failed,
-4 certificate inapplicable, 5 search found nothing, 6 solver did not
-converge.
+green), 2 configuration or usage error (including an unknown option key, an
+option or problem value of the wrong type or not finite, and a malformed
+solution CSV), 3 certificate failed, 4 certificate inapplicable, 5 search
+found nothing, 6 solver did not converge.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -134,6 +136,70 @@ def parse_problem(obj, where: str):
     raise ConfigError(f"unknown problem kind {kind!r}", f"{where}.kind")
 
 
+# ---------------------------------------------------------------------------
+# command options: one typed schema for config sections and CLI flags
+
+# Per command: option key -> kind.  float takes any finite JSON number, an
+# integer k takes a list of k numbers, "function" takes a function record.
+# The search and solve keys are exactly the fields of SearchOptions and
+# SolveOptions.
+OPTION_SCHEMA = {
+    "certify": {"theorem": str, "m": float, "kappa": float, "r1": float, "r2": float,
+                "eps": float, "g0": "function", "g1": "function"},
+    "search": {"m_points": int, "radius_points": int, "radius_lo": float, "radius_hi": float,
+               "eps": float},
+    "solve": {"n": int, "tol": float, "max_iter": int, "initial": float, "bracket": 2,
+              "polish": bool, "refine_factor": int, "truncation_band": 3},
+}
+
+
+def _convert(value, kind, where: str):
+    if kind == "function":
+        return parse_function(value, where)
+    if isinstance(kind, int):
+        if not isinstance(value, (list, tuple)) or len(value) != kind:
+            raise ConfigError(f"expected a list of {kind} numbers, got {value!r}", where)
+        return tuple(_convert(v, float, f"{where}[{i}]") for i, v in enumerate(value))
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"expected {kind.__name__}, got {value!r}", where)
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"must be finite, got {value!r}", where)
+    return value
+
+
+def command_options(cfg: RunConfig, section: str, args=None) -> dict:
+    """Config section ``section`` overridden by the non-None CLI flags of the same name.
+
+    Every value is converted to its OPTION_SCHEMA kind; an unknown key or a
+    value of the wrong type raises ConfigError naming ``section.key``.
+    """
+    schema = OPTION_SCHEMA[section]
+    raw = dict(cfg.options.get(section, {}))
+    for key in schema:
+        if getattr(args, key, None) is not None:
+            raw[key] = getattr(args, key)
+    opts = {}
+    for key, value in raw.items():
+        if key not in schema:
+            raise ConfigError(f"unknown {section} option {key!r}", f"{section}.{key}")
+        opts[key] = _convert(value, schema[key], f"{section}.{key}")
+    if "r1" in opts and "r2" in opts and not (0 < opts["r1"] < opts["r2"]):
+        raise ConfigError("radii must satisfy 0 < r1 < r2", f"{section}.r1")
+    if opts.get("kappa", 1.0) <= 0.0:
+        raise ConfigError("kappa must be positive", f"{section}.kappa")
+    if opts.get("n", 8) < 8:
+        raise ConfigError("grid size n must be at least 8", f"{section}.n")
+    return opts
+
+
+def _require(opts: dict, section: str, *keys: str) -> None:
+    for key in keys:
+        if key not in opts:
+            raise ConfigError("missing field", f"{section}.{key}")
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -150,19 +216,9 @@ def load_config(path: str) -> RunConfig:
         if not isinstance(val, dict):
             raise ConfigError("command options must be objects", key)
     cfg = RunConfig(problem=problem, options=options)
-    _validate_options(cfg)
+    for section in OPTION_SCHEMA:
+        command_options(cfg, section)  # reject bad options before any command runs
     return cfg
-
-
-def _validate_options(cfg: RunConfig) -> None:
-    cert = cfg.options.get("certify", {})
-    if "r1" in cert and "r2" in cert and not (0 < cert["r1"] < cert["r2"]):
-        raise ConfigError("radii must satisfy 0 < r1 < r2", "certify.r1")
-    if "kappa" in cert and cert["kappa"] <= 0:
-        raise ConfigError("kappa must be positive", "certify.kappa")
-    solve_opts = cfg.options.get("solve", {})
-    if "n" in solve_opts and int(solve_opts["n"]) < 8:
-        raise ConfigError("grid size n must be at least 8", "solve.n")
 
 
 def _resolve(args) -> RunConfig:
@@ -239,41 +295,26 @@ def _cmd_greens(args) -> int:
 
 def _cmd_certify(args) -> int:
     cfg = _resolve(args)
-    opts = dict(cfg.options.get("certify", {}))
-    for name in ("theorem", "m", "kappa", "r1", "r2", "eps"):
-        val = getattr(args, name, None)
-        if val is not None:
-            opts[name] = val
-    theorem = opts.get("theorem")
-    if theorem is None:
-        raise ConfigError("missing field", "certify.theorem")
-    eps = float(opts.get("eps", 0.0))
+    opts = command_options(cfg, "certify", args)
+    _require(opts, "certify", "theorem")
+    theorem = opts["theorem"]
+    eps = opts.get("eps", 0.0)
     if theorem == "sign_changing":
         lp = _liebau_problem(cfg)
-        for req in ("m", "kappa", "r1", "r2"):
-            if req not in opts:
-                raise ConfigError("missing field", f"certify.{req}")
+        _require(opts, "certify", "m", "kappa", "r1", "r2")
         cert = certify.check_sign_changing(
-            lp, float(opts["m"]), float(opts["kappa"]), float(opts["r1"]), float(opts["r2"]), eps=eps
+            lp, opts["m"], opts["kappa"], opts["r1"], opts["r2"], eps=eps
         )
     elif theorem == "positive_forcing":
         lp = _liebau_problem(cfg)
-        if "m" not in opts:
-            raise ConfigError("missing field", "certify.m")
-        cert = certify.check_positive_forcing(lp, float(opts["m"]), eps=eps)
+        _require(opts, "certify", "m")
+        cert = certify.check_positive_forcing(lp, opts["m"], eps=eps)
     elif theorem == "general":
         problem = cfg.problem
         gp = problem if isinstance(problem, GeneralProblem) else regularize(_liebau_problem(cfg))
-        for req in ("m", "r1", "r2", "g0", "g1"):
-            if req not in opts:
-                raise ConfigError("missing field", f"certify.{req}")
+        _require(opts, "certify", "m", "r1", "r2", "g0", "g1")
         cert = certify.check_general(
-            gp,
-            float(opts["m"]),
-            float(opts["r1"]),
-            float(opts["r2"]),
-            parse_function(opts["g0"], "certify.g0"),
-            parse_function(opts["g1"], "certify.g1"),
+            gp, opts["m"], opts["r1"], opts["r2"], opts["g0"], opts["g1"],
             certify.CheckOptions(eps=eps),
         )
     else:
@@ -288,52 +329,13 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = _resolve(args)
-    opts = dict(cfg.options.get("search", {}))
-    kwargs = {}
-    for name, key in (
-        ("m_points", "m_points"),
-        ("radius_points", "radius_points"),
-        ("radius_lo", "radius_lo"),
-        ("radius_hi", "radius_hi"),
-        ("eps", "eps"),
-        ("threads", "threads"),
-    ):
-        val = getattr(args, name, None)
-        if val is None:
-            val = opts.get(key)
-        if val is not None:
-            kwargs[key] = val
-    cert = certify.search_certificate(_liebau_problem(cfg), certify.SearchOptions(**kwargs))
+    opts = certify.SearchOptions(**command_options(cfg, "search", args))
+    cert = certify.search_certificate(_liebau_problem(cfg), opts)
     if cert is None:
         _emit({"result": "none"}, args.out)
         return EXIT_SEARCH_EMPTY
     _emit(cert.to_dict(), args.out)
     return EXIT_OK
-
-
-def _solve_options(cfg: RunConfig, args) -> SolveOptions:
-    raw = dict(cfg.options.get("solve", {}))
-    if getattr(args, "n", None) is not None:
-        raw["n"] = args.n
-    if getattr(args, "tol", None) is not None:
-        raw["tol"] = args.tol
-    if getattr(args, "no_polish", False):
-        raw["polish"] = False
-    if getattr(args, "initial", None) is not None:
-        raw["initial"] = args.initial
-    if getattr(args, "bracket", None) is not None:
-        raw["bracket"] = tuple(args.bracket)
-    known = {}
-    fields = SolveOptions.__dataclass_fields__
-    for key, val in raw.items():
-        if key not in fields:
-            raise ConfigError(f"unknown solve option {key!r}", f"solve.{key}")
-        if key == "bracket" and val is not None:
-            val = tuple(val)
-        if key == "truncation_band" and val is not None:
-            val = tuple(val)
-        known[key] = val
-    return SolveOptions(**known)
 
 
 def _solved(cfg: RunConfig, args) -> tuple[GridSolution, float | None]:
@@ -349,7 +351,7 @@ def _solved(cfg: RunConfig, args) -> tuple[GridSolution, float | None]:
             mu = None
     else:
         raise ConfigError("no problem defined", "problem")
-    return solve_periodic(gp, _solve_options(cfg, args)), mu
+    return solve_periodic(gp, SolveOptions(**command_options(cfg, "solve", args))), mu
 
 
 def _cmd_solve(args) -> int:
@@ -380,12 +382,22 @@ def _cmd_solve(args) -> int:
 
 
 def _read_solution_csv(path: str, mu: float | None, T: float) -> GridSolution:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "t":
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise ConfigError(str(exc), path) from exc
+    if not rows or not rows[0] or rows[0][0] != "t":
         raise ConfigError("solution file must carry a 't,x[,u]' header", path)
     header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+    if len(rows) < 2 or any(len(row) != len(header) for row in rows[1:]):
+        raise ConfigError("need one or more data rows, each with one value per column", path)
+    try:
+        data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"non-numeric value: {exc}", path) from exc
+    if not np.all(np.isfinite(data)):
+        raise ConfigError("solution data must be finite", path)
     nodes = data[:, 0]
     if "u" in header:
         u_vals = data[:, header.index("u")]
@@ -396,7 +408,7 @@ def _read_solution_csv(path: str, mu: float | None, T: float) -> GridSolution:
     nan = float("nan")
     return GridSolution(
         T=T, nodes=nodes, values=u_vals, sup_residual=nan, sup_residual_exact_data=nan,
-        bc_mismatch=0.0, iterations=0, converged=True, units="u",
+        iterations=0, converged=True, units="u",
     )
 
 
@@ -412,7 +424,7 @@ def _cmd_pump(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_NO_CONVERGENCE
         u = x_to_u(sol, lp.mu)
-    report = pump_report(lp, u, tol=args.tol if args.tol is not None else 1e-9)
+    report = pump_report(lp, u, tol=args.threshold if args.threshold is not None else 1e-9)
     _emit(
         {
             "u_mean": report.u_mean,
@@ -473,14 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius-lo", type=float, dest="radius_lo")
     p.add_argument("--radius-hi", type=float, dest="radius_hi")
     p.add_argument("--eps", type=float)
-    p.add_argument("--threads", type=int)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("solve", help="compute a periodic solution")
     add_problem_source(p)
     p.add_argument("-n", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--no-polish", action="store_true")
+    p.add_argument("--no-polish", dest="polish", action="store_false", default=None)
     p.add_argument("--initial", type=float)
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--csv-out", help="write t,x[,u] samples here ('-' for stdout)")
@@ -490,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_source(p)
     p.add_argument("--solution", help="solution CSV from a previous solve")
     p.add_argument("-n", type=int)
-    p.add_argument("--tol", type=float, help="pumping detection threshold")
+    p.add_argument("--tol", dest="threshold", type=float, help="pumping detection threshold")
     p.set_defaults(handler=_cmd_pump)
 
     p = sub.add_parser("verify", help="run the built-in regression suite")

@@ -1,10 +1,11 @@
 """Shared numerical kernels.
 
-Everything here is deterministic and allocation-light: segmented composite
-Simpson quadrature, bracketed extremum refinement, a cyclic tridiagonal
-solver (bordered elimination), spectral differentiation and trigonometric
-interpolation of periodic grid data, and fixed-width float printing for
-reproducible output files.
+Everything here is deterministic and allocation-light: composite Simpson
+weights and segmented Simpson quadrature, bracketed extremum refinement, a
+cyclic tridiagonal solver (bordered elimination), cyclic central
+differences, spectral differentiation and trigonometric interpolation of
+periodic grid data, and fixed-width float printing for reproducible output
+files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def simpson_weights(n: int) -> np.ndarray:
+    """Unscaled composite Simpson weights 1, 4, 2, ..., 2, 4, 1 for n panels.
+
+    There are 2n + 1 nodes; multiply by (b - a) / (6 n) for the rule on [a, b].
+    """
+    w = np.ones(2 * n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
 
 
 def simpson_segmented(
@@ -44,10 +56,7 @@ def simpson_segmented(
         n = max(2, int(round(base_panels * (hi - lo) / length)))
         xs = np.linspace(lo, hi, 2 * n + 1)
         ys = np.asarray(f(xs), dtype=float)
-        w = np.ones(2 * n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        total += (hi - lo) / (6.0 * n) * float(np.dot(w, ys))
+        total += (hi - lo) / (6.0 * n) * float(np.dot(simpson_weights(n), ys))
     return total
 
 
@@ -148,6 +157,19 @@ def solve_cyclic_tridiagonal(
     z = thomas(u)
     factor = (y[0] + corner_top * y[-1] / gamma) / (1.0 + z[0] + corner_top * z[-1] / gamma)
     return y - factor * z
+
+
+def cyclic_differences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Undivided cyclic central differences of periodic grid data.
+
+    Returns (x[i+1] - x[i-1], x[i+1] - 2 x[i] + x[i-1]) with wrap-around
+    indices; dividing by 2h and h^2 gives the second-order first and second
+    derivatives.  The division is left to the caller so each keeps its own
+    arithmetic.
+    """
+    xp = np.roll(values, -1)
+    xm = np.roll(values, 1)
+    return xp - xm, xp - 2.0 * values + xm
 
 
 def spectral_derivatives(values: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:

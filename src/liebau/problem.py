@@ -29,6 +29,14 @@ from .errors import BadRadii, LiebauError, NegativeState
 from .funcspec import PeriodicFunction
 
 
+def _require_finite(obj, *names: str) -> None:
+    """Reject NaN and infinite scalar parameters before any range check sees them."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise LiebauError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalConfig:
     """Raw constants of the one-pipe one-tank configuration."""
@@ -43,6 +51,7 @@ class PhysicalConfig:
     p: PeriodicFunction  # external force
 
     def __post_init__(self):
+        _require_finite(self, "r0", "rho", "zeta", "g", "a_tau", "a_pi", "v0")
         if self.r0 < 0.0 or self.rho <= 0.0 or self.g <= 0.0:
             raise LiebauError("need r0 >= 0, rho > 0, g > 0")
         if self.a_tau <= 0.0 or self.a_pi <= 0.0 or self.v0 <= 0.0:
@@ -64,6 +73,7 @@ class LiebauProblem:
     e: PeriodicFunction
 
     def __post_init__(self):
+        _require_finite(self, "a", "mu", "c", "T")
         if self.a < 0.0:
             raise LiebauError(f"need a >= 0, got {self.a!r}")
         if not (0.0 < self.mu < 0.5):
@@ -100,6 +110,7 @@ class GeneralProblem:
     beta: float
 
     def __post_init__(self):
+        _require_finite(self, "a", "T", "alpha", "beta")
         if self.a < 0.0:
             raise LiebauError(f"need a >= 0, got {self.a!r}")
         if not (0.0 < self.alpha < self.beta < 1.0):

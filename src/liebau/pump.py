@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NegativeState, NonpositiveLevel
 from .problem import LiebauProblem
-from .numerics import spectral_derivatives
+from .numerics import cyclic_differences, spectral_derivatives
 from .solve import GridSolution
 
 
@@ -58,10 +58,9 @@ def singular_residual(
     h = T / n
     nodes = u.nodes if isinstance(u, GridSolution) else np.arange(n) * h
     if uprime is None:
-        up = np.roll(values, -1)
-        um = np.roll(values, 1)
-        du = (up - um) / (2.0 * h)
-        d2u = (up - 2.0 * values + um) / h**2
+        d1, d2 = cyclic_differences(values)
+        du = d1 / (2.0 * h)
+        d2u = d2 / h**2
     else:
         du = np.asarray(uprime, dtype=float)
         d2u = np.asarray(usecond, dtype=float)

@@ -32,7 +32,18 @@ from . import greens
 from .errors import BadRadii, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
 from .funcspec import PeriodicFunction
 from .problem import GeneralProblem, deregularize, truncated_rhs
-from .numerics import solve_cyclic_tridiagonal, spectral_derivatives, trig_interpolate
+from .numerics import (
+    cyclic_differences,
+    solve_cyclic_tridiagonal,
+    spectral_derivatives,
+    trig_interpolate,
+)
+
+# Polish under-relaxation: the FD Jacobian and the spectral operator disagree
+# by up to pi^2/4 on the highest modes, and 0.6 keeps the correction
+# contractive there.
+_POLISH_DAMPING = 0.6
+_POLISH_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
@@ -43,8 +54,6 @@ class SolveOptions:
     initial: float | np.ndarray | None = None
     bracket: tuple[float, float] | None = None  # geometric midpoint used as constant guess
     polish: bool = True
-    polish_max_iter: int = 60
-    polish_damping: float = 0.6
     refine_factor: int = 4
     truncation_band: tuple[float, float, float] | None = None  # (m, r1, r2) fallback operator
 
@@ -58,7 +67,6 @@ class GridSolution:
     values: np.ndarray
     sup_residual: float
     sup_residual_exact_data: float
-    bc_mismatch: float  # zero by construction for the cyclic scheme
     iterations: int
     converged: bool
     units: str = "x"
@@ -81,7 +89,6 @@ class ConeReport:
     in_cone: bool  # min x >= c_m * max x
     above_lower: bool  # min x >= c_m * R1
     below_upper: bool  # max x <= R2
-    not_in_inner_set: bool  # same fact as above_lower, phrased on the inner set
 
     @property
     def all_ok(self) -> bool:
@@ -89,9 +96,8 @@ class ConeReport:
 
 
 def _fd_residual_terms(values: np.ndarray, h: float, a: float) -> np.ndarray:
-    xp = np.roll(values, -1)
-    xm = np.roll(values, 1)
-    return (xp - 2.0 * values + xm) / h**2 + a * (xp - xm) / (2.0 * h)
+    d1, d2 = cyclic_differences(values)
+    return d2 / h**2 + a * d1 / (2.0 * h)
 
 
 def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarray:
@@ -207,7 +213,7 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
 
     polish_iters = 0
     if opts.polish:
-        x, polish_iters = _polish(x, h, a, f_of, fprime_of, sub, sup, opts)
+        x, polish_iters = _polish(x, h, a, f_of, fprime_of, sub, sup)
 
     sup_res, sup_res_exact = _refined_residuals(gp, nodes, x, r_nodes, s_nodes, opts.refine_factor)
     return GridSolution(
@@ -216,26 +222,23 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
         values=x,
         sup_residual=sup_res,
         sup_residual_exact_data=sup_res_exact,
-        bc_mismatch=0.0,
         iterations=iterations + polish_iters,
         converged=True,
     )
 
 
-def _polish(x, h, a, f_of, fprime_of, sub, sup, opts: SolveOptions):
+def _polish(x, h, a, f_of, fprime_of, sub, sup):
     """Damped defect correction toward the collocation solution.
 
     The residual uses spectral derivatives of the current grid values; the
-    correction reuses the cheap finite-difference Jacobian.  Under-relaxation
-    keeps the iteration contractive on the highest modes, where the two
-    operators disagree by a factor of up to pi^2/4.
+    correction reuses the cheap finite-difference Jacobian, under-relaxed by
+    ``_POLISH_DAMPING``.
     """
     T = h * len(x)
-    theta = opts.polish_damping
     best = x
     best_norm = math.inf
     stalled = 0
-    for it in range(opts.polish_max_iter):
+    for it in range(_POLISH_MAX_ITER):
         d1, d2 = spectral_derivatives(x, T)
         res = d2 + a * d1 - f_of(x)
         res_norm = float(np.max(np.abs(res)))
@@ -248,7 +251,7 @@ def _polish(x, h, a, f_of, fprime_of, sub, sup, opts: SolveOptions):
                 return best, it + 1
         diag = -2.0 / h**2 - fprime_of(x)
         step = solve_cyclic_tridiagonal(sub, diag, sup, sub[0], sup[-1], -res)
-        candidate = x + theta * step
+        candidate = x + _POLISH_DAMPING * step
         if np.any(candidate <= 0.0):
             return best, it + 1
         x = candidate
@@ -256,7 +259,7 @@ def _polish(x, h, a, f_of, fprime_of, sub, sup, opts: SolveOptions):
     d1, d2 = spectral_derivatives(x, T)
     if float(np.max(np.abs(d2 + a * d1 - f_of(x)))) > best_norm:
         x = best
-    return x, opts.polish_max_iter
+    return x, _POLISH_MAX_ITER
 
 
 def _refined_residuals(gp, nodes, values, r_nodes, s_nodes, factor):
@@ -278,11 +281,11 @@ def _refined_residuals(gp, nodes, values, r_nodes, s_nodes, factor):
     return float(np.max(np.abs(res_colloc))), float(np.max(np.abs(res_exact)))
 
 
-def fd_residual(gp: GeneralProblem, solution: GridSolution) -> tuple[float, float]:
-    """Finite-difference residual at the nodes, plus the periodicity defect.
+def fd_residual(gp: GeneralProblem, solution: GridSolution) -> float:
+    """Sup-norm finite-difference residual at the nodes.
 
-    The cyclic stencils build periodicity in, so the reported boundary
-    mismatch is structurally zero; it is returned for interface symmetry.
+    The cyclic stencils build periodicity in, so there is no separate
+    boundary defect to report.
     """
     x = np.asarray(solution.values, dtype=float)
     if np.any(x <= 0.0):
@@ -294,7 +297,7 @@ def fd_residual(gp: GeneralProblem, solution: GridSolution) -> tuple[float, floa
         np.asarray(gp.r(nodes), dtype=float) * x**gp.alpha
         - np.asarray(gp.s(nodes), dtype=float) * x**gp.beta
     )
-    return float(np.max(np.abs(res))), 0.0
+    return float(np.max(np.abs(res)))
 
 
 @dataclass(frozen=True)
@@ -383,10 +386,8 @@ def cone_and_localization(
     values = solution.values if isinstance(solution, GridSolution) else np.asarray(solution)
     vmin = float(np.min(values))
     vmax = float(np.max(values))
-    above = vmin >= cone_const * r1
     return ConeReport(
         in_cone=vmin >= cone_const * vmax,
-        above_lower=above,
+        above_lower=vmin >= cone_const * r1,
         below_upper=vmax <= r2,
-        not_in_inner_set=above,
     )

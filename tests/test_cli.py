@@ -8,11 +8,16 @@ from liebau.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SEARCH_EMPTY,
+    OPTION_SCHEMA,
+    build_parser,
+    command_options,
     load_config,
     run,
 )
+from liebau.certify import SearchOptions
 from liebau.errors import ConfigError
 from liebau.problem import LiebauProblem
+from liebau.solve import SolveOptions
 
 
 def run_captured(capsys, argv):
@@ -102,7 +107,7 @@ class TestCertifyCommand:
 class TestSearchCommand:
     def test_cosine_preset_finds(self, capsys):
         code, out, _ = run_captured(
-            capsys, ["search", "--preset", "cosine", "--m-points", "16", "--threads", "1"]
+            capsys, ["search", "--preset", "cosine", "--m-points", "16"]
         )
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == "pass"
@@ -217,6 +222,68 @@ class TestConfig:
         cfg = load_config(str(path))
         assert isinstance(cfg.problem, LiebauProblem)
         assert cfg.problem.c == pytest.approx(0.1)
+
+
+TANK_PROBLEM = {
+    "kind": "liebau", "a": 0.0, "b": 2.0, "c": 0.1, "T": 6.283185307179586,
+    "e": {"type": "constant", "period": 6.283185307179586, "value": 1.0},
+}
+
+
+class TestBadInputExitsTwo:
+    @pytest.mark.parametrize(
+        "command, section, options, field",
+        [
+            ("solve", "solve", {"n": "abc"}, "solve.n"),
+            ("certify", "certify", {"theorem": "sign_changing", "kappa": "big"}, "certify.kappa"),
+            ("search", "search", {"threads": "two"}, "search.threads"),
+            ("search", "search", {"threads": 2}, "search.threads"),
+        ],
+    )
+    def test_option_type_and_key(self, capsys, tmp_path, command, section, options, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": TANK_PROBLEM, section: options}))
+        code, out, err = run_captured(capsys, [command, "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+
+    def test_nan_problem_value(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": dict(TANK_PROBLEM, c=float("nan"))}))
+        code, out, err = run_captured(capsys, ["certify", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "t,u\n0.0,3.0\n0.5,abc\n",  # non-numeric cell
+            "t,u\n0.0,3.0\n0.5\n",  # ragged row
+            "t,u\n",  # no data rows
+        ],
+    )
+    def test_bad_solution_csv(self, capsys, tmp_path, body):
+        path = tmp_path / "sol.csv"
+        path.write_text(body)
+        code, _, err = run_captured(
+            capsys, ["pump", "--preset", "benchmark", "--solution", str(path)]
+        )
+        assert code == EXIT_CONFIG
+        assert str(path) in err
+
+
+class TestOptionSchema:
+    def test_keys_match_option_dataclasses(self):
+        assert set(OPTION_SCHEMA["search"]) == set(SearchOptions.__dataclass_fields__)
+        assert set(OPTION_SCHEMA["solve"]) == set(SolveOptions.__dataclass_fields__)
+
+    def test_flag_overrides_config(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": TANK_PROBLEM, "solve": {"n": 64, "tol": 1e-9}}))
+        args = build_parser().parse_args(["solve", "--config", str(path), "-n", "128"])
+        opts = command_options(load_config(str(path)), "solve", args)
+        assert opts == {"n": 128, "tol": 1e-9}
 
 
 class TestVerifyCommand:

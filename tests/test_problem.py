@@ -89,6 +89,25 @@ class TestRegularize:
             deregularize(gp)
 
 
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejected_at_construction(self, bad):
+        e = PeriodicFunction.constant(1.0, 1.54)
+        with pytest.raises(LiebauError, match="finite"):
+            LiebauProblem(1.6, 0.01, bad, 1.0, e)
+        with pytest.raises(LiebauError, match="finite"):
+            LiebauProblem(bad, 0.01, 1.49, 1.0, e)
+        with pytest.raises(LiebauError, match="finite"):
+            GeneralProblem(a=bad, T=1.0, r=e, s=e, alpha=0.2, beta=0.9)
+        with pytest.raises(LiebauError, match="finite"):
+            GeneralProblem(a=0.0, T=1.0, r=e, s=e, alpha=0.2, beta=bad)
+        with pytest.raises(LiebauError, match="finite"):
+            PhysicalConfig(
+                r0=0.0, rho=1.0, zeta=1.0, g=9.8, a_tau=1.0, a_pi=0.1, v0=bad,
+                p=PeriodicFunction.constant(1.0, 0.0),
+            )
+
+
 class TestShiftedRhs:
     def test_zero_state(self):
         gp = regularize(constant_forcing_problem())

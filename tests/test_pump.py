@@ -14,7 +14,7 @@ def closed_form_trace(v0: float, n: int = 1024) -> GridSolution:
     nodes = np.arange(n) * 2 * math.pi / n
     return GridSolution(
         T=2 * math.pi, nodes=nodes, values=(v0 - 2.0) + np.cos(nodes),
-        sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+        sup_residual=0.0, sup_residual_exact_data=0.0,
         iterations=0, converged=True, units="u",
     )
 
@@ -36,7 +36,7 @@ class TestSingularResidual:
         n = 256
         trace = GridSolution(
             T=1.0, nodes=np.arange(n) / n, values=np.full(n, 1.0 / 0.2),
-            sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+            sup_residual=0.0, sup_residual_exact_data=0.0,
             iterations=0, converged=True, units="u",
         )
         assert singular_residual(lp, trace) < 1e-12
@@ -45,7 +45,7 @@ class TestSingularResidual:
         u = closed_form_trace(4.0)
         bad = GridSolution(
             T=u.T, nodes=u.nodes, values=u.values - 1.0,
-            sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+            sup_residual=0.0, sup_residual_exact_data=0.0,
             iterations=0, converged=True, units="u",
         )
         with pytest.raises(NonpositiveLevel):
@@ -57,7 +57,7 @@ class TestTransform:
         n = 64
         x = GridSolution(
             T=1.0, nodes=np.arange(n) / n, values=np.full(n, (1.54 / 1.49) ** 100),
-            sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+            sup_residual=0.0, sup_residual_exact_data=0.0,
             iterations=0, converged=True,
         )
         u = x_to_u(x, 0.01)
@@ -69,7 +69,7 @@ class TestTransform:
         nodes = np.arange(n) * 2 * math.pi / n
         x = GridSolution(
             T=2 * math.pi, nodes=nodes, values=(2 + np.cos(nodes)) ** 3,
-            sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+            sup_residual=0.0, sup_residual_exact_data=0.0,
             iterations=0, converged=True,
         )
         u = x_to_u(x, 1.0 / 3.0)
@@ -81,7 +81,7 @@ class TestTransform:
         vals = 1.0 + rng.uniform(0, 1, n)
         x = GridSolution(
             T=1.0, nodes=np.arange(n) / n, values=vals,
-            sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+            sup_residual=0.0, sup_residual_exact_data=0.0,
             iterations=0, converged=True,
         )
         back = x_to_u(x_to_u(x, 0.2), 5.0)
@@ -111,7 +111,7 @@ class TestPumpReport:
         n = 128
         trace = GridSolution(
             T=1.0, nodes=np.arange(n) / n, values=np.full(n, 5.0),
-            sup_residual=0.0, sup_residual_exact_data=0.0, bc_mismatch=0.0,
+            sup_residual=0.0, sup_residual_exact_data=0.0,
             iterations=0, converged=True, units="u",
         )
         report = pump_report(lp, trace)
