@@ -246,11 +246,18 @@ def _liebau_problem(cfg: RunConfig) -> LiebauProblem:
 # ---------------------------------------------------------------------------
 # output helpers
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(str(exc), path) from exc
+
+
 def _emit(obj, out=None) -> None:
     text = dump_json(obj) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -263,14 +270,15 @@ def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(path, text)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_greens(args) -> int:
+    if args.samples < 2:
+        raise ConfigError(f"need at least 2 samples, got {args.samples}", "greens.samples")
     kernel = greens.build(args.a, args.m, args.T)
     taus = np.linspace(0.0, kernel.T, args.samples)
     values = np.asarray(kernel.at(taus), dtype=float)

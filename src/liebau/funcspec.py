@@ -8,14 +8,18 @@ representation is rich enough for every instance we care about while keeping
 means and extrema exact (or near-exact) so that downstream inequality
 margins are trustworthy.
 
-Values are immutable after construction and every operation is pure, so
-instances can be evaluated concurrently without locking.
+Instances are immutable after construction and every operation is pure.
+A ``PeriodicFunction``'s extrema and positive part are computed lazily, once
+per instance, and kept on the instance: repeated ``extrema()`` and
+``positive_part()`` calls return the same objects.  The kept values live
+outside the dataclass fields, so equality, hashing and ``repr`` are unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -257,7 +261,12 @@ class PeriodicFunction:
         Exact for constants and piecewise-linear tables (and clips of them);
         anything else is scanned on a uniform grid and each local winner is
         refined by parabolic interpolation down to EXTREMA_REFINE_TOL in t.
+        Computed on the first call; later calls return the same tuple.
         """
+        return self._extrema
+
+    @cached_property
+    def _extrema(self) -> tuple[float, float, float, float]:
         body = self.body
         if isinstance(body, Constant):
             return body.value, body.value, 0.0, 0.0
@@ -280,10 +289,8 @@ class PeriodicFunction:
         def refine(sign: float) -> tuple[float, float]:
             f = lambda t: sign * float(self(t))
             n = len(grid)
-            fv = sign * vals
-            winners = [i for i in range(n) if fv[i] <= fv[(i - 1) % n] and fv[i] <= fv[(i + 1) % n]]
             best_t, best_v = 0.0, math.inf
-            for i in winners:
+            for i in _local_minima(sign * vals).tolist():
                 left = grid[i - 1] if i > 0 else grid[-1] - T
                 right = grid[i + 1] if i + 1 < n else grid[0] + T
                 t_star = parabolic_min(f, left, grid[i], right, tol)
@@ -302,7 +309,12 @@ class PeriodicFunction:
         Piecewise-linear input stays piecewise linear: zero crossings are
         inserted as exact breakpoints so downstream integrals stay exact.
         Other bodies are wrapped with their crossings located numerically.
+        Computed on the first call; later calls return the same function.
         """
+        return self._positive_part
+
+    @cached_property
+    def _positive_part(self) -> "PeriodicFunction":
         body = self.body
         if isinstance(body, Constant):
             return PeriodicFunction(self.period, Constant(max(body.value, 0.0)))
@@ -312,7 +324,22 @@ class PeriodicFunction:
         return PeriodicFunction(self.period, PositivePart(body, tuple(crossings)))
 
 
+def _numbers(body: Body) -> tuple[float, ...]:
+    """The real numbers stored in one non-composite body."""
+    if isinstance(body, Constant):
+        return (body.value,)
+    if isinstance(body, TrigPoly):
+        return (body.offset,) + tuple(x for amp, _, phase in body.terms for x in (amp, phase))
+    if isinstance(body, PolyOnPeriod):
+        return body.coeffs
+    if isinstance(body, PiecewiseLinear):
+        return tuple(x for point in body.points for x in point)
+    return ()
+
+
 def _validate(body: Body, period: float) -> None:
+    if not all(math.isfinite(x) for x in _numbers(body)):
+        raise LiebauError(f"function data must be finite, got {body!r}")
     if isinstance(body, PiecewiseLinear):
         ts = [p[0] for p in body.points]
         vs = [p[1] for p in body.points]
@@ -347,17 +374,24 @@ def _clip_piecewise(body: PiecewiseLinear) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(pts))
 
 
+def _local_minima(fv: np.ndarray) -> np.ndarray:
+    """Ascending indices i with fv[i] <= both cyclic neighbours (ties included)."""
+    return np.flatnonzero((fv <= np.roll(fv, 1)) & (fv <= np.roll(fv, -1)))
+
+
 def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:
+    """Zeros of f on one period, ascending: grid nodes where f is exactly 0,
+    and a bisected root inside every grid cell whose ends differ in sign."""
     grid = np.linspace(0.0, period, _SCAN_POINTS + 1)
     vals = np.asarray(f(grid), dtype=float)
+    a, b = vals[:-1], vals[1:]
     out: list[float] = []
-    for i in range(_SCAN_POINTS):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
+    for i in np.flatnonzero((a == 0.0) | (a * b < 0.0)).tolist():
+        if vals[i] == 0.0:
             out.append(float(grid[i]))
-        elif a * b < 0.0:
+        else:
             lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = a
+            flo = vals[i]
             for _ in range(80):
                 midp = 0.5 * (lo + hi)
                 fm = float(f(midp))

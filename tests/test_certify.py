@@ -244,6 +244,25 @@ class TestSearch:
         lp = LiebauProblem(0.0, 0.25, 1.0, 1.0, PeriodicFunction.constant(1.0, -1.0))
         assert search_certificate(lp) is None
 
+    def test_forcing_scanned_once_per_search(self, cosine_lp, monkeypatch):
+        # a fresh forcing equal to the fixture's, so no earlier test has filled its caches
+        lp = LiebauProblem(
+            cosine_lp.a, cosine_lp.mu, cosine_lp.c, cosine_lp.T,
+            PeriodicFunction(cosine_lp.e.period, cosine_lp.e.body),
+        )
+        scans = []
+        scan = PeriodicFunction._scanned_extrema
+
+        def counting(self):
+            scans.append(self)
+            return scan(self)
+
+        monkeypatch.setattr(PeriodicFunction, "_scanned_extrema", counting)
+        cert = search_certificate(lp)
+        assert cert is not None and cert.passed
+        assert scans == [lp.e]
+        assert dump_json(cert.to_dict()) == dump_json(search_certificate(cosine_lp).to_dict())
+
     def test_deterministic_across_reruns(self, cosine_lp, trapezoid_lp):
         for lp in (cosine_lp, trapezoid_lp):
             first = search_certificate(lp)

@@ -272,6 +272,37 @@ class TestBadInputExitsTwo:
         assert code == EXIT_CONFIG
         assert str(path) in err
 
+    def test_nan_function_record(self, capsys):
+        code, out, err = run_captured(capsys, ["solve", "--preset", "benchmark", "--v0", "nan"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "--preset", "trapezoid", "--out"],
+            ["solve", "--preset", "cosine", "-n", "64", "--csv-out"],
+        ],
+    )
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "out.txt")
+        code, _, err = run_captured(capsys, argv + [path])
+        assert code == EXIT_CONFIG
+        assert path in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("samples", ["-1", "0", "1"])
+    def test_greens_samples_below_two(self, capsys, samples):
+        code, out, err = run_captured(
+            capsys, ["greens", "-a", "1.6", "-m", "0.7", "-T", "1", "--samples", samples]
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "greens.samples" in err
+        assert "Traceback" not in err
+
 
 class TestOptionSchema:
     def test_keys_match_option_dataclasses(self):

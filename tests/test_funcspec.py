@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from liebau import funcspec
 from liebau.errors import LiebauError
 from liebau.funcspec import PeriodicFunction
 
@@ -192,3 +193,148 @@ class TestValidation:
         assert f(0.5) == 2 * E_MAX
         g = tank_forcing(4.0).scale(-1.0)
         assert g.mean() == pytest.approx(-0.7, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PeriodicFunction.constant(1.0, float("nan")),
+            lambda: PeriodicFunction.trig(1.0, float("nan"), [(1.0, 1, 0.0)]),
+            lambda: PeriodicFunction.trig(1.0, 0.0, [(float("inf"), 1, 0.0)]),
+            lambda: PeriodicFunction.trig(1.0, 0.0, [(1.0, 1, -float("inf"))]),
+            lambda: PeriodicFunction.poly(1.0, [1.0, float("nan"), 0.0]),
+            lambda: PeriodicFunction.piecewise_linear([(0.0, 0.0), (0.5, float("inf")), (1.0, 0.0)]),
+            lambda: PeriodicFunction.piecewise_linear([(0.0, 0.0), (float("nan"), 1.0), (1.0, 0.0)]),
+            lambda: PeriodicFunction.sum_of(
+                [PeriodicFunction.constant(1.0, 1.0), PeriodicFunction.trig(1.0, float("-inf"))]
+            ),
+        ],
+    )
+    def test_non_finite_data_rejected(self, make):
+        with pytest.raises(LiebauError, match="finite"):
+            make()
+
+
+def sum_with_breakpoints() -> PeriodicFunction:
+    return PeriodicFunction.sum_of(
+        [
+            PeriodicFunction.piecewise_linear([(0.0, -0.5), (0.3, 0.7), (0.6, -0.2), (1.0, -0.5)]),
+            PeriodicFunction.trig(1.0, 0.0, [(0.3, 2, 0.1)]),
+        ]
+    )
+
+
+def zeros_at_nodes() -> PeriodicFunction:
+    # -0.1875 + t - t^2 vanishes exactly at the scan nodes t = 0.25 and 0.75
+    return PeriodicFunction.poly(1.0, [-0.1875, 1.0, -1.0])
+
+
+def all_ties() -> PeriodicFunction:
+    # zero amplitude: every grid value equals the offset (0), so every
+    # point ties with its neighbours and every node is a zero
+    return PeriodicFunction.trig(1.0, 0.0, [(0.0, 1, 0.0)])
+
+
+def oracle_winners(fv: np.ndarray) -> list[int]:
+    """The scalar scan for local minima that funcspec._local_minima replaced."""
+    n = len(fv)
+    return [i for i in range(n) if fv[i] <= fv[(i - 1) % n] and fv[i] <= fv[(i + 1) % n]]
+
+
+def oracle_crossings(f: PeriodicFunction, period: float) -> list[float]:
+    """The scalar crossing scan that funcspec._find_crossings replaced."""
+    grid = np.linspace(0.0, period, funcspec._SCAN_POINTS + 1)
+    vals = np.asarray(f(grid), dtype=float)
+    out: list[float] = []
+    for i in range(funcspec._SCAN_POINTS):
+        a, b = vals[i], vals[i + 1]
+        if a == 0.0:
+            out.append(float(grid[i]))
+        elif a * b < 0.0:
+            lo, hi = float(grid[i]), float(grid[i + 1])
+            flo = a
+            for _ in range(80):
+                midp = 0.5 * (lo + hi)
+                fm = float(f(midp))
+                if flo * fm <= 0.0:
+                    hi = midp
+                else:
+                    lo, flo = midp, fm
+            out.append(0.5 * (lo + hi))
+    return out
+
+
+class TestVectorisedScans:
+    @pytest.mark.parametrize("make", [sum_with_breakpoints, zeros_at_nodes])
+    def test_winners_match_scalar_scan_inside_extrema(self, make, monkeypatch):
+        seen = []
+        local_minima = funcspec._local_minima
+
+        def recording(fv):
+            out = local_minima(fv)
+            seen.append((fv.copy(), out))
+            return out
+
+        monkeypatch.setattr(funcspec, "_local_minima", recording)
+        f = make()
+        f.extrema()
+        assert len(seen) == 2  # one scan for the minimum, one for the maximum
+        for fv, winners in seen:
+            assert winners.tolist() == oracle_winners(fv)
+        if f.breakpoints():
+            assert len(seen[0][0]) > funcspec._SCAN_POINTS
+
+    def test_winners_match_scalar_scan_when_all_tie(self):
+        f = all_ties()
+        fv = np.asarray(f(np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)))
+        for sign in (1.0, -1.0):
+            winners = funcspec._local_minima(sign * fv).tolist()
+            assert winners == oracle_winners(sign * fv)
+            assert winners == list(range(funcspec._SCAN_POINTS))
+
+    @pytest.mark.parametrize("make", [all_ties, sum_with_breakpoints, zeros_at_nodes])
+    def test_crossings_bitwise_equal_scalar_scan(self, make):
+        f = make()
+        new = funcspec._find_crossings(f, f.period)
+        old = oracle_crossings(f, f.period)
+        assert np.array_equal(np.asarray(new), np.asarray(old))
+        assert [x.hex() for x in new] == [x.hex() for x in old]
+
+    def test_zero_nodes_are_crossings(self):
+        assert funcspec._find_crossings(zeros_at_nodes(), 1.0) == [0.25, 0.75]
+
+
+class TestComputedOnce:
+    def test_second_extrema_call_returns_same_tuple(self):
+        f = PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 1, 0.0)])
+        first = f.extrema()
+        assert f.extrema() is first
+
+    def test_second_positive_part_call_returns_same_function(self):
+        f = sum_with_breakpoints()
+        assert f.positive_part() is f.positive_part()
+
+    def test_scan_runs_once_per_instance(self, monkeypatch):
+        calls = []
+        scan = PeriodicFunction._scanned_extrema
+
+        def counting(self):
+            calls.append(self)
+            return scan(self)
+
+        monkeypatch.setattr(PeriodicFunction, "_scanned_extrema", counting)
+        f = zeros_at_nodes()
+        for _ in range(3):
+            f.extrema()
+        assert len(calls) == 1
+        zeros_at_nodes().extrema()  # an equal but distinct instance scans on its own
+        assert len(calls) == 2
+
+    def test_equality_hash_and_repr_unchanged_by_caches(self):
+        f, g = sum_with_breakpoints(), sum_with_breakpoints()
+        before = (hash(f), repr(f))
+        f.extrema()
+        f.positive_part()
+        assert f == g and g == f
+        assert (hash(f), repr(f)) == before
+        assert hash(f) == hash(g)
+        assert len({f, g}) == 1
