@@ -12,7 +12,8 @@ Exit codes: 0 success (certificate passed / solver converged / all checks
 green), 2 configuration or usage error (including an unknown option key, an
 option or problem value of the wrong type or not finite, and a malformed
 solution CSV), 3 certificate failed, 4 certificate inapplicable, 5 search
-found nothing, 6 solver did not converge.
+found nothing, 6 solver failed (no convergence, or the iterate left the
+positive cone).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance, certify, greens, presets
-from .errors import ConfigError, LiebauError, NoConvergence
+from .errors import ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from .funcspec import PeriodicFunction
 from .numerics import dump_json, format_float
 from .problem import (
@@ -46,7 +47,7 @@ EXIT_CONFIG = 2
 EXIT_CERT_FAIL = 3
 EXIT_CERT_INAPPLICABLE = 4
 EXIT_SEARCH_EMPTY = 5
-EXIT_NO_CONVERGENCE = 6
+EXIT_SOLVER = 6
 
 
 @dataclass
@@ -191,6 +192,8 @@ def command_options(cfg: RunConfig, section: str, args=None) -> dict:
         raise ConfigError("kappa must be positive", f"{section}.kappa")
     if opts.get("n", 8) < 8:
         raise ConfigError("grid size n must be at least 8", f"{section}.n")
+    if opts.get("initial", 1.0) <= 0.0:
+        raise ConfigError("initial guess must be positive", f"{section}.initial")
     return opts
 
 
@@ -254,23 +257,27 @@ def _write_text(path: str, text: str) -> None:
         raise ConfigError(str(exc), path) from exc
 
 
-def _emit(obj, out=None) -> None:
-    text = dump_json(obj) + "\n"
-    if out:
-        _write_text(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _write_csv(path: str, header: list[str], columns: list[np.ndarray]) -> None:
+def _csv_output(path: str, header: list[str], columns: list[np.ndarray]) -> tuple[str | None, str]:
+    """(path, CSV text) for ``_emit``; path '-' becomes None, meaning stdout."""
     lines = [",".join(header)]
     for row in zip(*columns):
         lines.append(",".join(format_float(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        _write_text(path, text)
+    return (None if path == "-" else path), "\n".join(lines) + "\n"
+
+
+def _emit(obj, out=None, *more: tuple[str | None, str]) -> None:
+    """Write obj as JSON to ``out`` (stdout if None), then each (path, text) in ``more``.
+
+    Every file is written before anything goes to stdout, so a failed write
+    leaves stdout empty.
+    """
+    outputs = [(out or None, dump_json(obj) + "\n"), *more]
+    for path, text in outputs:
+        if path is not None:
+            _write_text(path, text)
+    for path, text in outputs:
+        if path is None:
+            sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +289,7 @@ def _cmd_greens(args) -> int:
     kernel = greens.build(args.a, args.m, args.T)
     taus = np.linspace(0.0, kernel.T, args.samples)
     values = np.asarray(kernel.at(taus), dtype=float)
+    csv = [_csv_output(args.csv_out, ["tau", "K"], [taus, values])] if args.csv_out else []
     _emit(
         {
             "a": kernel.a,
@@ -289,15 +297,14 @@ def _cmd_greens(args) -> int:
             "T": kernel.T,
             "case": kernel.case,
             "K0": kernel.k0,
-            "Kmin": kernel.kmin,
+            "Kmin": kernel.k0,
             "Kmax": kernel.kmax,
             "c_m": kernel.cone_constant,
             "m_max": kernel.m_max,
         },
         args.out,
+        *csv,
     )
-    if args.csv_out:
-        _write_csv(args.csv_out, ["tau", "K"], [taus, values])
     return EXIT_OK
 
 
@@ -363,12 +370,7 @@ def _solved(cfg: RunConfig, args) -> tuple[GridSolution, float | None]:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _resolve(args)
-    try:
-        sol, mu = _solved(cfg, args)
-    except NoConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+    sol, mu = _solved(_resolve(args), args)
     summary = {
         "N": len(sol.values),
         "iterations": sol.iterations,
@@ -378,14 +380,11 @@ def _cmd_solve(args) -> int:
         "max_x": sol.max_value,
         "mean_x": sol.mean_value,
     }
-    _emit(summary, args.out)
-    if args.csv_out:
-        if mu is not None:
-            _write_csv(
-                args.csv_out, ["t", "x", "u"], [sol.nodes, sol.values, sol.values**mu]
-            )
-        else:
-            _write_csv(args.csv_out, ["t", "x"], [sol.nodes, sol.values])
+    header, columns = ["t", "x"], [sol.nodes, sol.values]
+    if mu is not None:
+        header, columns = header + ["u"], columns + [sol.values**mu]
+    csv = [_csv_output(args.csv_out, header, columns)] if args.csv_out else []
+    _emit(summary, args.out, *csv)
     return EXIT_OK
 
 
@@ -426,12 +425,7 @@ def _cmd_pump(args) -> int:
     if args.solution:
         u = _read_solution_csv(args.solution, lp.mu, lp.T)
     else:
-        try:
-            sol, _ = _solved(cfg, args)
-        except NoConvergence as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NO_CONVERGENCE
-        u = x_to_u(sol, lp.mu)
+        u = x_to_u(_solved(cfg, args)[0], lp.mu)
     report = pump_report(lp, u, tol=args.threshold if args.threshold is not None else 1e-9)
     _emit(
         {
@@ -525,6 +519,9 @@ def run(argv: list[str]) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (NoConvergence, LeftPositiveCone) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except LiebauError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -12,13 +12,24 @@ With lam1, lam2 the roots of lam^2 + a*lam + m^2 = 0 and distinct,
 
 the complex-pair and double-root cases being the real-part and limit forms of
 the same expression.  Inside the window 0 < m < sqrt((pi/T)^2 + (a/2)^2) the
-kernel is strictly positive, integrates to 1/m^2 in each variable, and its
-diagonal value K(0) is the minimum, which yields the cone constant
-c_m = Kmin/Kmax in (0, 1).
+kernel is strictly positive and integrates to 1/m^2 in each variable.
+
+K(0) = K(T), so K' has a zero t* in (0, T), and only one: K' = 0 is a
+monotone equation for real roots, a linear one for the double root, and for
+a complex pair lam = -a/2 +- i omega its zeros are pi/omega > T apart.
+Solving K'(t*) = 0 gives
+
+    real roots:    t* = log(lam2 (1 - e^{lam1 T}) / (lam1 (1 - e^{lam2 T}))) / (lam1 - lam2)
+    complex pair:  t* = ((-arg(lam1 / (1 - e^{lam1 T}))) mod pi) / omega
+    double root:   t* = 2/a - T E / (1 - E),   E = exp(-a T / 2)
+
+and since K'' = -m^2 K < 0 at t*, K(t*) is the maximum and K(0) the minimum.
+The cone constant is c_m = K(0)/K(t*) in (0, 1).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,14 +37,12 @@ import numpy as np
 
 from .errors import BadPeriod, LiebauError, MOutOfRange, PropertyViolation
 from .funcspec import PeriodicFunction
-from .numerics import cyclic_differences, golden_min, simpson_segmented, simpson_weights
+from .numerics import cyclic_differences, simpson_segmented, simpson_weights
 
 CASE_REAL_DISTINCT = "real_distinct"
 CASE_DOUBLE_ROOT = "double_root"
 CASE_COMPLEX_PAIR = "complex_pair"
 
-_SCAN_POINTS = 4096
-_REFINE_TOL = 1e-13
 # Rel tolerance on |a^2 - 4 m^2| below which the confluent formula is used;
 # the distinct-roots expression loses precision as the roots merge.
 _BRANCH_EPS = 1e-9
@@ -46,7 +55,10 @@ def m_window(a: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class GreensKernel:
-    """Immutable kernel with its derived constants."""
+    """Immutable kernel with its derived constants.
+
+    ``k0`` = K(0) is the minimum of K and ``kmax`` = K(t*) its maximum.
+    """
 
     a: float
     m: float
@@ -54,19 +66,18 @@ class GreensKernel:
     case: str
     roots: tuple[complex, complex]
     k0: float
-    kmin: float
     kmax: float
     cone_constant: float
     m_max: float
 
     def at(self, tau) -> float | np.ndarray:
         """K(tau) for tau in [0, T]; tau = T is folded onto tau = 0."""
-        return _kernel_values(self.a, self.m, self.T, self.case, tau)
+        return _kernel_values(self.case, self.roots, self.T, tau)
 
     def green(self, t, s) -> float | np.ndarray:
         """G(t, s) = K((t - s) mod T)."""
         tau = np.mod(np.asarray(t, dtype=float) - np.asarray(s, dtype=float), self.T)
-        out = _kernel_values(self.a, self.m, self.T, self.case, tau)
+        out = _kernel_values(self.case, self.roots, self.T, tau)
         return out if np.ndim(t) or np.ndim(s) else float(out)
 
 
@@ -77,37 +88,57 @@ def _select_case(a: float, m: float) -> str:
     return CASE_REAL_DISTINCT if disc > 0.0 else CASE_COMPLEX_PAIR
 
 
-def _kernel_values(a: float, m: float, T: float, case: str, tau):
+def _roots(a: float, m: float, case: str) -> tuple[complex, complex]:
+    """The roots of lam^2 + a lam + m^2 = 0, as the formulas of ``case`` use them."""
+    if case == CASE_DOUBLE_ROOT:
+        return complex(-a / 2.0, 0.0), complex(-a / 2.0, 0.0)
+    if case == CASE_REAL_DISTINCT:
+        sq = math.sqrt(a * a - 4.0 * m * m)
+        return complex((-a + sq) / 2.0, 0.0), complex((-a - sq) / 2.0, 0.0)
+    omega = math.sqrt(4.0 * m * m - a * a) / 2.0
+    return complex(-a / 2.0, omega), complex(-a / 2.0, -omega)
+
+
+def _kernel_values(case: str, roots: tuple[complex, complex], T: float, tau):
     scalar = np.ndim(tau) == 0
     tt = np.asarray(tau, dtype=float)
     # the kernel is T-periodic and continuous; wrap so K(T) lands on K(0)
     tt = np.mod(tt, T)
     if case == CASE_DOUBLE_ROOT:
-        lam = -a / 2.0
+        lam = roots[0].real
         E = math.exp(lam * T)
         vals = np.exp(lam * tt) * (tt * (1.0 - E) + T * E) / (1.0 - E) ** 2
     elif case == CASE_REAL_DISTINCT:
-        sq = math.sqrt(a * a - 4.0 * m * m)
-        l1, l2 = (-a + sq) / 2.0, (-a - sq) / 2.0
+        l1, l2 = roots[0].real, roots[1].real
         vals = (
             np.exp(l1 * tt) / (1.0 - math.exp(l1 * T))
             - np.exp(l2 * tt) / (1.0 - math.exp(l2 * T))
         ) / (l1 - l2)
     else:
-        omega = math.sqrt(4.0 * m * m - a * a) / 2.0
-        lam = complex(-a / 2.0, omega)
-        vals = np.imag(np.exp(lam * tt) / (1.0 - np.exp(lam * T))) / omega
+        lam = roots[0]
+        vals = np.imag(np.exp(lam * tt) / (1.0 - np.exp(lam * T))) / lam.imag
     return float(vals) if scalar else vals
+
+
+def _critical_point(case: str, roots: tuple[complex, complex], T: float) -> float:
+    """The zero of K' in (0, T), solved from the kernel formula of ``case``."""
+    if case == CASE_DOUBLE_ROOT:
+        lam = roots[0].real
+        return -1.0 / lam + T * math.exp(lam * T) / math.expm1(lam * T)
+    if case == CASE_REAL_DISTINCT:
+        l1, l2 = roots[0].real, roots[1].real
+        return math.log(l2 * math.expm1(l1 * T) / (l1 * math.expm1(l2 * T))) / (l1 - l2)
+    lam = roots[0]
+    return (-cmath.phase(lam / (1.0 - cmath.exp(lam * T)))) % math.pi / lam.imag
 
 
 def build(a: float, m: float, T: float) -> GreensKernel:
     """Construct the kernel and all derived constants.
 
     Raises MOutOfRange when m is outside (0, m_max) and BadPeriod for T <= 0.
-    The diagonal-minimality check (K(0) equals the global minimum) is
-    enforced here; a violation marks a near-degenerate case we refuse to
-    certify with, so it raises PropertyViolation instead of silently using a
-    smaller cone constant.
+    The extremal structure (the critical point t* in (0, T), with
+    0 < K(0) < K(t*)) is checked here; a violation marks a near-degenerate
+    case we refuse to certify with, so it raises PropertyViolation.
     """
     if not (T > 0.0) or not math.isfinite(T):
         raise BadPeriod(f"period must be positive, got {T!r}")
@@ -118,46 +149,17 @@ def build(a: float, m: float, T: float) -> GreensKernel:
         raise MOutOfRange(m, mmax)
 
     case = _select_case(a, m)
-    if case == CASE_DOUBLE_ROOT:
-        lam = -a / 2.0
-        roots = (complex(lam, 0.0), complex(lam, 0.0))
-    elif case == CASE_REAL_DISTINCT:
-        sq = math.sqrt(a * a - 4.0 * m * m)
-        roots = (complex((-a + sq) / 2.0, 0.0), complex((-a - sq) / 2.0, 0.0))
-    else:
-        omega = math.sqrt(4.0 * m * m - a * a) / 2.0
-        roots = (complex(-a / 2.0, omega), complex(-a / 2.0, -omega))
-
-    kfun = lambda tau: _kernel_values(a, m, T, case, tau)
-    taus = np.linspace(0.0, T, _SCAN_POINTS + 1)
-    vals = np.asarray(kfun(taus), dtype=float)
-    k0 = float(kfun(0.0))
-
-    tol = _REFINE_TOL * max(1.0, T)
-    imax = int(np.argmax(vals))
-    lo = taus[max(imax - 1, 0)]
-    hi = taus[min(imax + 1, _SCAN_POINTS)]
-    t_max = golden_min(lambda t: -kfun(t), lo, hi, tol)
-    kmax = max(float(kfun(t_max)), float(vals.max()))
-
-    kmin = float(vals.min())
-    imin = int(np.argmin(vals))
-    if 0 < imin < _SCAN_POINTS:
-        t_min = golden_min(kfun, taus[imin - 1], taus[imin + 1], tol)
-        kmin = min(kmin, float(kfun(t_min)))
-
-    if kmin < k0 * (1.0 - 1e-10):
+    roots = _roots(a, m, case)
+    k0 = _kernel_values(case, roots, T, 0.0)
+    # an infinite K(0) means a root rounded to 0; the t_max formula divides by it
+    t_max = _critical_point(case, roots, T) if 0.0 < k0 < math.inf else math.nan
+    kmax = _kernel_values(case, roots, T, t_max) if 0.0 < t_max < T else math.nan
+    if not (0.0 < k0 < kmax):
         raise PropertyViolation(
-            f"kernel diagonal K(0)={k0!r} is not the minimum (found {kmin!r}); "
+            f"kernel constants out of range: K(0)={k0!r}, t_max={t_max!r}, K(t_max)={kmax!r}; "
             "the cone construction does not apply to this parameter set"
         )
-    kmin = min(kmin, k0)
-    cone = kmin / kmax
-    if not (0.0 < cone < 1.0) or kmin <= 0.0:
-        raise PropertyViolation(
-            f"kernel constants out of range: kmin={kmin!r}, kmax={kmax!r}", None
-        )
-    return GreensKernel(a, m, T, case, roots, k0, kmin, kmax, cone, mmax)
+    return GreensKernel(a, m, T, case, roots, k0, kmax, k0 / kmax, mmax)
 
 
 def apply_kernel(

@@ -1,11 +1,11 @@
 """Shared numerical kernels.
 
 Everything here is deterministic and allocation-light: composite Simpson
-weights and segmented Simpson quadrature, bracketed extremum refinement, a
-cyclic tridiagonal solver (bordered elimination), cyclic central
-differences, spectral differentiation and trigonometric interpolation of
-periodic grid data, and fixed-width float printing for reproducible output
-files.
+weights and segmented Simpson quadrature, parabolic refinement of a
+bracketed minimum, a cyclic tridiagonal solver (bordered elimination),
+cyclic central differences, spectral differentiation and trigonometric
+interpolation of periodic grid data, and fixed-width float printing for
+reproducible output files.
 """
 
 from __future__ import annotations
@@ -58,23 +58,6 @@ def simpson_segmented(
         ys = np.asarray(f(xs), dtype=float)
         total += (hi - lo) / (6.0 * n) * float(np.dot(simpson_weights(n), ys))
     return total
-
-
-def golden_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Golden-section search for the minimizer of f on [a, b]."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
 
 
 def parabolic_min(

@@ -49,7 +49,7 @@ _POLISH_MAX_ITER = 60
 @dataclass(frozen=True)
 class SolveOptions:
     n: int = 512
-    tol: float = 1e-12  # sup-norm bound on the accepted Newton update
+    tol: float = 1e-12  # sup-norm bound on the accepted Newton update, times min(1, max x)
     max_iter: int = 50
     initial: float | np.ndarray | None = None
     bracket: tuple[float, float] | None = None  # geometric midpoint used as constant guess
@@ -205,7 +205,7 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
         x = candidate
         res = cand_res
         iterations += 1
-        if float(np.max(np.abs(lam * step))) <= opts.tol:
+        if float(np.max(np.abs(lam * step))) <= opts.tol * min(1.0, float(np.max(x))):
             converged = True
             break
     if not converged:

@@ -1,9 +1,15 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import LiebauProblem
+
+# Fixed examples and no per-example deadline, so property tests give the same
+# verdict on every run and do not flake on a slow or loaded machine.
+settings.register_profile("liebau", derandomize=True, deadline=None)
+settings.load_profile("liebau")
 
 
 @pytest.fixture(scope="session")

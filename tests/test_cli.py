@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -8,6 +9,7 @@ from liebau.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_SEARCH_EMPTY,
+    EXIT_SOLVER,
     OPTION_SCHEMA,
     build_parser,
     command_options,
@@ -293,6 +295,26 @@ class TestBadInputExitsTwo:
         assert path in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["greens", "-a", "1.6", "-m", "0.7", "-T", "1", "--csv-out"],
+            ["solve", "--preset", "cosine", "-n", "64", "--csv-out"],
+        ],
+    )
+    def test_failed_csv_write_prints_nothing(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "out.csv")
+        code, out, err = run_captured(capsys, argv + [path])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert path in err
+
+    def test_nonpositive_initial_guess(self, capsys):
+        code, out, err = run_captured(capsys, ["solve", "--preset", "benchmark", "--initial", "-1"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "solve.initial" in err
+
     @pytest.mark.parametrize("samples", ["-1", "0", "1"])
     def test_greens_samples_below_two(self, capsys, samples):
         code, out, err = run_captured(
@@ -302,6 +324,28 @@ class TestBadInputExitsTwo:
         assert out == ""
         assert "greens.samples" in err
         assert "Traceback" not in err
+
+
+class TestSolverFailureExitsSix:
+    def test_collapsed_newton_iterate(self, capsys):
+        code, out, err = run_captured(
+            capsys, ["solve", "--preset", "benchmark", "--initial", "0.05", "-n", "512"]
+        )
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_pump_shares_the_exit_code(self, capsys, tmp_path):
+        # the benchmark tank problem from a guess that leaves the positive cone
+        e = {"type": "trig", "period": 2 * math.pi, "offset": 0.7,
+             "terms": [[-1.9, 1, 0.0], [-1.5, 2, 0.0]]}
+        problem = dict(TANK_PROBLEM, e=e)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": problem, "solve": {"initial": 0.05}}))
+        code, out, err = run_captured(capsys, ["pump", "--config", str(path)])
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert "nonpositive" in err
 
 
 class TestOptionSchema:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from liebau import greens
 from liebau.errors import BadPeriod, MOutOfRange
@@ -79,8 +80,9 @@ class TestKernelValues:
             a = math.sqrt(4 * m * m + sign * 1e-8)
             case = greens._select_case(a, m)
             taus = np.linspace(0, T, 41)
-            got = greens._kernel_values(a, m, T, case, taus)
-            confluent = greens._kernel_values(a, m, T, greens.CASE_DOUBLE_ROOT, taus)
+            got = greens._kernel_values(case, greens._roots(a, m, case), T, taus)
+            double = greens._roots(a, m, greens.CASE_DOUBLE_ROOT)
+            confluent = greens._kernel_values(greens.CASE_DOUBLE_ROOT, double, T, taus)
             np.testing.assert_allclose(got, confluent, atol=1e-6)
 
 
@@ -121,7 +123,80 @@ class TestConeConstant:
             m = rng.uniform(0.05, 0.999) * greens.m_window(a, T)
             k = greens.build(a, m, T)
             assert 0.0 < k.cone_constant < 1.0
-            assert k.kmin > 0.0
+            assert k.k0 > 0.0
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _scan_golden_kmax(k, points=4096, tol=1e-13):
+    """Maximum of K by a grid scan refined by golden-section search."""
+    taus = np.linspace(0.0, k.T, points + 1)
+    vals = k.at(taus)
+    i = int(np.argmax(vals))
+    a, b = taus[max(i - 1, 0)], taus[min(i + 1, points)]
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = k.at(c), k.at(d)
+    while b - a > tol * max(1.0, k.T):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = k.at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = k.at(d)
+    return max(k.at(0.5 * (a + b)), float(vals.max()))
+
+
+CASE_EXAMPLES = [
+    ((1.6, 0.7, 1.0), greens.CASE_REAL_DISTINCT),
+    ((0.5, 2.0, 1.0), greens.CASE_COMPLEX_PAIR),
+    ((0.0, 0.25, 2 * math.pi), greens.CASE_COMPLEX_PAIR),
+    ((2.0, 1.0, 1.0), greens.CASE_DOUBLE_ROOT),
+]
+
+
+class TestClosedFormExtrema:
+    @given(
+        a=st.floats(0.0, 3.0),
+        frac=st.floats(0.01, 0.999),
+        T=st.floats(0.3, 8.0),
+    )
+    def test_bounds_and_scan_oracle(self, a, frac, T):
+        k = greens.build(a, frac * greens.m_window(a, T), T)
+        vals = k.at(np.linspace(0.0, T, 8193))
+        assert np.all(k.k0 <= vals)
+        assert np.all(vals <= k.kmax * (1.0 + 1e-13))
+        assert k.kmax == pytest.approx(_scan_golden_kmax(k), rel=1e-13)
+        assert k.cone_constant == k.k0 / k.kmax
+
+    @pytest.mark.parametrize("params, case", CASE_EXAMPLES)
+    def test_critical_point_is_the_maximum(self, params, case):
+        k = greens.build(*params)
+        assert k.case == case
+        t_max = greens._critical_point(k.case, k.roots, k.T)
+        assert 0.0 < t_max < k.T
+        assert k.kmax == k.at(t_max)
+        for h in (1e-3, 1e-5):
+            left, right = k.at(t_max - h), k.at(t_max + h)
+            assert max(left, right) <= k.kmax
+            # symmetric difference: K'(t_max) = 0 up to O(h^2)
+            assert abs(right - left) / (2 * h) <= 10 * h * k.kmax
+        assert k.kmax >= float(np.max(k.at(np.linspace(0.0, k.T, 4097))))
+
+    def test_a0_maximum_at_half_period(self, kernel_a0):
+        k = kernel_a0
+        assert greens._critical_point(k.case, k.roots, k.T) == pytest.approx(math.pi, rel=1e-14)
+
+    @pytest.mark.parametrize("m, T", [(1.0, 1.0), (0.3, 5.0), (1.5, 0.5)])
+    def test_cone_constant_continuous_across_discriminant(self, m, T):
+        confluent = greens.build(2.0 * m, m, T)
+        assert confluent.case == greens.CASE_DOUBLE_ROOT
+        for sign, case in ((+1.0, greens.CASE_REAL_DISTINCT), (-1.0, greens.CASE_COMPLEX_PAIR)):
+            k = greens.build(math.sqrt(4 * m * m + sign * 1e-8), m, T)
+            assert k.case == case
+            assert abs(k.cone_constant - confluent.cone_constant) <= 1e-7
 
 
 class TestVerifyProperties:

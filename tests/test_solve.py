@@ -80,6 +80,15 @@ class TestSolvePeriodic:
         with pytest.raises(NoConvergence):
             solve_periodic(gp, SolveOptions(bracket=(4.0, 40.0), max_iter=2))
 
+    def test_collapsed_iterate_is_not_converged(self, tank_lp):
+        # from x = 0.05 the iterate collapses toward 0, where a Newton step of
+        # ~1e-12 is tiny in absolute terms but not relative to the iterate
+        from liebau.errors import NoConvergence
+
+        gp = regularize(tank_lp(4.0))
+        with pytest.raises(NoConvergence):
+            solve_periodic(gp, SolveOptions(n=64, initial=0.05))
+
     def test_initial_guess_required_for_general(self):
         gp = GeneralProblem(
             a=0.0, T=1.0,
