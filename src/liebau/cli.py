@@ -10,10 +10,10 @@ field order, so identical inputs produce byte-identical output.
 
 Exit codes: 0 success (certificate passed / solver converged / all checks
 green), 2 configuration or usage error (including an unknown option key, an
-option or problem value of the wrong type or not finite, and a malformed
-solution CSV), 3 certificate failed, 4 certificate inapplicable, 5 search
-found nothing, 6 solver failed (no convergence, or the iterate left the
-positive cone).
+option or problem value of the wrong type, not finite or out of range, and a
+malformed solution CSV), 3 certificate failed, 4 certificate inapplicable, 5
+search found nothing, 6 solver failed (no convergence, or the iterate left
+the positive cone).
 """
 
 from __future__ import annotations
@@ -194,6 +194,21 @@ def command_options(cfg: RunConfig, section: str, args=None) -> dict:
         raise ConfigError("grid size n must be at least 8", f"{section}.n")
     if opts.get("initial", 1.0) <= 0.0:
         raise ConfigError("initial guess must be positive", f"{section}.initial")
+    if opts.get("refine_factor", 1) < 1:
+        raise ConfigError("refine_factor must be at least 1", f"{section}.refine_factor")
+    if opts.get("m_points", 1) < 1:
+        raise ConfigError("m_points must be at least 1", f"{section}.m_points")
+    if opts.get("radius_points", 2) < 2:
+        raise ConfigError("radius_points must be at least 2", f"{section}.radius_points")
+    if "radius_lo" in opts or "radius_hi" in opts:
+        lo = opts.get("radius_lo", certify.SearchOptions.radius_lo)
+        hi = opts.get("radius_hi", certify.SearchOptions.radius_hi)
+        if not 0.0 < lo < hi:
+            key = "radius_lo" if "radius_lo" in opts else "radius_hi"
+            raise ConfigError(
+                f"radii must satisfy 0 < radius_lo < radius_hi, got {lo!r}, {hi!r}",
+                f"{section}.{key}",
+            )
     return opts
 
 

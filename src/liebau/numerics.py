@@ -2,8 +2,10 @@
 
 Everything here is deterministic and allocation-light: composite Simpson
 weights and segmented Simpson quadrature, parabolic refinement of a
-bracketed minimum, a cyclic tridiagonal solver (bordered elimination),
-cyclic central differences, spectral differentiation and trigonometric
+bracketed minimum, a cyclic tridiagonal solver (bordered elimination in
+one fused forward/back sweep on Python floats for both right-hand sides,
+bitwise equal to two separate sweeps, NaN on a zero pivot), cyclic
+central differences, spectral differentiation and trigonometric
 interpolation of periodic grid data, and fixed-width float printing for
 reproducible output files.
 """
@@ -109,35 +111,48 @@ def solve_cyclic_tridiagonal(
 
     A has diagonals (sub, diag, sup), entry ``corner_top`` at [0, n-1] and
     ``corner_bot`` at [n-1, 0].  The wrap entries are removed by a rank-one
-    correction: A = B + u v^T with B plain tridiagonal, then two Thomas
-    sweeps and a Sherman-Morrison combination recover x.
+    correction: A = B + u v^T with B plain tridiagonal, and a Sherman-Morrison
+    combination of B^-1 rhs and B^-1 u recovers x.  Both right-hand sides go
+    through one fused Thomas sweep on Python floats (each pivot and ``cp``
+    computed once), with the same operations in the same order as two
+    separate sweeps, so the result is bitwise equal to the two-sweep form.
+    A zero pivot (a singular B) returns all NaN.
     """
     n = len(diag)
     gamma = -diag[0]
     bdiag = diag.copy()
     bdiag[0] -= gamma
     bdiag[-1] -= corner_top * corner_bot / gamma
-
-    def thomas(d: np.ndarray) -> np.ndarray:
-        cp = np.empty(n)
-        dp = np.empty(n)
-        cp[0] = sup[0] / bdiag[0]
-        dp[0] = d[0] / bdiag[0]
-        for i in range(1, n):
-            den = bdiag[i] - sub[i] * cp[i - 1]
-            cp[i] = sup[i] / den if i < n - 1 else 0.0
-            dp[i] = (d[i] - sub[i] * dp[i - 1]) / den
-        x = np.empty(n)
-        x[-1] = dp[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = dp[i] - cp[i] * x[i + 1]
-        return x
-
     u = np.zeros(n)
     u[0] = gamma
     u[-1] = corner_bot
-    y = thomas(rhs)
-    z = thomas(u)
+    # memoryviews hand out Python floats one at a time: plain float arithmetic
+    # without numpy scalar overhead, and no boxed copy of the inputs
+    bv, lv, cv, dv, uv = (memoryview(v) for v in (bdiag, sub, sup, rhs, u))
+    try:
+        # forward elimination; cp is the eliminated superdiagonal
+        den = bv[0]
+        cpi, yi, zi = cv[0] / den, dv[0] / den, uv[0] / den
+        cp, y, z = [cpi], [yi], [zi]
+        for bi, li, ci, di, ui in zip(bv[1:], lv[1:], cv[1:], dv[1:], uv[1:]):
+            den = bi - li * cpi
+            cpi = ci / den
+            yi = (di - li * yi) / den
+            zi = (ui - li * zi) / den
+            cp.append(cpi)
+            y.append(yi)
+            z.append(zi)
+    except ZeroDivisionError:
+        return np.full(n, np.nan)
+    # back substitution in place, last row first; cp[-1] is never used
+    for i in range(n - 2, -1, -1):
+        ci = cp[i]
+        yi = y[i] - ci * yi
+        zi = z[i] - ci * zi
+        y[i] = yi
+        z[i] = zi
+    y = np.array(y)
+    z = np.array(z)
     factor = (y[0] + corner_top * y[-1] / gamma) / (1.0 + z[0] + corner_top * z[-1] / gamma)
     return y - factor * z
 

@@ -326,6 +326,45 @@ class TestBadInputExitsTwo:
         assert "Traceback" not in err
 
 
+COSINE_PROBLEM = {
+    "kind": "liebau", "a": 1.6, "mu": 0.01, "c": 1.49, "T": 1.0,
+    "e": {"type": "trig", "period": 1.0, "offset": 1.54215, "terms": [[0.002097, 1, 0.0]]},
+}
+
+
+class TestOptionRangesExitTwo:
+    @pytest.mark.parametrize("factor", [0, -2])
+    def test_refine_factor_below_one(self, capsys, tmp_path, factor):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"problem": COSINE_PROBLEM, "solve": {"n": 64, "refine_factor": factor}}
+        ))
+        code, out, err = run_captured(capsys, ["solve", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "solve.refine_factor" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--radius-lo", "0"], "search.radius_lo"),
+            (["--radius-lo", "-1"], "search.radius_lo"),
+            (["--radius-lo", "100", "--radius-hi", "1"], "search.radius_lo"),
+            (["--radius-hi", "1e-7"], "search.radius_hi"),
+            (["--m-points", "0"], "search.m_points"),
+            (["--radius-points", "0"], "search.radius_points"),
+            (["--radius-points", "1"], "search.radius_points"),
+        ],
+    )
+    def test_search_grid_out_of_range(self, capsys, flags, field):
+        code, out, err = run_captured(capsys, ["search", "--preset", "trapezoid", *flags])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+
+
 class TestSolverFailureExitsSix:
     def test_collapsed_newton_iterate(self, capsys):
         code, out, err = run_captured(

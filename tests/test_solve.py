@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from test_numerics import two_sweep_solve
 
-from liebau import greens
+from liebau import greens, presets, solve
 from liebau.errors import BadRadii, LeftPositiveCone, LiebauError
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import GeneralProblem, regularize, shifted_rhs
@@ -100,6 +101,24 @@ class TestSolvePeriodic:
             solve_periodic(gp)
         sol = solve_periodic(gp, SolveOptions(bracket=(0.5, 50.0)))
         assert sol.converged and sol.min_value > 0.0
+
+
+class TestFusedSweepChangesNothing:
+    @pytest.mark.parametrize("case", ["cosine", "cubic", "tank"])
+    def test_solution_bitwise_equal_to_two_sweep_solve(self, monkeypatch, case):
+        if case == "tank":
+            v0 = 5.0
+            lp = presets.preset("benchmark", v0=v0).problem
+            opts = SolveOptions(n=512, bracket=((v0 - 3.0) ** 3, (v0 - 1.0) ** 3))
+        else:
+            lp = presets.preset(case).problem
+            opts = SolveOptions(n=512)
+        gp = regularize(lp)
+        fused = solve_periodic(gp, opts)
+        monkeypatch.setattr(solve, "solve_cyclic_tridiagonal", two_sweep_solve)
+        reference = solve_periodic(gp, opts)
+        assert np.array_equal(fused.values, reference.values)
+        assert fused.iterations == reference.iterations
 
 
 class TestLinearConsistency:
