@@ -195,7 +195,7 @@ def check_general(
     The verdict is pass when the three envelope facts hold together with at
     least one of each response pair.  Envelope facts are sampled on a
     t x x grid (log-spaced in x, endpoints included, coefficient breakpoints
-    inserted in t); responses use segmented Simpson quadrature.
+    inserted in t); responses come from ``greens.apply_kernel``.
     """
     if not (0.0 < r1 < r2):
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")

@@ -153,6 +153,10 @@ OPTION_SCHEMA = {
               "polish": bool, "refine_factor": int, "truncation_band": 3},
 }
 
+# Largest sample count a command builds (solve grid, refined solve grid,
+# greens samples); larger requests are input errors, not allocation failures.
+MAX_GRID = 2**22
+
 
 def _convert(value, kind, where: str):
     if kind == "function":
@@ -192,10 +196,23 @@ def command_options(cfg: RunConfig, section: str, args=None) -> dict:
         raise ConfigError("kappa must be positive", f"{section}.kappa")
     if opts.get("n", 8) < 8:
         raise ConfigError("grid size n must be at least 8", f"{section}.n")
+    if opts.get("n", 8) > MAX_GRID:
+        raise ConfigError(f"grid size n must be at most {MAX_GRID}", f"{section}.n")
+    if opts.get("max_iter", 1) < 1:
+        raise ConfigError("max_iter must be at least 1", f"{section}.max_iter")
+    if opts.get("tol", 1.0) <= 0.0:
+        raise ConfigError("tol must be positive", f"{section}.tol")
     if opts.get("initial", 1.0) <= 0.0:
         raise ConfigError("initial guess must be positive", f"{section}.initial")
     if opts.get("refine_factor", 1) < 1:
         raise ConfigError("refine_factor must be at least 1", f"{section}.refine_factor")
+    if "n" in opts or "refine_factor" in opts:
+        n = opts.get("n", SolveOptions.n)
+        if n * opts.get("refine_factor", SolveOptions.refine_factor) > MAX_GRID:
+            key = "refine_factor" if "refine_factor" in opts else "n"
+            raise ConfigError(
+                f"refined grid n * refine_factor must be at most {MAX_GRID}", f"{section}.{key}"
+            )
     if opts.get("m_points", 1) < 1:
         raise ConfigError("m_points must be at least 1", f"{section}.m_points")
     if opts.get("radius_points", 2) < 2:
@@ -299,8 +316,10 @@ def _emit(obj, out=None, *more: tuple[str | None, str]) -> None:
 # subcommand handlers
 
 def _cmd_greens(args) -> int:
-    if args.samples < 2:
-        raise ConfigError(f"need at least 2 samples, got {args.samples}", "greens.samples")
+    if not 2 <= args.samples <= MAX_GRID:
+        raise ConfigError(
+            f"need between 2 and {MAX_GRID} samples, got {args.samples}", "greens.samples"
+        )
     kernel = greens.build(args.a, args.m, args.T)
     taus = np.linspace(0.0, kernel.T, args.samples)
     values = np.asarray(kernel.at(taus), dtype=float)

@@ -25,6 +25,16 @@ Solving K'(t*) = 0 gives
 
 and since K'' = -m^2 K < 0 at t*, K(t*) is the maximum and K(0) the minimum.
 The cone constant is c_m = K(0)/K(t*) in (0, 1).
+
+Kernel responses x(t) = integral_0^T K((t - s) mod T) g(s) ds of smooth g
+come from one quadrature, ``circular_response``: the periodic trapezoid rule
+on a uniform n-grid is a circular convolution computed by FFT, and the term
+h^2/12 * g(t) is the Euler-Maclaurin endpoint correction for the unit slope
+jump of K at the wrap, leaving an O(h^4) error.  ``apply_kernel`` runs it on
+a fine grid and reads off-grid t from the trigonometric interpolant of the
+fine-grid response; ``solve.picard_iterate`` runs it once per step.  A g with
+breakpoints is integrated by composite Simpson, segmented at s = t and at
+the breakpoints of g.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import numpy as np
 
 from .errors import BadPeriod, LiebauError, MOutOfRange, PropertyViolation
 from .funcspec import PeriodicFunction
-from .numerics import cyclic_differences, simpson_segmented, simpson_weights
+from .numerics import cyclic_differences, simpson_segmented
 
 CASE_REAL_DISTINCT = "real_distinct"
 CASE_DOUBLE_ROOT = "double_root"
@@ -162,6 +172,37 @@ def build(a: float, m: float, T: float) -> GreensKernel:
     return GreensKernel(a, m, T, case, roots, k0, kmax, k0 / kmax, mmax)
 
 
+def circular_response(kernel: GreensKernel, g_values) -> np.ndarray:
+    """integral_0^T K((t - s) mod T) g(s) ds at the nodes t_j = j h, h = T/n.
+
+    ``g_values`` holds g at the same n nodes.  The periodic trapezoid rule is
+    a circular convolution, h * irfft(rfft(K(j h)) * rfft(g)); the term
+    h^2/12 * g(t) is its Euler-Maclaurin endpoint correction for the unit
+    slope jump of K at the wrap.  For smooth g the error left is the next
+    Euler-Maclaurin term, O(h^4), from the jumps of K'' and K''' at the wrap.
+    """
+    g = np.asarray(g_values, dtype=float)
+    n = len(g)
+    h = kernel.T / n
+    kvals = np.asarray(kernel.at(np.arange(n) * h), dtype=float)
+    conv = np.fft.irfft(np.fft.rfft(kvals) * np.fft.rfft(g), n=n)
+    return h * conv + (h * h / 12.0) * g
+
+
+def _interpolant_at(values: np.ndarray, T: float, t_values: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of uniform periodic samples, summed at t_values.
+
+    The Nyquist bin of an even sample count is split symmetrically, so the
+    interpolant is real and passes through every sample.
+    """
+    n = len(values)
+    coef = np.fft.rfft(values) / n
+    coef[1 : (n + 1) // 2] *= 2.0  # bins k and n - k fold into one real term
+    phase = np.outer(t_values, (2.0 * np.pi / T) * np.arange(len(coef)))
+    # Re(e^{i phase} coef) in real arithmetic: one len(t) x len(coef) temporary
+    return np.cos(phase) @ coef.real - np.sin(phase, out=phase) @ coef.imag
+
+
 def apply_kernel(
     kernel: GreensKernel,
     g: PeriodicFunction,
@@ -170,28 +211,29 @@ def apply_kernel(
 ) -> np.ndarray:
     """Evaluate t -> integral_0^T G(t, s) g(s) ds on a set of t values.
 
-    Composite Simpson with the kernel's wrap kink always on a panel boundary.
-    For kink-free g the integral is computed in the lag variable,
-    x(t) = integral_0^T K(tau) g(t - tau) d tau, with one fixed rule for all
-    t; the quadrature error then varies smoothly with t instead of jittering
-    node to node.  For g with breakpoints each t gets its own segmented rule
-    split at s = t and at the breakpoints of g.
+    For kink-free g the response is ``circular_response`` (the circular
+    convolution plus the h^2/12 kink term) on a uniform fine grid of at
+    least 2 * base_panels nodes.  When t_values is itself the uniform grid
+    arange(M) * (T/M), the fine grid has N nodes, the smallest multiple of M
+    that is at least that many, and every (N/M)-th sample is returned; other
+    t values read the trigonometric interpolant of the fine-grid response.
+    For g with breakpoints each t gets its own composite Simpson rule split
+    at s = t (the kernel's wrap kink) and at the breakpoints of g.
     """
     T = kernel.T
     g_breaks = g.breakpoints()
     t_values = np.asarray(t_values, dtype=float)
     if not g_breaks:
-        n = max(2, base_panels)
-        taus = np.linspace(0.0, T, 2 * n + 1)
-        w = simpson_weights(n) * (T / (6.0 * n))
-        kw = np.asarray(kernel.at(taus), dtype=float) * w
-        out = np.empty(len(t_values))
-        chunk = max(1, int(4e6) // (2 * n + 1))
-        for lo in range(0, len(t_values), chunk):
-            tv = t_values[lo : lo + chunk]
-            gv = np.asarray(g(tv[:, None] - taus[None, :]), dtype=float)
-            out[lo : lo + chunk] = gv @ kw
-        return out
+        n_fine = 2 * max(2, base_panels)
+        M = len(t_values)
+        on_grid = M > 0 and np.array_equal(t_values, np.arange(M) * (T / M))
+        if on_grid:
+            n_fine = -(-n_fine // M) * M
+        nodes = np.arange(n_fine) * (T / n_fine)
+        fine = circular_response(kernel, g(nodes))
+        if on_grid:
+            return fine[:: n_fine // M]
+        return _interpolant_at(fine, T, t_values)
     out = np.empty(len(t_values))
     for i, t in enumerate(t_values):
         f = lambda s: kernel.green(float(t), s) * np.asarray(g(s), dtype=float)

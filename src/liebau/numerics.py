@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Everything here is deterministic and allocation-light: composite Simpson
-weights and segmented Simpson quadrature, parabolic refinement of a
+Everything here is deterministic and allocation-light: segmented
+composite Simpson quadrature, parabolic refinement of a
 bracketed minimum, a cyclic tridiagonal solver (bordered elimination in
 one fused forward/back sweep on Python floats for both right-hand sides,
 bitwise equal to two separate sweeps, NaN on a zero pivot), cyclic
@@ -18,17 +18,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def simpson_weights(n: int) -> np.ndarray:
-    """Unscaled composite Simpson weights 1, 4, 2, ..., 2, 4, 1 for n panels.
-
-    There are 2n + 1 nodes; multiply by (b - a) / (6 n) for the rule on [a, b].
-    """
-    w = np.ones(2 * n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
 
 
 def simpson_segmented(
@@ -58,7 +47,10 @@ def simpson_segmented(
         n = max(2, int(round(base_panels * (hi - lo) / length)))
         xs = np.linspace(lo, hi, 2 * n + 1)
         ys = np.asarray(f(xs), dtype=float)
-        total += (hi - lo) / (6.0 * n) * float(np.dot(simpson_weights(n), ys))
+        w = np.ones(2 * n + 1)  # Simpson weights 1, 4, 2, ..., 2, 4, 1
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        total += (hi - lo) / (6.0 * n) * float(np.dot(w, ys))
     return total
 
 

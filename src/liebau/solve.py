@@ -327,10 +327,9 @@ def picard_iterate(
 
     The operator is compact, not contractive, so there is no convergence
     guarantee; this is a fallback and a direct probe of the fixed-point
-    operator.  Quadrature is the periodic trapezoid rule as a circular
-    convolution with one explicit correction term h^2/12 * f~(t) accounting
-    for the kernel's unit slope jump at the wrap, which restores spectral
-    accuracy for smooth integrands.
+    operator.  Each step is one ``greens.circular_response``: the periodic
+    trapezoid rule as a circular convolution plus the h^2/12 * f~(t) term for
+    the kernel's unit slope jump at the wrap.
     """
     if not (0.0 < r1 < r2):
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
@@ -342,19 +341,14 @@ def picard_iterate(
         start = np.asarray(x0, dtype=float)
         if start.ndim == 0:
             start = np.full(n or 512, float(start))
-    npts = len(start)
-    h = gp.T / npts
-    nodes = np.arange(npts) * h
-    kvals = np.asarray(kernel.at(nodes), dtype=float)
-    k_spec = np.fft.rfft(kvals)
+    nodes = np.arange(len(start)) * (gp.T / len(start))
 
     iterates = [start.copy()]
     deltas: list[float] = []
     x = start.copy()
     for _ in range(n_steps):
-        f = np.asarray(truncated_rhs(gp, m, cm, r1, r2, nodes, x), dtype=float)
-        conv = np.fft.irfft(k_spec * np.fft.rfft(f), n=npts)
-        x_next = h * conv + (h * h / 12.0) * f
+        f = truncated_rhs(gp, m, cm, r1, r2, nodes, x)
+        x_next = greens.circular_response(kernel, f)
         deltas.append(float(np.max(np.abs(x_next - x))))
         x = x_next
         iterates.append(x.copy())

@@ -10,6 +10,7 @@ from liebau.cli import (
     EXIT_OK,
     EXIT_SEARCH_EMPTY,
     EXIT_SOLVER,
+    MAX_GRID,
     OPTION_SCHEMA,
     build_parser,
     command_options,
@@ -359,6 +360,64 @@ class TestOptionRangesExitTwo:
     )
     def test_search_grid_out_of_range(self, capsys, flags, field):
         code, out, err = run_captured(capsys, ["search", "--preset", "trapezoid", *flags])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"max_iter": -3}, "solve.max_iter"),
+            ({"max_iter": 0}, "solve.max_iter"),
+            ({"tol": -1.0}, "solve.tol"),
+            ({"tol": 0.0}, "solve.tol"),
+        ],
+    )
+    def test_solve_iteration_limits(self, capsys, tmp_path, options, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": COSINE_PROBLEM, "solve": options}))
+        code, out, err = run_captured(capsys, ["solve", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+
+    def test_negative_tol_flag(self, capsys):
+        code, out, err = run_captured(capsys, ["solve", "--preset", "cosine", "--tol", "-1"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "solve.tol" in err
+
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"n": 10**20}, "solve.n"),
+            ({"n": 64, "refine_factor": 10**20}, "solve.refine_factor"),
+            ({"n": MAX_GRID // 2, "refine_factor": 4}, "solve.refine_factor"),
+            ({"n": MAX_GRID}, "solve.n"),  # the default refine_factor 4 overflows
+        ],
+    )
+    def test_solve_grid_above_cap(self, capsys, tmp_path, options, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": COSINE_PROBLEM, "solve": options}))
+        code, out, err = run_captured(capsys, ["solve", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["solve", "--preset", "cosine", "-n", str(10**20)], "solve.n"),
+            (["pump", "--preset", "benchmark", "-n", str(10**20)], "solve.n"),
+            (["greens", "-a", "1.6", "-m", "0.7", "-T", "1", "--samples", str(10**20)],
+             "greens.samples"),
+        ],
+    )
+    def test_grid_flags_above_cap(self, capsys, argv, field):
+        code, out, err = run_captured(capsys, argv)
         assert code == EXIT_CONFIG
         assert out == ""
         assert field in err

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liebau import greens
+from liebau.acceptance import _MASS_CASES
 from liebau.errors import BadPeriod, MOutOfRange
 from liebau.funcspec import PeriodicFunction
+from liebau.numerics import simpson_segmented
 
 
 @pytest.fixture(scope="module")
@@ -238,3 +240,75 @@ class TestVerifyProperties:
         G = k.green(ts[:, None], ts[None, :])
         assert np.all(G >= k.k0 * (1 - 1e-12))
         assert np.all(k.k0 >= k.cone_constant * G * (1 - 1e-12))
+
+    @pytest.mark.parametrize("params", _MASS_CASES)
+    def test_reproduction_residual_of_acceptance_kernels(self, params):
+        report = greens.verify_properties(greens.build(*params))
+        assert report.reproduction_residual < 1e-6
+
+
+def trig_response(a, m, T, offset, terms, t):
+    """Exact periodic solution of x'' + a x' + m^2 x = offset + sum amp cos(w_k t + phase)."""
+    out = offset / (m * m) + np.zeros_like(t)
+    for amp, k, phase in terms:
+        w = 2.0 * math.pi * k / T
+        out = out + np.real(amp * np.exp(1j * (w * t + phase)) / complex(m * m - w * w, a * w))
+    return out
+
+
+_trig_forcings = dict(
+    a=st.floats(0.0, 3.0),
+    frac=st.floats(0.05, 0.95),
+    T=st.floats(0.5, 7.0),
+    offset=st.floats(-1.0, 1.0),
+    terms=st.lists(
+        st.tuples(st.floats(-1.0, 1.0), st.integers(1, 4), st.floats(0.0, 2.0 * math.pi)),
+        max_size=4,
+    ),
+)
+
+
+class TestApplyKernel:
+    @given(
+        **_trig_forcings,
+        M=st.integers(8, 300),
+        t_fracs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    )
+    def test_trig_forcing_matches_exact_response(self, a, frac, T, offset, terms, M, t_fracs):
+        m = frac * greens.m_window(a, T)
+        kernel = greens.build(a, m, T)
+        g = PeriodicFunction.trig(T, offset, terms)
+        scale = abs(offset) + sum(abs(amp) for amp, _, _ in terms)
+        # the error is the h^4/720 Euler-Maclaurin term from the kernel's jumps
+        # in K'' and K'''; at T = 7, a = 3 and harmonic 4 it is 8.6e-12 * scale
+        for ts in (np.arange(M) * (T / M), np.asarray(t_fracs) * T):
+            x = greens.apply_kernel(kernel, g, ts)
+            assert np.max(np.abs(x - trig_response(a, m, T, offset, terms, ts))) <= 1e-11 * scale
+
+    @given(**_trig_forcings, M=st.sampled_from([8, 64, 512, 2048]))
+    def test_grid_and_interpolant_paths_agree(self, a, frac, T, offset, terms, M):
+        # M divides the 2048-node fine grid, so both paths read the same
+        # samples; the nudged nodes are off the grid and use the interpolant
+        m = frac * greens.m_window(a, T)
+        kernel = greens.build(a, m, T)
+        g = PeriodicFunction.trig(T, offset, terms)
+        scale = abs(offset) + sum(abs(amp) for amp, _, _ in terms)
+        on_grid = np.arange(M) * (T / M)
+        nudged = on_grid + 1e-9 * T
+        moved = greens.apply_kernel(kernel, g, nudged) - greens.apply_kernel(kernel, g, on_grid)
+        exact = trig_response(a, m, T, offset, terms, nudged) - trig_response(
+            a, m, T, offset, terms, on_grid
+        )
+        assert np.max(np.abs(moved - exact)) <= 1e-12 * scale
+
+    def test_kinked_forcing_keeps_segmented_simpson(self, kernel_example, trapezoid_lp):
+        g = trapezoid_lp.e.positive_part().scale(2200.0)
+        ts = np.concatenate([np.linspace(0.0, 1.0, 16, endpoint=False), [0.0005, 0.7, 0.9995]])
+        oracle = [
+            simpson_segmented(
+                lambda s: kernel_example.green(float(t), s) * np.asarray(g(s), dtype=float),
+                0.0, 1.0, splits=[float(t)] + g.breakpoints(), base_panels=1024,
+            )
+            for t in ts
+        ]
+        assert np.array_equal(greens.apply_kernel(kernel_example, g, ts), oracle)

@@ -7,7 +7,7 @@ from test_numerics import two_sweep_solve
 from liebau import greens, presets, solve
 from liebau.errors import BadRadii, LeftPositiveCone, LiebauError
 from liebau.funcspec import PeriodicFunction
-from liebau.problem import GeneralProblem, regularize, shifted_rhs
+from liebau.problem import GeneralProblem, regularize, shifted_rhs, truncated_rhs
 from liebau.solve import (
     GridSolution,
     SolveOptions,
@@ -171,7 +171,44 @@ class TestFdResidual:
         assert res1 - res0 >= 1e-3 * (n / sol.T) ** 2 * 0.1
 
 
+def inline_picard(gp, m, r1, r2, start, n_steps):
+    """Picard iterates with the periodic trapezoid convolution written out in place."""
+    kernel = greens.build(gp.a, m, gp.T)
+    cm = kernel.cone_constant
+    npts = len(start)
+    h = gp.T / npts
+    nodes = np.arange(npts) * h
+    k_spec = np.fft.rfft(np.asarray(kernel.at(nodes), dtype=float))
+    iterates = [start.copy()]
+    x = start.copy()
+    for _ in range(n_steps):
+        f = np.asarray(truncated_rhs(gp, m, cm, r1, r2, nodes, x), dtype=float)
+        conv = np.fft.irfft(k_spec * np.fft.rfft(f), n=npts)
+        x = h * conv + (h * h / 12.0) * f
+        iterates.append(x.copy())
+    return iterates
+
+
 class TestPicard:
+    @pytest.mark.parametrize(
+        "problem, r1, r2, start, n_steps",
+        [
+            ("cosine_lp", 1.0, 40.0, np.zeros(256), 1),
+            ("cosine_lp", 0.1, 40.0, np.full(256, 30.0), 5),
+            ("cosine_lp", 0.1, 37.954, np.full(256, 36.5), 1),
+            ("trapezoid_lp", 25.0, 1e4, np.full(256, 5000.0), 6),
+        ],
+    )
+    def test_iterates_bitwise_equal_to_inline_convolution(
+        self, request, problem, r1, r2, start, n_steps
+    ):
+        gp = regularize(request.getfixturevalue(problem))
+        trace = picard_iterate(gp, 0.7, r1, r2, start, n_steps)
+        reference = inline_picard(gp, 0.7, r1, r2, start, n_steps)
+        assert len(trace.iterates) == len(reference)
+        for got, want in zip(trace.iterates, reference):
+            assert np.array_equal(got, want)
+
     def test_fixed_point_reproduced_in_one_step(self):
         from liebau.problem import LiebauProblem
 
