@@ -32,9 +32,17 @@ on a uniform n-grid is a circular convolution computed by FFT, and the term
 h^2/12 * g(t) is the Euler-Maclaurin endpoint correction for the unit slope
 jump of K at the wrap, leaving an O(h^4) error.  ``apply_kernel`` runs it on
 a fine grid and reads off-grid t from the trigonometric interpolant of the
-fine-grid response; ``solve.picard_iterate`` runs it once per step.  A g with
-breakpoints is integrated by composite Simpson, segmented at s = t and at
-the breakpoints of g.
+fine-grid response; ``solve.picard_iterate`` runs it once per step.
+
+A g with breakpoints is integrated by one sweep that is exact in the kernel.
+On [0, T) the kernel is a short sum of exponential modes,
+K(tau) = Re sum_j c_j tau^p_j e^{lam_j tau} (``_modes``), so the response
+only needs the causal sums P(t) = integral_0^t e^{lam (t-s)} g ds and, for
+the tau-mode of the double root, M(t) = integral_0^t (t-s) e^{lam (t-s)} g ds:
+the part s > t of the integral is P(T) and M(T) carried once round the
+period.  Both sums come from an 8-point Gauss-Legendre rule on sub-gaps of
+the sorted points {0, T}, t mod T and the breakpoints of g, accumulated by
+one anchored cumulative sum per mode.
 """
 
 from __future__ import annotations
@@ -56,6 +64,23 @@ CASE_COMPLEX_PAIR = "complex_pair"
 # Rel tolerance on |a^2 - 4 m^2| below which the confluent formula is used;
 # the distinct-roots expression loses precision as the roots merge.
 _BRANCH_EPS = 1e-9
+
+# The kinked-response sweep: the 8-point Gauss-Legendre rule on (-1, 1), as
+# numpy.polynomial.legendre.leggauss(8) gives it (written out, so importing
+# this module does not load numpy.polynomial); the widest |lam| * width of one
+# sub-gap, where the rule is exact to rounding for the exponential factor; and
+# the widest |Re lam| * span of one anchored block (about e^34 at most, far
+# from overflow, with the exponent's rounding near 34 ulp).
+_GAUSS_X = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GAUSS_W = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
+_SUBGAP_EXP = 2.0
+_BLOCK_EXP = 32.0
 
 
 def m_window(a: float, T: float) -> float:
@@ -203,6 +228,107 @@ def _interpolant_at(values: np.ndarray, T: float, t_values: np.ndarray) -> np.nd
     return np.cos(phase) @ coef.real - np.sin(phase, out=phase) @ coef.imag
 
 
+def _modes(kernel: GreensKernel) -> tuple[tuple[complex, int, complex], ...]:
+    """K on [0, T) as Re sum_j c_j tau^p_j e^{lam_j tau}, as (c_j, p_j, lam_j).
+
+    Two real modes for distinct real roots, one complex mode for a complex
+    pair, and e^{lam tau} with tau e^{lam tau} for the double root.  The
+    constants are the ones ``_kernel_values`` evaluates, rounding included.
+    """
+    T = kernel.T
+    if kernel.case == CASE_DOUBLE_ROOT:
+        lam = kernel.roots[0].real
+        E = math.exp(lam * T)
+        return (
+            (complex(T * E / (1.0 - E) ** 2), 0, complex(lam)),
+            (complex(1.0 / (1.0 - E)), 1, complex(lam)),
+        )
+    if kernel.case == CASE_REAL_DISTINCT:
+        l1, l2 = kernel.roots[0].real, kernel.roots[1].real
+        return (
+            (complex(1.0 / ((1.0 - math.exp(l1 * T)) * (l1 - l2))), 0, complex(l1)),
+            (complex(-1.0 / ((1.0 - math.exp(l2 * T)) * (l1 - l2))), 0, complex(l2)),
+        )
+    lam = kernel.roots[0]
+    # Im(z) / omega = Re(-i z / omega)
+    return ((-1j / ((1.0 - cmath.exp(lam * T)) * lam.imag), 0, lam),)
+
+
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """np.cumsum(a) with its rounding errors added back.
+
+    cumsum adds one term at a time, so the error of each addition is known
+    exactly from the sums before and after it (Knuth's TwoSum, componentwise
+    for complex a); their running total restores ulp accuracy, where the
+    plain cumsum of ~1500 terms drifts by tens of ulp.
+    """
+    s = np.cumsum(a)
+    before = np.concatenate([np.zeros(1, dtype=s.dtype), s[:-1]])
+    added = s - before
+    return s + np.cumsum((before - (s - added)) + (a - added))
+
+
+def _causal_sums(lam: complex, p: int, nodes, wg, edges):
+    """P(x) = integral_0^x e^{lam (x-s)} g ds at every sub-gap edge x, and for
+    p = 1 also M(x) = integral_0^x (x-s) e^{lam (x-s)} g ds (else None).
+
+    ``nodes`` and ``wg`` hold the Gauss nodes and weight * g per sub-gap, one
+    row each.  Inside a block the terms e^{lam (a - s)} are taken from the
+    block's first edge a, summed by one cumulative sum and scaled back by
+    e^{lam (x - a)}; a new block starts wherever |Re lam| * span would pass
+    _BLOCK_EXP, so no term overflows.
+    """
+    S = len(nodes)
+    block = np.floor(edges[:-1] * (abs(lam.real) / _BLOCK_EXP))
+    bounds = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), S]
+    P = np.zeros(S + 1, dtype=complex)
+    M = np.zeros(S + 1, dtype=complex) if p else None
+    for k0, k1 in zip(bounds[:-1], bounds[1:]):
+        a = edges[k0]
+        d = nodes[k0:k1] - a
+        terms = wg[k0:k1] * np.exp(-lam * d)
+        c0 = P[k0] + _prefix_sums(terms.sum(axis=1))
+        x = edges[k0 + 1 : k1 + 1] - a
+        scale = np.exp(lam * x)
+        if p:
+            c1 = _prefix_sums((terms * d).sum(axis=1))
+            M[k0 + 1 : k1 + 1] = scale * (M[k0] + x * c0 - c1)
+        P[k0 + 1 : k1 + 1] = scale * c0
+    return P, M
+
+
+def _sweep_response(kernel: GreensKernel, g: PeriodicFunction, t: np.ndarray, base_panels: int):
+    """integral_0^T K((t - s) mod T) g(s) ds for g with breakpoints, by one sweep."""
+    T = kernel.T
+    modes = _modes(kernel)
+    breaks = [b for b in g.breakpoints() if 0.0 < b < T]
+    pts, where = np.unique(np.concatenate([np.mod(t, T), [0.0, T], breaks]), return_inverse=True)
+    gaps = np.diff(pts)
+    rate = max(base_panels / T, max(abs(lam) for _, _, lam in modes) / _SUBGAP_EXP)
+    n = np.maximum(np.ceil(gaps * rate), 1.0).astype(np.int64)
+    first = np.cumsum(n) - n  # index of each gap's first sub-gap
+    gap = np.repeat(np.arange(len(gaps)), n)
+    half = (gaps / n)[gap] / 2.0
+    left = pts[gap] + (np.arange(len(gap)) - first[gap]) * (2.0 * half)
+    edges = np.append(left, T)
+    nodes = left[:, None] + half[:, None] * (1.0 + _GAUSS_X)
+    wg = (half[:, None] * _GAUSS_W) * np.asarray(g(nodes), dtype=float)
+
+    k = np.append(first, len(gap))[where[: len(t)]]  # edge index of each t
+    tk = edges[k]
+    out = np.zeros(len(t))
+    for c, p, lam in modes:
+        P, M = _causal_sums(lam, p, nodes, wg, edges)
+        E, Et = cmath.exp(lam * T), np.exp(lam * tk)
+        # the part s > t is the sum over (t - T, 0): P(T) and M(T) carried round
+        if p:
+            y = M[k] + Et * (tk * P[-1] + M[-1]) - E * (T * P[k] + M[k])
+        else:
+            y = P[k] + Et * P[-1] - E * P[k]
+        out += (c * y).real
+    return out
+
+
 def apply_kernel(
     kernel: GreensKernel,
     g: PeriodicFunction,
@@ -217,13 +343,24 @@ def apply_kernel(
     arange(M) * (T/M), the fine grid has N nodes, the smallest multiple of M
     that is at least that many, and every (N/M)-th sample is returned; other
     t values read the trigonometric interpolant of the fine-grid response.
-    For g with breakpoints each t gets its own composite Simpson rule split
-    at s = t (the kernel's wrap kink) and at the breakpoints of g.
+
+    For g with breakpoints the response comes from one sweep over the sorted
+    points {0, T}, t mod T and the breakpoints of g, each gap split into
+    equal sub-gaps no wider than T/base_panels (or 2/|lam| for the fastest
+    kernel mode) with an 8-point Gauss-Legendre rule on each, and g
+    evaluated once on all the nodes.  The kernel is summed exactly as its
+    exponential modes (see the module docstring); t values may come in any
+    order, repeat, or lie outside [0, T).
+
+    Raises LiebauError for non-finite t values or base_panels < 1.
     """
     T = kernel.T
-    g_breaks = g.breakpoints()
     t_values = np.asarray(t_values, dtype=float)
-    if not g_breaks:
+    if not np.all(np.isfinite(t_values)):
+        raise LiebauError("kernel response t values must be finite")
+    if not base_panels >= 1:
+        raise LiebauError(f"base_panels must be at least 1, got {base_panels!r}")
+    if not g.breakpoints():
         n_fine = 2 * max(2, base_panels)
         M = len(t_values)
         on_grid = M > 0 and np.array_equal(t_values, np.arange(M) * (T / M))
@@ -234,11 +371,7 @@ def apply_kernel(
         if on_grid:
             return fine[:: n_fine // M]
         return _interpolant_at(fine, T, t_values)
-    out = np.empty(len(t_values))
-    for i, t in enumerate(t_values):
-        f = lambda s: kernel.green(float(t), s) * np.asarray(g(s), dtype=float)
-        out[i] = simpson_segmented(f, 0.0, T, splits=[float(t)] + g_breaks, base_panels=base_panels)
-    return out
+    return _sweep_response(kernel, g, t_values, base_panels)
 
 
 @dataclass(frozen=True)

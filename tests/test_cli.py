@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from liebau import acceptance
 from liebau.cli import (
     EXIT_CERT_FAIL,
     EXIT_CERT_INAPPLICABLE,
@@ -464,3 +465,10 @@ class TestVerifyCommand:
         code, out, _ = run_captured(capsys, ["verify"])
         assert code == EXIT_OK
         assert "11/11 checks passed" in out
+
+    def test_failing_check_exits_one(self, capsys, monkeypatch):
+        failing = acceptance.CheckResult("always-fails", False, "detail")
+        monkeypatch.setattr(acceptance, "CHECKS", (("always-fails", "", lambda: failing),))
+        code, out, _ = run_captured(capsys, ["verify"])
+        assert code == 1
+        assert "FAIL  always-fails" in out and "0/1 checks passed" in out

@@ -1,13 +1,14 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from liebau import greens
 from liebau.acceptance import _MASS_CASES
-from liebau.errors import BadPeriod, MOutOfRange
+from liebau.errors import BadPeriod, LiebauError, MOutOfRange
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import simpson_segmented
 
@@ -301,14 +302,184 @@ class TestApplyKernel:
         )
         assert np.max(np.abs(moved - exact)) <= 1e-12 * scale
 
-    def test_kinked_forcing_keeps_segmented_simpson(self, kernel_example, trapezoid_lp):
-        g = trapezoid_lp.e.positive_part().scale(2200.0)
-        ts = np.concatenate([np.linspace(0.0, 1.0, 16, endpoint=False), [0.0005, 0.7, 0.9995]])
-        oracle = [
-            simpson_segmented(
-                lambda s: kernel_example.green(float(t), s) * np.asarray(g(s), dtype=float),
-                0.0, 1.0, splits=[float(t)] + g.breakpoints(), base_panels=1024,
-            )
-            for t in ts
-        ]
-        assert np.array_equal(greens.apply_kernel(kernel_example, g, ts), oracle)
+
+class TestModes:
+    """The exponential modes that the kinked-response sweep integrates."""
+
+    @staticmethod
+    def assert_modes_rebuild_kernel(k):
+        tau = np.linspace(0.0, k.T, 257)[:-1]
+        terms = [c * tau**p * np.exp(lam * tau) for c, p, lam in greens._modes(k)]
+        rebuilt = sum(term.real for term in terms)
+        # distinct real modes cancel as the roots merge, and kernel.at then
+        # loses the same digits, so the bound is relative to the modes' size,
+        # which is |K| wherever they do not cancel
+        size = sum(np.abs(term) for term in terms)
+        assert np.all(np.abs(rebuilt - k.at(tau)) <= 1e-13 * size)
+
+    @given(a=st.floats(0.0, 3.0), frac=st.floats(0.01, 0.999), T=st.floats(0.3, 8.0))
+    def test_modes_rebuild_kernel(self, a, frac, T):
+        self.assert_modes_rebuild_kernel(greens.build(a, frac * greens.m_window(a, T), T))
+
+    @given(
+        m=st.floats(0.05, 1.5),
+        T=st.floats(0.3, 8.0),
+        side=st.sampled_from([-1.0, 1.0]),
+        log_rel=st.floats(-12.0, -5.0),
+    )
+    def test_modes_next_to_branch_switch(self, m, T, side, log_rel):
+        # a^2 - 4 m^2 = side * 10^log_rel * 4 m^2 straddles _BRANCH_EPS = 1e-9
+        k = greens.build(2.0 * m * math.sqrt(1.0 + side * 10.0**log_rel), m, T)
+        self.assert_modes_rebuild_kernel(k)
+
+    @pytest.mark.parametrize("params, case", CASE_EXAMPLES)
+    def test_modes_of_each_case(self, params, case):
+        k = greens.build(*params)
+        assert k.case == case
+        self.assert_modes_rebuild_kernel(k)
+
+
+# the kernels of the three cases used with kinked forcings
+KINKED_KERNELS = [(1.6, 0.7, 1.0), (0.0, 0.25, 2 * math.pi), (1.4, 0.7, 1.0)]
+
+
+def trapezoid_forcing(lp, T):
+    """2200 e_+ of the trapezoid preset, stretched to period T."""
+    table = [(t * T, v) for t, v in lp.e.body.points]
+    return PeriodicFunction.piecewise_linear(table).positive_part().scale(2200.0)
+
+
+def kinked_forcings(lp, T):
+    return [
+        trapezoid_forcing(lp, T),
+        PeriodicFunction.trig(T, 0.2, [(1.0, 1, 0.3), (0.4, 3, 1.1)]).positive_part(),
+        PeriodicFunction.sum_of([
+            PeriodicFunction.trig(T, 0.5, [(0.8, 2, 0.4)]),
+            PeriodicFunction.piecewise_linear(
+                [(0.0, 0.0), (0.2 * T, 1.5), (0.45 * T, -0.5), (0.8 * T, 0.7), (T, 0.0)]
+            ),
+        ]),
+    ]
+
+
+def kinked_t_values(g, T):
+    """A uniform grid, points next to the ends, and the breakpoints of g."""
+    extra = [0.0005 * T, 0.7 * T, 0.9995 * T] + g.breakpoints()
+    return np.concatenate([np.linspace(0.0, T, 16, endpoint=False), extra])
+
+
+def simpson_response(k, g, ts, base_panels=1024):
+    """One segmented Simpson rule per t, split at s = t and the breakpoints of g."""
+    return np.array([
+        simpson_segmented(
+            lambda s: k.green(float(t), s) * np.asarray(g(s), dtype=float),
+            0.0, k.T, splits=[float(t)] + g.breakpoints(), base_panels=base_panels,
+        )
+        for t in ts
+    ])
+
+
+def mp_response(k, table, t):
+    """integral_0^T K((t - s) mod T) g(s) ds at 40 digits for a piecewise-linear
+    table g, with K built from the kernel's own (binary) roots."""
+    with mpmath.workdps(40):
+        T = mpmath.mpf(k.T)
+        if k.case == greens.CASE_DOUBLE_ROOT:
+            lam = mpmath.mpf(k.roots[0].real)
+            E = mpmath.exp(lam * T)
+            K = lambda tau: mpmath.exp(lam * tau) * (tau * (1 - E) + T * E) / (1 - E) ** 2
+        elif k.case == greens.CASE_REAL_DISTINCT:
+            l1, l2 = (mpmath.mpf(r.real) for r in k.roots)
+            K = lambda tau: (
+                mpmath.exp(l1 * tau) / (1 - mpmath.exp(l1 * T))
+                - mpmath.exp(l2 * tau) / (1 - mpmath.exp(l2 * T))
+            ) / (l1 - l2)
+        else:
+            lam = mpmath.mpc(k.roots[0].real, k.roots[0].imag)
+            K = lambda tau: mpmath.im(mpmath.exp(lam * tau) / (1 - mpmath.exp(lam * T))) / lam.imag
+        t = mpmath.mpf(float(np.mod(t, k.T)))
+        total = mpmath.mpf(0)
+        for (t0, v0), (t1, v1) in zip(table[:-1], table[1:]):
+            t0, v0, t1, v1 = (mpmath.mpf(x) for x in (t0, v0, t1, v1))
+            g = lambda s: v0 + (v1 - v0) * (s - t0) / (t1 - t0)
+            for lo, hi in ((t0, min(t, t1)), (max(t, t0), t1)):
+                if lo < hi:
+                    shift = 0 if hi <= t else T  # s > t wraps to tau = t - s + T
+                    total += mpmath.quad(lambda s: K(t - s + shift) * g(s), [lo, hi])
+        return float(total)
+
+
+class TestKinkedResponse:
+    """apply_kernel for g with breakpoints: the exponential-mode sweep."""
+
+    def test_gauss_rule_is_numpy_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(8)
+        assert np.array_equal(greens._GAUSS_X, x) and np.array_equal(greens._GAUSS_W, w)
+
+    def test_kinked_forcing_matches_segmented_simpson(self, trapezoid_lp):
+        for params in KINKED_KERNELS:
+            k = greens.build(*params)
+            for g in kinked_forcings(trapezoid_lp, k.T):
+                ts = kinked_t_values(g, k.T)
+                x = greens.apply_kernel(k, g, ts)
+                oracle = simpson_response(k, g, ts)
+                assert np.max(np.abs(x - oracle)) <= 1e-11 * np.max(np.abs(oracle)), (params, g)
+
+    @pytest.mark.parametrize("params", KINKED_KERNELS)
+    def test_piecewise_linear_matches_mpmath(self, params, trapezoid_lp):
+        k = greens.build(*params)
+        T = k.T
+        signed = PeriodicFunction.piecewise_linear(
+            [(0.0, 1.0), (0.3 * T, 2.0), (0.5 * T, 0.0), (0.7 * T, -1.0), (T, 1.0)]
+        )
+        for g in (trapezoid_forcing(trapezoid_lp, T), signed):
+            ts = np.concatenate([[0.0, 0.37 * T, 0.9995 * T], g.breakpoints()[:2]])
+            ref = np.array([mp_response(k, g.body.points, t) for t in ts])
+            x = greens.apply_kernel(k, g, ts)
+            assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("params", KINKED_KERNELS)
+    def test_t_order_repeats_and_shifts(self, params, trapezoid_lp):
+        k = greens.build(*params)
+        T = k.T
+        g = kinked_forcings(trapezoid_lp, T)[2]
+        ts = kinked_t_values(g, T)
+        x = greens.apply_kernel(k, g, ts)
+        perm = np.random.default_rng(5).permutation(len(ts))
+        assert np.array_equal(greens.apply_kernel(k, g, ts[perm]), x[perm])
+        twice = np.concatenate([ts, ts[::-1]])
+        assert np.array_equal(greens.apply_kernel(k, g, twice), np.concatenate([x, x[::-1]]))
+        for shift in (T, -T):
+            # t +- T rounds, so the shifted points may move by an ulp
+            moved = greens.apply_kernel(k, g, ts + shift)
+            assert np.max(np.abs(moved - x)) <= 1e-14 * np.max(np.abs(x))
+
+    @pytest.mark.parametrize("params", [(800.0, 0.7, 1.0), (100.0, 50.0, 1.0)])
+    def test_large_damping_stays_finite_and_exact(self, params, trapezoid_lp):
+        # e^{a T} overflows at a T = 800, so the sweep re-anchors in blocks;
+        # (100, 50, 1) is a double root whose tau-mode moment is carried too
+        k = greens.build(*params)
+        g = trapezoid_forcing(trapezoid_lp, 1.0)
+        ts = np.array([0.0, 0.00025, 0.0005, 0.37, 0.9995])
+        ref = np.array([mp_response(k, g.body.points, t) for t in ts])
+        # sub-gaps are also at most 2/|lam| wide, so even one base panel is exact
+        for base_panels in (1024, 1):
+            x = greens.apply_kernel(k, g, ts, base_panels)
+            assert np.all(np.isfinite(x))
+            assert np.max(np.abs(x - ref) / np.abs(ref)) <= 1e-12
+
+
+class TestApplyKernelBoundary:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_t_raises(self, kernel_example, trapezoid_lp, bad):
+        ts = np.array([0.1, bad, 0.5])
+        for g in (PeriodicFunction.trig(1.0, 1.0, [(0.5, 1, 0.0)]), trapezoid_forcing(trapezoid_lp, 1.0)):
+            with pytest.raises(LiebauError, match="finite"):
+                greens.apply_kernel(kernel_example, g, ts)
+
+    @pytest.mark.parametrize("base_panels", [0, -3])
+    def test_base_panels_below_one_raises(self, kernel_example, trapezoid_lp, base_panels):
+        ts = np.linspace(0.0, 1.0, 8, endpoint=False)
+        for g in (PeriodicFunction.constant(1.0, 2.0), trapezoid_forcing(trapezoid_lp, 1.0)):
+            with pytest.raises(LiebauError, match="base_panels"):
+                greens.apply_kernel(kernel_example, g, ts, base_panels=base_panels)
