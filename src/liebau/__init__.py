@@ -11,8 +11,9 @@ has a positive periodic regime, and computes those regimes:
   shifted nonlinearity.
 * ``certify``: condition checkers producing margin-carrying certificates,
   plus a deterministic parameter search.
-* ``solve``: cyclic finite-difference Newton solver with a spectral polish,
-  the truncated integral operator, and localization checks.
+* ``solve``: cyclic finite-difference Newton solver with a Newton-Krylov
+  polish on the Fourier collocation residual, the truncated integral
+  operator, and localization checks.
 * ``pump``: pipe-level residuals and the pumping-effect balance.
 * ``cli`` / ``acceptance``: command-line front end and the built-in
   regression suite (``liebau verify``).

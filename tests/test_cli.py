@@ -139,6 +139,8 @@ class TestSolveCommand:
         assert code == EXIT_OK
         summary = json.loads(out)
         assert summary["N"] == 512
+        assert list(summary)[1:3] == ["iterations", "polish_iterations"]
+        assert 1 <= summary["polish_iterations"] < summary["iterations"]
         assert summary["max_x"] < 38.0844
         assert summary["sup_residual"] < 1e-8
         lines = csv_path.read_text().splitlines()

@@ -89,6 +89,40 @@ class TestKernelValues:
             np.testing.assert_allclose(got, confluent, atol=1e-6)
 
 
+def mp_kernel(a, m, T, taus):
+    """K(tau) at 40 digits from the exact roots of lam^2 + a lam + m^2 for binary a, m."""
+    with mpmath.workdps(40):
+        a, m, T = mpmath.mpf(a), mpmath.mpf(m), mpmath.mpf(T)
+        sq = mpmath.sqrt(a * a - 4 * m * m)  # imaginary for a complex pair
+        l1, l2 = (-a + sq) / 2, (-a - sq) / 2
+        return np.array([
+            float(mpmath.re(
+                (mpmath.exp(l1 * t) / (1 - mpmath.exp(l1 * T))
+                 - mpmath.exp(l2 * t) / (1 - mpmath.exp(l2 * T))) / (l1 - l2)
+            ))
+            for t in (mpmath.mpf(float(tau)) for tau in taus)
+        ])
+
+
+class TestBranchSwitch:
+    """The confluent formula inside |a^2 - 4 m^2| < _BRANCH_EPS * 4 m^2, the
+    distinct-roots or complex-pair formula outside, each near the 40-digit kernel."""
+
+    @pytest.mark.parametrize("m, T", [(0.3, 1.0), (1.0, 1.0), (1.0, 5.0), (3.0, 0.5)])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("rel, inside", [(0.99, True), (1.01, False), (27.0, False)])
+    def test_formula_error_on_both_sides(self, m, T, side, rel, inside):
+        # at rel = 27 (about 1e-9) the confluent formula is off by about 1e-9
+        # of kmax, so the distinct-roots or complex-pair formula must serve
+        a = 2.0 * m * math.sqrt(1.0 + side * rel * greens._BRANCH_EPS)
+        k = greens.build(a, m, T)
+        outside = greens.CASE_REAL_DISTINCT if side > 0 else greens.CASE_COMPLEX_PAIR
+        assert k.case == (greens.CASE_DOUBLE_ROOT if inside else outside)
+        taus = np.linspace(0.0, T, 41)[:-1]
+        err = np.max(np.abs(k.at(taus) - mp_kernel(a, m, T, taus)))
+        assert err < 1e-10 * k.kmax
+
+
 class TestGreenAt:
     def test_diagonal_constant(self, kernel_example):
         for s in np.linspace(0, 1, 21):
@@ -328,7 +362,7 @@ class TestModes:
         log_rel=st.floats(-12.0, -5.0),
     )
     def test_modes_next_to_branch_switch(self, m, T, side, log_rel):
-        # a^2 - 4 m^2 = side * 10^log_rel * 4 m^2 straddles _BRANCH_EPS = 1e-9
+        # a^2 - 4 m^2 = side * 10^log_rel * 4 m^2 straddles _BRANCH_EPS = eps^(2/3)
         k = greens.build(2.0 * m * math.sqrt(1.0 + side * 10.0**log_rel), m, T)
         self.assert_modes_rebuild_kernel(k)
 

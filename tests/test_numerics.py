@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from liebau.numerics import cyclic_differences, solve_cyclic_tridiagonal
+from liebau.numerics import cyclic_differences, gmres, solve_cyclic_tridiagonal
 
 
 def test_cyclic_differences_match_inline_roll_formula():
@@ -117,3 +117,41 @@ class TestCyclicTridiagonal:
             assert np.all(np.isnan(two_sweep_solve(sub, diag, sup, sub[0], sup[-1], rhs)))
         x = solve_cyclic_tridiagonal(sub, diag, sup, sub[0], sup[-1], rhs)
         assert np.all(np.isnan(x))
+
+
+class TestGmres:
+    @staticmethod
+    def system(n, seed, spread):
+        rng = np.random.default_rng(seed)
+        A = np.eye(n) + spread * rng.standard_normal((n, n)) / np.sqrt(n)
+        return A, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("restart, cycles", [(40, 1), (6, 30)])
+    def test_matches_dense_solve(self, restart, cycles):
+        # with restarts the short basis needs more cycles to reach the target
+        A, b = self.system(40, 5, 0.5)
+        u = gmres(lambda v: A @ v, b, 1e-12, restart, cycles)
+        assert np.linalg.norm(A @ u - b) <= 1e-11 * np.linalg.norm(b)
+        np.testing.assert_allclose(u, np.linalg.solve(A, b), rtol=0, atol=1e-10)
+
+    def test_identity_needs_one_arnoldi_step(self):
+        calls = []
+
+        def identity(v):
+            calls.append(1)
+            return v.copy()
+
+        b = np.arange(1.0, 9.0)
+        u = gmres(identity, b, 1e-12, 12, 4)
+        np.testing.assert_allclose(u, b, rtol=1e-15)
+        assert len(calls) == 2  # one Arnoldi step and the residual that ends the cycle
+
+    def test_zero_right_hand_side(self):
+        u = gmres(lambda v: 2.0 * v, np.zeros(5), 1e-12, 12, 4)
+        assert np.array_equal(u, np.zeros(5))
+
+    def test_exhausted_budget_still_lowers_residual(self):
+        A, b = self.system(60, 9, 0.9)
+        u = gmres(lambda v: A @ v, b, 1e-14, 3, 2)
+        res = np.linalg.norm(A @ u - b)
+        assert 0.0 < res < np.linalg.norm(b)

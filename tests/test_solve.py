@@ -1,7 +1,10 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_numerics import two_sweep_solve
 
 from liebau import greens, presets, solve
@@ -119,6 +122,85 @@ class TestFusedSweepChangesNothing:
         reference = solve_periodic(gp, opts)
         assert np.array_equal(fused.values, reference.values)
         assert fused.iterations == reference.iterations
+
+
+def _tank_opts(v0, n):
+    return presets.preset("benchmark", v0=v0).problem, SolveOptions(
+        n=n, bracket=((v0 - 3.0) ** 3, (v0 - 1.0) ** 3)
+    )
+
+
+class TestNewtonKrylovPolish:
+    @pytest.mark.parametrize("case", ["cosine", "cubic", "tank"])
+    def test_polish_makes_no_cyclic_solves(self, monkeypatch, case):
+        if case == "tank":
+            lp, opts = _tank_opts(5.0, 512)
+        else:
+            lp, opts = presets.preset(case).problem, SolveOptions(n=512)
+        gp = regularize(lp)
+        calls = []
+        real = solve.solve_cyclic_tridiagonal
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solve, "solve_cyclic_tridiagonal", counting)
+        bare = solve_periodic(gp, dataclasses.replace(opts, polish=False))
+        newton_calls = len(calls)
+        polished = solve_periodic(gp, opts)
+        # one cyclic solve per Newton step, the same with and without the polish
+        assert newton_calls == bare.iterations
+        assert len(calls) - newton_calls == newton_calls
+        assert polished.iterations - polished.polish_iterations == bare.iterations
+        assert polished.polish_iterations >= 1
+        assert bare.polish_iterations == 0
+
+    def test_tank_preset_to_rounding(self, tank_lp):
+        gp = regularize(tank_lp(4.0))
+        sol = solve_periodic(gp, SolveOptions(n=512, bracket=(4.0, 40.0)))
+        exact = (2.0 + np.cos(sol.nodes)) ** 3
+        assert float(np.max(np.abs(sol.values - exact))) < 1e-13
+
+    def test_tank_near_branch_crossing(self):
+        # close to the branch crossing: the FD Jacobian's smallest eigenvalue is about 3e-3
+        v0 = 9.911091741522899
+        lp, opts = _tank_opts(v0, 4096)
+        sol = solve_periodic(regularize(lp), opts)
+        exact = ((v0 - 2.0) + np.cos(sol.nodes)) ** 3
+        assert float(np.max(np.abs(sol.values - exact))) < 1e-6
+
+    @settings(max_examples=12)
+    @given(
+        a=st.floats(1.0, 2.0),
+        amp=st.floats(0.0, 0.0021),
+        k=st.integers(1, 3),
+        n=st.sampled_from([63, 64, 128, 256]),
+    )
+    def test_residual_at_rounding_floor(self, a, amp, k, n):
+        from liebau.problem import LiebauProblem
+
+        e = PeriodicFunction.trig(1.0, 1.54215, [(amp, k, 0.0)])
+        sol = solve_periodic(regularize(LiebauProblem(a, 0.01, 1.49, 1.0, e)), SolveOptions(n=n))
+        floor = 64.0 * np.finfo(float).eps * (n / sol.T) ** 2 * max(1.0, sol.max_value)
+        assert sol.sup_residual <= floor
+
+    def test_singular_preconditioner_returns_newton_iterate(self):
+        # r = s = +-1 (a square wave the nodes never sample on its ramps) makes
+        # x = 1 an exact solution with f'(1) = alpha r - beta s = -+1/4, whose
+        # node mean is exactly 0: the preconditioner's mode 0 is singular
+        square = PeriodicFunction.piecewise_linear(
+            [(0.0, 1.0), (0.47, 1.0), (0.49, -1.0), (0.97, -1.0), (0.99, 1.0), (1.0, 1.0)]
+        )
+        gp = GeneralProblem(a=0.5, T=1.0, r=square, s=square, alpha=0.25, beta=0.5)
+        nodes = np.arange(16) / 16
+        fprime = 0.25 * square(nodes) - 0.5 * square(nodes)
+        assert np.any(fprime != 0.0) and fprime.mean() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_periodic(gp, SolveOptions(n=16, initial=1.0))
+        assert sol.polish_iterations == 0
+        assert np.array_equal(sol.values, np.ones(16))
 
 
 class TestLinearConsistency:
