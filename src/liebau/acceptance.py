@@ -222,7 +222,7 @@ def check_search_soundness() -> CheckResult:
         else:
             g0 = PeriodicFunction.constant(lp.T, m * m * r1)
         general = check_general(gp, m, r1, r2, g0, g1, CheckOptions(eps=QUAD_EPS))
-        sol = solve_periodic(gp, SolveOptions(truncation_band=(m, r1, r2)))
+        sol = solve_periodic(gp)  # constant guess from the forcing mean
         cone = cone_and_localization(sol, cert.cone_const, r1, r2)
         facts.extend(
             [

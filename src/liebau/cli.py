@@ -150,7 +150,7 @@ OPTION_SCHEMA = {
     "search": {"m_points": int, "radius_points": int, "radius_lo": float, "radius_hi": float,
                "eps": float},
     "solve": {"n": int, "tol": float, "max_iter": int, "initial": float, "bracket": 2,
-              "polish": bool, "refine_factor": int, "truncation_band": 3},
+              "polish": bool, "refine_factor": int},
 }
 
 # Largest sample count a command builds (solve grid, refined solve grid,
@@ -409,6 +409,7 @@ def _cmd_solve(args) -> int:
         "N": len(sol.values),
         "iterations": sol.iterations,
         "polish_iterations": sol.polish_iterations,
+        "fd_n": sol.fd_n,
         "sup_residual": sol.sup_residual,
         "sup_residual_exact_data": sol.sup_residual_exact_data,
         "min_x": sol.min_value,

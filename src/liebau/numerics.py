@@ -7,8 +7,8 @@ one fused forward/back sweep on Python floats for both right-hand sides,
 bitwise equal to two separate sweeps, NaN on a zero pivot), restarted
 GMRES with Givens rotations on Python floats, cyclic
 central differences, spectral differentiation and trigonometric
-interpolation of periodic grid data, and fixed-width float printing for
-reproducible output files.
+resampling of periodic grid data onto finer grids, and fixed-width float
+printing for reproducible output files.
 """
 
 from __future__ import annotations
@@ -248,24 +248,35 @@ def spectral_derivatives(values: np.ndarray, period: float) -> tuple[np.ndarray,
     return d1, d2
 
 
-def trig_interpolate(values: np.ndarray, factor: int) -> np.ndarray:
-    """Resample periodic grid data onto a ``factor`` times finer grid.
+def resample_spectrum(spec: np.ndarray, n: int, n_out: int) -> np.ndarray:
+    """Samples on a uniform grid of ``n_out >= n`` points of the trigonometric
+    interpolant whose n-point ``rfft`` is ``spec``.
 
-    Zero-padded FFT interpolation; the Nyquist bin is split symmetrically so
-    the interpolant is real and matches the samples exactly at the original
-    nodes.
+    Zero-padded inverse FFT; for even n the Nyquist bin is split
+    symmetrically between +n/2 and -n/2, so the interpolant is real and
+    passes through the original samples.  At n_out = n the spectrum is
+    inverted as it is.
     """
-    x = np.asarray(values, dtype=float)
-    n = len(x)
-    mean = x.mean()
-    spec = np.fft.rfft(x - mean)
-    out = np.zeros(factor * n // 2 + 1, dtype=complex)
+    if n_out == n:
+        return np.fft.irfft(spec, n=n)
+    out = np.zeros(n_out // 2 + 1, dtype=complex)
     out[: n // 2] = spec[: n // 2]
     if n % 2 == 0:
         out[n // 2] = 0.5 * spec[n // 2]
     else:
         out[(n + 1) // 2 - 1] = spec[-1]
-    return np.fft.irfft(out, n=factor * n) * factor + mean
+    return np.fft.irfft(out, n=n_out) * (n_out / n)
+
+
+def trig_interpolate(values: np.ndarray, n_out: int) -> np.ndarray:
+    """Resample periodic grid data onto a uniform grid of ``n_out >= len(values)`` points.
+
+    The mean is taken out before the transform and added back, so a
+    constant stays exact; see ``resample_spectrum``.
+    """
+    x = np.asarray(values, dtype=float)
+    mean = x.mean()
+    return resample_spectrum(np.fft.rfft(x - mean), len(x), n_out) + mean
 
 
 def format_float(x: float) -> str:

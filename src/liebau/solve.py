@@ -1,17 +1,27 @@
 """Periodic solvers for the regular problem.
 
-Two stages.  A damped Newton iteration on the cyclic second-order
-finite-difference system finds the discrete solution; its Jacobian is cyclic
-tridiagonal and solved by bordered elimination.  A polish stage then runs
+Three steps.  A damped Newton iteration on the cyclic second-order
+finite-difference (FD) system finds a discrete solution; its Jacobian is
+cyclic tridiagonal and solved by bordered elimination.  With the polish on
+and n above ``COARSE_N`` (128), this stage runs on the 128-point grid only,
+and its solution is lifted to the n-grid by zero-padded FFT resampling (the
+nested-iteration start of Newton-Krylov methods).  A polish stage then runs
 Newton on the Fourier collocation residual d2 + a d1 - f(x) (spectral
-derivatives of the trigonometric interpolant), starting from the
-finite-difference solution.  Each polish step solves its linear system by a
-short GMRES, preconditioned by FFT with the constant-coefficient operator
-D^2 + a D - mean f'(x), so the polish makes no cyclic tridiagonal solves;
-it stops once a step fails to halve the residual, which for smooth
-coefficient data leaves residuals near rounding level.  The
-finite-difference stage alone is a clean second-order scheme, and the polish
-can be disabled to observe that order.
+derivatives of the trigonometric interpolant) at n.  Each polish step solves
+its linear system by a short GMRES, preconditioned by FFT with the
+constant-coefficient operator D^2 + a D - mean f'(x), so the polish makes no
+cyclic tridiagonal solves; it stops once a step fails to halve the residual,
+which for smooth coefficient data leaves residuals near rounding level.
+
+The coarse start only has to land in the polish's basin.  Where it does not
+(the coarse Newton stage fails, the lifted iterate is not strictly positive,
+or the polish ends above the FD rounding floor at n, as on data the coarse
+grid cannot resolve), the FD Newton stage runs again at n, from the lifted
+iterate when it is positive and from the initial guess otherwise, and the
+polish follows.  ``GridSolution.fd_n`` records the grid of the Newton stage
+that gave the solution.  A guess given as an array of n values skips the
+coarse stage.  Without the polish the FD stage runs at n alone: a clean
+second-order scheme whose order can be observed.
 
 Residual reporting: ``sup_residual`` is the collocated residual of the
 returned representation measured on a ``refine_factor`` times finer grid,
@@ -38,10 +48,16 @@ from .problem import GeneralProblem, deregularize, truncated_rhs
 from .numerics import (
     cyclic_differences,
     gmres,
+    resample_spectrum,
     solve_cyclic_tridiagonal,
     spectral_derivatives,
     trig_interpolate,
 )
+
+# Grid of the finite-difference Newton stage when the polish runs on a finer
+# grid: the polish only needs a start inside its basin, and the cyclic solves
+# cost O(n) Python-float work each.
+COARSE_N = 128
 
 # The polish's inner GMRES: relative residual target, basis size per cycle
 # and number of cycles.  The preconditioned operator is the identity up to
@@ -60,7 +76,6 @@ class SolveOptions:
     bracket: tuple[float, float] | None = None  # geometric midpoint used as constant guess
     polish: bool = True
     refine_factor: int = 4
-    truncation_band: tuple[float, float, float] | None = None  # (m, r1, r2) fallback operator
 
 
 @dataclass(frozen=True)
@@ -72,9 +87,10 @@ class GridSolution:
     values: np.ndarray
     sup_residual: float
     sup_residual_exact_data: float
-    iterations: int  # Newton steps, Picard fallbacks and polish steps together
+    iterations: int  # Newton steps and polish steps together, over every stage run
     converged: bool
     polish_iterations: int = 0  # the polish's share of ``iterations``
+    fd_n: int = 0  # grid of the Newton stage behind the solution; 0 if not from solve_periodic
     units: str = "x"
 
     @property
@@ -106,6 +122,39 @@ def _fd_residual_terms(values: np.ndarray, h: float, a: float) -> np.ndarray:
     return d2 / h**2 + a * d1 / (2.0 * h)
 
 
+def _rounding_floor(x: np.ndarray, h: float, a: float) -> float:
+    """Sup-norm residual level that rounding alone gives the FD operator at step h."""
+    return 32.0 * np.finfo(float).eps * (4.0 / h**2 + 2.0 * a / h) * max(
+        1.0, float(np.max(np.abs(x)))
+    )
+
+
+def _operator_symbol(n: int, T: float, a: float) -> np.ndarray:
+    """rfft symbol of D^2 + a D on n nodes; the Nyquist bin keeps no first
+    derivative, as in ``spectral_derivatives``."""
+    w = (2.0 * np.pi / T) * np.arange(n // 2 + 1)
+    symbol = -(w**2) + 1j * a * w
+    if n % 2 == 0:
+        symbol[-1] = -(w[-1] ** 2)
+    return symbol
+
+
+def _sampled(gp: GeneralProblem, n: int):
+    """Nodes, node samples of r and s, and x -> f(t, x), f_x(t, x) on the n-grid."""
+    nodes = np.arange(n) * (gp.T / n)
+    r = np.asarray(gp.r(nodes), dtype=float)
+    s = np.asarray(gp.s(nodes), dtype=float)
+    alpha, beta = gp.alpha, gp.beta
+
+    def f_of(x):
+        return r * x**alpha - s * x**beta
+
+    def fprime_of(x):
+        return alpha * r * x ** (alpha - 1.0) - beta * s * x ** (beta - 1.0)
+
+    return nodes, r, s, f_of, fprime_of
+
+
 def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarray:
     if opts.initial is not None:
         init = np.asarray(opts.initial, dtype=float)
@@ -127,10 +176,6 @@ def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarra
         ebar = lp.e.mean()
         if ebar > 0.0:
             return np.full(n, (ebar / lp.c) ** (1.0 / lp.mu))
-    if opts.truncation_band is not None:
-        m, r1, r2 = opts.truncation_band
-        cm = greens.build(gp.a, m, gp.T).cone_constant
-        return np.full(n, math.sqrt(cm * r1 * r2))
     raise LiebauError(
         "no usable initial guess: provide SolveOptions.initial or .bracket "
         "(the built-in constant guess needs a Liebau-derived problem with positive mean forcing)"
@@ -140,44 +185,81 @@ def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarra
 def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> GridSolution:
     """Compute a positive periodic solution on a uniform cyclic grid.
 
-    Damped Newton on central differences followed by the collocation
-    Newton polish (see module docstring).  Raises NoConvergence when the iteration
-    budget runs out and LeftPositiveCone when damping cannot keep the iterate
-    positive (a bad initial guess, or no positive solution nearby).
+    Damped Newton on central differences (on the coarse grid when the polish
+    runs) followed by the collocation Newton polish on the n-grid, with a
+    fine-grid Newton fallback (see module docstring).  Raises NoConvergence
+    when the iteration budget runs out and LeftPositiveCone when damping
+    cannot keep the iterate positive (a bad initial guess, or no positive
+    solution nearby).
     """
     n = opts.n
     T = gp.T
+    a = gp.a
     h = T / n
-    nodes = np.arange(n) * h
-    r_nodes = np.asarray(gp.r(nodes), dtype=float)
-    s_nodes = np.asarray(gp.s(nodes), dtype=float)
-    a, alpha, beta = gp.a, gp.alpha, gp.beta
+    nodes, r_nodes, s_nodes, f_of, fprime_of = _sampled(gp, n)
 
-    def f_of(x):
-        return r_nodes * x**alpha - s_nodes * x**beta
+    x = None
+    start = None
+    iterations = polish_iters = 0
+    # the coarse stage needs a constant guess, which any grid can take
+    if opts.polish and n > COARSE_N and np.ndim(opts.initial) == 0:
+        f_c, fprime_c = _sampled(gp, COARSE_N)[3:]
+        try:
+            x_c, iterations = _fd_newton(
+                _initial_values(gp, opts, COARSE_N), T / COARSE_N, a, f_c, fprime_c, opts
+            )
+        except (LeftPositiveCone, NoConvergence):
+            pass  # the fine stage below runs from the initial guess and decides
+        else:
+            lifted = trig_interpolate(x_c, n)
+            if np.all(lifted > 0.0):
+                start = lifted
+                x, polish_iters, res_norm = _polish(lifted, T, a, f_of, fprime_of)
+                if res_norm > _rounding_floor(x, h, a):
+                    x = None
+    fd_n = COARSE_N
+    if x is None:
+        fd_n = n
+        if start is None:
+            start = _initial_values(gp, opts, n)
+        x, steps = _fd_newton(start, h, a, f_of, fprime_of, opts)
+        iterations += steps
+        if opts.polish:
+            x, steps, _ = _polish(x, T, a, f_of, fprime_of)
+            polish_iters += steps
 
-    def fprime_of(x):
-        return alpha * r_nodes * x ** (alpha - 1.0) - beta * s_nodes * x ** (beta - 1.0)
+    sup_res, sup_res_exact = _refined_residuals(gp, x, r_nodes, s_nodes, opts.refine_factor)
+    return GridSolution(
+        T=T,
+        nodes=nodes,
+        values=x,
+        sup_residual=sup_res,
+        sup_residual_exact_data=sup_res_exact,
+        iterations=iterations + polish_iters,
+        converged=True,
+        polish_iterations=polish_iters,
+        fd_n=fd_n,
+    )
 
-    sub = np.full(n, 1.0 / h**2 - a / (2.0 * h))
-    sup = np.full(n, 1.0 / h**2 + a / (2.0 * h))
 
-    x = _initial_values(gp, opts, n)
+def _fd_newton(x, h, a, f_of, fprime_of, opts):
+    """Damped Newton on the cyclic central-difference system, from x.
+
+    Returns the solution and the number of Newton steps.  Each step solves
+    the cyclic tridiagonal Jacobian system and halves the step until the
+    iterate stays positive and the sup-norm residual does not grow.
+    """
     if np.any(x <= 0.0):
         raise LeftPositiveCone("initial guess must be strictly positive")
-
+    n = len(x)
+    sub = np.full(n, 1.0 / h**2 - a / (2.0 * h))
+    sup = np.full(n, 1.0 / h**2 + a / (2.0 * h))
     iterations = 0
-    converged = False
-    fallback_used = False
     res = _fd_residual_terms(x, h, a) - f_of(x)
     for _ in range(opts.max_iter):
         res_norm = float(np.max(np.abs(res)))
-        noise_floor = 32.0 * np.finfo(float).eps * (4.0 / h**2 + 2.0 * a / h) * max(
-            1.0, float(np.max(np.abs(x)))
-        )
-        if res_norm <= noise_floor:
-            converged = True
-            break
+        if res_norm <= _rounding_floor(x, h, a):
+            return x, iterations
         diag = -2.0 / h**2 - fprime_of(x)
         step = solve_cyclic_tridiagonal(sub, diag, sup, sub[0], sup[-1], -res)
         lam = 1.0
@@ -194,15 +276,6 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
                 positivity_blocked = True
             lam *= 0.5
         if not accepted:
-            if opts.truncation_band is not None and not fallback_used:
-                # a few compact-operator sweeps pull the iterate back into the band
-                fallback_used = True
-                m, r1, r2 = opts.truncation_band
-                trace = picard_iterate(gp, m, r1, r2, np.clip(np.abs(x), 1e-12, r2), 8)
-                x = trace.iterates[-1]
-                res = _fd_residual_terms(x, h, a) - f_of(x)
-                iterations += 1
-                continue
             if positivity_blocked:
                 raise LeftPositiveCone(
                     "Newton damping hit its floor while the iterate was nonpositive"
@@ -212,46 +285,25 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
         res = cand_res
         iterations += 1
         if float(np.max(np.abs(lam * step))) <= opts.tol * min(1.0, float(np.max(x))):
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(f"no convergence within {opts.max_iter} Newton iterations")
-
-    polish_iters = 0
-    if opts.polish:
-        x, polish_iters = _polish(x, T, a, f_of, fprime_of)
-
-    sup_res, sup_res_exact = _refined_residuals(gp, nodes, x, r_nodes, s_nodes, opts.refine_factor)
-    return GridSolution(
-        T=T,
-        nodes=nodes,
-        values=x,
-        sup_residual=sup_res,
-        sup_residual_exact_data=sup_res_exact,
-        iterations=iterations + polish_iters,
-        converged=True,
-        polish_iterations=polish_iters,
-    )
+            return x, iterations
+    raise NoConvergence(f"no convergence within {opts.max_iter} Newton iterations")
 
 
 def _polish(x, T, a, f_of, fprime_of):
-    """Newton on the collocation residual d2 + a d1 - f(x), from the FD solution.
+    """Newton on the collocation residual d2 + a d1 - f(x), from x.
 
     Each step solves (D^2 + a D - diag f'(x)) delta = -res by GMRES, right
     preconditioned by P = D^2 + a D - mean f'(x), whose FFT symbol
-    -w^2 + i a w - mean f' is inverted mode by mode (the Nyquist bin keeps no
-    first derivative, as in ``spectral_derivatives``).  Since D^2 + a D = P +
+    -w^2 + i a w - mean f' is inverted mode by mode.  Since D^2 + a D = P +
     mean f', the preconditioned operator is I - (f'(x) - mean f') P^-1, one
     rfft/irfft pair per matvec.  Steps continue while each one at least
     halves the sup-norm residual; a step that does not lower it, or leaves
     the positive cone, is dropped.  A zero bin of the symbol (mode 0 when
-    mean f' = 0) makes P singular, and the Newton iterate is returned as it is.
+    mean f' = 0) makes P singular, and x is returned as it is.  Returns the
+    iterate, the number of steps kept and its sup-norm residual.
     """
     n = len(x)
-    w = (2.0 * np.pi / T) * np.arange(n // 2 + 1)
-    symbol = -(w**2) + 1j * a * w
-    if n % 2 == 0:
-        symbol[-1] = -(w[-1] ** 2)
+    symbol = _operator_symbol(n, T, a)
 
     def residual(y):
         d1, d2 = spectral_derivatives(y, T)
@@ -265,7 +317,7 @@ def _polish(x, T, a, f_of, fprime_of):
         fbar = float(fp.mean())
         denom = symbol - fbar
         if np.any(denom == 0.0):
-            return x, steps
+            return x, steps, res_norm
         inv = 1.0 / denom
         spread = fp - fbar
 
@@ -275,30 +327,31 @@ def _polish(x, T, a, f_of, fprime_of):
         u = gmres(lambda v: v - spread * precond(v), -res, _GMRES_RTOL, _GMRES_RESTART, _GMRES_CYCLES)
         candidate = x + precond(u)
         if np.any(candidate <= 0.0):
-            return x, steps
+            return x, steps, res_norm
         cand_res = residual(candidate)
         cand_norm = float(np.max(np.abs(cand_res)))
         if not cand_norm < res_norm:
-            return x, steps
+            return x, steps, res_norm
         steps += 1
         halved = cand_norm <= 0.5 * res_norm
         x, res, res_norm = candidate, cand_res, cand_norm
         if not halved:
-            return x, steps
+            return x, steps, res_norm
 
 
-def _refined_residuals(gp, nodes, values, r_nodes, s_nodes, factor):
+def _refined_residuals(gp, values, r_nodes, s_nodes, factor):
     T = gp.T
     n = len(values)
-    d1, d2 = spectral_derivatives(values, T)
-    x_f = trig_interpolate(values, factor)
-    d1_f = trig_interpolate(d1, factor)
-    d2_f = trig_interpolate(d2, factor)
-    fine_nodes = np.arange(factor * n) * (T / (factor * n))
-    lin = d2_f + gp.a * d1_f
+    n_f = factor * n
+    # x and d2 + a d1 on the fine grid from one transform of x
+    mean = values.mean()
+    spec = np.fft.rfft(values - mean)
+    x_f = resample_spectrum(spec, n, n_f) + mean
+    lin = resample_spectrum(spec * _operator_symbol(n, T, gp.a), n, n_f)
+    fine_nodes = np.arange(n_f) * (T / n_f)
     positive = np.clip(x_f, 1e-300, None)
-    r_interp = trig_interpolate(r_nodes, factor)
-    s_interp = trig_interpolate(s_nodes, factor)
+    r_interp = trig_interpolate(r_nodes, n_f)
+    s_interp = trig_interpolate(s_nodes, n_f)
     res_colloc = lin - (r_interp * positive**gp.alpha - s_interp * positive**gp.beta)
     r_exact = np.asarray(gp.r(fine_nodes), dtype=float)
     s_exact = np.asarray(gp.s(fine_nodes), dtype=float)
@@ -351,8 +404,8 @@ def picard_iterate(
     """Iterate x -> integral G_m(., s) f~(s, x(s)) ds on the grid.
 
     The operator is compact, not contractive, so there is no convergence
-    guarantee; this is a fallback and a direct probe of the fixed-point
-    operator.  Each step is one ``greens.circular_response``: the periodic
+    guarantee; this is a direct probe of the paper's fixed-point operator,
+    not a solver.  Each step is one ``greens.circular_response``: the periodic
     trapezoid rule as a circular convolution plus the h^2/12 * f~(t) term for
     the kernel's unit slope jump at the wrap.
     """

@@ -139,8 +139,9 @@ class TestSolveCommand:
         assert code == EXIT_OK
         summary = json.loads(out)
         assert summary["N"] == 512
-        assert list(summary)[1:3] == ["iterations", "polish_iterations"]
+        assert list(summary)[1:4] == ["iterations", "polish_iterations", "fd_n"]
         assert 1 <= summary["polish_iterations"] < summary["iterations"]
+        assert summary["fd_n"] == 128
         assert summary["max_x"] < 38.0844
         assert summary["sup_residual"] < 1e-8
         lines = csv_path.read_text().splitlines()
@@ -244,6 +245,7 @@ class TestBadInputExitsTwo:
             ("certify", "certify", {"theorem": "sign_changing", "kappa": "big"}, "certify.kappa"),
             ("search", "search", {"threads": "two"}, "search.threads"),
             ("search", "search", {"threads": 2}, "search.threads"),
+            ("solve", "solve", {"truncation_band": [0.7, 1.0, 40.0]}, "solve.truncation_band"),
         ],
     )
     def test_option_type_and_key(self, capsys, tmp_path, command, section, options, field):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from liebau.numerics import cyclic_differences, gmres, solve_cyclic_tridiagonal
+from liebau.numerics import cyclic_differences, gmres, solve_cyclic_tridiagonal, trig_interpolate
 
 
 def test_cyclic_differences_match_inline_roll_formula():
@@ -155,3 +155,51 @@ class TestGmres:
         u = gmres(lambda v: A @ v, b, 1e-14, 3, 2)
         res = np.linalg.norm(A @ u - b)
         assert 0.0 < res < np.linalg.norm(b)
+
+
+def factor_interpolate(values, factor):
+    """The earlier resampling helper, which took an integer refinement factor."""
+    x = np.asarray(values, dtype=float)
+    n = len(x)
+    mean = x.mean()
+    spec = np.fft.rfft(x - mean)
+    out = np.zeros(factor * n // 2 + 1, dtype=complex)
+    out[: n // 2] = spec[: n // 2]
+    if n % 2 == 0:
+        out[n // 2] = 0.5 * spec[n // 2]
+    else:
+        out[(n + 1) // 2 - 1] = spec[-1]
+    return np.fft.irfft(out, n=factor * n) * factor + mean
+
+
+class TestTrigInterpolate:
+    @pytest.mark.parametrize("n, factor", [(64, 4), (63, 4), (128, 32), (63, 2), (10, 3)])
+    def test_bitwise_equal_to_factor_form(self, n, factor):
+        x = np.random.default_rng(n + factor).uniform(0.5, 2.0, n)
+        assert np.array_equal(trig_interpolate(x, factor * n), factor_interpolate(x, factor))
+
+    @pytest.mark.parametrize("n", [63, 512])
+    def test_same_grid_keeps_the_nyquist_mode(self, n):
+        # the factor form halved the Nyquist bin at factor 1 for even n
+        x = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        np.testing.assert_allclose(trig_interpolate(x, n), x, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "n, n_out", [(128, 4096), (128, 256), (63, 126), (63, 4095), (64, 192)]
+    )
+    def test_lift_returns_samples_at_coarse_nodes(self, n, n_out):
+        x = np.random.default_rng(n_out).uniform(0.5, 2.0, n)
+        lifted = trig_interpolate(x, n_out)
+        assert len(lifted) == n_out
+        back = lifted[:: n_out // n]
+        assert float(np.max(np.abs(back - x))) <= 1e-15 * float(np.max(np.abs(x)))
+
+    @pytest.mark.parametrize("n_out", [200, 1001, 4096])
+    def test_lift_is_exact_for_band_limited_data(self, n_out):
+        # modes 5, 40 and 63 are all below the Nyquist mode 64 of the 128-point grid
+        def p(t):
+            return (2.0 + np.cos(2 * np.pi * 5 * t) + 0.3 * np.sin(2 * np.pi * 63 * t)
+                    + 0.1 * np.cos(2 * np.pi * 40 * t + 0.3))
+
+        lifted = trig_interpolate(p(np.arange(128) / 128), n_out)
+        np.testing.assert_allclose(lifted, p(np.arange(n_out) / n_out), rtol=0, atol=1e-13)

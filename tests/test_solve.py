@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from test_numerics import two_sweep_solve
 
 from liebau import greens, presets, solve
-from liebau.errors import BadRadii, LeftPositiveCone, LiebauError
+from liebau.errors import BadRadii, LeftPositiveCone, LiebauError, NoConvergence
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import GeneralProblem, regularize, shifted_rhs, truncated_rhs
 from liebau.solve import (
@@ -130,32 +130,108 @@ def _tank_opts(v0, n):
     )
 
 
-class TestNewtonKrylovPolish:
+def _case(case, n, v0=5.0):
+    if case == "tank":
+        return _tank_opts(v0, n)
+    return presets.preset(case).problem, SolveOptions(n=n)
+
+
+def _fine_path(monkeypatch, gp, opts):
+    """Fine FD Newton and polish at opts.n, with no coarse stage."""
+    with monkeypatch.context() as m:
+        m.setattr(solve, "COARSE_N", opts.n)
+        return solve_periodic(gp, opts)
+
+
+class TestCoarseToFine:
     @pytest.mark.parametrize("case", ["cosine", "cubic", "tank"])
-    def test_polish_makes_no_cyclic_solves(self, monkeypatch, case):
-        if case == "tank":
-            lp, opts = _tank_opts(5.0, 512)
-        else:
-            lp, opts = presets.preset(case).problem, SolveOptions(n=512)
+    def test_cyclic_solves_only_on_the_newton_grid(self, monkeypatch, case):
+        lp, opts = _case(case, 4096)
         gp = regularize(lp)
-        calls = []
+        sizes = []
         real = solve.solve_cyclic_tridiagonal
 
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
+        def counting(sub, diag, *rest):
+            sizes.append(len(diag))
+            return real(sub, diag, *rest)
 
         monkeypatch.setattr(solve, "solve_cyclic_tridiagonal", counting)
-        bare = solve_periodic(gp, dataclasses.replace(opts, polish=False))
-        newton_calls = len(calls)
         polished = solve_periodic(gp, opts)
-        # one cyclic solve per Newton step, the same with and without the polish
-        assert newton_calls == bare.iterations
-        assert len(calls) - newton_calls == newton_calls
-        assert polished.iterations - polished.polish_iterations == bare.iterations
-        assert polished.polish_iterations >= 1
-        assert bare.polish_iterations == 0
+        coarse_sizes = sizes[:]
+        sizes.clear()
+        bare = solve_periodic(gp, dataclasses.replace(opts, polish=False))
+        # one cyclic solve per Newton step, on 128 nodes with the polish and on n without
+        assert coarse_sizes and set(coarse_sizes) == {solve.COARSE_N} == {128}
+        assert len(coarse_sizes) == polished.iterations - polished.polish_iterations
+        assert polished.fd_n == 128 and polished.polish_iterations >= 1
+        assert sizes and set(sizes) == {4096}
+        assert len(sizes) == bare.iterations
+        assert bare.fd_n == 4096 and bare.polish_iterations == 0
 
+    @pytest.mark.parametrize(
+        "case, v0", [("cosine", None), ("cubic", None), ("tank", 5.0), ("tank", 6.0)]
+    )
+    def test_agrees_with_fine_newton_and_polish(self, monkeypatch, case, v0):
+        lp, opts = _case(case, 4096, v0)
+        gp = regularize(lp)
+        sol = solve_periodic(gp, opts)
+        reference = _fine_path(monkeypatch, gp, opts)
+        assert sol.fd_n == 128 and reference.fd_n == 4096
+        rel = float(np.max(np.abs(sol.values - reference.values))) / reference.max_value
+        assert rel <= 1e-12
+
+    def test_stalled_polish_falls_back_to_fine_newton(self, monkeypatch):
+        lp, opts = _case("tank", 4096)
+        gp = regularize(lp)
+
+        def no_steps(x, T, a, f_of, fprime_of):
+            d1, d2 = solve.spectral_derivatives(x, T)
+            return x, 0, float(np.max(np.abs(d2 + a * d1 - f_of(x))))
+
+        monkeypatch.setattr(solve, "_polish", no_steps)
+        sol = solve_periodic(gp, opts)
+        fine = _fine_path(monkeypatch, gp, opts)
+        assert sol.fd_n == fine.fd_n == 4096
+        assert sol.polish_iterations == fine.polish_iterations == 0
+        # Newton from the lifted iterate and from the constant guess both stop at
+        # the FD rounding floor, which pins the FD solution to about 1e-12
+        rel = float(np.max(np.abs(sol.values - fine.values))) / fine.max_value
+        assert rel <= 1e-11
+
+    def test_nonpositive_lift_runs_the_fine_path(self, monkeypatch):
+        lp, opts = _case("cosine", 1024)
+        gp = regularize(lp)
+        fine = _fine_path(monkeypatch, gp, opts)
+        real = solve.trig_interpolate
+
+        def lift(values, n_out):
+            out = real(values, n_out)
+            return -out if len(values) == solve.COARSE_N else out
+
+        monkeypatch.setattr(solve, "trig_interpolate", lift)
+        sol = solve_periodic(gp, opts)
+        assert sol.fd_n == 1024
+        assert np.array_equal(sol.values, fine.values)
+        assert sol.polish_iterations == fine.polish_iterations
+
+    def test_coarse_newton_failure_runs_the_fine_path(self, monkeypatch):
+        # near v0 = 12 two solution branches of the tank problem meet: Newton
+        # ends in NoConvergence on 128 nodes but converges on 4096
+        lp, opts = _tank_opts(12.0, 4096)
+        gp = regularize(lp)
+        with pytest.raises(NoConvergence):
+            solve._fd_newton(
+                np.full(128, math.sqrt(opts.bracket[0] * opts.bracket[1])),
+                gp.T / 128, gp.a, *solve._sampled(gp, 128)[3:], opts,
+            )
+        sol = solve_periodic(gp, opts)
+        fine = _fine_path(monkeypatch, gp, opts)
+        assert sol.fd_n == fine.fd_n == 4096
+        assert np.array_equal(sol.values, fine.values)
+        assert sol.iterations == fine.iterations
+
+
+class TestNewtonKrylovPolish:
     def test_tank_preset_to_rounding(self, tank_lp):
         gp = regularize(tank_lp(4.0))
         sol = solve_periodic(gp, SolveOptions(n=512, bracket=(4.0, 40.0)))
