@@ -31,6 +31,7 @@ from .errors import (
     NegativeState,
     NoConvergence,
     NonpositiveLevel,
+    OutOfFloatRange,
     PropertyViolation,
 )
 from .funcspec import PeriodicFunction
@@ -92,6 +93,7 @@ __all__ = [
     "NegativeState",
     "NoConvergence",
     "NonpositiveLevel",
+    "OutOfFloatRange",
     "PeriodicFunction",
     "PhysicalConfig",
     "PicardTrace",

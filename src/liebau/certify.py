@@ -31,7 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import greens
-from .errors import BadRadii, InapplicableCriterion, KappaNonpositive, LiebauError
+from .errors import (
+    BadRadii,
+    InapplicableCriterion,
+    KappaNonpositive,
+    LiebauError,
+    OutOfFloatRange,
+)
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
 
@@ -90,6 +96,11 @@ def _inapplicable(name, relation, note) -> Condition:
     return Condition(name, math.nan, math.nan, relation, True, 0.0, False, note)
 
 
+def _min_relative_margin(conditions) -> float:
+    vals = [c.relative_margin for c in conditions if c.applicable]
+    return min(vals) if vals else math.inf
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Verdict plus full numeric evidence for one condition system."""
@@ -118,8 +129,7 @@ class Certificate:
         raise KeyError(name)
 
     def min_relative_margin(self) -> float:
-        vals = [c.relative_margin for c in self.conditions if c.applicable]
-        return min(vals) if vals else math.inf
+        return _min_relative_margin(self.conditions)
 
     def to_dict(self) -> dict:
         params = {"m": self.m}
@@ -346,11 +356,51 @@ def _inner_radius(cm: float, m: float, mu: float, c: float, e_min: float, r2: fl
         return math.exp(hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # excess(exp(hi)) > 0 holds throughout, so once lo and hi are
+        # adjacent floats no later step can move lo
+        if mid == lo or mid == hi:
+            break
         if excess(math.exp(mid)) <= 0.0:
             lo = mid
         else:
             hi = mid
     return math.exp(lo)
+
+
+def _ceiling(name: str, level: float, c: float, mu: float, cm: float) -> float:
+    """(1/c_m) (level/c)^(1/mu), the R at which c (c_m R)^mu reaches ``level``.
+
+    Raises OutOfFloatRange, naming ``name``, when the value overflows or
+    underflows to 0; small mu makes the exponent large.
+    """
+    try:
+        value = (1.0 / cm) * (level / c) ** (1.0 / mu)
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise OutOfFloatRange(
+            f"{name} = (1/c_m)(level/c)^(1/mu) is beyond float range "
+            f"(level={level!r}, c={c!r}, mu={mu!r}, c_m={cm!r})"
+        )
+    return value
+
+
+def _positive_conditions(
+    lp: LiebauProblem, kernel: greens.GreensKernel, m: float, e_min: float, e_max: float, eps: float
+) -> tuple[Condition, ...]:
+    """The conditions of the positive-forcing criterion at one m.
+
+    Only the gate ``forcing_positive`` when e_min <= 0; otherwise the gate,
+    ``shift_lower`` and ``shift_window``.
+    """
+    c5 = _cond("forcing_positive", e_min, 0.0, ">=", max(eps, 1e-300))
+    if e_min <= 0.0:
+        return (c5,)
+    mu, c, cm = lp.mu, lp.c, kernel.cone_constant
+    lhs = (c * c / (mu * e_min * e_min)) * (e_max / cm**mu - e_min)
+    c6 = _cond("shift_lower", lhs, m * m, "<=", eps)
+    c6w = _cond("shift_window", m * m, kernel.m_max**2, "<=", eps)
+    return (c5, c6, c6w)
 
 
 def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Certificate:
@@ -365,14 +415,19 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
     R2 = (1/c_m)(e_max/c)^(1/mu), an inner radius R1 defined by the lower
     envelope construction, the largest forcing peak ``e_max_threshold`` that
     would still satisfy the criterion at this m, and the ceiling the
-    threshold would imply.
+    threshold would imply.  This is the one public path to a positive-forcing
+    certificate; ``search_certificate`` ranks the m grid on the conditions
+    alone and returns this function's certificate at the winning m.  Raises
+    OutOfFloatRange, naming the quantity, when R2 or the ceiling at the
+    threshold overflows or underflows to 0 (it happens at small mu, where
+    the exponent 1/mu is large).
     """
     kernel = greens.build(lp.a, m, lp.T)
     cm = kernel.cone_constant
     mu, c = lp.mu, lp.c
     e_min, e_max, _, _ = lp.e.extrema()
 
-    c5 = _cond("forcing_positive", e_min, 0.0, ">=", max(eps, 1e-300))
+    conditions = _positive_conditions(lp, kernel, m, e_min, e_max, eps)
     if e_min <= 0.0:
         return Certificate(
             theorem=THEOREM_POSITIVE_FORCING,
@@ -381,7 +436,7 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
             kappa=None,
             r1=None,
             r2=None,
-            conditions=(c5,),
+            conditions=conditions,
             cone_const=cm,
             kernel_diag=kernel.k0,
             m_max=kernel.m_max,
@@ -389,18 +444,13 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
             extras={"forcing_min": e_min, "forcing_max": e_max},
         )
 
-    lhs = (c * c / (mu * e_min * e_min)) * (e_max / cm**mu - e_min)
-    c6 = _cond("shift_lower", lhs, m * m, "<=", eps)
-    c6w = _cond("shift_window", m * m, kernel.m_max**2, "<=", eps)
-
     threshold = cm**mu * (e_min + m * m * mu * e_min * e_min / (c * c))
-    bound_at_threshold = (1.0 / cm) * (threshold / c) ** (1.0 / mu)
-    conditions = (c5, c6, c6w)
+    bound_at_threshold = _ceiling("bound_at_threshold", threshold, c, mu, cm)
     ok = all(cc.satisfied for cc in conditions)
     r1 = r2 = None
     localization = None
     if ok:
-        r2 = (1.0 / cm) * (e_max / c) ** (1.0 / mu)
+        r2 = _ceiling("localization ceiling R2", e_max, c, mu, cm)
         r1 = _inner_radius(cm, m, mu, c, e_min, r2)
         localization = (cm * r1, r2)
     return Certificate(
@@ -466,9 +516,15 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     geometric midpoint is used.  The route is picked from the sign of the
     forcing minimum: strictly positive forcing uses the two-inequality
     criterion, sign-changing forcing uses the kappa system (whose root
-    clearance bound is only meaningful there).  The m grid is scanned
-    serially in grid order and ties keep the earliest grid point, so the
-    result is a pure function of the problem and the options.
+    clearance bound is only meaningful there).  On the positive route the m
+    grid is ranked on the criterion's conditions alone, and R1 and R2 are
+    computed for the winning m only, by one ``check_positive_forcing`` call.
+    On both routes an m whose kernel cannot be built (``greens.build``
+    raises a LiebauError) is skipped, and a ceiling floor (e_max/c)^(1/mu)
+    beyond float range on the sign-changing route means that no radius
+    qualifies.  The m grid is scanned serially in grid order and ties keep
+    the earliest grid point, so the result is a pure function of the
+    problem and the options.
     """
     ebar, ok = check_necessary(lp)
     if not ok:
@@ -479,12 +535,18 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     ms = m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
 
     if e_min > 0.0:
-        best = None
-        for m in ms:
-            cert = check_positive_forcing(lp, float(m), eps=opts.eps)
-            if cert.passed and (best is None or cert.min_relative_margin() > best.min_relative_margin()):
-                best = cert
-        return best
+        best_m = best_score = None
+        for m in ms.tolist():
+            try:
+                kernel = greens.build(lp.a, m, lp.T)
+            except LiebauError:
+                continue
+            conditions = _positive_conditions(lp, kernel, m, e_min, e_max, opts.eps)
+            if all(cc.satisfied for cc in conditions):
+                score = _min_relative_margin(conditions)
+                if best_m is None or score > best_score:
+                    best_m, best_score = m, score
+        return None if best_m is None else check_positive_forcing(lp, best_m, eps=opts.eps)
 
     # sign-changing route: the positive part of the forcing must carry mass
     epos_mass = _positive_forcing_mass(lp)
@@ -492,7 +554,10 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
         return None
     mu, c = lp.mu, lp.c
     radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points)
-    r2_floor = (e_max / c) ** (1.0 / mu) if e_max > 0.0 else 0.0
+    try:
+        r2_floor = (e_max / c) ** (1.0 / mu) if e_max > 0.0 else 0.0
+    except OverflowError:
+        return None  # no radius on the grid reaches a floor beyond float range
 
     def scan_m(m: float):
         try:

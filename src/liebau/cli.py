@@ -10,8 +10,8 @@ field order, so identical inputs produce byte-identical output.
 
 Exit codes: 0 success (certificate passed / solver converged / all checks
 green), 1 ``verify`` found a failing check, 2 configuration or usage error (including an unknown option key, an
-option or problem value of the wrong type, not finite or out of range, and a
-malformed solution CSV), 3 certificate failed, 4 certificate inapplicable, 5
+option or problem value of the wrong type, not finite or out of range, a
+malformed solution CSV, and a certificate ceiling beyond float range), 3 certificate failed, 4 certificate inapplicable, 5
 search found nothing, 6 solver failed (no convergence, or the iterate left
 the positive cone).
 """

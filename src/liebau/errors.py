@@ -62,6 +62,14 @@ class LeftPositiveCone(LiebauError):
     """
 
 
+class OutOfFloatRange(LiebauError):
+    """A derived quantity, such as the ceiling (e_max / c)^(1/mu), is beyond float range.
+
+    Raised when the value would overflow, or underflow to 0 where only a
+    positive value is meaningful.  Small mu makes the exponent 1/mu large.
+    """
+
+
 class InapplicableCriterion(LiebauError):
     """The requested criterion does not apply to this problem instance."""
 

@@ -293,8 +293,7 @@ class PeriodicFunction:
             for i in _local_minima(sign * vals).tolist():
                 left = grid[i - 1] if i > 0 else grid[-1] - T
                 right = grid[i + 1] if i + 1 < n else grid[0] + T
-                t_star = parabolic_min(f, left, grid[i], right, tol)
-                v_star = f(t_star)
+                t_star, v_star = parabolic_min(f, left, grid[i], right, tol)
                 if v_star < best_v:
                     best_t, best_v = t_star, v_star
             return float(np.mod(best_t, T)), sign * best_v

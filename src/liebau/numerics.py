@@ -57,19 +57,22 @@ def simpson_segmented(
 
 def parabolic_min(
     f: Callable[[float], float], left: float, mid: float, right: float, tol: float
-) -> float:
+) -> tuple[float, float]:
     """Refine a bracketed local minimum by successive parabolic interpolation.
 
     Falls back to a golden-section step whenever the parabolic step
     degenerates or leaves the bracket, so kinked integrands are safe.
+    Returns ``(x, f(x))``.  The values at the bracket ends move with the
+    ends (Brent, *Algorithms for Minimization without Derivatives*, 1973),
+    so each iteration costs one call of ``f`` and a whole call at most
+    iterations + 3.
     """
     a, b = left, right
     x = mid
-    fx = f(x)
+    fa, fx, fb = f(a), f(x), f(b)
     for _ in range(200):
         if (b - a) <= tol:
             break
-        fa, fb = f(a), f(b)
         denom = (x - a) * (fx - fb) - (x - b) * (fx - fa)
         if denom != 0.0:
             v = x - 0.5 * ((x - a) ** 2 * (fx - fb) - (x - b) ** 2 * (fx - fa)) / denom
@@ -80,16 +83,16 @@ def parabolic_min(
         fv = f(v)
         if fv < fx:
             if v < x:
-                b = x
+                b, fb = x, fx
             else:
-                a = x
+                a, fa = x, fx
             x, fx = v, fv
         else:
             if v < x:
-                a = v
+                a, fa = v, fv
             else:
-                b = v
-    return x
+                b, fb = v, fv
+    return x, fx
 
 
 def solve_cyclic_tridiagonal(

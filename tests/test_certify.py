@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from liebau import certify, greens
 from liebau.certify import (
@@ -13,7 +14,14 @@ from liebau.certify import (
     check_sign_changing,
     search_certificate,
 )
-from liebau.errors import BadRadii, InapplicableCriterion, KappaNonpositive, MOutOfRange
+from liebau.errors import (
+    BadRadii,
+    InapplicableCriterion,
+    KappaNonpositive,
+    LiebauError,
+    MOutOfRange,
+    OutOfFloatRange,
+)
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import dump_json
 from liebau.problem import LiebauProblem, regularize
@@ -269,6 +277,167 @@ class TestSearch:
             second = search_certificate(lp)
             assert first is not None
             assert dump_json(first.to_dict()) == dump_json(second.to_dict())
+
+
+def two_hundred_step_inner_radius(cm, m, mu, c, e_min, r2):
+    """The earlier inner-radius bisection, which always ran all 200 steps."""
+    target = e_min * cm ** (1.0 - 2.0 * mu)
+
+    def excess(r):
+        return (1.0 - cm) * m * m * mu * r ** (2.0 * mu) + c * r**mu - target
+
+    lo, hi = math.log(r2) - 2000.0, math.log(r2)
+    if excess(math.exp(hi)) <= 0.0:
+        return math.exp(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if excess(math.exp(mid)) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
+
+
+def search_every_m(lp, opts=certify.SearchOptions()):
+    """The earlier positive route: a full check_positive_forcing at every m of the grid.
+
+    An m whose kernel cannot be built is skipped, as the search does.
+    """
+    m_max = greens.m_window(lp.a, lp.T)
+    k = opts.m_points
+    best = None
+    for m in m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k):
+        try:
+            greens.build(lp.a, float(m), lp.T)
+        except LiebauError:
+            continue
+        cert = check_positive_forcing(lp, float(m), eps=opts.eps)
+        if cert.passed and (best is None or cert.min_relative_margin() > best.min_relative_margin()):
+            best = cert
+    return best
+
+
+def same_certificate(a, b) -> bool:
+    if a is None or b is None:
+        return a is None and b is None
+    return dump_json(a.to_dict()) == dump_json(b.to_dict())
+
+
+class TestInnerRadius:
+    @given(
+        cm=st.floats(1e-3, 1.0, exclude_max=True),
+        m=st.floats(1e-3, 20.0),
+        mu=st.floats(1e-3, 0.5),
+        c=st.floats(1e-3, 10.0),
+        e_min=st.floats(1e-3, 10.0),
+        r2=st.floats(-200.0, 200.0).map(math.exp),
+    )
+    # excess(r2) <= 0: R2 itself is returned before any bisection step
+    @example(cm=0.94, m=0.7, mu=0.01, c=1.49, e_min=1.54, r2=1e-30)
+    # close to the cosine preset at m = 0.7
+    @example(cm=0.9414400495738342, m=0.7, mu=0.01, c=1.49, e_min=1.540053, r2=34.95)
+    def test_equal_to_two_hundred_step_loop(self, cm, m, mu, c, e_min, r2):
+        assert certify._inner_radius(cm, m, mu, c, e_min, r2) == two_hundred_step_inner_radius(
+            cm, m, mu, c, e_min, r2
+        )
+
+
+class TestSearchRanksOnConditions:
+    @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp"])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_equal_to_full_check_at_every_m(self, name, eps, request):
+        lp = request.getfixturevalue(name)
+        opts = certify.SearchOptions(eps=eps)
+        cert = search_certificate(lp, opts)
+        assert cert is not None and cert.passed
+        assert same_certificate(cert, search_every_m(lp, opts))
+
+    def test_strict_eps_excludes_grid_points(self, cosine_lp):
+        # eps = 0.05 really changes the ranking input: some m pass only at eps = 0
+        ms = greens.m_window(cosine_lp.a, cosine_lp.T) * np.linspace(1 / 65, 64 / 65, 64)
+        verdicts = [
+            (check_positive_forcing(cosine_lp, float(m)).passed,
+             check_positive_forcing(cosine_lp, float(m), eps=0.05).passed)
+            for m in ms
+        ]
+        assert (True, False) in verdicts and (True, True) in verdicts
+
+    def test_tie_keeps_the_earliest_grid_point(self, cosine_lp, monkeypatch):
+        # coarse relative margins make many grid points tie for the best score
+        exact = certify.Condition.relative_margin
+        monkeypatch.setattr(
+            certify.Condition, "relative_margin", property(lambda c: math.floor(4.0 * exact.fget(c)) / 4.0)
+        )
+        cert = search_certificate(cosine_lp)
+        assert same_certificate(cert, search_every_m(cosine_lp))
+        ms = greens.m_window(cosine_lp.a, cosine_lp.T) * np.linspace(1 / 65, 64 / 65, 64)
+        certs = [check_positive_forcing(cosine_lp, float(m)) for m in ms]
+        scores = [c.min_relative_margin() for c in certs if c.passed]
+        assert scores.count(max(scores)) > 1
+        assert cert.min_relative_margin() == max(scores)
+
+    def test_nothing_passes(self):
+        e = PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 1, 0.0)])
+        lp = LiebauProblem(a=1.6, mu=0.01, c=10.0, T=1.0, e=e)
+        assert search_certificate(lp) is None
+        assert search_every_m(lp) is None
+
+    def test_unbuildable_m_is_skipped(self):
+        # at a = 300 the kernel build raises PropertyViolation on 22 of the 64 grid points
+        e = PeriodicFunction.trig(1.0, 1.54215, [(0.002, 1, 0.0)])
+        lp = LiebauProblem(a=300.0, mu=0.01, c=1.49, T=1.0, e=e)
+        ms = greens.m_window(lp.a, lp.T) * np.linspace(1 / 65, 64 / 65, 64)
+        unbuildable = 0
+        for m in ms:
+            try:
+                greens.build(lp.a, float(m), lp.T)
+            except LiebauError:
+                unbuildable += 1
+        assert unbuildable > 0
+        cert = search_certificate(lp)
+        assert cert is not None and cert.passed
+        assert same_certificate(cert, search_every_m(lp))
+
+    @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp"])
+    def test_localizes_the_winner_only(self, name, request, monkeypatch):
+        lp = request.getfixturevalue(name)
+        counts = {"inner_radius": 0, "check": 0}
+        inner_radius, check = certify._inner_radius, certify.check_positive_forcing
+
+        def counted_inner_radius(*args):
+            counts["inner_radius"] += 1
+            return inner_radius(*args)
+
+        def counted_check(*args, **kwargs):
+            counts["check"] += 1
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "_inner_radius", counted_inner_radius)
+        monkeypatch.setattr(certify, "check_positive_forcing", counted_check)
+        cert = search_certificate(lp)
+        assert counts == {"inner_radius": 1, "check": 1}
+        again = certify.check_positive_forcing(lp, cert.m)
+        assert same_certificate(cert, again)
+        assert counts["inner_radius"] <= 2
+
+
+class TestSmallMu:
+    @pytest.mark.parametrize("level", [1.54215, 1.3])
+    def test_positive_check_names_the_quantity(self, level):
+        lp = LiebauProblem(1.6, 1e-5, 1.49, 1.0, PeriodicFunction.constant(1.0, level))
+        with pytest.raises(OutOfFloatRange, match="beyond float range"):
+            check_positive_forcing(lp, 0.7)
+        with pytest.raises(OutOfFloatRange, match="bound_at_threshold"):
+            search_certificate(lp)
+
+    def test_ceiling_underflow_is_named(self):
+        # (1/1.49)^10000 is about 1e-1732, which underflows to 0
+        with pytest.raises(OutOfFloatRange, match="localization ceiling R2"):
+            certify._ceiling("localization ceiling R2", 1.0, 1.49, 1e-4, 0.94)
+
+    def test_sign_route_floor_beyond_range_finds_nothing(self, trapezoid_lp):
+        lp = LiebauProblem(trapezoid_lp.a, 1e-5, trapezoid_lp.c, trapezoid_lp.T, trapezoid_lp.e)
+        assert search_certificate(lp) is None
 
 
 class TestSerialization:

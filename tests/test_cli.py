@@ -130,6 +130,52 @@ class TestSearchCommand:
         assert json.loads(out) == {"result": "none"}
 
 
+def write_config(tmp_path, problem) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"problem": problem}))
+    return str(path)
+
+
+class TestSearchEdgeCases:
+    def test_unbuildable_m_does_not_end_the_search(self, capsys, tmp_path):
+        # at a = 300 the kernel of 22 of the 64 grid points cannot be built
+        problem = {
+            "kind": "liebau", "a": 300.0, "mu": 0.01, "c": 1.49, "T": 1.0,
+            "e": {"type": "trig", "period": 1.0, "offset": 1.54215, "terms": [[0.002, 1, 0.0]]},
+        }
+        code, out, err = run_captured(capsys, ["search", "--config", write_config(tmp_path, problem)])
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "pass"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [1.54215, 1.3])
+    @pytest.mark.parametrize(
+        "argv", [["search"], ["certify", "--theorem", "positive_forcing", "-m", "0.7"]]
+    )
+    def test_small_mu_ceiling_is_a_config_error(self, capsys, tmp_path, value, argv):
+        problem = {
+            "kind": "liebau", "a": 1.6, "mu": 1e-5, "c": 1.49, "T": 1.0,
+            "e": {"type": "constant", "period": 1.0, "value": value},
+        }
+        path = write_config(tmp_path, problem)
+        code, out, err = run_captured(capsys, argv + ["--config", path])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "bound_at_threshold" in err and "beyond float range" in err
+        assert "Traceback" not in err
+
+    def test_small_mu_sign_route_finds_nothing(self, capsys, tmp_path):
+        problem = {
+            "kind": "liebau", "a": 1.6, "mu": 1e-5, "c": 0.005, "T": 1.0,
+            "e": {"type": "piecewise", "points": [
+                [0.0, -0.00005], [0.0005, 0.00548239], [0.9995, 0.00548239], [1.0, -0.00005]]},
+        }
+        code, out, err = run_captured(capsys, ["search", "--config", write_config(tmp_path, problem)])
+        assert code == EXIT_SEARCH_EMPTY
+        assert json.loads(out) == {"result": "none"}
+        assert "Traceback" not in err
+
+
 class TestSolveCommand:
     def test_cosine_solution_summary_and_csv(self, capsys, tmp_path):
         csv_path = tmp_path / "sol.csv"

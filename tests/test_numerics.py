@@ -1,8 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from liebau.numerics import cyclic_differences, gmres, solve_cyclic_tridiagonal, trig_interpolate
+from liebau.numerics import (
+    _INVPHI,
+    cyclic_differences,
+    gmres,
+    parabolic_min,
+    solve_cyclic_tridiagonal,
+    trig_interpolate,
+)
 
 
 def test_cyclic_differences_match_inline_roll_formula():
@@ -203,3 +212,100 @@ class TestTrigInterpolate:
 
         lifted = trig_interpolate(p(np.arange(128) / 128), n_out)
         np.testing.assert_allclose(lifted, p(np.arange(n_out) / n_out), rtol=0, atol=1e-13)
+
+
+def three_call_parabolic_min(f, left, mid, right, tol):
+    """The earlier refinement loop, which evaluated f(a), f(b) and f(v) per iteration.
+
+    Returns (x, iterations, golden-section steps).
+    """
+    a, b = left, right
+    x = mid
+    fx = f(x)
+    iterations = golden = 0
+    for _ in range(200):
+        if (b - a) <= tol:
+            break
+        iterations += 1
+        fa, fb = f(a), f(b)
+        denom = (x - a) * (fx - fb) - (x - b) * (fx - fa)
+        if denom != 0.0:
+            v = x - 0.5 * ((x - a) ** 2 * (fx - fb) - (x - b) ** 2 * (fx - fa)) / denom
+        else:
+            v = math.nan
+        if not (a < v < b) or not math.isfinite(v) or abs(v - x) < 0.1 * tol:
+            golden += 1
+            v = a + _INVPHI * (b - a) if x < 0.5 * (a + b) else b - _INVPHI * (b - a)
+        fv = f(v)
+        if fv < fx:
+            if v < x:
+                b = x
+            else:
+                a = x
+            x, fx = v, fv
+        else:
+            if v < x:
+                a = v
+            else:
+                b = v
+    return x, iterations, golden
+
+
+H_SCAN = 1.0 / 8192  # the extrema scan's grid step on a unit period
+T_TRIG = (math.pi - 0.3) / (2.0 * math.pi)  # minimum of cos(2 pi t + 0.3)
+T_KINK = 0.3141592653589793
+
+# (f, left, mid, right): a grid winner and its two neighbours, as the extrema scan passes them
+BRACKETS = {
+    "smooth-trig": (
+        lambda t: 1.54215 + 0.002097 * math.cos(2.0 * math.pi * t + 0.3),
+        *(round(T_TRIG / H_SCAN) * H_SCAN + k * H_SCAN for k in (-1, 0, 1)),
+    ),
+    "kinked": (
+        lambda t: abs(t - T_KINK),
+        *(round(T_KINK / H_SCAN) * H_SCAN + k * H_SCAN for k in (-1, 0, 1)),
+    ),
+    "flat": (lambda t: 2.0, 0.5 - H_SCAN, 0.5, 0.5 + H_SCAN),
+    # the parabola through the three points has its vertex on the left end,
+    # outside the open bracket, so the first step is a golden-section step
+    "vertex-outside": (lambda t: t * t, 0.0, 0.9, 1.0),
+}
+
+
+class TestParabolicMin:
+    @pytest.mark.parametrize("case", sorted(BRACKETS))
+    def test_bitwise_equal_to_three_call_loop(self, case):
+        f, left, mid, right = BRACKETS[case]
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return f(t)
+
+        x, fx = parabolic_min(counted, left, mid, right, 1e-12)
+        x_old, iterations, golden = three_call_parabolic_min(f, left, mid, right, 1e-12)
+        assert x == x_old
+        assert fx == f(x)
+        assert iterations > 0
+        assert len(calls) <= iterations + 3
+        if case in ("flat", "vertex-outside"):
+            assert golden > 0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1.0, 1.0), st.integers(1, 6), st.floats(0.0, 2.0 * math.pi)
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.integers(0, 8191),
+    )
+    def test_bitwise_equal_on_random_trig_brackets(self, terms, i):
+        def f(t):
+            return sum(a * math.cos(2.0 * math.pi * k * t + p) for a, k, p in terms)
+
+        left, mid, right = (i - 1) * H_SCAN, i * H_SCAN, (i + 1) * H_SCAN
+        x, fx = parabolic_min(f, left, mid, right, 1e-12)
+        assert x == three_call_parabolic_min(f, left, mid, right, 1e-12)[0]
+        assert fx == f(x)
