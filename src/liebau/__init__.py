@@ -48,7 +48,6 @@ from .problem import (
 )
 from .certify import (
     Certificate,
-    CheckOptions,
     Condition,
     SearchOptions,
     check_general,
@@ -77,7 +76,6 @@ __all__ = [
     "BadPeriod",
     "BadRadii",
     "Certificate",
-    "CheckOptions",
     "Condition",
     "ConeReport",
     "ConfigError",

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import greens, presets
 from .certify import (
-    CheckOptions,
     check_general,
     check_legacy_criterion,
     check_positive_forcing,
@@ -221,7 +220,7 @@ def check_search_soundness() -> CheckResult:
             g0 = lp.e.positive_part().scale(cert.kappa)
         else:
             g0 = PeriodicFunction.constant(lp.T, m * m * r1)
-        general = check_general(gp, m, r1, r2, g0, g1, CheckOptions(eps=QUAD_EPS))
+        general = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
         sol = solve_periodic(gp)  # constant guess from the forcing mean
         cone = cone_and_localization(sol, cert.cone_const, r1, r2)
         facts.extend(

@@ -20,7 +20,8 @@ Three condition systems are implemented:
   could still certify at this m.
 
 A deterministic grid search automates the parameter hunt for both pipe-level
-systems.
+systems.  It ranks the grid on the pipe-level checkers' own conditions (the
+same helpers build them), so a tuple it keeps passes the checker it returns.
 """
 
 from __future__ import annotations
@@ -158,27 +159,29 @@ class Certificate:
         return out
 
 
-@dataclass(frozen=True)
-class CheckOptions:
-    """Grid densities and strictness for the general condition checker."""
-
-    t_points: int = 512
-    x_points: int = 512
-    base_panels: int = 1024
-    eps: float = 0.0  # require margin >= eps; negative values tolerate quadrature noise
+# check_general's t and x sample counts and its kernel-response quadrature panels
+GENERAL_T_POINTS = 512
+GENERAL_X_POINTS = 512
+GENERAL_BASE_PANELS = 1024
 
 
-def _t_grid(gp: GeneralProblem, extra: list[PeriodicFunction], n: int) -> np.ndarray:
-    pts = list(np.linspace(0.0, gp.T, n, endpoint=False))
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique(values)`` without its first-call import of ``numpy.ma``."""
+    out = np.sort(values)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
+def _t_grid(gp: GeneralProblem, extra: list[PeriodicFunction]) -> np.ndarray:
+    pts = list(np.linspace(0.0, gp.T, GENERAL_T_POINTS, endpoint=False))
     for f in [gp.r, gp.s] + extra:
         pts.extend(f.breakpoints())
-    return np.unique(np.asarray(pts, dtype=float))
+    return _sorted_unique(np.asarray(pts, dtype=float))
 
 
-def _x_grid(lo: float, hi: float, n: int) -> np.ndarray:
+def _x_grid(lo: float, hi: float) -> np.ndarray:
     if lo <= 0.0:
         raise BadRadii(f"band floor must be positive, got {lo!r}")
-    return np.unique(np.concatenate([np.geomspace(lo, hi, n), [lo, hi]]))
+    return _sorted_unique(np.concatenate([np.geomspace(lo, hi, GENERAL_X_POINTS), [lo, hi]]))
 
 
 def check_general(
@@ -188,7 +191,7 @@ def check_general(
     r2: float,
     g0: PeriodicFunction,
     g1: PeriodicFunction,
-    opts: CheckOptions = CheckOptions(),
+    eps: float = 0.0,
 ) -> Certificate:
     """Verify the general band/envelope condition system.
 
@@ -203,22 +206,23 @@ def check_general(
     * ``lower_response_max``:  max_t int G g0 >= R1
 
     The verdict is pass when the three envelope facts hold together with at
-    least one of each response pair.  Envelope facts are sampled on a
-    t x x grid (log-spaced in x, endpoints included, coefficient breakpoints
-    inserted in t); responses come from ``greens.apply_kernel``.
+    least one of each response pair, each with margin >= eps (a negative eps
+    tolerates quadrature noise).  Envelope facts are sampled on a t x x grid
+    (GENERAL_T_POINTS uniform t values with the coefficient breakpoints
+    inserted, GENERAL_X_POINTS log-spaced x values with the endpoints);
+    responses come from ``greens.apply_kernel`` with GENERAL_BASE_PANELS.
     """
     if not (0.0 < r1 < r2):
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
     kernel = greens.build(gp.a, m, gp.T)
     cm = kernel.cone_constant
-    eps = opts.eps
 
-    ts = _t_grid(gp, [g0, g1], opts.t_points)
+    ts = _t_grid(gp, [g0, g1])
     g0_t = np.asarray(g0(ts), dtype=float)
     g1_t = np.asarray(g1(ts), dtype=float)
 
     def band_values(lo, hi):
-        xs = _x_grid(lo, hi, opts.x_points)
+        xs = _x_grid(lo, hi)
         return shifted_rhs(gp, m, ts[:, None], xs[None, :])
 
     h1 = _cond("nonneg_on_band", float(np.min(band_values(cm * r1, r2))), 0.0, ">=", eps)
@@ -229,8 +233,8 @@ def check_general(
         "lower_envelope", h5_min, 0.0, ">=", eps, note="min of (f_m - g0) and of g0 on the band"
     )
 
-    delta = greens.apply_kernel(kernel, g1, ts, opts.base_panels)
-    gamma = greens.apply_kernel(kernel, g0, ts, opts.base_panels)
+    delta = greens.apply_kernel(kernel, g1, ts, GENERAL_BASE_PANELS)
+    gamma = greens.apply_kernel(kernel, g0, ts, GENERAL_BASE_PANELS)
     h3 = _cond("upper_response_min", float(delta.min()), cm * r2, "<=", eps)
     h4 = _cond("upper_response_max", float(delta.max()), r2, "<=", eps)
     h6 = _cond("lower_response_min", float(gamma.min()), cm * r1, ">=", eps)
@@ -264,6 +268,36 @@ def _positive_forcing_mass(lp: LiebauProblem) -> float:
     return lp.e.positive_part().mean() * lp.T
 
 
+def _kappa_interval(y1: float, mu: float, k0: float, epos_mass: float):
+    """(y1^(1-2 mu), kappa_lo, kappa_hi) at y1 = c_m R1: ``kappa_lower`` holds for
+    kappa >= y1 / (K(0) integral e_+), ``kappa_upper`` for kappa <= y1^(1-2 mu) / mu."""
+    power = y1 ** (1.0 - 2.0 * mu)
+    kappa_lo = y1 / (k0 * epos_mass) if epos_mass > 0.0 else math.inf
+    return power, kappa_lo, power / mu
+
+
+def _root_clearance_sides(lp: LiebauProblem, m: float, y1: float, e_min: float):
+    """The two sides of ``root_clearance``, which asks lhs >= rhs."""
+    mu, c = lp.mu, lp.c
+    return y1**mu, (c + math.sqrt(c * c - 4.0 * mu * m * m * e_min)) / (2.0 * mu * m * m)
+
+
+def _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps):
+    """``root_clearance``, ``kappa_upper`` and ``kappa_lower``; power = y1^(1-2 mu)."""
+    if e_min > 0.0:
+        note = "forcing minimum is positive; this bound addresses sign-changing forcing only"
+        c1 = _inapplicable("root_clearance", ">=", note)
+    else:
+        c1 = _cond("root_clearance", *_root_clearance_sides(lp, m, y1, e_min), ">=", eps)
+    c2 = _cond("kappa_upper", power, kappa * lp.mu, ">=", eps)
+    c3 = _cond("kappa_lower", k0 * epos_mass, y1 / kappa, ">=", eps)
+    return c1, c2, c3
+
+
+def _ceiling_clearance(lp: LiebauProblem, e_max: float, r2: float, eps: float) -> Condition:
+    return _cond("ceiling_clearance", e_max, lp.c * r2**lp.mu, "<=", eps)
+
+
 def check_sign_changing(
     lp: LiebauProblem,
     m: float,
@@ -285,7 +319,8 @@ def check_sign_changing(
     * ``ceiling_clearance``: e_max <= c R2^mu
 
     A pass certifies a positive periodic solution of the regularized problem
-    with values in [c_m R1, R2].
+    with values in [c_m R1, R2].  The extras carry the kappa interval that
+    the two kappa conditions admit at this R1 (see ``_kappa_interval``).
     """
     if kappa <= 0.0:
         raise KappaNonpositive(f"kappa must be positive, got {kappa!r}")
@@ -293,28 +328,14 @@ def check_sign_changing(
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
     kernel = greens.build(lp.a, m, lp.T)
     cm = kernel.cone_constant
-    mu, c = lp.mu, lp.c
     e_min, e_max, _, _ = lp.e.extrema()
     y1 = cm * r1
-
-    if e_min > 0.0:
-        c1 = _inapplicable(
-            "root_clearance",
-            ">=",
-            "forcing minimum is positive; this bound addresses sign-changing forcing only",
-        )
-    else:
-        rhs = (c + math.sqrt(c * c - 4.0 * mu * m * m * e_min)) / (2.0 * mu * m * m)
-        c1 = _cond("root_clearance", y1**mu, rhs, ">=", eps)
-
-    c2 = _cond("kappa_upper", y1 ** (1.0 - 2.0 * mu), kappa * mu, ">=", eps)
     epos_mass = _positive_forcing_mass(lp)
-    c3 = _cond("kappa_lower", kernel.k0 * epos_mass, y1 / kappa, ">=", eps)
-    c4 = _cond("ceiling_clearance", e_max, c * r2**mu, "<=", eps)
-
-    kappa_lo = y1 / (kernel.k0 * epos_mass) if epos_mass > 0.0 else math.inf
-    kappa_hi = y1 ** (1.0 - 2.0 * mu) / mu
-    conditions = (c1, c2, c3, c4)
+    power, kappa_lo, kappa_hi = _kappa_interval(y1, lp.mu, kernel.k0, epos_mass)
+    conditions = (
+        *_inner_conditions(lp, m, kappa, y1, power, kernel.k0, epos_mass, e_min, eps),
+        _ceiling_clearance(lp, e_max, r2, eps),
+    )
     ok = all(cc.satisfied for cc in conditions)
     return Certificate(
         theorem=THEOREM_SIGN_CHANGING,
@@ -516,15 +537,16 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     geometric midpoint is used.  The route is picked from the sign of the
     forcing minimum: strictly positive forcing uses the two-inequality
     criterion, sign-changing forcing uses the kappa system (whose root
-    clearance bound is only meaningful there).  On the positive route the m
-    grid is ranked on the criterion's conditions alone, and R1 and R2 are
-    computed for the winning m only, by one ``check_positive_forcing`` call.
-    On both routes an m whose kernel cannot be built (``greens.build``
-    raises a LiebauError) is skipped, and a ceiling floor (e_max/c)^(1/mu)
-    beyond float range on the sign-changing route means that no radius
-    qualifies.  The m grid is scanned serially in grid order and ties keep
-    the earliest grid point, so the result is a pure function of the
-    problem and the options.
+    clearance bound is only meaningful there).  Both routes rank the grid on
+    their checker's own conditions, all required to hold at ``opts.eps``,
+    and call the checker once, at the winner (so on the positive route R1
+    and R2 are computed for the winning m only).  ``ceiling_clearance``
+    depends on R2 alone and is evaluated once per radius; when no radius
+    passes it (small mu flattens c R2^mu) nothing qualifies.  An m whose
+    kernel cannot be built (``greens.build`` raises a LiebauError) is
+    skipped.  The grid is scanned serially and ties keep the earliest
+    (m, R1, R2), so the result is a pure function of the problem and the
+    options.
     """
     ebar, ok = check_necessary(lp)
     if not ok:
@@ -533,75 +555,61 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     m_max = greens.m_window(lp.a, lp.T)
     k = opts.m_points
     ms = m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
+    eps = opts.eps
 
     if e_min > 0.0:
-        best_m = best_score = None
-        for m in ms.tolist():
-            try:
-                kernel = greens.build(lp.a, m, lp.T)
-            except LiebauError:
-                continue
-            conditions = _positive_conditions(lp, kernel, m, e_min, e_max, opts.eps)
+        check = check_positive_forcing
+
+        def best_at(kernel, m):
+            conditions = _positive_conditions(lp, kernel, m, e_min, e_max, eps)
             if all(cc.satisfied for cc in conditions):
-                score = _min_relative_margin(conditions)
-                if best_m is None or score > best_score:
-                    best_m, best_score = m, score
-        return None if best_m is None else check_positive_forcing(lp, best_m, eps=opts.eps)
-
-    # sign-changing route: the positive part of the forcing must carry mass
-    epos_mass = _positive_forcing_mass(lp)
-    if epos_mass <= 0.0:
-        return None
-    mu, c = lp.mu, lp.c
-    radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points)
-    try:
-        r2_floor = (e_max / c) ** (1.0 / mu) if e_max > 0.0 else 0.0
-    except OverflowError:
-        return None  # no radius on the grid reaches a floor beyond float range
-
-    def scan_m(m: float):
-        try:
-            kernel = greens.build(lp.a, float(m), lp.T)
-        except LiebauError:
+                return _min_relative_margin(conditions), (m,)
             return None
-        cm, k0 = kernel.cone_constant, kernel.k0
-        root_rhs = (c + math.sqrt(c * c - 4.0 * mu * m * m * e_min)) / (2.0 * mu * m * m)
-        best = None  # (min_rel_margin, r1, kappa, r2)
-        for r1 in radii:
-            y1 = cm * r1
-            margin1 = y1**mu - root_rhs
-            if margin1 < opts.eps:
-                continue
-            kappa_lo = y1 / (k0 * epos_mass)
-            kappa_hi = y1 ** (1.0 - 2.0 * mu) / mu
-            if kappa_lo > kappa_hi:
-                continue
-            kappa = math.sqrt(kappa_lo * kappa_hi)
-            margin2 = y1 ** (1.0 - 2.0 * mu) - kappa * mu
-            margin3 = k0 * epos_mass - y1 / kappa
-            rel1 = margin1 / max(y1**mu, root_rhs)
-            rel2 = margin2 / max(y1 ** (1.0 - 2.0 * mu), kappa * mu)
-            rel3 = margin3 / max(k0 * epos_mass, y1 / kappa)
-            common = min(rel1, rel2, rel3)
-            for r2 in radii:
-                if r2 <= r1 or r2 < r2_floor:
-                    continue
-                margin4 = c * r2**mu - e_max
-                if margin4 < opts.eps:
-                    continue
-                rel4 = margin4 / max(abs(e_max), c * r2**mu)
-                score = min(common, rel4)
-                if best is None or score > best[0]:
-                    best = (score, float(r1), kappa, float(r2))
-        return best
 
-    winner = None  # (score, m, r1, kappa, r2)
-    for m in ms:
-        res = scan_m(m)
-        if res is not None and (winner is None or res[0] > winner[0]):
-            winner = (res[0], float(m), res[1], res[2], res[3])
-    if winner is None:
-        return None
-    _, m, r1, kappa, r2 = winner
-    cert = check_sign_changing(lp, m, kappa, r1, r2, eps=opts.eps)
-    return cert if cert.passed else None
+    else:
+        # sign-changing route: the positive part of the forcing must carry mass
+        epos_mass = _positive_forcing_mass(lp)
+        if epos_mass <= 0.0:
+            return None
+        radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points).tolist()
+        clearances = [_ceiling_clearance(lp, e_max, r2, eps) for r2 in radii]
+        ceilings = [(r2, cc.relative_margin) for r2, cc in zip(radii, clearances) if cc.satisfied]
+        if not ceilings:
+            return None
+        check = check_sign_changing
+
+        def best_at(kernel, m):
+            best = None  # (score, (m, kappa, r1, r2))
+            for r1 in radii:
+                y1 = kernel.cone_constant * r1
+                power, kappa_lo, kappa_hi = _kappa_interval(y1, lp.mu, kernel.k0, epos_mass)
+                if kappa_lo > kappa_hi:
+                    continue
+                # most R1 that get here fail root_clearance: test its sides
+                # before building the three Condition records
+                lhs, rhs = _root_clearance_sides(lp, m, y1, e_min)
+                if lhs - rhs < eps:
+                    continue
+                kappa = math.sqrt(kappa_lo * kappa_hi)
+                inner = _inner_conditions(lp, m, kappa, y1, power, kernel.k0, epos_mass, e_min, eps)
+                if not all(cc.satisfied for cc in inner):
+                    continue
+                common = _min_relative_margin(inner)
+                for r2, rel in ceilings:
+                    if r2 <= r1:
+                        continue
+                    score = min(common, rel)
+                    if best is None or score > best[0]:
+                        best = (score, (m, kappa, r1, r2))
+            return best
+
+    winner = None  # (score, the checker's parameters after lp)
+    for m in ms.tolist():
+        try:
+            kernel = greens.build(lp.a, m, lp.T)
+        except LiebauError:
+            continue
+        best = best_at(kernel, m)
+        if best is not None and (winner is None or best[0] > winner[0]):
+            winner = best
+    return None if winner is None else check(lp, *winner[1], eps=eps)

@@ -363,8 +363,7 @@ def _cmd_certify(args) -> int:
         gp = problem if isinstance(problem, GeneralProblem) else regularize(_liebau_problem(cfg))
         _require(opts, "certify", "m", "r1", "r2", "g0", "g1")
         cert = certify.check_general(
-            gp, opts["m"], opts["r1"], opts["r2"], opts["g0"], opts["g1"],
-            certify.CheckOptions(eps=eps),
+            gp, opts["m"], opts["r1"], opts["r2"], opts["g0"], opts["g1"], eps=eps
         )
     else:
         raise ConfigError(f"unknown theorem {theorem!r}", "certify.theorem")

@@ -389,13 +389,14 @@ class KernelReport:
     passed: bool
 
 
-def verify_properties(
-    kernel: GreensKernel,
-    tol: float = 1e-8,
-    grid: int = 256,
-    fd_points: int = 4096,
-    reproduction_tol: float = 1e-6,
-) -> KernelReport:
+# verify_properties: mass and cone-chain tolerance, t x s grid, reproduction FD grid and tolerance
+PROPERTY_TOL = 1e-8
+PROPERTY_GRID = 256
+REPRODUCTION_FD_POINTS = 4096
+REPRODUCTION_TOL = 1e-6
+
+
+def verify_properties(kernel: GreensKernel) -> KernelReport:
     """Measure positivity, unit mass, the cone chain, and reproduction.
 
     Reproduction feeds smooth test forcings through the kernel and checks the
@@ -407,7 +408,7 @@ def verify_properties(
     """
     a, m, T = kernel.a, kernel.m, kernel.T
 
-    ts = np.linspace(0.0, T, grid, endpoint=False)
+    ts = np.linspace(0.0, T, PROPERTY_GRID, endpoint=False)
     tau_grid = np.mod(ts[:, None] - ts[None, :], T)
     G = kernel.at(tau_grid)
     positivity_min = float(G.min())
@@ -433,8 +434,8 @@ def verify_properties(
         PeriodicFunction.trig(T, 1.0, [(0.3, 1, 0.0), (0.1, 2, 0.7), (0.05, 4, 2.0)]),
     ]
     worst_res = 0.0
-    nodes = np.linspace(0.0, T, fd_points, endpoint=False)
-    h_step = T / fd_points
+    nodes = np.linspace(0.0, T, REPRODUCTION_FD_POINTS, endpoint=False)
+    h_step = T / REPRODUCTION_FD_POINTS
     for hf in h_tests:
         x = apply_kernel(kernel, hf, nodes)
         d1, d2 = cyclic_differences(x)
@@ -444,9 +445,9 @@ def verify_properties(
 
     passed = (
         positivity_min > 0.0
-        and mass_dev <= tol
-        and chain_violation <= max(tol, 1e-12)
-        and worst_res <= reproduction_tol
+        and mass_dev <= PROPERTY_TOL
+        and chain_violation <= max(PROPERTY_TOL, 1e-12)
+        and worst_res <= REPRODUCTION_TOL
     )
     report = KernelReport(positivity_min, mass_dev, chain_violation, worst_res, passed)
     if not passed:

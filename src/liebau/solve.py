@@ -19,9 +19,8 @@ or the polish ends above the FD rounding floor at n, as on data the coarse
 grid cannot resolve), the FD Newton stage runs again at n, from the lifted
 iterate when it is positive and from the initial guess otherwise, and the
 polish follows.  ``GridSolution.fd_n`` records the grid of the Newton stage
-that gave the solution.  A guess given as an array of n values skips the
-coarse stage.  Without the polish the FD stage runs at n alone: a clean
-second-order scheme whose order can be observed.
+that gave the solution.  Without the polish the FD stage runs at n alone:
+a clean second-order scheme whose order can be observed.
 
 Residual reporting: ``sup_residual`` is the collocated residual of the
 returned representation measured on a ``refine_factor`` times finer grid,
@@ -72,7 +71,7 @@ class SolveOptions:
     n: int = 512
     tol: float = 1e-12  # sup-norm bound on the accepted Newton update, times min(1, max x)
     max_iter: int = 50
-    initial: float | np.ndarray | None = None
+    initial: float | None = None
     bracket: tuple[float, float] | None = None  # geometric midpoint used as constant guess
     polish: bool = True
     refine_factor: int = 4
@@ -157,12 +156,7 @@ def _sampled(gp: GeneralProblem, n: int):
 
 def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarray:
     if opts.initial is not None:
-        init = np.asarray(opts.initial, dtype=float)
-        if init.ndim == 0:
-            return np.full(n, float(init))
-        if len(init) != n:
-            raise LiebauError(f"initial guess has {len(init)} values, expected {n}")
-        return init.copy()
+        return np.full(n, float(opts.initial))
     if opts.bracket is not None:
         lo, hi = opts.bracket
         if not (0.0 < lo < hi):
@@ -201,8 +195,7 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
     x = None
     start = None
     iterations = polish_iters = 0
-    # the coarse stage needs a constant guess, which any grid can take
-    if opts.polish and n > COARSE_N and np.ndim(opts.initial) == 0:
+    if opts.polish and n > COARSE_N:
         f_c, fprime_c = _sampled(gp, COARSE_N)[3:]
         try:
             x_c, iterations = _fd_newton(

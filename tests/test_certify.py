@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,7 +9,6 @@ from hypothesis import example, given, strategies as st
 
 from liebau import certify, greens
 from liebau.certify import (
-    CheckOptions,
     check_general,
     check_legacy_criterion,
     check_necessary,
@@ -177,7 +179,7 @@ class TestGeneralChecker:
         m, r1, r2 = 0.7, 25.0, 1e4
         g1 = PeriodicFunction.constant(1.0, m * m * r2)
         g0 = PeriodicFunction.constant(1.0, m * m * r1)
-        cert = check_general(gp, m, r1, r2, g0, g1, CheckOptions(eps=QUAD_EPS))
+        cert = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
         up_max = cert.condition("upper_response_max")
         assert abs(up_max.margin) < 1e-9
         assert up_max.satisfied
@@ -194,7 +196,7 @@ class TestGeneralChecker:
         gp = regularize(trapezoid_lp)
         g1 = PeriodicFunction.constant(1.0, 0.49 * 1e4)
         g0 = trapezoid_lp.e.positive_part().scale(2200.0)
-        gen = check_general(gp, 0.7, 25.0, 1e4, g0, g1, CheckOptions(eps=QUAD_EPS))
+        gen = check_general(gp, 0.7, 25.0, 1e4, g0, g1, eps=QUAD_EPS)
         assert gen.passed
         for name in ("nonneg_on_band", "upper_envelope", "upper_response_max",
                      "lower_envelope", "lower_response_min"):
@@ -419,6 +421,203 @@ class TestSearchRanksOnConditions:
         again = certify.check_positive_forcing(lp, cert.m)
         assert same_certificate(cert, again)
         assert counts["inner_radius"] <= 2
+
+
+def trapezoid(a: float, plateau: float) -> LiebauProblem:
+    e = PeriodicFunction.piecewise_linear(
+        [(0.0, -0.00005), (0.0005, plateau), (0.9995, plateau), (1.0, -0.00005)]
+    )
+    return LiebauProblem(a=a, mu=0.01, c=0.005, T=1.0, e=e)
+
+
+# sign-changing problems with the smallest radius of their search grid: three
+# trapezoids from the corners and the middle of the benchmark's box, and a
+# cosine with minimum -5e-5, whose R1 lies far below the default grid
+SIGN_PROBLEMS = {
+    "trapezoid_1.4": (trapezoid(1.4, 0.0050), 1e-6),
+    "trapezoid_1.6": (trapezoid(1.6, 0.0054), 1e-6),
+    "trapezoid_1.8": (trapezoid(1.8, 0.0058), 1e-6),
+    "trig": (
+        LiebauProblem(1.6, 0.01, 0.005, 1.0, PeriodicFunction.trig(1.0, 0.0027, [(0.00275, 1, 0.0)])),
+        1e-60,
+    ),
+}
+
+
+def hand_written_sign_scan(lp, opts=certify.SearchOptions()):
+    """The earlier sign-changing route, with the four inequalities written out by hand.
+
+    It did not require kappa_upper and kappa_lower to meet eps, and it
+    skipped every R2 below the floor (e_max/c)^(1/mu).
+    """
+    e_min, e_max, _, _ = lp.e.extrema()
+    m_max = greens.m_window(lp.a, lp.T)
+    k = opts.m_points
+    ms = m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
+    epos_mass = lp.e.positive_part().mean() * lp.T
+    mu, c = lp.mu, lp.c
+    radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points)
+    r2_floor = (e_max / c) ** (1.0 / mu)
+    winner = None
+    for m in ms:
+        try:
+            kernel = greens.build(lp.a, float(m), lp.T)
+        except LiebauError:
+            continue
+        cm, k0 = kernel.cone_constant, kernel.k0
+        root_rhs = (c + math.sqrt(c * c - 4.0 * mu * m * m * e_min)) / (2.0 * mu * m * m)
+        for r1 in radii:
+            y1 = cm * r1
+            margin1 = y1**mu - root_rhs
+            if margin1 < opts.eps:
+                continue
+            kappa_lo = y1 / (k0 * epos_mass)
+            kappa_hi = y1 ** (1.0 - 2.0 * mu) / mu
+            if kappa_lo > kappa_hi:
+                continue
+            kappa = math.sqrt(kappa_lo * kappa_hi)
+            margin2 = y1 ** (1.0 - 2.0 * mu) - kappa * mu
+            margin3 = k0 * epos_mass - y1 / kappa
+            common = min(
+                margin1 / max(y1**mu, root_rhs),
+                margin2 / max(y1 ** (1.0 - 2.0 * mu), kappa * mu),
+                margin3 / max(k0 * epos_mass, y1 / kappa),
+            )
+            for r2 in radii:
+                if r2 <= r1 or r2 < r2_floor:
+                    continue
+                margin4 = c * r2**mu - e_max
+                if margin4 < opts.eps:
+                    continue
+                score = min(common, margin4 / max(abs(e_max), c * r2**mu))
+                if winner is None or score > winner[0]:
+                    winner = (score, float(m), float(r1), kappa, float(r2))
+    if winner is None:
+        return None
+    _, m, r1, kappa, r2 = winner
+    cert = check_sign_changing(lp, m, kappa, r1, r2, eps=opts.eps)
+    return cert if cert.passed else None
+
+
+def brute_force_sign(lp, opts):
+    """The best check_sign_changing over every (m, R1, geometric-mid kappa, R2) of the grid."""
+    m_max = greens.m_window(lp.a, lp.T)
+    k = opts.m_points
+    radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points).tolist()
+    best = None
+    for m in (m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)).tolist():
+        for i, r1 in enumerate(radii[:-1]):
+            extras = check_sign_changing(lp, m, 1.0, r1, radii[-1]).extras
+            kappa = math.sqrt(extras["kappa_interval_lower"] * extras["kappa_interval_upper"])
+            for r2 in radii[i + 1:]:
+                cert = check_sign_changing(lp, m, kappa, r1, r2, eps=opts.eps)
+                if cert.passed and (
+                    best is None or cert.min_relative_margin() > best.min_relative_margin()
+                ):
+                    best = cert
+    return best
+
+
+class TestSignSearchRanksOnConditions:
+    @pytest.mark.parametrize("eps", [0.0, -1e-9])
+    @pytest.mark.parametrize("name", ["preset", *SIGN_PROBLEMS])
+    def test_equal_to_hand_written_scan(self, name, eps, trapezoid_lp):
+        lp, radius_lo = (trapezoid_lp, 1e-6) if name == "preset" else SIGN_PROBLEMS[name]
+        opts = certify.SearchOptions(radius_lo=radius_lo, eps=eps)
+        cert = search_certificate(lp, opts)
+        assert cert is not None and cert.passed
+        assert cert.theorem == certify.THEOREM_SIGN_CHANGING
+        assert same_certificate(cert, hand_written_sign_scan(lp, opts))
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    def test_equal_to_brute_force(self, trapezoid_lp, eps):
+        opts = certify.SearchOptions(m_points=8, radius_points=12, eps=eps)
+        oracle = brute_force_sign(trapezoid_lp, opts)
+        assert oracle is not None
+        assert same_certificate(search_certificate(trapezoid_lp, opts), oracle)
+
+    def test_strict_eps_needs_the_kappa_conditions(self, trapezoid_lp):
+        # at eps = 1e-6 the hand-written scan's winner fails kappa_upper or
+        # kappa_lower, so it returned nothing although grid tuples pass
+        opts = certify.SearchOptions(eps=1e-6)
+        assert hand_written_sign_scan(trapezoid_lp, opts) is None
+        cert = search_certificate(trapezoid_lp, opts)
+        assert cert is not None and cert.passed
+        assert (cert.m, cert.r1, cert.r2) == (
+            0.74811969270580392, 0.00095218953540840748, 414019.95764592243
+        )
+        assert cert.min_relative_margin() >= 0.0
+        assert all(cc.margin >= 1e-6 for cc in cert.conditions)
+
+    def test_no_radius_clears_the_ceiling(self, trapezoid_lp):
+        # ceiling_clearance needs R2 >= (e_max/c)^(1/mu), about 9.6e3, while
+        # the tuple found at eps = 1e-6 passes the other three conditions
+        opts = certify.SearchOptions(radius_points=12, radius_hi=5e3)
+        assert search_certificate(trapezoid_lp, opts) is None
+        assert hand_written_sign_scan(trapezoid_lp, opts) is None
+        assert brute_force_sign(trapezoid_lp, opts) is None
+        inner = check_sign_changing(trapezoid_lp, 0.7481196927058039, 0.0986, 9.5e-4, 5e3)
+        assert [c.satisfied for c in inner.conditions] == [True, True, True, False]
+
+    @pytest.mark.parametrize("name", ["preset", "trig"])
+    def test_checks_the_winner_only(self, name, trapezoid_lp, monkeypatch):
+        lp, radius_lo = (trapezoid_lp, 1e-6) if name == "preset" else SIGN_PROBLEMS[name]
+        calls = []
+        check = certify.check_sign_changing
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(certify, "check_sign_changing", counted)
+        cert = search_certificate(lp, certify.SearchOptions(radius_lo=radius_lo))
+        assert cert is not None and cert.passed
+        assert len(calls) == 1
+
+
+class TestSortedUnique:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, -3.0, 7.5]), min_size=1))
+    def test_equal_to_np_unique(self, values):
+        arr = np.asarray(values, dtype=float)
+        out = certify._sorted_unique(arr)
+        expected = np.unique(arr)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
+
+    def test_grids_equal_to_np_unique(self, trapezoid_lp):
+        gp = regularize(trapezoid_lp)
+        extra = [trapezoid_lp.e.positive_part(), PeriodicFunction.constant(1.0, 2.0)]
+        pts = list(np.linspace(0.0, gp.T, certify.GENERAL_T_POINTS, endpoint=False))
+        for f in [gp.r, gp.s] + extra:
+            pts.extend(f.breakpoints())
+        # the breakpoints 0 and 1 - 0.0005 sit on or near the uniform points
+        assert len(pts) > len(set(pts))
+        ts = certify._t_grid(gp, extra)
+        assert ts.tobytes() == np.unique(np.asarray(pts, dtype=float)).tobytes()
+        for lo, hi in [(0.5, 2.0), (1e-3, 1e-3 * (1 + 1e-15)), (3.0, 3.0)]:
+            xs = np.concatenate([np.geomspace(lo, hi, certify.GENERAL_X_POINTS), [lo, hi]])
+            assert certify._x_grid(lo, hi).tobytes() == np.unique(xs).tobytes()
+
+    def test_general_recheck_does_not_import_numpy_ma(self):
+        code = (
+            "import sys\n"
+            "from liebau import PeriodicFunction, check_general, presets, regularize, "
+            "search_certificate\n"
+            "lp = presets.preset('trapezoid').problem\n"
+            "cert = search_certificate(lp)\n"
+            "g0 = lp.e.positive_part().scale(cert.kappa)\n"
+            "g1 = PeriodicFunction.constant(lp.T, cert.m * cert.m * cert.r2)\n"
+            "general = check_general(regularize(lp), cert.m, cert.r1, cert.r2, g0, g1, eps=-1e-9)\n"
+            "assert general.passed, general.verdict\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSmallMu:

@@ -129,6 +129,18 @@ class TestSearchCommand:
         assert code == EXIT_SEARCH_EMPTY
         assert json.loads(out) == {"result": "none"}
 
+    def test_trapezoid_strict_eps_finds(self, capsys):
+        # the search requires every condition, the kappa pair included, to meet eps
+        code, out, err = run_captured(capsys, ["search", "--preset", "trapezoid", "--eps", "1e-6"])
+        assert code == EXIT_OK, err
+        cert = json.loads(out)
+        assert cert["verdict"] == "pass"
+        params = cert["params"]
+        assert (params["m"], params["r1"], params["r2"]) == (
+            0.74811969270580392, 0.00095218953540840748, 414019.95764592243
+        )
+        assert all(c["margin"] >= 1e-6 for c in cert["conditions"])
+
 
 def write_config(tmp_path, problem) -> str:
     path = tmp_path / "cfg.json"
