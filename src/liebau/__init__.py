@@ -66,7 +66,6 @@ from .solve import (
     fd_residual,
     picard_iterate,
     solve_periodic,
-    solve_shifted_linear,
 )
 from .pump import PumpReport, pump_report, singular_residual, x_to_u
 
@@ -118,7 +117,6 @@ __all__ = [
     "shifted_rhs",
     "singular_residual",
     "solve_periodic",
-    "solve_shifted_linear",
     "truncated_rhs",
     "verify_properties",
     "x_to_u",

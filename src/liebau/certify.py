@@ -34,6 +34,7 @@ import numpy as np
 from . import greens
 from .errors import (
     BadRadii,
+    ConfigError,
     InapplicableCriterion,
     KappaNonpositive,
     LiebauError,
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
+from .solve import MAX_GRID
 
 THEOREM_GENERAL = "general"
 THEOREM_SIGN_CHANGING = "sign_changing"
@@ -518,13 +520,26 @@ def check_necessary(lp: LiebauProblem) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Deterministic grids for the certificate search."""
+    """Deterministic grids for the certificate search; a bad field raises ConfigError naming it."""
 
     m_points: int = 64
     radius_points: int = 48
     radius_lo: float = 1e-6
     radius_hi: float = 1e8
     eps: float = 0.0
+
+    def __post_init__(self):
+        for key, least in (("m_points", 1), ("radius_points", 2)):
+            value = getattr(self, key)
+            if not (isinstance(value, (int, np.integer)) and least <= value <= MAX_GRID):
+                raise ConfigError(f"must be an integer in [{least}, {MAX_GRID}], got {value!r}", key)
+        lo, hi = self.radius_lo, self.radius_hi
+        if not 0.0 < lo < hi < math.inf:
+            # name the bound that was moved from its default
+            key = "radius_hi" if lo == SearchOptions.radius_lo else "radius_lo"
+            raise ConfigError(f"need 0 < radius_lo < radius_hi < inf, got {lo!r}, {hi!r}", key)
+        if not math.isfinite(self.eps):
+            raise ConfigError(f"must be finite, got {self.eps!r}", "eps")
 
 
 def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions()):

@@ -40,7 +40,7 @@ from .problem import (
     regularize,
 )
 from .pump import pump_report, x_to_u
-from .solve import GridSolution, SolveOptions, solve_periodic
+from .solve import MAX_GRID, GridSolution, SolveOptions, solve_periodic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,19 +143,15 @@ def parse_problem(obj, where: str):
 # Per command: option key -> kind.  float takes any finite JSON number, an
 # integer k takes a list of k numbers, "function" takes a function record.
 # The search and solve keys are exactly the fields of SearchOptions and
-# SolveOptions.
+# SolveOptions, which check their own ranges.
 OPTION_SCHEMA = {
     "certify": {"theorem": str, "m": float, "kappa": float, "r1": float, "r2": float,
                 "eps": float, "g0": "function", "g1": "function"},
     "search": {"m_points": int, "radius_points": int, "radius_lo": float, "radius_hi": float,
                "eps": float},
-    "solve": {"n": int, "tol": float, "max_iter": int, "initial": float, "bracket": 2,
-              "polish": bool, "refine_factor": int},
+    "solve": {"n": int, "initial": float, "bracket": 2, "polish": bool},
 }
-
-# Largest sample count a command builds (solve grid, refined solve grid,
-# greens samples); larger requests are input errors, not allocation failures.
-MAX_GRID = 2**22
+_OPTION_CLASSES = {"search": certify.SearchOptions, "solve": SolveOptions}
 
 
 def _convert(value, kind, where: str):
@@ -174,11 +170,14 @@ def _convert(value, kind, where: str):
     return value
 
 
-def command_options(cfg: RunConfig, section: str, args=None) -> dict:
+def command_options(cfg: RunConfig, section: str, args=None):
     """Config section ``section`` overridden by the non-None CLI flags of the same name.
 
     Every value is converted to its OPTION_SCHEMA kind; an unknown key or a
-    value of the wrong type raises ConfigError naming ``section.key``.
+    value of the wrong type raises ConfigError naming ``section.key``.  For
+    ``search`` and ``solve`` the result is the built SearchOptions or
+    SolveOptions, whose range errors are re-raised under ``section.key`` too;
+    for ``certify`` it is a dict.
     """
     schema = OPTION_SCHEMA[section]
     raw = dict(cfg.options.get(section, {}))
@@ -190,42 +189,15 @@ def command_options(cfg: RunConfig, section: str, args=None) -> dict:
         if key not in schema:
             raise ConfigError(f"unknown {section} option {key!r}", f"{section}.{key}")
         opts[key] = _convert(value, schema[key], f"{section}.{key}")
+    if section in _OPTION_CLASSES:
+        try:
+            return _OPTION_CLASSES[section](**opts)
+        except ConfigError as exc:
+            raise ConfigError(exc.message, f"{section}.{exc.location}") from exc
     if "r1" in opts and "r2" in opts and not (0 < opts["r1"] < opts["r2"]):
         raise ConfigError("radii must satisfy 0 < r1 < r2", f"{section}.r1")
     if opts.get("kappa", 1.0) <= 0.0:
         raise ConfigError("kappa must be positive", f"{section}.kappa")
-    if opts.get("n", 8) < 8:
-        raise ConfigError("grid size n must be at least 8", f"{section}.n")
-    if opts.get("n", 8) > MAX_GRID:
-        raise ConfigError(f"grid size n must be at most {MAX_GRID}", f"{section}.n")
-    if opts.get("max_iter", 1) < 1:
-        raise ConfigError("max_iter must be at least 1", f"{section}.max_iter")
-    if opts.get("tol", 1.0) <= 0.0:
-        raise ConfigError("tol must be positive", f"{section}.tol")
-    if opts.get("initial", 1.0) <= 0.0:
-        raise ConfigError("initial guess must be positive", f"{section}.initial")
-    if opts.get("refine_factor", 1) < 1:
-        raise ConfigError("refine_factor must be at least 1", f"{section}.refine_factor")
-    if "n" in opts or "refine_factor" in opts:
-        n = opts.get("n", SolveOptions.n)
-        if n * opts.get("refine_factor", SolveOptions.refine_factor) > MAX_GRID:
-            key = "refine_factor" if "refine_factor" in opts else "n"
-            raise ConfigError(
-                f"refined grid n * refine_factor must be at most {MAX_GRID}", f"{section}.{key}"
-            )
-    if opts.get("m_points", 1) < 1:
-        raise ConfigError("m_points must be at least 1", f"{section}.m_points")
-    if opts.get("radius_points", 2) < 2:
-        raise ConfigError("radius_points must be at least 2", f"{section}.radius_points")
-    if "radius_lo" in opts or "radius_hi" in opts:
-        lo = opts.get("radius_lo", certify.SearchOptions.radius_lo)
-        hi = opts.get("radius_hi", certify.SearchOptions.radius_hi)
-        if not 0.0 < lo < hi:
-            key = "radius_lo" if "radius_lo" in opts else "radius_hi"
-            raise ConfigError(
-                f"radii must satisfy 0 < radius_lo < radius_hi, got {lo!r}, {hi!r}",
-                f"{section}.{key}",
-            )
     return opts
 
 
@@ -331,7 +303,6 @@ def _cmd_greens(args) -> int:
             "T": kernel.T,
             "case": kernel.case,
             "K0": kernel.k0,
-            "Kmin": kernel.k0,
             "Kmax": kernel.kmax,
             "c_m": kernel.cone_constant,
             "m_max": kernel.m_max,
@@ -377,7 +348,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = _resolve(args)
-    opts = certify.SearchOptions(**command_options(cfg, "search", args))
+    opts = command_options(cfg, "search", args)
     cert = certify.search_certificate(_liebau_problem(cfg), opts)
     if cert is None:
         _emit({"result": "none"}, args.out)
@@ -399,7 +370,7 @@ def _solved(cfg: RunConfig, args) -> tuple[GridSolution, float | None]:
             mu = None
     else:
         raise ConfigError("no problem defined", "problem")
-    return solve_periodic(gp, SolveOptions(**command_options(cfg, "solve", args))), mu
+    return solve_periodic(gp, command_options(cfg, "solve", args)), mu
 
 
 def _cmd_solve(args) -> int:
@@ -455,13 +426,16 @@ def _read_solution_csv(path: str, mu: float | None, T: float) -> GridSolution:
 
 
 def _cmd_pump(args) -> int:
+    tol = 1e-9 if args.threshold is None else args.threshold
+    if not 0.0 <= tol < math.inf:
+        raise ConfigError(f"must be finite and at least 0, got {tol!r}", "pump.tol")
     cfg = _resolve(args)
     lp = _liebau_problem(cfg)
     if args.solution:
         u = _read_solution_csv(args.solution, lp.mu, lp.T)
     else:
         u = x_to_u(_solved(cfg, args)[0], lp.mu)
-    report = pump_report(lp, u, tol=args.threshold if args.threshold is not None else 1e-9)
+    report = pump_report(lp, u, tol=tol)
     _emit(
         {
             "u_mean": report.u_mean,
@@ -527,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute a periodic solution")
     add_problem_source(p)
     p.add_argument("-n", type=int)
-    p.add_argument("--tol", type=float)
     p.add_argument("--no-polish", dest="polish", action="store_false", default=None)
     p.add_argument("--initial", type=float)
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))

@@ -78,9 +78,10 @@ class ConfigError(LiebauError):
     """A configuration file failed to parse or validate.
 
     ``location`` identifies the offending field (dotted path into the JSON
-    document) when known.
+    document) when known; ``message`` is the text without it.
     """
 
     def __init__(self, message: str, location: str = ""):
+        self.message = message
         self.location = location
         super().__init__(f"{location}: {message}" if location else message)

@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import BadPeriod, LiebauError, MOutOfRange, PropertyViolation
 from .funcspec import PeriodicFunction
-from .numerics import cyclic_differences, simpson_segmented
+from .numerics import cyclic_fd_operator, simpson_segmented
 
 CASE_REAL_DISTINCT = "real_distinct"
 CASE_DOUBLE_ROOT = "double_root"
@@ -174,15 +174,17 @@ def _critical_point(case: str, roots: tuple[complex, complex], T: float) -> floa
 def build(a: float, m: float, T: float) -> GreensKernel:
     """Construct the kernel and all derived constants.
 
-    Raises MOutOfRange when m is outside (0, m_max) and BadPeriod for T <= 0.
+    Raises BadPeriod for T <= 0 or non-finite, LiebauError for a negative or
+    non-finite a, and MOutOfRange when m (NaN or infinite included) is outside
+    (0, m_max); all before any kernel arithmetic.
     The extremal structure (the critical point t* in (0, T), with
     0 < K(0) < K(t*)) is checked here; a violation marks a near-degenerate
     case we refuse to certify with, so it raises PropertyViolation.
     """
     if not (T > 0.0) or not math.isfinite(T):
         raise BadPeriod(f"period must be positive, got {T!r}")
-    if a < 0.0:
-        raise LiebauError(f"friction coefficient must be nonnegative, got {a!r}")
+    if not 0.0 <= a < math.inf:
+        raise LiebauError(f"friction coefficient must be finite and nonnegative, got {a!r}")
     mmax = m_window(a, T)
     if not (0.0 < m < mmax):
         raise MOutOfRange(m, mmax)
@@ -438,8 +440,7 @@ def verify_properties(kernel: GreensKernel) -> KernelReport:
     h_step = T / REPRODUCTION_FD_POINTS
     for hf in h_tests:
         x = apply_kernel(kernel, hf, nodes)
-        d1, d2 = cyclic_differences(x)
-        res = d2 / h_step**2 + a * d1 / (2.0 * h_step) + m * m * x
+        res = cyclic_fd_operator(x, h_step, a) + m * m * x
         res -= np.asarray(hf(nodes), dtype=float)
         worst_res = max(worst_res, float(np.max(np.abs(res))))
 

@@ -230,6 +230,13 @@ def cyclic_differences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return xp - xm, xp - 2.0 * values + xm
 
 
+def cyclic_fd_operator(values: np.ndarray, h: float, a: float) -> np.ndarray:
+    """x'' + a x' by second-order cyclic central differences with step h: the
+    one FD stencil of the solver, ``fd_residual`` and the kernel check."""
+    d1, d2 = cyclic_differences(values)
+    return d2 / h**2 + a * d1 / (2.0 * h)
+
+
 def spectral_derivatives(values: np.ndarray, period: float) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative of the trigonometric interpolant at the nodes.
 

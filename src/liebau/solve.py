@@ -23,7 +23,7 @@ that gave the solution.  Without the polish the FD stage runs at n alone:
 a clean second-order scheme whose order can be observed.
 
 Residual reporting: ``sup_residual`` is the collocated residual of the
-returned representation measured on a ``refine_factor`` times finer grid,
+returned representation measured on a ``REFINE_FACTOR`` (4) times finer grid,
 with the coefficient samples interpolated alongside the solution (it
 measures how well the discrete representation solves its own collocated
 equation; this is the number that converges to rounding level).
@@ -41,17 +41,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import greens
-from .errors import BadRadii, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
-from .funcspec import PeriodicFunction
+from .errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
 from .problem import GeneralProblem, deregularize, truncated_rhs
 from .numerics import (
-    cyclic_differences,
+    cyclic_fd_operator,
     gmres,
     resample_spectrum,
     solve_cyclic_tridiagonal,
     spectral_derivatives,
     trig_interpolate,
 )
+
+# Largest grid an input may ask for (refined solve grid, greens samples, search grids).
+MAX_GRID = 2**22
+
+# The FD Newton stage stops once its accepted update is at most
+# NEWTON_TOL * min(1, max x) in sup norm, and gives up after NEWTON_MAX_STEPS.
+NEWTON_TOL = 1e-12
+NEWTON_MAX_STEPS = 50
+
+# ``sup_residual`` is measured on a grid this many times finer than the solution's.
+REFINE_FACTOR = 4
 
 # Grid of the finite-difference Newton stage when the polish runs on a finer
 # grid: the polish only needs a start inside its basin, and the cyclic solves
@@ -65,16 +75,29 @@ _GMRES_RTOL = 1e-10
 _GMRES_RESTART = 12
 _GMRES_CYCLES = 4
 
+# After a kept polish step, a step of at most this times max x is kept even if
+# rounding noise raises its sup residual, and ends the polish.  (A first step
+# that small would come from a converged start, so it is noise alone.)
+_POLISH_NOISE_STEP = 1e-10
+
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Grid size and start of ``solve_periodic``; a bad field raises ConfigError naming it."""
+
     n: int = 512
-    tol: float = 1e-12  # sup-norm bound on the accepted Newton update, times min(1, max x)
-    max_iter: int = 50
     initial: float | None = None
     bracket: tuple[float, float] | None = None  # geometric midpoint used as constant guess
     polish: bool = True
-    refine_factor: int = 4
+
+    def __post_init__(self):
+        n_max = MAX_GRID // REFINE_FACTOR  # the residual check samples REFINE_FACTOR * n points
+        if not (isinstance(self.n, (int, np.integer)) and 8 <= self.n <= n_max):
+            raise ConfigError(f"must be an integer from 8 to {n_max}, got {self.n!r}", "n")
+        if self.initial is not None and not 0.0 < self.initial < math.inf:
+            raise ConfigError(f"must be positive and finite, got {self.initial!r}", "initial")
+        if self.bracket is not None and not 0.0 < self.bracket[0] < self.bracket[1] < math.inf:
+            raise ConfigError(f"need 0 < lo < hi < inf, got {self.bracket!r}", "bracket")
 
 
 @dataclass(frozen=True)
@@ -116,11 +139,6 @@ class ConeReport:
         return self.in_cone and self.above_lower and self.below_upper
 
 
-def _fd_residual_terms(values: np.ndarray, h: float, a: float) -> np.ndarray:
-    d1, d2 = cyclic_differences(values)
-    return d2 / h**2 + a * d1 / (2.0 * h)
-
-
 def _rounding_floor(x: np.ndarray, h: float, a: float) -> float:
     """Sup-norm residual level that rounding alone gives the FD operator at step h."""
     return 32.0 * np.finfo(float).eps * (4.0 / h**2 + 2.0 * a / h) * max(
@@ -159,8 +177,6 @@ def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarra
         return np.full(n, float(opts.initial))
     if opts.bracket is not None:
         lo, hi = opts.bracket
-        if not (0.0 < lo < hi):
-            raise LiebauError(f"bracket must satisfy 0 < lo < hi, got {opts.bracket!r}")
         return np.full(n, math.sqrt(lo * hi))
     try:
         lp = deregularize(gp)
@@ -199,7 +215,7 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
         f_c, fprime_c = _sampled(gp, COARSE_N)[3:]
         try:
             x_c, iterations = _fd_newton(
-                _initial_values(gp, opts, COARSE_N), T / COARSE_N, a, f_c, fprime_c, opts
+                _initial_values(gp, opts, COARSE_N), T / COARSE_N, a, f_c, fprime_c
             )
         except (LeftPositiveCone, NoConvergence):
             pass  # the fine stage below runs from the initial guess and decides
@@ -215,13 +231,13 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
         fd_n = n
         if start is None:
             start = _initial_values(gp, opts, n)
-        x, steps = _fd_newton(start, h, a, f_of, fprime_of, opts)
+        x, steps = _fd_newton(start, h, a, f_of, fprime_of)
         iterations += steps
         if opts.polish:
             x, steps, _ = _polish(x, T, a, f_of, fprime_of)
             polish_iters += steps
 
-    sup_res, sup_res_exact = _refined_residuals(gp, x, r_nodes, s_nodes, opts.refine_factor)
+    sup_res, sup_res_exact = _refined_residuals(gp, x, r_nodes, s_nodes)
     return GridSolution(
         T=T,
         nodes=nodes,
@@ -235,7 +251,7 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
     )
 
 
-def _fd_newton(x, h, a, f_of, fprime_of, opts):
+def _fd_newton(x, h, a, f_of, fprime_of):
     """Damped Newton on the cyclic central-difference system, from x.
 
     Returns the solution and the number of Newton steps.  Each step solves
@@ -248,8 +264,8 @@ def _fd_newton(x, h, a, f_of, fprime_of, opts):
     sub = np.full(n, 1.0 / h**2 - a / (2.0 * h))
     sup = np.full(n, 1.0 / h**2 + a / (2.0 * h))
     iterations = 0
-    res = _fd_residual_terms(x, h, a) - f_of(x)
-    for _ in range(opts.max_iter):
+    res = cyclic_fd_operator(x, h, a) - f_of(x)
+    for _ in range(NEWTON_MAX_STEPS):
         res_norm = float(np.max(np.abs(res)))
         if res_norm <= _rounding_floor(x, h, a):
             return x, iterations
@@ -261,7 +277,7 @@ def _fd_newton(x, h, a, f_of, fprime_of, opts):
         while lam >= 2.0**-20:
             candidate = x + lam * step
             if np.all(candidate > 0.0):
-                cand_res = _fd_residual_terms(candidate, h, a) - f_of(candidate)
+                cand_res = cyclic_fd_operator(candidate, h, a) - f_of(candidate)
                 if float(np.max(np.abs(cand_res))) <= res_norm * (1.0 + 1e-10) or lam < 1e-4:
                     accepted = True
                     break
@@ -277,9 +293,9 @@ def _fd_newton(x, h, a, f_of, fprime_of, opts):
         x = candidate
         res = cand_res
         iterations += 1
-        if float(np.max(np.abs(lam * step))) <= opts.tol * min(1.0, float(np.max(x))):
+        if float(np.max(np.abs(lam * step))) <= NEWTON_TOL * min(1.0, float(np.max(x))):
             return x, iterations
-    raise NoConvergence(f"no convergence within {opts.max_iter} Newton iterations")
+    raise NoConvergence(f"no convergence within {NEWTON_MAX_STEPS} Newton iterations")
 
 
 def _polish(x, T, a, f_of, fprime_of):
@@ -290,10 +306,13 @@ def _polish(x, T, a, f_of, fprime_of):
     -w^2 + i a w - mean f' is inverted mode by mode.  Since D^2 + a D = P +
     mean f', the preconditioned operator is I - (f'(x) - mean f') P^-1, one
     rfft/irfft pair per matvec.  Steps continue while each one at least
-    halves the sup-norm residual; a step that does not lower it, or leaves
-    the positive cone, is dropped.  A zero bin of the symbol (mode 0 when
-    mean f' = 0) makes P singular, and x is returned as it is.  Returns the
-    iterate, the number of steps kept and its sup-norm residual.
+    halves the sup-norm residual; a step that leaves the positive cone, or
+    does not lower the residual, is dropped, except that after a kept step a
+    step of at most ``_POLISH_NOISE_STEP`` times max x is kept whatever its
+    residual (whose change is then rounding noise) and ends the polish.  A
+    zero bin of the symbol (mode 0 when mean f' = 0) makes P singular, and x
+    is returned as it is.  Returns the iterate, the number of steps kept and
+    its sup-norm residual.
     """
     n = len(x)
     symbol = _operator_symbol(n, T, a)
@@ -318,24 +337,26 @@ def _polish(x, T, a, f_of, fprime_of):
             return np.fft.irfft(np.fft.rfft(v) * inv, n=n)
 
         u = gmres(lambda v: v - spread * precond(v), -res, _GMRES_RTOL, _GMRES_RESTART, _GMRES_CYCLES)
-        candidate = x + precond(u)
+        delta = precond(u)
+        candidate = x + delta
         if np.any(candidate <= 0.0):
             return x, steps, res_norm
         cand_res = residual(candidate)
         cand_norm = float(np.max(np.abs(cand_res)))
-        if not cand_norm < res_norm:
+        noise_step = steps > 0 and np.max(np.abs(delta)) <= _POLISH_NOISE_STEP * np.max(x)
+        if not (cand_norm < res_norm or noise_step):
             return x, steps, res_norm
         steps += 1
         halved = cand_norm <= 0.5 * res_norm
         x, res, res_norm = candidate, cand_res, cand_norm
-        if not halved:
+        if noise_step or not halved:
             return x, steps, res_norm
 
 
-def _refined_residuals(gp, values, r_nodes, s_nodes, factor):
+def _refined_residuals(gp, values, r_nodes, s_nodes):
     T = gp.T
     n = len(values)
-    n_f = factor * n
+    n_f = REFINE_FACTOR * n
     # x and d2 + a d1 on the fine grid from one transform of x
     mean = values.mean()
     spec = np.fft.rfft(values - mean)
@@ -364,7 +385,7 @@ def fd_residual(gp: GeneralProblem, solution: GridSolution) -> float:
     n = len(x)
     h = gp.T / n
     nodes = solution.nodes
-    res = _fd_residual_terms(x, h, gp.a) - (
+    res = cyclic_fd_operator(x, h, gp.a) - (
         np.asarray(gp.r(nodes), dtype=float) * x**gp.alpha
         - np.asarray(gp.s(nodes), dtype=float) * x**gp.beta
     )
@@ -424,24 +445,6 @@ def picard_iterate(
         x = x_next
         iterates.append(x.copy())
     return PicardTrace(nodes, tuple(iterates), tuple(deltas), cm)
-
-
-def solve_shifted_linear(
-    a: float, m: float, T: float, forcing: PeriodicFunction, n: int = 512
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve x'' + a x' + m^2 x = h(t) periodically with the cyclic scheme.
-
-    One linear solve; used to cross-check the finite-difference machinery
-    against the kernel quadrature route.
-    """
-    h = T / n
-    nodes = np.arange(n) * h
-    sub = np.full(n, 1.0 / h**2 - a / (2.0 * h))
-    sup = np.full(n, 1.0 / h**2 + a / (2.0 * h))
-    diag = np.full(n, -2.0 / h**2 + m * m)
-    rhs = np.asarray(forcing(nodes), dtype=float)
-    x = solve_cyclic_tridiagonal(sub, diag, sup, sub[0], sup[-1], rhs)
-    return nodes, x
 
 
 def cone_and_localization(

@@ -18,6 +18,7 @@ from liebau.certify import (
 )
 from liebau.errors import (
     BadRadii,
+    ConfigError,
     InapplicableCriterion,
     KappaNonpositive,
     LiebauError,
@@ -234,6 +235,30 @@ class TestMonotonicity:
             bump_sc.condition("ceiling_clearance").margin
             < base_sc.condition("ceiling_clearance").margin
         )
+
+
+class TestSearchOptionsCheckThemselves:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"m_points": 0}, "m_points"),
+            ({"m_points": 2.0}, "m_points"),
+            ({"m_points": 2**23}, "m_points"),
+            ({"radius_points": 1}, "radius_points"),
+            ({"radius_lo": -1.0}, "radius_lo"),
+            ({"radius_lo": 0.0}, "radius_lo"),
+            ({"radius_lo": 1e9}, "radius_lo"),
+            ({"radius_lo": 100.0, "radius_hi": 1.0}, "radius_lo"),
+            ({"radius_hi": 1e-7}, "radius_hi"),
+            ({"radius_hi": math.inf}, "radius_hi"),
+            ({"eps": math.nan}, "eps"),
+            ({"eps": -math.inf}, "eps"),
+        ],
+    )
+    def test_bad_field_raises_config_error(self, kwargs, field):
+        with pytest.raises(ConfigError) as exc:
+            certify.SearchOptions(**kwargs)
+        assert exc.value.location == field
 
 
 class TestSearch:

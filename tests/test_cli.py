@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -44,11 +45,22 @@ class TestGreensCommand:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "tau,K"
         assert len(lines) == 258
+        assert list(data) == ["a", "m", "T", "case", "K0", "Kmax", "c_m", "m_max"]
 
     def test_window_violation_is_config_error(self, capsys):
         code, _, err = run_captured(capsys, ["greens", "-a", "1.6", "-m", "3.3", "-T", "1"])
         assert code == EXIT_CONFIG
         assert "admissible window" in err
+
+    @pytest.mark.parametrize(
+        "a, m", [("inf", "0.7"), ("nan", "0.7"), ("1.6", "inf"), ("1.6", "nan")]
+    )
+    def test_non_finite_coefficient_exits_two_without_warning(self, capsys, a, m):
+        # pytest turns RuntimeWarning into an error, so any numpy warning fails here
+        code, out, err = run_captured(capsys, ["greens", "-a", a, "-m", m, "-T", "1"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "Traceback" not in err
 
 
 class TestCertifyCommand:
@@ -304,6 +316,9 @@ class TestBadInputExitsTwo:
             ("search", "search", {"threads": "two"}, "search.threads"),
             ("search", "search", {"threads": 2}, "search.threads"),
             ("solve", "solve", {"truncation_band": [0.7, 1.0, 40.0]}, "solve.truncation_band"),
+            ("solve", "solve", {"tol": 1e-12}, "solve.tol"),
+            ("solve", "solve", {"max_iter": 50}, "solve.max_iter"),
+            ("solve", "solve", {"refine_factor": 4}, "solve.refine_factor"),
         ],
     )
     def test_option_type_and_key(self, capsys, tmp_path, command, section, options, field):
@@ -419,6 +434,7 @@ class TestOptionRangesExitTwo:
             (["--m-points", "0"], "search.m_points"),
             (["--radius-points", "0"], "search.radius_points"),
             (["--radius-points", "1"], "search.radius_points"),
+            (["--m-points", str(10**20)], "search.m_points"),
         ],
     )
     def test_search_grid_out_of_range(self, capsys, flags, field):
@@ -447,10 +463,39 @@ class TestOptionRangesExitTwo:
         assert field in err
 
     def test_negative_tol_flag(self, capsys):
-        code, out, err = run_captured(capsys, ["solve", "--preset", "cosine", "--tol", "-1"])
+        # solve has no --tol flag, so argparse stops with a usage error
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--preset", "cosine", "--tol", "-1"])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "--tol" in captured.err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--bracket", "40", "4"], "solve.bracket"),
+            (["--bracket", "0", "4"], "solve.bracket"),
+        ],
+    )
+    def test_solve_flags_out_of_range(self, capsys, flags, field):
+        code, out, err = run_captured(capsys, ["solve", "--preset", "benchmark", *flags])
         assert code == EXIT_CONFIG
         assert out == ""
-        assert "solve.tol" in err
+        assert field in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+    def test_pump_tol_out_of_range(self, capsys, tol):
+        code, out, err = run_captured(capsys, ["pump", "--preset", "benchmark", f"--tol={tol}"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "pump.tol" in err
+
+    def test_pump_tol_zero_is_accepted(self, capsys):
+        code, out, _ = run_captured(capsys, ["pump", "--preset", "benchmark", "--tol", "0"])
+        assert code == EXIT_OK
+        assert json.loads(out)["pumping_detected"] is True
 
     @pytest.mark.parametrize(
         "options, field",
@@ -514,12 +559,27 @@ class TestOptionSchema:
         assert set(OPTION_SCHEMA["search"]) == set(SearchOptions.__dataclass_fields__)
         assert set(OPTION_SCHEMA["solve"]) == set(SolveOptions.__dataclass_fields__)
 
+    def test_flag_dests_are_schema_keys(self):
+        actions = build_parser()._actions
+        (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+        problem_source = {"help", "preset", "config", "v0", "out", "csv_out"}
+        for section in ("search", "solve"):
+            dests = {a.dest for a in commands.choices[section]._actions} - problem_source
+            assert dests and dests <= set(OPTION_SCHEMA[section])
+
     def test_flag_overrides_config(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"problem": TANK_PROBLEM, "solve": {"n": 64, "tol": 1e-9}}))
+        path.write_text(json.dumps({"problem": TANK_PROBLEM, "solve": {"n": 64, "initial": 2.0}}))
         args = build_parser().parse_args(["solve", "--config", str(path), "-n", "128"])
         opts = command_options(load_config(str(path)), "solve", args)
-        assert opts == {"n": 128, "tol": 1e-9}
+        assert opts == SolveOptions(n=128, initial=2.0)
+
+    def test_range_error_names_the_section(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": TANK_PROBLEM, "search": {"m_points": 0}}))
+        with pytest.raises(ConfigError) as exc:
+            load_config(str(path))
+        assert exc.value.location == "search.m_points"
 
 
 class TestVerifyCommand:

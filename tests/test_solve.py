@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from test_numerics import two_sweep_solve
 
 from liebau import greens, presets, solve
-from liebau.errors import BadRadii, LeftPositiveCone, LiebauError, NoConvergence
+from liebau.errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import GeneralProblem, regularize, shifted_rhs, truncated_rhs
 from liebau.solve import (
@@ -18,7 +18,6 @@ from liebau.solve import (
     fd_residual,
     picard_iterate,
     solve_periodic,
-    solve_shifted_linear,
 )
 
 
@@ -72,17 +71,17 @@ class TestSolvePeriodic:
         assert sol.max_value < 38.0844
         assert sol.sup_residual < 1e-8
 
-    def test_left_cone_from_tiny_guess(self, tank_lp):
+    def test_left_cone_from_tiny_guess(self, monkeypatch, tank_lp):
+        monkeypatch.setattr(solve, "NEWTON_MAX_STEPS", 60)
         gp = regularize(tank_lp(4.0))
         with pytest.raises(LeftPositiveCone):
-            solve_periodic(gp, SolveOptions(initial=0.05, max_iter=60))
+            solve_periodic(gp, SolveOptions(initial=0.05))
 
-    def test_budget_exhaustion_raises(self, tank_lp):
-        from liebau.errors import NoConvergence
-
+    def test_budget_exhaustion_raises(self, monkeypatch, tank_lp):
+        monkeypatch.setattr(solve, "NEWTON_MAX_STEPS", 2)
         gp = regularize(tank_lp(4.0))
         with pytest.raises(NoConvergence):
-            solve_periodic(gp, SolveOptions(bracket=(4.0, 40.0), max_iter=2))
+            solve_periodic(gp, SolveOptions(bracket=(4.0, 40.0)))
 
     def test_collapsed_iterate_is_not_converged(self, tank_lp):
         # from x = 0.05 the iterate collapses toward 0, where a Newton step of
@@ -104,6 +103,32 @@ class TestSolvePeriodic:
             solve_periodic(gp)
         sol = solve_periodic(gp, SolveOptions(bracket=(0.5, 50.0)))
         assert sol.converged and sol.min_value > 0.0
+
+
+class TestSolveOptionsCheckThemselves:
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"n": 0}, "n"),
+            ({"n": 7}, "n"),
+            ({"n": 2**21}, "n"),
+            ({"n": 64.0}, "n"),
+            ({"initial": math.nan}, "initial"),
+            ({"initial": 0.0}, "initial"),
+            ({"initial": math.inf}, "initial"),
+            ({"bracket": (40.0, 4.0)}, "bracket"),
+            ({"bracket": (0.0, 4.0)}, "bracket"),
+            ({"bracket": (1.0, math.inf)}, "bracket"),
+            ({"bracket": (math.nan, 4.0)}, "bracket"),
+        ],
+    )
+    def test_bad_field_raises_config_error(self, kwargs, field):
+        with pytest.raises(ConfigError) as exc:
+            SolveOptions(**kwargs)
+        assert exc.value.location == field
+
+    def test_largest_grid_is_accepted(self):
+        assert SolveOptions(n=2**20).n * solve.REFINE_FACTOR == solve.MAX_GRID
 
 
 class TestFusedSweepChangesNothing:
@@ -222,7 +247,7 @@ class TestCoarseToFine:
         with pytest.raises(NoConvergence):
             solve._fd_newton(
                 np.full(128, math.sqrt(opts.bracket[0] * opts.bracket[1])),
-                gp.T / 128, gp.a, *solve._sampled(gp, 128)[3:], opts,
+                gp.T / 128, gp.a, *solve._sampled(gp, 128)[3:],
             )
         sol = solve_periodic(gp, opts)
         fine = _fine_path(monkeypatch, gp, opts)
@@ -237,6 +262,26 @@ class TestNewtonKrylovPolish:
         sol = solve_periodic(gp, SolveOptions(n=512, bracket=(4.0, 40.0)))
         exact = (2.0 + np.cos(sol.nodes)) ** 3
         assert float(np.max(np.abs(sol.values - exact))) < 1e-13
+
+    @pytest.mark.parametrize("case", ["cosine", "narrowband"])
+    def test_final_noise_level_step_is_kept(self, case):
+        # the last Newton correction at n = 512 is smaller than the rounding
+        # noise of the residual; keeping it makes n = 512 agree with n = 4096
+        # to rounding, where dropping it left 3e-13 and 8e-14
+        gp = regularize(presets.preset(case).problem)
+        sol = solve_periodic(gp, SolveOptions(n=512))
+        fine = solve_periodic(gp, SolveOptions(n=4096))
+        assert sol.polish_iterations == 2
+        rel = float(np.max(np.abs(sol.values - fine.values[::8]))) / fine.max_value
+        assert rel <= 1e-14
+
+    def test_converged_start_takes_no_noise_step(self, constant_solution):
+        # the constant guess already solves the constant-forcing problem: a
+        # polish step from there would be rounding noise alone
+        _, sol = constant_solution
+        exact = 27.129715683055239694  # (1.54 / 1.49)^100 to 20 digits
+        assert sol.polish_iterations == 0
+        assert float(np.max(np.abs(sol.values - exact))) / exact <= 1e-15
 
     def test_tank_near_branch_crossing(self):
         # close to the branch crossing: the FD Jacobian's smallest eigenvalue is about 3e-3
@@ -277,18 +322,6 @@ class TestNewtonKrylovPolish:
             sol = solve_periodic(gp, SolveOptions(n=16, initial=1.0))
         assert sol.polish_iterations == 0
         assert np.array_equal(sol.values, np.ones(16))
-
-
-class TestLinearConsistency:
-    @pytest.mark.parametrize("n", [256, 512])
-    def test_fd_matches_kernel_quadrature(self, n):
-        a, m, T = 1.6, 0.7, 1.0
-        forcing = PeriodicFunction.trig(T, 0.8, [(0.5, 1, 0.3), (0.2, 2, 0.0)])
-        nodes, x_fd = solve_shifted_linear(a, m, T, forcing, n=n)
-        kernel = greens.build(a, m, T)
-        x_quad = greens.apply_kernel(kernel, forcing, nodes)
-        tol = max(1e-8, 20.0 * (T / n) ** 2)
-        assert float(np.max(np.abs(x_fd - x_quad))) < tol
 
 
 class TestFdResidual:
