@@ -28,7 +28,7 @@ from .certify import (
 from .funcspec import PeriodicFunction
 from .problem import LiebauProblem, regularize
 from .pump import pump_report, singular_residual, x_to_u
-from .solve import GridSolution, SolveOptions, cone_and_localization, solve_periodic
+from .solve import SolveOptions, cone_and_localization, solve_periodic
 from .numerics import format_float as f17
 
 # strictness used when re-checking the general system behind a passing
@@ -148,20 +148,21 @@ def check_constant_anchor() -> CheckResult:
     )
 
 
-def _pipe_trace(v0: float, n: int = 1024) -> GridSolution:
-    nodes = np.arange(n) * 2 * math.pi / n
-    return GridSolution(
-        T=2 * math.pi, nodes=nodes, values=(v0 - 2.0) + np.cos(nodes),
-        sup_residual=0.0, sup_residual_exact_data=0.0,
-        iterations=0, converged=True, units="u",
-    )
+# the tank problem's grid arange(n) * (T/n), T = 2 pi, on which its traces are sampled
+_PIPE_NODES = np.arange(1024) * (2 * math.pi / 1024)
+
+
+def _pipe_trace(v0: float) -> np.ndarray:
+    """The closed-form tank solution u = (v0 - 2) + cos t on _PIPE_NODES."""
+    return (v0 - 2.0) + np.cos(_PIPE_NODES)
 
 
 def check_closed_form_benchmark() -> CheckResult:
     lp = presets.tank_problem(4.0)
     trace = _pipe_trace(4.0)
-    nodes = trace.nodes
-    res_exact = singular_residual(lp, trace, uprime=-np.sin(nodes), usecond=-np.cos(nodes))
+    res_exact = singular_residual(
+        lp, trace, uprime=-np.sin(_PIPE_NODES), usecond=-np.cos(_PIPE_NODES)
+    )
     res_fd = singular_residual(lp, trace)
     sol = solve_periodic(regularize(lp), SolveOptions(n=512, bracket=(4.0, 40.0)))
     err = float(np.max(np.abs(sol.values - (2.0 + np.cos(sol.nodes)) ** 3)))
@@ -177,7 +178,7 @@ def check_figure_solutions() -> CheckResult:
     for name in ("cosine", "cubic"):
         lp, sol = _figure_solution(name)
         cert = check_positive_forcing(lp, m=0.7)
-        cone = cone_and_localization(sol, cert.cone_const, cert.r1, cert.r2)
+        cone = cone_and_localization(sol.values, cert.cone_const, cert.r1, cert.r2)
         facts.extend(
             [
                 (sol.converged, f"{name}: converged, periodic"),
@@ -201,7 +202,7 @@ def check_pumping_balance() -> CheckResult:
         )
     for name in ("cosine", "cubic"):
         lp, sol = _figure_solution(name)
-        report = pump_report(lp, x_to_u(sol, lp.mu))
+        report = pump_report(lp, x_to_u(sol.values, lp.mu))
         facts.append((report.delta > 0.0, f"{name}: pumping gain {f17(report.delta)}"))
     return _all(*facts)
 
@@ -222,7 +223,7 @@ def check_search_soundness() -> CheckResult:
             g0 = PeriodicFunction.constant(lp.T, m * m * r1)
         general = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
         sol = solve_periodic(gp)  # constant guess from the forcing mean
-        cone = cone_and_localization(sol, cert.cone_const, r1, r2)
+        cone = cone_and_localization(sol.values, cert.cone_const, r1, r2)
         facts.extend(
             [
                 (general.passed, f"{name}: general system re-check {general.verdict}"),

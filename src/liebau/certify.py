@@ -161,10 +161,9 @@ class Certificate:
         return out
 
 
-# check_general's t and x sample counts and its kernel-response quadrature panels
+# check_general's t and x sample counts
 GENERAL_T_POINTS = 512
 GENERAL_X_POINTS = 512
-GENERAL_BASE_PANELS = 1024
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -212,7 +211,7 @@ def check_general(
     tolerates quadrature noise).  Envelope facts are sampled on a t x x grid
     (GENERAL_T_POINTS uniform t values with the coefficient breakpoints
     inserted, GENERAL_X_POINTS log-spaced x values with the endpoints);
-    responses come from ``greens.apply_kernel`` with GENERAL_BASE_PANELS.
+    responses come from ``greens.apply_kernel``.
     """
     if not (0.0 < r1 < r2):
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
@@ -235,8 +234,8 @@ def check_general(
         "lower_envelope", h5_min, 0.0, ">=", eps, note="min of (f_m - g0) and of g0 on the band"
     )
 
-    delta = greens.apply_kernel(kernel, g1, ts, GENERAL_BASE_PANELS)
-    gamma = greens.apply_kernel(kernel, g0, ts, GENERAL_BASE_PANELS)
+    delta = greens.apply_kernel(kernel, g1, ts)
+    gamma = greens.apply_kernel(kernel, g0, ts)
     h3 = _cond("upper_response_min", float(delta.min()), cm * r2, "<=", eps)
     h4 = _cond("upper_response_max", float(delta.max()), r2, "<=", eps)
     h6 = _cond("lower_response_min", float(gamma.min()), cm * r1, ">=", eps)
@@ -443,7 +442,8 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
     alone and returns this function's certificate at the winning m.  Raises
     OutOfFloatRange, naming the quantity, when R2 or the ceiling at the
     threshold overflows or underflows to 0 (it happens at small mu, where
-    the exponent 1/mu is large).
+    the exponent 1/mu is large), and when the inner radius R1 underflows to
+    0 (a tiny c_m, as at large a, puts its root below the smallest float).
     """
     kernel = greens.build(lp.a, m, lp.T)
     cm = kernel.cone_constant
@@ -475,6 +475,11 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
     if ok:
         r2 = _ceiling("localization ceiling R2", e_max, c, mu, cm)
         r1 = _inner_radius(cm, m, mu, c, e_min, r2)
+        if r1 == 0.0:
+            raise OutOfFloatRange(
+                f"inner radius R1 underflows to 0, below float range "
+                f"(m={m!r}, c_m={cm!r}, mu={mu!r}, c={c!r}, e_min={e_min!r})"
+            )
         localization = (cm * r1, r2)
     return Certificate(
         theorem=THEOREM_POSITIVE_FORCING,

@@ -9,11 +9,13 @@ the emitted JSON and CSV is printed with 17 significant digits in a fixed
 field order, so identical inputs produce byte-identical output.
 
 Exit codes: 0 success (certificate passed / solver converged / all checks
-green), 1 ``verify`` found a failing check, 2 configuration or usage error (including an unknown option key, an
-option or problem value of the wrong type, not finite or out of range, a
-malformed solution CSV, and a certificate ceiling beyond float range), 3 certificate failed, 4 certificate inapplicable, 5
-search found nothing, 6 solver failed (no convergence, or the iterate left
-the positive cone).
+green), 1 ``verify`` found a failing check, 2 configuration or usage error
+(including an unknown option key, an option or problem value of the wrong
+type, not finite or out of range, a malformed solution CSV or one whose t
+column is not the problem's grid arange(n) * (T/n), and a certificate
+ceiling or inner radius beyond float range), 3 certificate failed, 4
+certificate inapplicable, 5 search found nothing, 6 solver failed (no
+convergence, or the iterate left the positive cone).
 """
 
 from __future__ import annotations
@@ -394,7 +396,8 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _read_solution_csv(path: str, mu: float | None, T: float) -> GridSolution:
+def _read_solution_csv(path: str, mu: float, T: float) -> np.ndarray:
+    """The u samples of a solution CSV whose t column is the grid arange(n) * (T/n)."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -411,18 +414,17 @@ def _read_solution_csv(path: str, mu: float | None, T: float) -> GridSolution:
         raise ConfigError(f"non-numeric value: {exc}", path) from exc
     if not np.all(np.isfinite(data)):
         raise ConfigError("solution data must be finite", path)
-    nodes = data[:, 0]
+    n = len(data)
+    if np.max(np.abs(data[:, 0] - np.arange(n) * (T / n))) > 1e-12 * T:
+        raise ConfigError(
+            f"t column is not the grid arange({n}) * (T/{n}) of the problem's period T = {T!r}",
+            path,
+        )
     if "u" in header:
-        u_vals = data[:, header.index("u")]
-    elif "x" in header and mu is not None:
-        u_vals = data[:, header.index("x")] ** mu
-    else:
-        raise ConfigError("need a 'u' column (or 'x' plus a Liebau problem)", path)
-    nan = float("nan")
-    return GridSolution(
-        T=T, nodes=nodes, values=u_vals, sup_residual=nan, sup_residual_exact_data=nan,
-        iterations=0, converged=True, units="u",
-    )
+        return data[:, header.index("u")]
+    if "x" in header:
+        return data[:, header.index("x")] ** mu
+    raise ConfigError("need a 'u' or an 'x' column", path)
 
 
 def _cmd_pump(args) -> int:
@@ -434,7 +436,7 @@ def _cmd_pump(args) -> int:
     if args.solution:
         u = _read_solution_csv(args.solution, lp.mu, lp.T)
     else:
-        u = x_to_u(_solved(cfg, args)[0], lp.mu)
+        u = x_to_u(_solved(cfg, args)[0].values, lp.mu)
     report = pump_report(lp, u, tol=tol)
     _emit(
         {

@@ -86,6 +86,10 @@ _GAUSS_W = np.array([
 _SUBGAP_EXP = 2.0
 _BLOCK_EXP = 32.0
 
+# apply_kernel's resolution: at least 2 * BASE_PANELS fine-grid nodes for
+# kink-free g, sub-gaps no wider than T / BASE_PANELS for g with breakpoints
+BASE_PANELS = 1024
+
 
 def m_window(a: float, T: float) -> float:
     """Upper end of the admissible shift window, sqrt((pi/T)^2 + (a/2)^2)."""
@@ -303,14 +307,14 @@ def _causal_sums(lam: complex, p: int, nodes, wg, edges):
     return P, M
 
 
-def _sweep_response(kernel: GreensKernel, g: PeriodicFunction, t: np.ndarray, base_panels: int):
+def _sweep_response(kernel: GreensKernel, g: PeriodicFunction, t: np.ndarray):
     """integral_0^T K((t - s) mod T) g(s) ds for g with breakpoints, by one sweep."""
     T = kernel.T
     modes = _modes(kernel)
     breaks = [b for b in g.breakpoints() if 0.0 < b < T]
     pts, where = np.unique(np.concatenate([np.mod(t, T), [0.0, T], breaks]), return_inverse=True)
     gaps = np.diff(pts)
-    rate = max(base_panels / T, max(abs(lam) for _, _, lam in modes) / _SUBGAP_EXP)
+    rate = max(BASE_PANELS / T, max(abs(lam) for _, _, lam in modes) / _SUBGAP_EXP)
     n = np.maximum(np.ceil(gaps * rate), 1.0).astype(np.int64)
     first = np.cumsum(n) - n  # index of each gap's first sub-gap
     gap = np.repeat(np.arange(len(gaps)), n)
@@ -335,39 +339,32 @@ def _sweep_response(kernel: GreensKernel, g: PeriodicFunction, t: np.ndarray, ba
     return out
 
 
-def apply_kernel(
-    kernel: GreensKernel,
-    g: PeriodicFunction,
-    t_values: np.ndarray,
-    base_panels: int = 1024,
-) -> np.ndarray:
+def apply_kernel(kernel: GreensKernel, g: PeriodicFunction, t_values: np.ndarray) -> np.ndarray:
     """Evaluate t -> integral_0^T G(t, s) g(s) ds on a set of t values.
 
     For kink-free g the response is ``circular_response`` (the circular
     convolution plus the h^2/12 kink term) on a uniform fine grid of at
-    least 2 * base_panels nodes.  When t_values is itself the uniform grid
+    least 2 * BASE_PANELS nodes.  When t_values is itself the uniform grid
     arange(M) * (T/M), the fine grid has N nodes, the smallest multiple of M
     that is at least that many, and every (N/M)-th sample is returned; other
     t values read the trigonometric interpolant of the fine-grid response.
 
     For g with breakpoints the response comes from one sweep over the sorted
     points {0, T}, t mod T and the breakpoints of g, each gap split into
-    equal sub-gaps no wider than T/base_panels (or 2/|lam| for the fastest
+    equal sub-gaps no wider than T/BASE_PANELS (or 2/|lam| for the fastest
     kernel mode) with an 8-point Gauss-Legendre rule on each, and g
     evaluated once on all the nodes.  The kernel is summed exactly as its
     exponential modes (see the module docstring); t values may come in any
     order, repeat, or lie outside [0, T).
 
-    Raises LiebauError for non-finite t values or base_panels < 1.
+    Raises LiebauError for non-finite t values.
     """
     T = kernel.T
     t_values = np.asarray(t_values, dtype=float)
     if not np.all(np.isfinite(t_values)):
         raise LiebauError("kernel response t values must be finite")
-    if not base_panels >= 1:
-        raise LiebauError(f"base_panels must be at least 1, got {base_panels!r}")
     if not g.breakpoints():
-        n_fine = 2 * max(2, base_panels)
+        n_fine = 2 * BASE_PANELS
         M = len(t_values)
         on_grid = M > 0 and np.array_equal(t_values, np.arange(M) * (T / M))
         if on_grid:
@@ -377,7 +374,7 @@ def apply_kernel(
         if on_grid:
             return fine[:: n_fine // M]
         return _interpolant_at(fine, T, t_values)
-    return _sweep_response(kernel, g, t_values, base_panels)
+    return _sweep_response(kernel, g, t_values)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ PRESET_NAMES = ("trapezoid", "cosine", "cubic", "narrowband", "benchmark")
 @dataclass(frozen=True)
 class Preset:
     name: str
-    description: str
     problem: LiebauProblem
     certify: dict = field(default_factory=dict)
     solve: dict = field(default_factory=dict)
@@ -71,36 +70,27 @@ def preset(name: str, v0: float = 4.0) -> Preset:
     if name == "trapezoid":
         return Preset(
             name,
-            "sign-changing trapezoidal forcing with a tight known certificate",
             LiebauProblem(a=1.6, mu=0.01, c=0.005, T=1.0, e=trapezoid_forcing()),
             certify={"theorem": "sign_changing", "m": 0.7, "kappa": 2200.0, "r1": 25.0, "r2": 1e4},
         )
     if name == "cosine":
         return Preset(
             name,
-            "near-constant cosine forcing, strictly positive",
             LiebauProblem(a=1.6, mu=0.01, c=1.49, T=1.0, e=cosine_forcing()),
             certify={"theorem": "positive_forcing", "m": 0.7},
         )
     if name == "cubic":
         return Preset(
             name,
-            "near-constant cubic-polynomial forcing, strictly positive",
             LiebauProblem(a=1.6, mu=0.01, c=1.49, T=1.0, e=cubic_forcing()),
             certify={"theorem": "positive_forcing", "m": 0.7},
         )
     if name == "narrowband":
         return Preset(
             name,
-            "forcing family with extrema pinned at (1.54, 1.54215)",
             LiebauProblem(a=1.6, mu=0.01, c=1.49, T=1.0, e=narrowband_forcing()),
             certify={"theorem": "positive_forcing", "m": 0.7},
         )
     if name == "benchmark":
-        return Preset(
-            name,
-            f"pipe-tank configuration with closed-form solution (v0={v0})",
-            tank_problem(v0),
-            solve={"bracket": (4.0, 40.0)},
-        )
+        return Preset(name, tank_problem(v0), solve={"bracket": (4.0, 40.0)})
     raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")

@@ -10,18 +10,19 @@ constant-forcing level e_mean / c by exactly (b - 1) ||u'||^2 / (c T); with
 the total volume fixed, a lower mean pipe quantity is a higher mean tank
 level, which is the pumping effect.  The report quantifies this as
 ``delta = e_mean/c - u_mean`` and cross-checks it with the balance residual.
+
+A trace is a 1-D array of u samples on the problem's grid arange(n) * (T/n).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NegativeState, NonpositiveLevel
 from .problem import LiebauProblem
 from .numerics import cyclic_differences, spectral_derivatives
-from .solve import GridSolution
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,6 @@ class PumpReport:
     uprime_l2sq: float  # int_0^T (u')^2 dt
     identity_residual: float  # |c T u_mean - (T e_mean - (b-1) uprime_l2sq)|
     pumping_detected: bool
-
-
-def _trace_values(u) -> np.ndarray:
-    values = u.values if isinstance(u, GridSolution) else np.asarray(u, dtype=float)
-    return np.asarray(values, dtype=float)
 
 
 def singular_residual(
@@ -50,13 +46,12 @@ def singular_residual(
     Cyclic central differences by default; pass analytic derivative samples
     to isolate the model identity from discretization error.
     """
-    values = _trace_values(u)
+    values = np.asarray(u, dtype=float)
     if np.any(values <= 0.0):
         raise NonpositiveLevel("the pipe-level model is singular at u = 0")
     n = len(values)
-    T = u.T if isinstance(u, GridSolution) else lp.T
-    h = T / n
-    nodes = u.nodes if isinstance(u, GridSolution) else np.arange(n) * h
+    h = lp.T / n
+    nodes = np.arange(n) * h
     if uprime is None:
         d1, d2 = cyclic_differences(values)
         du = d1 / (2.0 * h)
@@ -69,11 +64,12 @@ def singular_residual(
     return float(np.max(np.abs(res)))
 
 
-def x_to_u(solution: GridSolution, mu: float) -> GridSolution:
-    """Transform a regularized trace back to pipe-level units, u = x^mu."""
-    if np.any(solution.values <= 0.0):
+def x_to_u(x, mu: float) -> np.ndarray:
+    """Transform regularized samples back to pipe-level units, u = x^mu."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
         raise NegativeState("cannot transform a nonpositive trace")
-    return replace(solution, values=solution.values**mu, units="u")
+    return x**mu
 
 
 def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
@@ -82,10 +78,10 @@ def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
     Periodic means are plain node averages (spectrally accurate for smooth
     periodic data); u' comes from spectral differentiation of the trace.
     """
-    values = _trace_values(u)
+    values = np.asarray(u, dtype=float)
     if np.any(values <= 0.0):
         raise NonpositiveLevel("the pipe-level model is singular at u = 0")
-    T = u.T if isinstance(u, GridSolution) else lp.T
+    T = lp.T
     u_mean = float(values.mean())
     e_mean = lp.e.mean()
     du, _ = spectral_derivatives(values, T)

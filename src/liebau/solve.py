@@ -111,9 +111,8 @@ class GridSolution:
     sup_residual_exact_data: float
     iterations: int  # Newton steps and polish steps together, over every stage run
     converged: bool
-    polish_iterations: int = 0  # the polish's share of ``iterations``
-    fd_n: int = 0  # grid of the Newton stage behind the solution; 0 if not from solve_periodic
-    units: str = "x"
+    polish_iterations: int  # the polish's share of ``iterations``
+    fd_n: int  # grid of the Newton stage behind the solution
 
     @property
     def min_value(self) -> float:
@@ -373,22 +372,18 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
     return float(np.max(np.abs(res_colloc))), float(np.max(np.abs(res_exact)))
 
 
-def fd_residual(gp: GeneralProblem, solution: GridSolution) -> float:
-    """Sup-norm finite-difference residual at the nodes.
+def fd_residual(gp: GeneralProblem, x) -> float:
+    """Sup-norm finite-difference residual of samples x on the grid arange(n) * (T/n).
 
     The cyclic stencils build periodicity in, so there is no separate
     boundary defect to report.
     """
-    x = np.asarray(solution.values, dtype=float)
+    x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise NegativeState("residual requested for a nonpositive trace")
     n = len(x)
-    h = gp.T / n
-    nodes = solution.nodes
-    res = cyclic_fd_operator(x, h, gp.a) - (
-        np.asarray(gp.r(nodes), dtype=float) * x**gp.alpha
-        - np.asarray(gp.s(nodes), dtype=float) * x**gp.beta
-    )
+    f_of = _sampled(gp, n)[3]
+    res = cyclic_fd_operator(x, gp.T / n, gp.a) - f_of(x)
     return float(np.max(np.abs(res)))
 
 
@@ -413,9 +408,10 @@ def picard_iterate(
     r2: float,
     x0,
     n_steps: int,
-    n: int | None = None,
 ) -> PicardTrace:
-    """Iterate x -> integral G_m(., s) f~(s, x(s)) ds on the grid.
+    """Iterate x -> integral G_m(., s) f~(s, x(s)) ds on the grid of x0.
+
+    x0 holds the start's samples on arange(n) * (T/n).
 
     The operator is compact, not contractive, so there is no convergence
     guarantee; this is a direct probe of the paper's fixed-point operator,
@@ -427,12 +423,9 @@ def picard_iterate(
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
     kernel = greens.build(gp.a, m, gp.T)
     cm = kernel.cone_constant
-    if isinstance(x0, GridSolution):
-        start = np.asarray(x0.values, dtype=float)
-    else:
-        start = np.asarray(x0, dtype=float)
-        if start.ndim == 0:
-            start = np.full(n or 512, float(start))
+    start = np.asarray(x0, dtype=float)
+    if start.ndim != 1 or len(start) == 0:
+        raise LiebauError(f"x0 must be a nonempty 1-D array, got shape {start.shape}")
     nodes = np.arange(len(start)) * (gp.T / len(start))
 
     iterates = [start.copy()]
@@ -447,11 +440,8 @@ def picard_iterate(
     return PicardTrace(nodes, tuple(iterates), tuple(deltas), cm)
 
 
-def cone_and_localization(
-    solution: GridSolution | np.ndarray, cone_const: float, r1: float, r2: float
-) -> ConeReport:
-    """Check cone membership and the localization band for a trace."""
-    values = solution.values if isinstance(solution, GridSolution) else np.asarray(solution)
+def cone_and_localization(values, cone_const: float, r1: float, r2: float) -> ConeReport:
+    """Check cone membership and the localization band for trace samples."""
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     return ConeReport(

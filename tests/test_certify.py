@@ -328,7 +328,9 @@ def two_hundred_step_inner_radius(cm, m, mu, c, e_min, r2):
 def search_every_m(lp, opts=certify.SearchOptions()):
     """The earlier positive route: a full check_positive_forcing at every m of the grid.
 
-    An m whose kernel cannot be built is skipped, as the search does.
+    An m whose kernel cannot be built is skipped, as the search does, and so
+    is an m whose inner radius underflows (its check raises; the search
+    raises too if such an m wins).
     """
     m_max = greens.m_window(lp.a, lp.T)
     k = opts.m_points
@@ -338,7 +340,10 @@ def search_every_m(lp, opts=certify.SearchOptions()):
             greens.build(lp.a, float(m), lp.T)
         except LiebauError:
             continue
-        cert = check_positive_forcing(lp, float(m), eps=opts.eps)
+        try:
+            cert = check_positive_forcing(lp, float(m), eps=opts.eps)
+        except OutOfFloatRange:
+            continue
         if cert.passed and (best is None or cert.min_relative_margin() > best.min_relative_margin()):
             best = cert
     return best
@@ -658,6 +663,17 @@ class TestSmallMu:
         # (1/1.49)^10000 is about 1e-1732, which underflows to 0
         with pytest.raises(OutOfFloatRange, match="localization ceiling R2"):
             certify._ceiling("localization ceiling R2", 1.0, 1.49, 1e-4, 0.94)
+
+    def test_inner_radius_underflow_is_named(self):
+        # at a = 300 c_m is tiny for large m, and the root of _inner_radius
+        # lies below the smallest float at grid point 20 of the default 64
+        lp = LiebauProblem(300.0, 0.01, 1.49, 1.0, PeriodicFunction.trig(1.0, 1.54215, [(0.002, 1, 0.0)]))
+        with pytest.raises(OutOfFloatRange, match="inner radius R1"):
+            check_positive_forcing(lp, 48.47216610095481)
+        # the search's winner keeps a representable R1
+        cert = search_certificate(lp)
+        assert cert.passed
+        assert (cert.m, cert.r1) == (11.540991928798762, 5.304468747840355e-25)
 
     def test_sign_route_floor_beyond_range_finds_nothing(self, trapezoid_lp):
         lp = LiebauProblem(trapezoid_lp.a, 1e-5, trapezoid_lp.c, trapezoid_lp.T, trapezoid_lp.e)

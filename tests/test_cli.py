@@ -229,6 +229,24 @@ class TestSolveCommand:
         assert report["delta"] == pytest.approx(5.0, abs=1e-5)
         assert report["pumping_detected"] is True
 
+    def test_pump_rejects_solution_of_another_period(self, capsys, tmp_path):
+        # a T = 1 trace read against the T = 2 pi tank problem
+        csv_path = tmp_path / "cosine.csv"
+        run_captured(capsys, ["solve", "--preset", "cosine", "-n", "64", "--csv-out", str(csv_path)])
+        code, out, err = run_captured(
+            capsys, ["pump", "--preset", "benchmark", "--solution", str(csv_path)]
+        )
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert str(csv_path) in err and "t column" in err
+
+    def test_pump_accepts_t_column_within_rounding(self, capsys, tmp_path):
+        path = tmp_path / "sol.csv"
+        path.write_text(f"t,u\n0.0,3.0\n{math.pi * (1 + 1e-14)!r},1.0\n")
+        code, out, _ = run_captured(capsys, ["pump", "--preset", "benchmark", "--solution", str(path)])
+        assert code == EXIT_OK
+        assert json.loads(out)["u_mean"] == 2.0
+
     def test_pump_solves_internally(self, capsys):
         code, out, _ = run_captured(capsys, ["pump", "--preset", "cosine"])
         assert code == EXIT_OK
@@ -342,6 +360,9 @@ class TestBadInputExitsTwo:
             "t,u\n0.0,3.0\n0.5,abc\n",  # non-numeric cell
             "t,u\n0.0,3.0\n0.5\n",  # ragged row
             "t,u\n",  # no data rows
+            # t off the tank grid (0, pi) for n = 2; 3.1415926535 is 9e-11 off
+            "t,u\n0.0,3.0\n3.1415926535,1.0\n",
+            "t,u\n0.0,3.0\n-3.141592653589793,1.0\n",
         ],
     )
     def test_bad_solution_csv(self, capsys, tmp_path, body):

@@ -1,0 +1,53 @@
+"""Byte-for-byte regression of the CLI's stdout.
+
+Each case runs ``cli.run`` in-process and compares stdout with the file of
+the same name under ``tests/golden/``, and the exit code with ``CASES``.  A
+change that is meant to move digits regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists the moved digits in its change log.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from liebau import cli
+from liebau.presets import PRESET_NAMES
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# file name -> (argv, exit code); certify does not apply to ``benchmark``,
+# which carries no certificate tuple, and search finds nothing there.
+CASES = {"verify.txt": (["verify"], cli.EXIT_OK)}
+for _p in PRESET_NAMES:
+    for _cmd in ("certify", "search", "solve", "pump"):
+        if (_cmd, _p) == ("certify", "benchmark"):
+            continue
+        _code = cli.EXIT_SEARCH_EMPTY if (_cmd, _p) == ("search", "benchmark") else cli.EXIT_OK
+        CASES[f"{_cmd}-{_p}.json"] = ([_cmd, "--preset", _p], _code)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(capsys, name):
+    argv, code = CASES[name]
+    assert cli.run(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, (argv, _) in sorted(CASES.items()):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.run(argv)
+        (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
+        print(name, file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

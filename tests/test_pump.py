@@ -7,16 +7,14 @@ from liebau.errors import NonpositiveLevel
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import LiebauProblem, regularize
 from liebau.pump import pump_report, singular_residual, x_to_u
-from liebau.solve import GridSolution, SolveOptions, solve_periodic
+from liebau.solve import SolveOptions, solve_periodic
+
+# the tank problem's grid arange(n) * (T/n), T = 2 pi
+TANK_NODES = np.arange(1024) * (2 * math.pi / 1024)
 
 
-def closed_form_trace(v0: float, n: int = 1024) -> GridSolution:
-    nodes = np.arange(n) * 2 * math.pi / n
-    return GridSolution(
-        T=2 * math.pi, nodes=nodes, values=(v0 - 2.0) + np.cos(nodes),
-        sup_residual=0.0, sup_residual_exact_data=0.0,
-        iterations=0, converged=True, units="u",
-    )
+def closed_form_trace(v0: float) -> np.ndarray:
+    return (v0 - 2.0) + np.cos(TANK_NODES)
 
 
 class TestSingularResidual:
@@ -27,65 +25,37 @@ class TestSingularResidual:
     def test_closed_form_with_analytic_derivatives(self, tank_lp):
         u = closed_form_trace(4.0)
         res = singular_residual(
-            tank_lp(4.0), u, uprime=-np.sin(u.nodes), usecond=-np.cos(u.nodes)
+            tank_lp(4.0), u, uprime=-np.sin(TANK_NODES), usecond=-np.cos(TANK_NODES)
         )
         assert res < 1e-12
 
     def test_constant_equilibrium(self):
         lp = LiebauProblem(0.5, 0.25, 0.2, 1.0, PeriodicFunction.constant(1.0, 1.0))
-        n = 256
-        trace = GridSolution(
-            T=1.0, nodes=np.arange(n) / n, values=np.full(n, 1.0 / 0.2),
-            sup_residual=0.0, sup_residual_exact_data=0.0,
-            iterations=0, converged=True, units="u",
-        )
-        assert singular_residual(lp, trace) < 1e-12
+        assert singular_residual(lp, np.full(256, 1.0 / 0.2)) < 1e-12
 
     def test_rejects_nonpositive_level(self, tank_lp):
-        u = closed_form_trace(4.0)
-        bad = GridSolution(
-            T=u.T, nodes=u.nodes, values=u.values - 1.0,
-            sup_residual=0.0, sup_residual_exact_data=0.0,
-            iterations=0, converged=True, units="u",
-        )
+        bad = closed_form_trace(4.0) - 1.0
         with pytest.raises(NonpositiveLevel):
             singular_residual(tank_lp(4.0), bad)
 
 
 class TestTransform:
     def test_constant_power(self):
-        n = 64
-        x = GridSolution(
-            T=1.0, nodes=np.arange(n) / n, values=np.full(n, (1.54 / 1.49) ** 100),
-            sup_residual=0.0, sup_residual_exact_data=0.0,
-            iterations=0, converged=True,
-        )
-        u = x_to_u(x, 0.01)
-        assert u.units == "u"
-        np.testing.assert_allclose(u.values, 1.54 / 1.49, rtol=1e-12)
+        u = x_to_u(np.full(64, (1.54 / 1.49) ** 100), 0.01)
+        np.testing.assert_allclose(u, 1.54 / 1.49, rtol=1e-12)
 
     def test_cube_root_recovers_pipe_level(self):
         n = 128
         nodes = np.arange(n) * 2 * math.pi / n
-        x = GridSolution(
-            T=2 * math.pi, nodes=nodes, values=(2 + np.cos(nodes)) ** 3,
-            sup_residual=0.0, sup_residual_exact_data=0.0,
-            iterations=0, converged=True,
-        )
-        u = x_to_u(x, 1.0 / 3.0)
-        np.testing.assert_allclose(u.values, 2 + np.cos(nodes), rtol=1e-12)
+        u = x_to_u((2 + np.cos(nodes)) ** 3, 1.0 / 3.0)
+        np.testing.assert_allclose(u, 2 + np.cos(nodes), rtol=1e-12)
 
     def test_round_trip(self):
         n = 64
         rng = np.random.default_rng(0)
         vals = 1.0 + rng.uniform(0, 1, n)
-        x = GridSolution(
-            T=1.0, nodes=np.arange(n) / n, values=vals,
-            sup_residual=0.0, sup_residual_exact_data=0.0,
-            iterations=0, converged=True,
-        )
-        back = x_to_u(x_to_u(x, 0.2), 5.0)
-        np.testing.assert_allclose(back.values, vals, rtol=1e-12)
+        back = x_to_u(x_to_u(vals, 0.2), 5.0)
+        np.testing.assert_allclose(back, vals, rtol=1e-12)
 
 
 class TestPumpReport:
@@ -108,20 +78,14 @@ class TestPumpReport:
 
     def test_constant_regime_has_no_pumping(self):
         lp = LiebauProblem(0.5, 0.25, 0.2, 1.0, PeriodicFunction.constant(1.0, 1.0))
-        n = 128
-        trace = GridSolution(
-            T=1.0, nodes=np.arange(n) / n, values=np.full(n, 5.0),
-            sup_residual=0.0, sup_residual_exact_data=0.0,
-            iterations=0, converged=True, units="u",
-        )
-        report = pump_report(lp, trace)
+        report = pump_report(lp, np.full(128, 5.0))
         assert report.delta == pytest.approx(0.0, abs=1e-12)
         assert report.uprime_l2sq == pytest.approx(0.0, abs=1e-15)
         assert not report.pumping_detected
 
     def test_solver_output_pumps(self, cosine_lp):
         sol = solve_periodic(regularize(cosine_lp))
-        u = x_to_u(sol, cosine_lp.mu)
+        u = x_to_u(sol.values, cosine_lp.mu)
         report = pump_report(cosine_lp, u)
         assert report.delta > 0.0
         assert report.identity_residual < 1e-6
@@ -134,8 +98,8 @@ class TestPumpReport:
             lp = tank_lp(v0)
             u = closed_form_trace(v0)
             model_res = singular_residual(
-                lp, u, uprime=-np.sin(u.nodes), usecond=-np.cos(u.nodes)
+                lp, u, uprime=-np.sin(TANK_NODES), usecond=-np.cos(TANK_NODES)
             )
             report = pump_report(lp, u)
-            norm = float(np.max(np.abs(u.values)))
-            assert report.identity_residual <= max(model_res, 1e-13) * 100 * u.T * norm
+            norm = float(np.max(np.abs(u)))
+            assert report.identity_residual <= max(model_res, 1e-13) * 100 * lp.T * norm

@@ -12,7 +12,6 @@ from liebau.errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, 
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import GeneralProblem, regularize, shifted_rhs, truncated_rhs
 from liebau.solve import (
-    GridSolution,
     SolveOptions,
     cone_and_localization,
     fd_residual,
@@ -327,7 +326,7 @@ class TestNewtonKrylovPolish:
 class TestFdResidual:
     def test_exact_constant_solution(self, constant_solution):
         gp, sol = constant_solution
-        res = fd_residual(gp, sol)
+        res = fd_residual(gp, sol.values)
         assert isinstance(res, float)
         assert res < 1e-8
 
@@ -338,26 +337,16 @@ class TestFdResidual:
         res = {}
         for n in (512, 1024):
             nodes = np.arange(n) * 2 * math.pi / n
-            sol = GridSolution(
-                T=2 * math.pi, nodes=nodes, values=(2 + np.cos(nodes)) ** 3,
-                sup_residual=0.0, sup_residual_exact_data=0.0,
-                iterations=0, converged=True,
-            )
-            res[n] = fd_residual(gp, sol)
+            res[n] = fd_residual(gp, (2 + np.cos(nodes)) ** 3)
         assert res[512] == pytest.approx((2 * math.pi / 512) ** 2 / 12 * 81, rel=0.05)
         assert 3.5 <= res[512] / res[1024] <= 4.5
 
     def test_node_perturbation_sensitivity(self, tank_solution):
         gp, sol = tank_solution
-        res0 = fd_residual(gp, sol)
+        res0 = fd_residual(gp, sol.values)
         bumped = sol.values.copy()
         bumped[17] += 1e-3
-        sol_b = GridSolution(
-            T=sol.T, nodes=sol.nodes, values=bumped,
-            sup_residual=0.0, sup_residual_exact_data=0.0,
-            iterations=0, converged=True,
-        )
-        res1 = fd_residual(gp, sol_b)
+        res1 = fd_residual(gp, bumped)
         n = len(sol.values)
         assert res1 - res0 >= 1e-3 * (n / sol.T) ** 2 * 0.1
 
@@ -435,17 +424,21 @@ class TestPicard:
         trace2 = picard_iterate(gp2, 0.7, 0.1, cert_r2, np.full(256, 36.5), 1)
         assert float(trace2.final.max()) <= cert_r2 * (1 + 1e-9)
 
-    def test_accepts_grid_solution_start(self, cosine_lp):
+    def test_solver_output_is_near_fixed_point(self, cosine_lp):
         gp = regularize(cosine_lp)
         sol = solve_periodic(gp)
-        trace = picard_iterate(gp, 0.7, 0.1, 40.0, sol, 2)
-        # the solver output is near the operator's fixed point
+        trace = picard_iterate(gp, 0.7, 0.1, 40.0, sol.values, 2)
         assert trace.sup_deltas[0] < 1e-3
 
     def test_bad_radii(self, cosine_lp):
         gp = regularize(cosine_lp)
         with pytest.raises(BadRadii):
             picard_iterate(gp, 0.7, 40.0, 1.0, np.full(64, 1.0), 1)
+
+    @pytest.mark.parametrize("x0", [30.0, np.zeros(0), np.full((4, 4), 30.0)])
+    def test_start_must_be_nonempty_1d(self, cosine_lp, x0):
+        with pytest.raises(LiebauError, match="1-D"):
+            picard_iterate(regularize(cosine_lp), 0.7, 0.1, 40.0, x0, 1)
 
 
 class TestConeAndLocalization:
@@ -455,7 +448,7 @@ class TestConeAndLocalization:
 
     def test_figure_solution_in_cone(self, cosine_lp):
         sol = solve_periodic(regularize(cosine_lp))
-        report = cone_and_localization(sol, 0.94144, 0.07, 38.0)
+        report = cone_and_localization(sol.values, 0.94144, 0.07, 38.0)
         assert report.all_ok
 
     def test_touching_zero_not_in_cone(self):
