@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,9 +56,12 @@ VERDICT_INAPPLICABLE = "inapplicable"
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class Condition:
-    """One checked inequality: ``lhs relation rhs`` with oriented margin."""
+class Condition(NamedTuple):
+    """One checked inequality: ``lhs relation rhs`` with oriented margin.
+
+    A named tuple, three times cheaper to build than a frozen dataclass; it
+    reaches JSON only through ``to_dict`` (``dump_json`` writes tuples as lists).
+    """
 
     name: str
     lhs: float
@@ -73,15 +77,8 @@ class Condition:
         return self.margin / max(abs(self.lhs), abs(self.rhs), _TINY)
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "satisfied": self.satisfied,
-            "margin": self.margin,
-            "relative_margin": self.relative_margin,
-        }
+        out = dict(zip(self._fields[:6], self))  # name, lhs, rhs, relation, satisfied, margin
+        out["relative_margin"] = self.relative_margin
         if not self.applicable:
             out["applicable"] = False
         if self.note:

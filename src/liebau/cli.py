@@ -459,8 +459,18 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def _parse_optional(self, arg_string):
+        # a token that reads as a float ("-1e-9", "-inf") is a value, not an unknown option
+        try:
+            float(arg_string)
+            return None
+        except ValueError:
+            return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liebau",
         description="Existence certificates and periodic solvers for valveless pumping models.",
     )

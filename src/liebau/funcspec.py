@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import BadPeriod, LiebauError
-from .numerics import parabolic_min, simpson_segmented
+from .numerics import simpson_segmented, zoom_minima
 
 # Refinement tolerance (in t) for grid-based extrema; surfaced in
 # certificates because condition margins consume these values.
@@ -259,8 +259,9 @@ class PeriodicFunction:
         """(min, max, argmin, argmax) over one period.
 
         Exact for constants and piecewise-linear tables (and clips of them);
-        anything else is scanned on a uniform grid and each local winner is
-        refined by parabolic interpolation down to EXTREMA_REFINE_TOL in t.
+        anything else is scanned on a uniform grid and all local winners are
+        refined together by zoom rounds (``numerics.zoom_minima``) until each
+        bracket is at most EXTREMA_REFINE_TOL * max(1, T) wide in t.
         Computed on the first call; later calls return the same tuple.
         """
         return self._extrema
@@ -287,16 +288,14 @@ class PeriodicFunction:
         tol = EXTREMA_REFINE_TOL * max(1.0, T)
 
         def refine(sign: float) -> tuple[float, float]:
-            f = lambda t: sign * float(self(t))
+            # each local winner's bracket is its two grid neighbours, wrapped at the ends
+            i = _local_minima(sign * vals)
             n = len(grid)
-            best_t, best_v = 0.0, math.inf
-            for i in _local_minima(sign * vals).tolist():
-                left = grid[i - 1] if i > 0 else grid[-1] - T
-                right = grid[i + 1] if i + 1 < n else grid[0] + T
-                t_star, v_star = parabolic_min(f, left, grid[i], right, tol)
-                if v_star < best_v:
-                    best_t, best_v = t_star, v_star
-            return float(np.mod(best_t, T)), sign * best_v
+            left = grid[i - 1] - np.where(i == 0, T, 0.0)
+            right = grid[(i + 1) % n] + np.where(i == n - 1, T, 0.0)
+            t, v = zoom_minima(lambda s: sign * self(s), left, right, grid[i], sign * vals[i], tol)
+            k = int(np.argmin(v))
+            return float(np.mod(t[k], T)), sign * float(v[k])
 
         argmin, fmin = refine(+1.0)
         argmax, fmax = refine(-1.0)

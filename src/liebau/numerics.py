@@ -1,8 +1,8 @@
 """Shared numerical kernels.
 
 Everything here is deterministic and allocation-light: segmented
-composite Simpson quadrature, parabolic refinement of a
-bracketed minimum, a cyclic tridiagonal solver (bordered elimination in
+composite Simpson quadrature, batched zoom refinement of
+bracketed minima, a cyclic tridiagonal solver (bordered elimination in
 one fused forward/back sweep on Python floats for both right-hand sides,
 bitwise equal to two separate sweeps, NaN on a zero pivot), restarted
 GMRES with Givens rotations on Python floats, cyclic
@@ -17,9 +17,6 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def simpson_segmented(
     f: Callable[[np.ndarray], np.ndarray],
@@ -55,44 +52,38 @@ def simpson_segmented(
     return total
 
 
-def parabolic_min(
-    f: Callable[[float], float], left: float, mid: float, right: float, tol: float
-) -> tuple[float, float]:
-    """Refine a bracketed local minimum by successive parabolic interpolation.
+ZOOM_POINTS = 64  # K: a zoom round samples 2K + 1 points per bracket and shrinks it K-fold
+ZOOM_MAX_POINTS = 65536  # most points zoom_minima passes to one call of f
 
-    Falls back to a golden-section step whenever the parabolic step
-    degenerates or leaves the bracket, so kinked integrands are safe.
-    Returns ``(x, f(x))``.  The values at the bracket ends move with the
-    ends (Brent, *Algorithms for Minimization without Derivatives*, 1973),
-    so each iteration costs one call of ``f`` and a whole call at most
-    iterations + 3.
+
+def zoom_minima(f, left, right, t, v, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Refine the bracketed minima of a vectorized f, where bracket i is
+    [left[i], right[i]] (arrays) and (t[i], v[i]) its best point so far.
+
+    Each round evaluates f once per chunk of at most ZOOM_MAX_POINTS points,
+    on 2K + 1 evenly spaced points of every bracket; it keeps each value
+    below the best so far and narrows every bracket to the two neighbours of
+    its lowest point, until all are at most ``tol`` wide.  Only values are
+    compared, so kinks and flat stretches are safe.  Returns new (t, v).
     """
-    a, b = left, right
-    x = mid
-    fa, fx, fb = f(a), f(x), f(b)
-    for _ in range(200):
-        if (b - a) <= tol:
-            break
-        denom = (x - a) * (fx - fb) - (x - b) * (fx - fa)
-        if denom != 0.0:
-            v = x - 0.5 * ((x - a) ** 2 * (fx - fb) - (x - b) ** 2 * (fx - fa)) / denom
-        else:
-            v = math.nan
-        if not (a < v < b) or not math.isfinite(v) or abs(v - x) < 0.1 * tol:
-            v = a + _INVPHI * (b - a) if x < 0.5 * (a + b) else b - _INVPHI * (b - a)
-        fv = f(v)
-        if fv < fx:
-            if v < x:
-                b, fb = x, fx
-            else:
-                a, fa = x, fx
-            x, fx = v, fv
-        else:
-            if v < x:
-                a, fa = v, fv
-            else:
-                b, fb = v, fv
-    return x, fx
+    t, v = np.array(t, dtype=float), np.array(v, dtype=float)
+    steps = np.linspace(0.0, 1.0, 2 * ZOOM_POINTS + 1)
+    chunk = ZOOM_MAX_POINTS // len(steps)
+    for lo in range(0, len(t), chunk):
+        a, b = left[lo : lo + chunk], right[lo : lo + chunk]
+        tc, vc = t[lo : lo + chunk], v[lo : lo + chunk]  # views: updates land in t and v
+        rows = np.arange(len(a))
+        for _ in range(16):  # backstop; a grid cell reaches 1e-12 in about 5 rounds
+            if np.all(b - a <= tol):
+                break
+            pts = a[:, None] + (b - a)[:, None] * steps
+            vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+            j = np.argmin(vals, axis=1)
+            lowest = vals[rows, j]
+            better = lowest < vc
+            tc[better], vc[better] = pts[rows, j][better], lowest[better]
+            a, b = pts[rows, np.maximum(j - 1, 0)], pts[rows, np.minimum(j + 1, 2 * ZOOM_POINTS)]
+    return t, v
 
 
 def solve_cyclic_tridiagonal(

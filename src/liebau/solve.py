@@ -365,10 +365,11 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
     positive = np.clip(x_f, 1e-300, None)
     r_interp = trig_interpolate(r_nodes, n_f)
     s_interp = trig_interpolate(s_nodes, n_f)
-    res_colloc = lin - (r_interp * positive**gp.alpha - s_interp * positive**gp.beta)
+    x_alpha, x_beta = positive**gp.alpha, positive**gp.beta
+    res_colloc = lin - (r_interp * x_alpha - s_interp * x_beta)
     r_exact = np.asarray(gp.r(fine_nodes), dtype=float)
     s_exact = np.asarray(gp.s(fine_nodes), dtype=float)
-    res_exact = lin - (r_exact * positive**gp.alpha - s_exact * positive**gp.beta)
+    res_exact = lin - (r_exact * x_alpha - s_exact * x_beta)
     return float(np.max(np.abs(res_colloc))), float(np.max(np.abs(res_exact)))
 
 

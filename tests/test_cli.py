@@ -513,6 +513,29 @@ class TestOptionRangesExitTwo:
         assert out == ""
         assert "pump.tol" in err
 
+    @pytest.mark.parametrize("tol", ["-inf", "-1e-9", "-1"])
+    def test_pump_tol_negative_as_separate_token(self, capsys, tol):
+        # a space-separated negative float is a value, not an unknown option
+        code, out, err = run_captured(capsys, ["pump", "--preset", "benchmark", "--tol", tol])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "pump.tol" in err
+        assert "expected one argument" not in err
+
+    @pytest.mark.parametrize("a, m", [("-inf", "0.7"), ("-1e-9", "0.7"), ("1.6", "-0.7")])
+    def test_greens_negative_coefficient_as_separate_token(self, capsys, a, m):
+        code, out, err = run_captured(capsys, ["greens", "-a", a, "-m", m, "-T", "1"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert ("friction coefficient" if a != "1.6" else "admissible window") in err
+        assert "expected one argument" not in err
+
+    @pytest.mark.parametrize("command", ["search", "certify"])
+    def test_negative_eps_as_separate_token(self, capsys, command):
+        code, out, _ = run_captured(capsys, [command, "--preset", "cosine", "--eps", "-1e-9"])
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == "pass"
+
     def test_pump_tol_zero_is_accepted(self, capsys):
         code, out, _ = run_captured(capsys, ["pump", "--preset", "benchmark", "--tol", "0"])
         assert code == EXIT_OK

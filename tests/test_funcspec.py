@@ -6,6 +6,7 @@ import pytest
 from liebau import funcspec
 from liebau.errors import LiebauError
 from liebau.funcspec import PeriodicFunction
+from liebau.numerics import ZOOM_MAX_POINTS, ZOOM_POINTS
 
 # Trapezoidal forcing instance used throughout: ramps of width 5e-4 at both
 # ends of [0, 1], plateau at e_max, endpoints at e_min < 0.
@@ -301,6 +302,69 @@ class TestVectorisedScans:
 
     def test_zero_nodes_are_crossings(self):
         assert funcspec._find_crossings(zeros_at_nodes(), 1.0) == [0.25, 0.75]
+
+
+def recording_calls(monkeypatch) -> list[int]:
+    """Sizes of every evaluation of any PeriodicFunction from now on."""
+    sizes: list[int] = []
+    call = PeriodicFunction.__call__
+
+    def recording(self, t):
+        sizes.append(int(np.size(t)))
+        return call(self, t)
+
+    monkeypatch.setattr(PeriodicFunction, "__call__", recording)
+    return sizes
+
+
+class TestExtremaZoom:
+    def test_few_vectorized_calls_per_sign(self, monkeypatch):
+        per_sign = []
+        zoom = funcspec.zoom_minima
+
+        def counting(f, *args):
+            sizes = []
+            per_sign.append(sizes)
+            return zoom(lambda s: sizes.append(len(s)) or f(s), *args)
+
+        monkeypatch.setattr(funcspec, "zoom_minima", counting)
+        PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 3, 0.3)]).extrema()
+        # a grid-cell bracket shrinks 64-fold per round from 2/8192 to 1e-12 in 5 rounds;
+        # all 3 minima (maxima) of the harmonic-3 cosine share each round's call
+        assert len(per_sign) == 2
+        for sizes in per_sign:
+            assert 1 <= len(sizes) <= 5
+            assert set(sizes) == {3 * (2 * ZOOM_POINTS + 1)}
+
+    def test_winner_at_grid_index_zero_zooms_across_the_wrap(self):
+        # minimum 1 at t* just below T, so the scan's winner is node 0 and the
+        # zoom has to search its left neighbour cell, which starts at grid[-1] - T
+        t_star = 1.0 - 0.3 / funcspec._SCAN_POINTS
+        f = PeriodicFunction.trig(1.0, 2.0, [(1.0, 1, math.pi - 2.0 * math.pi * t_star)])
+        grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
+        assert 0 in funcspec._local_minima(f(grid)).tolist()
+        assert float(np.min(f(grid))) > 1.0 + 1e-9
+        fmin, _, argmin, _ = f.extrema()
+        assert fmin == pytest.approx(1.0, abs=4e-16)
+        assert 0.0 <= argmin < 1.0
+        assert abs(argmin - t_star) <= 1e-7  # the rounding-flat band of a unit cosine
+
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            # zero amplitude: all 8192 nodes tie for both the minimum and the maximum
+            (all_ties(), (0.0, 0.0)),
+            # cos > 1/2 on a third of the period, so about 5461 nodes tie at 0
+            (PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0)]).positive_part(), (0.0, 0.5)),
+        ],
+    )
+    def test_plateau_of_tied_winners(self, monkeypatch, f, expected):
+        grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
+        assert len(funcspec._local_minima(f(grid))) > 4096
+        sizes = recording_calls(monkeypatch)
+        fmin, fmax, _, _ = f.extrema()
+        assert (fmin, fmax) == expected
+        assert max(sizes) <= ZOOM_MAX_POINTS
 
 
 class TestComputedOnce:
