@@ -38,10 +38,10 @@ from .errors import (
     ConfigError,
     InapplicableCriterion,
     KappaNonpositive,
-    LiebauError,
     OutOfFloatRange,
 )
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
+from .numerics import per_element
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
 from .solve import MAX_GRID
 
@@ -74,7 +74,7 @@ class Condition(NamedTuple):
 
     @property
     def relative_margin(self) -> float:
-        return self.margin / max(abs(self.lhs), abs(self.rhs), _TINY)
+        return float(_relative_margin(self.margin, self.lhs, self.rhs))
 
     def to_dict(self) -> dict:
         out = dict(zip(self._fields[:6], self))  # name, lhs, rhs, relation, satisfied, margin
@@ -86,9 +86,21 @@ class Condition(NamedTuple):
         return out
 
 
+def _relative_margin(margin, lhs, rhs):
+    """margin / max(|lhs|, |rhs|, _TINY): floats, or arrays elementwise."""
+    if isinstance(margin, np.ndarray):
+        return margin / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TINY)
+    return margin / max(abs(lhs), abs(rhs), _TINY)
+
+
+def _margin(lhs, rhs, relation):
+    """Oriented margin of ``lhs relation rhs``: nonnegative iff it holds (floats or arrays)."""
+    return (rhs - lhs) if relation == "<=" else (lhs - rhs)
+
+
 def _cond(name, lhs, rhs, relation, eps=0.0, note="") -> Condition:
     lhs, rhs = float(lhs), float(rhs)
-    margin = (rhs - lhs) if relation == "<=" else (lhs - rhs)
+    margin = _margin(lhs, rhs, relation)
     return Condition(name, lhs, rhs, relation, margin >= eps, margin, True, note)
 
 
@@ -404,22 +416,44 @@ def _ceiling(name: str, level: float, c: float, mu: float, cm: float) -> float:
     return value
 
 
+def _shift_sides(lp: LiebauProblem, cm, m, m_max: float, e_min: float, e_max: float):
+    """(name, lhs, rhs, relation) of ``shift_lower`` and ``shift_window``.
+
+    ``cm`` and ``m`` are floats, or arrays with one element per m; c_m^mu
+    is libm's pow either way, so the search ranks on the checker's bits.
+    """
+    mu, c = lp.mu, lp.c
+    lhs = (c * c / (mu * e_min * e_min)) * (e_max / per_element(math.pow, cm, mu) - e_min)
+    return (("shift_lower", lhs, m * m, "<="), ("shift_window", m * m, m_max**2, "<="))
+
+
+def _forcing_gate(e_min: float, eps: float) -> Condition:
+    return _cond("forcing_positive", e_min, 0.0, ">=", max(eps, 1e-300))
+
+
 def _positive_conditions(
-    lp: LiebauProblem, kernel: greens.GreensKernel, m: float, e_min: float, e_max: float, eps: float
+    lp: LiebauProblem, cm: float, m: float, m_max: float, e_min: float, e_max: float, eps: float
 ) -> tuple[Condition, ...]:
     """The conditions of the positive-forcing criterion at one m.
 
     Only the gate ``forcing_positive`` when e_min <= 0; otherwise the gate,
     ``shift_lower`` and ``shift_window``.
     """
-    c5 = _cond("forcing_positive", e_min, 0.0, ">=", max(eps, 1e-300))
+    gate = _forcing_gate(e_min, eps)
     if e_min <= 0.0:
-        return (c5,)
-    mu, c, cm = lp.mu, lp.c, kernel.cone_constant
-    lhs = (c * c / (mu * e_min * e_min)) * (e_max / cm**mu - e_min)
-    c6 = _cond("shift_lower", lhs, m * m, "<=", eps)
-    c6w = _cond("shift_window", m * m, kernel.m_max**2, "<=", eps)
-    return (c5, c6, c6w)
+        return (gate,)
+    return (gate, *(_cond(*sides, eps) for sides in _shift_sides(lp, cm, m, m_max, e_min, e_max)))
+
+
+def _positive_scores(lp, kc: greens.KernelConstants, ms, e_min, e_max, eps) -> np.ndarray:
+    """The search score (minimum relative margin) of the positive criterion at
+    each m, -inf where the kernel cannot be built or a condition fails; e_min > 0."""
+    gate = _forcing_gate(e_min, eps)
+    score = np.full(len(ms), gate.relative_margin if gate.satisfied else -math.inf)
+    for _, lhs, rhs, relation in _shift_sides(lp, kc.cone_constant, ms, kc.m_max, e_min, e_max):
+        margin = _margin(lhs, rhs, relation)
+        score = np.where(margin >= eps, np.minimum(score, _relative_margin(margin, lhs, rhs)), -math.inf)
+    return np.where(kc.ok, score, -math.inf)
 
 
 def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Certificate:
@@ -447,7 +481,7 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
     mu, c = lp.mu, lp.c
     e_min, e_max, _, _ = lp.e.extrema()
 
-    conditions = _positive_conditions(lp, kernel, m, e_min, e_max, eps)
+    conditions = _positive_conditions(lp, cm, m, kernel.m_max, e_min, e_max, eps)
     if e_min <= 0.0:
         return Certificate(
             theorem=THEOREM_POSITIVE_FORCING,
@@ -544,6 +578,11 @@ class SearchOptions:
             raise ConfigError(f"must be finite, got {self.eps!r}", "eps")
 
 
+# most m values per kernel_constants pass of the search, so a fine m grid
+# (up to MAX_GRID points) holds a few chunk-sized arrays, not grid-sized ones
+SEARCH_CHUNK = 65536
+
+
 def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions()):
     """Scan (m, kappa, R1, R2) for a passing certificate.
 
@@ -557,13 +596,15 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     clearance bound is only meaningful there).  Both routes rank the grid on
     their checker's own conditions, all required to hold at ``opts.eps``,
     and call the checker once, at the winner (so on the positive route R1
-    and R2 are computed for the winning m only).  ``ceiling_clearance``
-    depends on R2 alone and is evaluated once per radius; when no radius
-    passes it (small mu flattens c R2^mu) nothing qualifies.  An m whose
-    kernel cannot be built (``greens.build`` raises a LiebauError) is
-    skipped.  The grid is scanned serially and ties keep the earliest
-    (m, R1, R2), so the result is a pure function of the problem and the
-    options.
+    and R2 are computed for the winning m only).  The kernel constants of
+    the m grid come from ``greens.kernel_constants``, SEARCH_CHUNK values of
+    m per pass, and no kernel is built per m; the positive route scores each
+    chunk as arrays.  ``ceiling_clearance`` depends on R2 alone and is
+    evaluated once per radius; when no radius passes it (small mu flattens
+    c R2^mu) nothing qualifies.  An m outside the mask ``ok`` of
+    ``kernel_constants`` (one ``greens.build`` would refuse) takes no part.
+    Ties keep the earliest (m, R1, R2), so the result is a pure function of
+    the problem and the options.
     """
     ebar, ok = check_necessary(lp)
     if not ok:
@@ -577,11 +618,10 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     if e_min > 0.0:
         check = check_positive_forcing
 
-        def best_at(kernel, m):
-            conditions = _positive_conditions(lp, kernel, m, e_min, e_max, eps)
-            if all(cc.satisfied for cc in conditions):
-                return _min_relative_margin(conditions), (m,)
-            return None
+        def best_in(chunk, kc):
+            score = _positive_scores(lp, kc, chunk, e_min, e_max, eps)
+            i = int(np.argmax(score))  # the first of equal scores
+            return None if score[i] == -math.inf else (float(score[i]), (float(chunk[i]),))
 
     else:
         # sign-changing route: the positive part of the forcing must carry mass
@@ -595,38 +635,36 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
             return None
         check = check_sign_changing
 
-        def best_at(kernel, m):
+        def best_in(chunk, kc):
             best = None  # (score, (m, kappa, r1, r2))
-            for r1 in radii:
-                y1 = kernel.cone_constant * r1
-                power, kappa_lo, kappa_hi = _kappa_interval(y1, lp.mu, kernel.k0, epos_mass)
-                if kappa_lo > kappa_hi:
-                    continue
-                # most R1 that get here fail root_clearance: test its sides
-                # before building the three Condition records
-                lhs, rhs = _root_clearance_sides(lp, m, y1, e_min)
-                if lhs - rhs < eps:
-                    continue
-                kappa = math.sqrt(kappa_lo * kappa_hi)
-                inner = _inner_conditions(lp, m, kappa, y1, power, kernel.k0, epos_mass, e_min, eps)
-                if not all(cc.satisfied for cc in inner):
-                    continue
-                common = _min_relative_margin(inner)
-                for r2, rel in ceilings:
-                    if r2 <= r1:
+            for m, cm, k0 in zip(*(x[kc.ok].tolist() for x in (chunk, kc.cone_constant, kc.k0))):
+                for r1 in radii:
+                    y1 = cm * r1
+                    power, kappa_lo, kappa_hi = _kappa_interval(y1, lp.mu, k0, epos_mass)
+                    if kappa_lo > kappa_hi:
                         continue
-                    score = min(common, rel)
-                    if best is None or score > best[0]:
-                        best = (score, (m, kappa, r1, r2))
+                    # most R1 that get here fail root_clearance: test its sides
+                    # before building the three Condition records
+                    lhs, rhs = _root_clearance_sides(lp, m, y1, e_min)
+                    if lhs - rhs < eps:
+                        continue
+                    kappa = math.sqrt(kappa_lo * kappa_hi)
+                    inner = _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps)
+                    if not all(cc.satisfied for cc in inner):
+                        continue
+                    common = _min_relative_margin(inner)
+                    for r2, rel in ceilings:
+                        if r2 <= r1:
+                            continue
+                        score = min(common, rel)
+                        if best is None or score > best[0]:
+                            best = (score, (m, kappa, r1, r2))
             return best
 
     winner = None  # (score, the checker's parameters after lp)
-    for m in ms.tolist():
-        try:
-            kernel = greens.build(lp.a, m, lp.T)
-        except LiebauError:
-            continue
-        best = best_at(kernel, m)
+    for lo in range(0, k, SEARCH_CHUNK):
+        chunk = ms[lo : lo + SEARCH_CHUNK]
+        best = best_in(chunk, greens.kernel_constants(lp.a, chunk, lp.T))
         if best is not None and (winner is None or best[0] > winner[0]):
             winner = best
     return None if winner is None else check(lp, *winner[1], eps=eps)

@@ -261,7 +261,8 @@ class PeriodicFunction:
         Exact for constants and piecewise-linear tables (and clips of them);
         anything else is scanned on a uniform grid and all local winners are
         refined together by zoom rounds (``numerics.zoom_minima``) until each
-        bracket is at most EXTREMA_REFINE_TOL * max(1, T) wide in t.
+        bracket is at most EXTREMA_REFINE_TOL * max(1, T) wide in t.  A run
+        of adjacent winners with equal values is refined as one bracket.
         Computed on the first call; later calls return the same tuple.
         """
         return self._extrema
@@ -288,12 +289,18 @@ class PeriodicFunction:
         tol = EXTREMA_REFINE_TOL * max(1.0, T)
 
         def refine(sign: float) -> tuple[float, float]:
-            # each local winner's bracket is its two grid neighbours, wrapped at the ends
-            i = _local_minima(sign * vals)
+            # a run of adjacent local winners with equal values (a flat stretch)
+            # is one bracket, from the grid neighbour before its first winner to
+            # the one after its last, wrapped at the ends
+            fv = sign * vals
+            i = _local_minima(fv)
+            starts = np.ones(len(i), dtype=bool)
+            starts[1:] = (np.diff(i) != 1) | (fv[i[1:]] != fv[i[:-1]])
+            first, last = i[starts], i[np.append(starts[1:], True)]
             n = len(grid)
-            left = grid[i - 1] - np.where(i == 0, T, 0.0)
-            right = grid[(i + 1) % n] + np.where(i == n - 1, T, 0.0)
-            t, v = zoom_minima(lambda s: sign * self(s), left, right, grid[i], sign * vals[i], tol)
+            left = grid[first - 1] - np.where(first == 0, T, 0.0)
+            right = grid[(last + 1) % n] + np.where(last == n - 1, T, 0.0)
+            t, v = zoom_minima(lambda s: sign * self(s), left, right, grid[first], fv[first], tol)
             k = int(np.argmin(v))
             return float(np.mod(t[k], T)), sign * float(v[k])
 

@@ -24,7 +24,12 @@ Solving K'(t*) = 0 gives
     double root:   t* = 2/a - T E / (1 - E),   E = exp(-a T / 2)
 
 and since K'' = -m^2 K < 0 at t*, K(t*) is the maximum and K(0) the minimum.
-The cone constant is c_m = K(0)/K(t*) in (0, 1).
+The cone constant is c_m = K(0)/K(t*) in (0, 1).  ``kernel_constants``
+computes K(0), t*, K(t*) and c_m for a whole array of m, one pass per root
+case, and marks in its mask ``ok`` each m that ``build`` would refuse;
+``build`` is that function on one m, so the two agree bit for bit.  The
+per-m constants (the exponentials e^{lam T}, the powers and t*) go through
+libm one m at a time, and numpy evaluates only the tau-dependent factors.
 
 Kernel responses x(t) = integral_0^T K((t - s) mod T) g(s) ds of smooth g
 come from one quadrature, ``circular_response``: the periodic trapezoid rule
@@ -50,16 +55,18 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BadPeriod, LiebauError, MOutOfRange, PropertyViolation
 from .funcspec import PeriodicFunction
-from .numerics import cyclic_fd_operator, simpson_segmented
+from .numerics import cyclic_fd_operator, per_element, simpson_segmented
 
 CASE_REAL_DISTINCT = "real_distinct"
 CASE_DOUBLE_ROOT = "double_root"
 CASE_COMPLEX_PAIR = "complex_pair"
+CASES = (CASE_REAL_DISTINCT, CASE_DOUBLE_ROOT, CASE_COMPLEX_PAIR)  # indexed by case code
 
 # Relative tolerance on |a^2 - 4 m^2| / (4 m^2) below which the confluent
 # formula is used.  That formula is off by about this ratio times kmax, while
@@ -124,59 +131,129 @@ class GreensKernel:
         return out if np.ndim(t) or np.ndim(s) else float(out)
 
 
-def _select_case(a: float, m: float) -> str:
+def _select_case(a: float, m):
+    """The root case code of each m (an index into CASES; 0-d for a scalar m)."""
     disc = a * a - 4.0 * m * m
-    if abs(disc) < _BRANCH_EPS * 4.0 * m * m:
-        return CASE_DOUBLE_ROOT
-    return CASE_REAL_DISTINCT if disc > 0.0 else CASE_COMPLEX_PAIR
+    return np.where(np.abs(disc) < _BRANCH_EPS * 4.0 * m * m, 1, np.where(disc > 0.0, 0, 2))
 
 
-def _roots(a: float, m: float, case: str) -> tuple[complex, complex]:
-    """The roots of lam^2 + a lam + m^2 = 0, as the formulas of ``case`` use them."""
+def _roots(a: float, m, case: str) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of lam^2 + a lam + m^2 = 0 for each m of one ``case``, in the
+    form the formulas of ``case`` use them: real arrays but for a complex pair."""
+    m = np.asarray(m, dtype=float)
+    if case == CASE_COMPLEX_PAIR:
+        lam = np.empty(m.shape, dtype=complex)
+        lam.real = -a / 2.0
+        lam.imag = np.sqrt(4.0 * m * m - a * a) / 2.0
+        return lam, lam.conj()
     if case == CASE_DOUBLE_ROOT:
-        return complex(-a / 2.0, 0.0), complex(-a / 2.0, 0.0)
-    if case == CASE_REAL_DISTINCT:
-        sq = math.sqrt(a * a - 4.0 * m * m)
-        return complex((-a + sq) / 2.0, 0.0), complex((-a - sq) / 2.0, 0.0)
-    omega = math.sqrt(4.0 * m * m - a * a) / 2.0
-    return complex(-a / 2.0, omega), complex(-a / 2.0, -omega)
+        lam = np.full(m.shape, -a / 2.0)
+        return lam, lam
+    sq = np.sqrt(a * a - 4.0 * m * m)
+    return (-a + sq) / 2.0, (-a - sq) / 2.0
 
 
-def _kernel_values(case: str, roots: tuple[complex, complex], T: float, tau):
-    scalar = np.ndim(tau) == 0
-    tt = np.asarray(tau, dtype=float)
+def _kernel_values(case: str, roots, T: float, tau):
+    """K(tau) of the kernels with the given roots, all of one ``case``.
+
+    ``roots`` is a pair of complex numbers, or of 1-D arrays (one kernel per
+    element) that broadcast against tau.  Only the tau-dependent factors are
+    numpy arithmetic; the per-kernel constants use libm (``per_element``).
+    """
     # the kernel is T-periodic and continuous; wrap so K(T) lands on K(0)
-    tt = np.mod(tt, T)
+    tt = np.mod(tau, T)
     if case == CASE_DOUBLE_ROOT:
         lam = roots[0].real
-        E = math.exp(lam * T)
-        vals = np.exp(lam * tt) * (tt * (1.0 - E) + T * E) / (1.0 - E) ** 2
+        E = per_element(math.exp, lam * T)
+        vals = np.exp(lam * tt) * (tt * (1.0 - E) + T * E) / per_element(math.pow, 1.0 - E, 2.0)
     elif case == CASE_REAL_DISTINCT:
         l1, l2 = roots[0].real, roots[1].real
         vals = (
-            np.exp(l1 * tt) / (1.0 - math.exp(l1 * T))
-            - np.exp(l2 * tt) / (1.0 - math.exp(l2 * T))
+            np.exp(l1 * tt) / (1.0 - per_element(math.exp, l1 * T))
+            - np.exp(l2 * tt) / (1.0 - per_element(math.exp, l2 * T))
         ) / (l1 - l2)
     else:
         lam = roots[0]
         vals = np.imag(np.exp(lam * tt) / (1.0 - np.exp(lam * T))) / lam.imag
-    return float(vals) if scalar else vals
+    return float(vals) if np.ndim(vals) == 0 else vals
 
 
-def _critical_point(case: str, roots: tuple[complex, complex], T: float) -> float:
-    """The zero of K' in (0, T), solved from the kernel formula of ``case``."""
+def _critical_point(case: str, roots, T: float):
+    """The zero of K' in (0, T) of each kernel, solved from the kernel formula
+    of ``case`` with libm, one kernel at a time (a float for scalar roots)."""
+    scalar = np.ndim(roots[0]) == 0
+    r1, r2 = ([complex(r)] for r in roots) if scalar else (r.tolist() for r in roots)
     if case == CASE_DOUBLE_ROOT:
-        lam = roots[0].real
-        return -1.0 / lam + T * math.exp(lam * T) / math.expm1(lam * T)
-    if case == CASE_REAL_DISTINCT:
-        l1, l2 = roots[0].real, roots[1].real
-        return math.log(l2 * math.expm1(l1 * T) / (l1 * math.expm1(l2 * T))) / (l1 - l2)
-    lam = roots[0]
-    return (-cmath.phase(lam / (1.0 - cmath.exp(lam * T)))) % math.pi / lam.imag
+        out = [-1.0 / lam + T * math.exp(lam * T) / math.expm1(lam * T) for lam in (r.real for r in r1)]
+    elif case == CASE_REAL_DISTINCT:
+        out = [
+            math.log(l2 * math.expm1(l1 * T) / (l1 * math.expm1(l2 * T))) / (l1 - l2)
+            for l1, l2 in ((p.real, q.real) for p, q in zip(r1, r2))
+        ]
+    else:
+        out = [(-cmath.phase(lam / (1.0 - cmath.exp(lam * T)))) % math.pi / lam.imag for lam in r1]
+    return out[0] if scalar else np.array(out)
+
+
+class KernelConstants(NamedTuple):
+    """The constants of the kernels for an array of m at one (a, T), one element per m.
+
+    ``ok`` is False exactly where ``build`` raises (m outside (0, m_max), or
+    kernel constants out of range); the constants there are NaN, or the
+    values that put them out of range.
+    """
+
+    m_max: float
+    case: np.ndarray  # case code of each m, an index into CASES
+    roots: tuple[np.ndarray, np.ndarray]  # complex; NaN where no case formula ran
+    k0: np.ndarray  # K(0)
+    t_max: np.ndarray  # t*
+    kmax: np.ndarray  # K(t*)
+    cone_constant: np.ndarray  # c_m = K(0)/K(t*), NaN where not ok
+    ok: np.ndarray
+
+
+def _check_coefficients(a: float, T: float) -> None:
+    if not (T > 0.0) or not math.isfinite(T):
+        raise BadPeriod(f"period must be positive, got {T!r}")
+    if not 0.0 <= a < math.inf:
+        raise LiebauError(f"friction coefficient must be finite and nonnegative, got {a!r}")
+
+
+def kernel_constants(a: float, ms, T: float) -> KernelConstants:
+    """K(0), t*, K(t*) and c_m for every m of a 1-D array, in one pass per root case.
+
+    Raises BadPeriod and LiebauError as ``build`` does; an m that ``build``
+    would refuse (MOutOfRange or PropertyViolation) is marked in ``ok``
+    instead.  Each element equals what ``build`` gives for that m, bit for
+    bit: ``build`` is this function on one m.
+    """
+    _check_coefficients(a, T)
+    ms = np.asarray(ms, dtype=float)
+    mmax = m_window(a, T)
+    k0, t_max, kmax, cone = np.full((4, len(ms)), math.nan)
+    r1, r2 = np.full((2, len(ms)), complex(math.nan, math.nan))
+    case = _select_case(a, ms)
+    inside = (0.0 < ms) & (ms < mmax)
+    # a root that rounds to 0 makes K(0) infinite or NaN, which ``ok`` refuses
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for code in sorted(set(case[inside].tolist())):
+            name, idx = CASES[code], np.flatnonzero(inside & (case == code))
+            r1[idx], r2[idx] = roots = _roots(a, ms[idx], name)
+            k0[idx] = k = _kernel_values(name, roots, T, 0.0)
+            # the t* formula divides by the roots: only for a finite K(0)
+            keep = (0.0 < k) & (k < math.inf)
+            idx, roots = idx[keep], (roots[0][keep], roots[1][keep])
+            t_max[idx] = t = _critical_point(name, roots, T)
+            keep = (0.0 < t) & (t < T)
+            kmax[idx[keep]] = _kernel_values(name, (roots[0][keep], roots[1][keep]), T, t[keep])
+    ok = inside & (0.0 < k0) & (k0 < kmax)
+    cone[ok] = k0[ok] / kmax[ok]
+    return KernelConstants(mmax, case, (r1, r2), k0, t_max, kmax, cone, ok)
 
 
 def build(a: float, m: float, T: float) -> GreensKernel:
-    """Construct the kernel and all derived constants.
+    """Construct the kernel and all derived constants: ``kernel_constants`` on one m.
 
     Raises BadPeriod for T <= 0 or non-finite, LiebauError for a negative or
     non-finite a, and MOutOfRange when m (NaN or infinite included) is outside
@@ -185,26 +262,19 @@ def build(a: float, m: float, T: float) -> GreensKernel:
     0 < K(0) < K(t*)) is checked here; a violation marks a near-degenerate
     case we refuse to certify with, so it raises PropertyViolation.
     """
-    if not (T > 0.0) or not math.isfinite(T):
-        raise BadPeriod(f"period must be positive, got {T!r}")
-    if not 0.0 <= a < math.inf:
-        raise LiebauError(f"friction coefficient must be finite and nonnegative, got {a!r}")
+    _check_coefficients(a, T)
     mmax = m_window(a, T)
     if not (0.0 < m < mmax):
         raise MOutOfRange(m, mmax)
-
-    case = _select_case(a, m)
-    roots = _roots(a, m, case)
-    k0 = _kernel_values(case, roots, T, 0.0)
-    # an infinite K(0) means a root rounded to 0; the t_max formula divides by it
-    t_max = _critical_point(case, roots, T) if 0.0 < k0 < math.inf else math.nan
-    kmax = _kernel_values(case, roots, T, t_max) if 0.0 < t_max < T else math.nan
-    if not (0.0 < k0 < kmax):
+    kc = kernel_constants(a, [m], T)
+    k0, t_max, kmax = float(kc.k0[0]), float(kc.t_max[0]), float(kc.kmax[0])
+    if not kc.ok[0]:
         raise PropertyViolation(
             f"kernel constants out of range: K(0)={k0!r}, t_max={t_max!r}, K(t_max)={kmax!r}; "
             "the cone construction does not apply to this parameter set"
         )
-    return GreensKernel(a, m, T, case, roots, k0, kmax, k0 / kmax, mmax)
+    roots = (complex(kc.roots[0][0]), complex(kc.roots[1][0]))
+    return GreensKernel(a, m, T, CASES[kc.case[0]], roots, k0, kmax, float(kc.cone_constant[0]), mmax)
 
 
 def circular_response(kernel: GreensKernel, g_values) -> np.ndarray:

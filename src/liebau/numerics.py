@@ -1,7 +1,7 @@
 """Shared numerical kernels.
 
-Everything here is deterministic and allocation-light: segmented
-composite Simpson quadrature, batched zoom refinement of
+Everything here is deterministic and allocation-light: libm functions
+applied per element, segmented composite Simpson quadrature, batched zoom refinement of
 bracketed minima, a cyclic tridiagonal solver (bordered elimination in
 one fused forward/back sweep on Python floats for both right-hand sides,
 bitwise equal to two separate sweeps, NaN on a zero pivot), restarted
@@ -17,6 +17,18 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+def per_element(f, x, *args):
+    """f(x, *args) for a number x, or f of each element of a 1-D array x, in Python.
+
+    For the per-kernel and per-m constants of array passes that must match
+    their scalar forms bit for bit: numpy's SIMD exp and power differ from
+    libm by an ulp on some inputs.
+    """
+    if isinstance(x, np.ndarray) and x.ndim:
+        return np.array([f(v, *args) for v in x.tolist()])
+    return f(x, *args)
+
 
 def simpson_segmented(
     f: Callable[[np.ndarray], np.ndarray],

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liebau import certify, greens
 from liebau.certify import (
@@ -355,6 +355,25 @@ def same_certificate(a, b) -> bool:
     return dump_json(a.to_dict()) == dump_json(b.to_dict())
 
 
+DEFAULT_GRID_FRACTIONS = np.linspace(1 / 65, 64 / 65, 64)
+
+
+def coarsen_relative_margins(monkeypatch):
+    """Round every relative margin down to a multiple of 1/4, in the one
+    definition the checkers and the array ranking share, so that many grid
+    points tie for the best score."""
+    exact = certify._relative_margin
+    monkeypatch.setattr(certify, "_relative_margin", lambda *args: np.floor(4.0 * exact(*args)) / 4.0)
+
+
+def tied_best_grid_points(lp):
+    """Indices of the default m grid whose full check passes with the best score."""
+    ms = DEFAULT_GRID_FRACTIONS * greens.m_window(lp.a, lp.T)
+    certs = [check_positive_forcing(lp, float(m)) for m in ms]
+    best = max(c.min_relative_margin() for c in certs if c.passed)
+    return [i for i, c in enumerate(certs) if c.passed and c.min_relative_margin() == best]
+
+
 class TestInnerRadius:
     @given(
         cm=st.floats(1e-3, 1.0, exclude_max=True),
@@ -384,6 +403,20 @@ class TestSearchRanksOnConditions:
         assert cert is not None and cert.passed
         assert same_certificate(cert, search_every_m(lp, opts))
 
+    @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp"])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    def test_array_scores_equal_the_checker_at_every_m(self, name, eps, request):
+        # bit for bit: c_m^mu goes through libm in both (numpy's SIMD power
+        # differs by an ulp on some c_m)
+        lp = request.getfixturevalue(name)
+        e_min, e_max, _, _ = lp.e.extrema()
+        ms = DEFAULT_GRID_FRACTIONS * greens.m_window(lp.a, lp.T)
+        kc = greens.kernel_constants(lp.a, ms, lp.T)
+        scores = certify._positive_scores(lp, kc, ms, e_min, e_max, eps)
+        for m, score in zip(ms.tolist(), scores.tolist()):
+            cert = check_positive_forcing(lp, m, eps=eps)
+            assert score.hex() == (cert.min_relative_margin() if cert.passed else -math.inf).hex()
+
     def test_strict_eps_excludes_grid_points(self, cosine_lp):
         # eps = 0.05 really changes the ranking input: some m pass only at eps = 0
         ms = greens.m_window(cosine_lp.a, cosine_lp.T) * np.linspace(1 / 65, 64 / 65, 64)
@@ -395,18 +428,30 @@ class TestSearchRanksOnConditions:
         assert (True, False) in verdicts and (True, True) in verdicts
 
     def test_tie_keeps_the_earliest_grid_point(self, cosine_lp, monkeypatch):
-        # coarse relative margins make many grid points tie for the best score
-        exact = certify.Condition.relative_margin
-        monkeypatch.setattr(
-            certify.Condition, "relative_margin", property(lambda c: math.floor(4.0 * exact.fget(c)) / 4.0)
-        )
+        coarsen_relative_margins(monkeypatch)
         cert = search_certificate(cosine_lp)
         assert same_certificate(cert, search_every_m(cosine_lp))
-        ms = greens.m_window(cosine_lp.a, cosine_lp.T) * np.linspace(1 / 65, 64 / 65, 64)
-        certs = [check_positive_forcing(cosine_lp, float(m)) for m in ms]
-        scores = [c.min_relative_margin() for c in certs if c.passed]
-        assert scores.count(max(scores)) > 1
-        assert cert.min_relative_margin() == max(scores)
+        tied = tied_best_grid_points(cosine_lp)
+        assert len(tied) > 1
+        assert cert.m == DEFAULT_GRID_FRACTIONS[tied[0]] * greens.m_window(cosine_lp.a, cosine_lp.T)
+
+    @given(
+        spec=st.one_of(
+            st.tuples(st.just("cosine"), st.floats(1.0, 2.0), st.floats(0.0, 0.0021), st.integers(1, 3)),
+            st.tuples(st.just("cubic"), st.floats(1.0, 2.0), st.floats(-0.02, 0.02)),
+        )
+    )
+    @settings(max_examples=25)
+    def test_equal_to_full_check_on_benchmark_forcings(self, spec):
+        # the cosine and cubic forcings of the search-positive benchmark: the
+        # array ranking must pick the m that a full check at every m picks
+        if spec[0] == "cosine":
+            e = PeriodicFunction.trig(1.0, 1.54215, [(spec[2], spec[3], 0.0)])
+        else:
+            s = spec[2]
+            e = PeriodicFunction.poly(1.0, [1.54215, s, -3.0 * s, 2.0 * s])
+        lp = LiebauProblem(a=spec[1], mu=0.01, c=1.49, T=1.0, e=e)
+        assert same_certificate(search_certificate(lp), search_every_m(lp))
 
     def test_nothing_passes(self):
         e = PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 1, 0.0)])
@@ -451,6 +496,39 @@ class TestSearchRanksOnConditions:
         again = certify.check_positive_forcing(lp, cert.m)
         assert same_certificate(cert, again)
         assert counts["inner_radius"] <= 2
+
+
+class TestSearchChunks:
+    @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp", "trapezoid_lp"])
+    def test_small_chunks_give_the_same_certificate(self, name, request, monkeypatch):
+        lp = request.getfixturevalue(name)
+        whole = search_certificate(lp)
+        sizes = []
+        kernel_constants = greens.kernel_constants
+
+        def recording(a, ms, T):
+            sizes.append(len(ms))
+            return kernel_constants(a, ms, T)
+
+        monkeypatch.setattr(greens, "kernel_constants", recording)
+        monkeypatch.setattr(certify, "SEARCH_CHUNK", 7)
+        cert = search_certificate(lp)
+        assert cert is not None and cert.passed
+        assert same_certificate(cert, whole)
+        # 64 = 9 * 7 + 1 grid points, then the checker's build at the winner
+        assert sizes == [7] * 9 + [1, 1]
+
+    # at 23 the first tied point is the last of its chunk; at 7 the tie spans four chunks
+    @pytest.mark.parametrize("chunk", [7, 23])
+    def test_tie_across_a_chunk_boundary_keeps_the_earliest(self, chunk, cosine_lp, monkeypatch):
+        coarsen_relative_margins(monkeypatch)
+        tied = tied_best_grid_points(cosine_lp)
+        assert tied[0] // chunk < tied[-1] // chunk
+        whole = search_certificate(cosine_lp)
+        monkeypatch.setattr(certify, "SEARCH_CHUNK", chunk)
+        cert = search_certificate(cosine_lp)
+        assert same_certificate(cert, whole)
+        assert cert.m == DEFAULT_GRID_FRACTIONS[tied[0]] * greens.m_window(cosine_lp.a, cosine_lp.T)
 
 
 def trapezoid(a: float, plateau: float) -> LiebauProblem:

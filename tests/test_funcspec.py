@@ -352,19 +352,46 @@ class TestExtremaZoom:
     @pytest.mark.parametrize(
         "f, expected",
         [
+            # (min, max) and the brackets zoomed per sign
             # zero amplitude: all 8192 nodes tie for both the minimum and the maximum
-            (all_ties(), (0.0, 0.0)),
-            # cos > 1/2 on a third of the period, so about 5461 nodes tie at 0
-            (PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0)]).positive_part(), (0.0, 0.5)),
+            (all_ties(), ((0.0, 0.0), [1, 1])),
+            # cos < 1/2 on two thirds of the period, so about 5461 nodes tie at 0,
+            # for the minimum and, flat as they are, for the maximum beside the peak
+            (PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0)]).positive_part(), ((0.0, 0.5), [1, 2])),
         ],
     )
     def test_plateau_of_tied_winners(self, monkeypatch, f, expected):
         grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
         assert len(funcspec._local_minima(f(grid))) > 4096
+        brackets = []
+        zoom = funcspec.zoom_minima
+
+        def counting(f, left, *args):
+            brackets.append(len(left))
+            return zoom(f, left, *args)
+
+        monkeypatch.setattr(funcspec, "zoom_minima", counting)
         sizes = recording_calls(monkeypatch)
         fmin, fmax, _, _ = f.extrema()
-        assert (fmin, fmax) == expected
+        assert (fmin, fmax) == expected[0]
         assert max(sizes) <= ZOOM_MAX_POINTS
+        # each flat stretch is one bracket per sign (about 5461 or 8192 before)
+        assert brackets == expected[1]
+
+    def test_equal_values_apart_stay_separate_brackets(self, monkeypatch):
+        # the two minima of a harmonic-2 cosine have equal grid values but are
+        # not adjacent, so each keeps its own bracket
+        brackets = []
+        zoom = funcspec.zoom_minima
+
+        def counting(f, left, *args):
+            brackets.append(len(left))
+            return zoom(f, left, *args)
+
+        monkeypatch.setattr(funcspec, "zoom_minima", counting)
+        fmin, fmax, _, _ = PeriodicFunction.trig(1.0, 2.0, [(1.0, 2, 0.0)]).extrema()
+        assert brackets == [2, 2]
+        assert (fmin, fmax) == (1.0, 3.0)
 
 
 class TestComputedOnce:

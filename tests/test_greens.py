@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from liebau import greens
 from liebau.acceptance import _MASS_CASES
-from liebau.errors import BadPeriod, LiebauError, MOutOfRange
+from liebau.errors import BadPeriod, LiebauError, MOutOfRange, PropertyViolation
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import simpson_segmented
 
@@ -50,6 +50,12 @@ class TestBuild:
             greens.build(1.6, 3.3, 1.0)
         assert greens.m_window(1.6, 1.0) == pytest.approx(math.sqrt(10.5096044), abs=1e-6)
 
+    def test_root_rounding_to_zero_is_refused_without_a_warning(self):
+        # at m = 1e-9 the root -m^2/a rounds e^{lam T} to 1 and K(0) to inf;
+        # numpy's divide-by-zero warning must not escape (warnings are errors here)
+        with pytest.raises(PropertyViolation, match="K\\(0\\)=inf"):
+            greens.build(1.0, 1e-9, 1.0)
+
     def test_bad_inputs(self):
         with pytest.raises(BadPeriod):
             greens.build(1.0, 0.5, 0.0)
@@ -81,7 +87,7 @@ class TestKernelValues:
         m = 1.0
         for sign in (+1.0, -1.0):
             a = math.sqrt(4 * m * m + sign * 1e-8)
-            case = greens._select_case(a, m)
+            case = greens.CASES[greens._select_case(a, m)]
             taus = np.linspace(0, T, 41)
             got = greens._kernel_values(case, greens._roots(a, m, case), T, taus)
             double = greens._roots(a, m, greens.CASE_DOUBLE_ROOT)
@@ -234,6 +240,148 @@ class TestClosedFormExtrema:
             k = greens.build(math.sqrt(4 * m * m + sign * 1e-8), m, T)
             assert k.case == case
             assert abs(k.cone_constant - confluent.cone_constant) <= 1e-7
+
+
+def one_kernel_constants(a, m, T):
+    """(case, roots, K(0), t*, K(t*)) of one kernel by the earlier scalar
+    code, the reference for the array pass; None where that code refused m.
+
+    Python floats and libm throughout, but for numpy's exp of the
+    tau-dependent factors of K (and of e^{lam T} for a complex pair), as
+    that code had them.
+    """
+    disc = a * a - 4.0 * m * m
+    if abs(disc) < greens._BRANCH_EPS * 4.0 * m * m:
+        case, roots = greens.CASE_DOUBLE_ROOT, (complex(-a / 2.0, 0.0),) * 2
+    elif disc > 0.0:
+        sq = math.sqrt(disc)
+        case, roots = greens.CASE_REAL_DISTINCT, (complex((-a + sq) / 2.0, 0.0), complex((-a - sq) / 2.0, 0.0))
+    else:
+        omega = math.sqrt(4.0 * m * m - a * a) / 2.0
+        case, roots = greens.CASE_COMPLEX_PAIR, (complex(-a / 2.0, omega), complex(-a / 2.0, -omega))
+
+    def K(tau):
+        tt = np.mod(np.asarray(tau, dtype=float), T)
+        if case == greens.CASE_DOUBLE_ROOT:
+            lam = roots[0].real
+            E = math.exp(lam * T)
+            return float(np.exp(lam * tt) * (tt * (1.0 - E) + T * E) / (1.0 - E) ** 2)
+        if case == greens.CASE_REAL_DISTINCT:
+            l1, l2 = roots[0].real, roots[1].real
+            return float((np.exp(l1 * tt) / (1.0 - math.exp(l1 * T))
+                          - np.exp(l2 * tt) / (1.0 - math.exp(l2 * T))) / (l1 - l2))
+        lam = roots[0]
+        return float(np.imag(np.exp(lam * tt) / (1.0 - np.exp(lam * T))) / lam.imag)
+
+    def critical_point():
+        if case == greens.CASE_DOUBLE_ROOT:
+            lam = roots[0].real
+            return -1.0 / lam + T * math.exp(lam * T) / math.expm1(lam * T)
+        if case == greens.CASE_REAL_DISTINCT:
+            l1, l2 = roots[0].real, roots[1].real
+            return math.log(l2 * math.expm1(l1 * T) / (l1 * math.expm1(l2 * T))) / (l1 - l2)
+        lam = roots[0]
+        return (-cmath.phase(lam / (1.0 - cmath.exp(lam * T)))) % math.pi / lam.imag
+
+    if not 0.0 < m < greens.m_window(a, T):
+        return None
+    with np.errstate(all="ignore"):
+        k0 = K(0.0)
+        t_max = critical_point() if 0.0 < k0 < math.inf else math.nan
+        kmax = K(t_max) if 0.0 < t_max < T else math.nan
+    return (case, roots, k0, t_max, kmax) if 0.0 < k0 < kmax else None
+
+
+def assert_equal_to_build(a, ms, T):
+    """kernel_constants(a, ms, T) equals build(a, m, T) and the earlier scalar
+    code at every m, bit for bit, and its mask is False exactly where they refuse."""
+    kc = greens.kernel_constants(a, ms, T)
+    assert kc.m_max == greens.m_window(a, T)
+    for i, m in enumerate(np.asarray(ms, dtype=float).tolist()):
+        reference = one_kernel_constants(a, m, T)
+        try:
+            k = greens.build(a, m, T)
+        except LiebauError:
+            assert not kc.ok[i]
+            assert reference is None
+            assert math.isnan(kc.cone_constant[i])
+            continue
+        assert kc.ok[i]
+        assert greens.CASES[kc.case[i]] == k.case == reference[0]
+        got = [kc.k0[i], kc.t_max[i], kc.kmax[i], kc.cone_constant[i]]
+        built = [k.k0, greens._critical_point(k.case, k.roots, T), k.kmax, k.cone_constant]
+        want = [*reference[2:], reference[2] / reference[4]]
+        for root, built_root, mine in zip(reference[1], k.roots, (kc.roots[0][i], kc.roots[1][i])):
+            got += [mine.real, mine.imag]
+            built += [built_root.real, built_root.imag]
+            want += [root.real, root.imag]
+        hexes = [[float(x).hex() for x in row] for row in (got, built, want)]
+        assert hexes[0] == hexes[1] == hexes[2]
+
+
+DEFAULT_GRID_FRACTIONS = np.linspace(1 / 65, 64 / 65, 64)
+
+
+class TestKernelConstants:
+    @given(
+        a=st.floats(0.0, 300.0),
+        fracs=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=8),
+        T=st.floats(0.1, 10.0),
+    )
+    def test_equal_to_build_bit_for_bit(self, a, fracs, T):
+        assert_equal_to_build(a, np.array(fracs) * greens.m_window(a, T), T)
+
+    @pytest.mark.parametrize("a", [0.5, 1.6, 2.0, 7.0])
+    @pytest.mark.parametrize("T", [1.0, 2 * math.pi])
+    def test_double_root(self, a, T):
+        # m = a/2 and m within the confluent branch of it, among distinct-root neighbours
+        above = 0.5 * (0.5 * a + greens.m_window(a, T))  # between a/2 and m_max
+        ms = np.array([0.25 * a, 0.5 * a * (1.0 - 1e-12), 0.5 * a, 0.5 * a * (1.0 + 1e-12), above])
+        kc = greens.kernel_constants(a, ms, T)
+        names = [greens.CASES[code] for code in kc.case]
+        assert names == [greens.CASE_REAL_DISTINCT] + [greens.CASE_DOUBLE_ROOT] * 3 + [
+            greens.CASE_COMPLEX_PAIR
+        ]
+        assert kc.ok.all()
+        assert_equal_to_build(a, ms, T)
+
+    @pytest.mark.parametrize("T", [0.1, 1.0, 2 * math.pi, 10.0])
+    def test_zero_friction_grid(self, T):
+        ms = DEFAULT_GRID_FRACTIONS * greens.m_window(0.0, T)
+        kc = greens.kernel_constants(0.0, ms, T)
+        assert kc.ok.all() and {greens.CASES[code] for code in kc.case} == {greens.CASE_COMPLEX_PAIR}
+        assert_equal_to_build(0.0, ms, T)
+
+    def test_mask_is_where_build_refuses(self):
+        # at a = 300 the build raises PropertyViolation on 22 of the 64 grid points
+        ms = DEFAULT_GRID_FRACTIONS * greens.m_window(300.0, 1.0)
+        refused = []
+        for i, m in enumerate(ms.tolist()):
+            try:
+                greens.build(300.0, m, 1.0)
+            except PropertyViolation:
+                refused.append(i)
+        assert len(refused) == 22
+        kc = greens.kernel_constants(300.0, ms, 1.0)
+        assert np.flatnonzero(~kc.ok).tolist() == refused
+        assert_equal_to_build(300.0, ms, 1.0)
+
+    def test_m_outside_the_window_is_masked(self):
+        m_max = greens.m_window(1.6, 1.0)
+        ms = np.array([0.0, -1.0, m_max, 2.0 * m_max, math.inf, math.nan, 0.7])
+        kc = greens.kernel_constants(1.6, ms, 1.0)
+        assert kc.ok.tolist() == [False] * 6 + [True]
+        assert_equal_to_build(1.6, ms, 1.0)
+
+    def test_bad_coefficients_raise_as_build_does(self):
+        with pytest.raises(BadPeriod):
+            greens.kernel_constants(1.0, [0.5], 0.0)
+        with pytest.raises(LiebauError):
+            greens.kernel_constants(-1.0, [0.5], 1.0)
+
+    def test_empty_grid(self):
+        kc = greens.kernel_constants(1.6, [], 1.0)
+        assert kc.ok.shape == kc.cone_constant.shape == (0,)
 
 
 class TestVerifyProperties:
