@@ -19,27 +19,24 @@ Three condition systems are implemented:
   (1/c_m) (e_max / c)^(1/mu) and the largest forcing peak the criterion
   could still certify at this m.
 
-A deterministic grid search automates the parameter hunt for both pipe-level
-systems.  It ranks the grid on the pipe-level checkers' own conditions (the
-same helpers build them), so a tuple it keeps passes the checker it returns.
+A deterministic search automates the parameter hunt for both pipe-level
+systems: it scans a grid of m and takes the other parameters in closed form
+at each m, so no grid or option bounds the radii.  It ranks the grid on the
+pipe-level checkers' own conditions (the same helpers build them), so a tuple
+it keeps passes the checker it returns.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import greens
-from .errors import (
-    BadRadii,
-    ConfigError,
-    InapplicableCriterion,
-    KappaNonpositive,
-    OutOfFloatRange,
-)
+from .errors import BadRadii, ConfigError, InapplicableCriterion, KappaNonpositive, OutOfFloatRange
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
 from .numerics import per_element
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
@@ -144,13 +141,8 @@ class Certificate:
         return _min_relative_margin(self.conditions)
 
     def to_dict(self) -> dict:
-        params = {"m": self.m}
-        if self.kappa is not None:
-            params["kappa"] = self.kappa
-        if self.r1 is not None:
-            params["r1"] = self.r1
-        if self.r2 is not None:
-            params["r2"] = self.r2
+        params = {"m": self.m, "kappa": self.kappa, "r1": self.r1, "r2": self.r2}
+        params = {k: v for k, v in params.items() if v is not None}
         out = {
             "theorem": self.theorem,
             "verdict": self.verdict,
@@ -195,12 +187,7 @@ def _x_grid(lo: float, hi: float) -> np.ndarray:
 
 
 def check_general(
-    gp: GeneralProblem,
-    m: float,
-    r1: float,
-    r2: float,
-    g0: PeriodicFunction,
-    g1: PeriodicFunction,
+    gp: GeneralProblem, m: float, r1: float, r2: float, g0: PeriodicFunction, g1: PeriodicFunction,
     eps: float = 0.0,
 ) -> Certificate:
     """Verify the general band/envelope condition system.
@@ -258,18 +245,8 @@ def check_general(
         and (h6.satisfied or h7.satisfied)
     )
     return Certificate(
-        theorem=THEOREM_GENERAL,
-        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
-        m=m,
-        kappa=None,
-        r1=r1,
-        r2=r2,
-        conditions=(h1, h2, h3, h4, h5, h6, h7),
-        cone_const=cm,
-        kernel_diag=kernel.k0,
-        m_max=kernel.m_max,
-        localization=(cm * r1, r2),
-        extras={"solution_max_reaches_r1": bool(h7.satisfied)},
+        THEOREM_GENERAL, VERDICT_PASS if ok else VERDICT_FAIL, m, None, r1, r2, (h1, h2, h3, h4, h5, h6, h7),
+        cm, kernel.k0, kernel.m_max, (cm * r1, r2), {"solution_max_reaches_r1": bool(h7.satisfied)},
     )
 
 
@@ -286,10 +263,10 @@ def _kappa_interval(y1: float, mu: float, k0: float, epos_mass: float):
     return power, kappa_lo, power / mu
 
 
-def _root_clearance_sides(lp: LiebauProblem, m: float, y1: float, e_min: float):
-    """The two sides of ``root_clearance``, which asks lhs >= rhs."""
+def _root_floor(lp: LiebauProblem, m: float, e_min: float) -> float:
+    """The right side of ``root_clearance``, which asks y1^mu >= it."""
     mu, c = lp.mu, lp.c
-    return y1**mu, (c + math.sqrt(c * c - 4.0 * mu * m * m * e_min)) / (2.0 * mu * m * m)
+    return (c + math.sqrt(c * c - 4.0 * mu * m * m * e_min)) / (2.0 * mu * m * m)
 
 
 def _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps):
@@ -298,7 +275,7 @@ def _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps):
         note = "forcing minimum is positive; this bound addresses sign-changing forcing only"
         c1 = _inapplicable("root_clearance", ">=", note)
     else:
-        c1 = _cond("root_clearance", *_root_clearance_sides(lp, m, y1, e_min), ">=", eps)
+        c1 = _cond("root_clearance", y1**lp.mu, _root_floor(lp, m, e_min), ">=", eps)
     c2 = _cond("kappa_upper", power, kappa * lp.mu, ">=", eps)
     c3 = _cond("kappa_lower", k0 * epos_mass, y1 / kappa, ">=", eps)
     return c1, c2, c3
@@ -308,13 +285,29 @@ def _ceiling_clearance(lp: LiebauProblem, e_max: float, r2: float, eps: float) -
     return _cond("ceiling_clearance", e_max, lp.c * r2**lp.mu, "<=", eps)
 
 
+def _power(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0; inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
+def _nudged(x: float, holds, direction: int):
+    """x, moved by relative steps 2^-52, 2^-51, ... up (direction 1) or down
+    (-1) until it is finite and ``holds``; None after 64 steps, or at once
+    for direction 0."""
+    step = 2.0**-52
+    for _ in range(64 if direction else 1):
+        if x < math.inf and holds(x):
+            return x
+        x *= 1.0 + direction * step
+        step = min(2.0 * step, 0.5)
+    return None
+
+
 def check_sign_changing(
-    lp: LiebauProblem,
-    m: float,
-    kappa: float,
-    r1: float,
-    r2: float,
-    eps: float = 0.0,
+    lp: LiebauProblem, m: float, kappa: float, r1: float, r2: float, eps: float = 0.0
 ) -> Certificate:
     """Pipe-level sufficient conditions that allow min e <= 0.
 
@@ -330,72 +323,63 @@ def check_sign_changing(
 
     A pass certifies a positive periodic solution of the regularized problem
     with values in [c_m R1, R2].  The extras carry the kappa interval that
-    the two kappa conditions admit at this R1 (see ``_kappa_interval``).
+    the two kappa conditions admit at this R1 (see ``_kappa_interval``), the
+    R1 window this m admits, [rho^(1/mu), (K(0) integral e_+ / mu)^(1/(2 mu))]
+    / c_m with rho the right side of ``root_clearance`` (its floor is 0 when
+    e_min > 0), and the R2 floor (e_max/c)^(1/mu); a bound beyond float range
+    reads inf.
     """
     if kappa <= 0.0:
         raise KappaNonpositive(f"kappa must be positive, got {kappa!r}")
     if not (0.0 < r1 < r2):
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
     kernel = greens.build(lp.a, m, lp.T)
-    cm = kernel.cone_constant
+    return _sign_changing(lp, m, kappa, r1, r2, eps, kernel.cone_constant, kernel.k0, kernel.m_max)
+
+
+def _sign_changing(lp, m, kappa, r1, r2, eps, cm, k0, m_max) -> Certificate:
+    """``check_sign_changing`` on valid parameters, given the kernel constants at m."""
+    mu = lp.mu
     e_min, e_max, _, _ = lp.e.extrema()
     y1 = cm * r1
     epos_mass = _positive_forcing_mass(lp)
-    power, kappa_lo, kappa_hi = _kappa_interval(y1, lp.mu, kernel.k0, epos_mass)
+    power, kappa_lo, kappa_hi = _kappa_interval(y1, mu, k0, epos_mass)
     conditions = (
-        *_inner_conditions(lp, m, kappa, y1, power, kernel.k0, epos_mass, e_min, eps),
+        *_inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps),
         _ceiling_clearance(lp, e_max, r2, eps),
     )
-    ok = all(cc.satisfied for cc in conditions)
+    verdict = VERDICT_PASS if all(cc.satisfied for cc in conditions) else VERDICT_FAIL
+    r1_floor = _power(_root_floor(lp, m, e_min), 1.0 / mu) / cm if e_min <= 0.0 else 0.0
+    extras = {
+        "kappa_interval_lower": kappa_lo,
+        "kappa_interval_upper": kappa_hi,
+        "r1_window_lower": r1_floor,
+        "r1_window_upper": _power(k0 * epos_mass / mu, 0.5 / mu) / cm,
+        "r2_floor": _power(max(e_max, 0.0) / lp.c, 1.0 / mu),
+        "forcing_min": e_min,
+        "forcing_max": e_max,
+        "positive_forcing_mass": epos_mass,
+    }
     return Certificate(
-        theorem=THEOREM_SIGN_CHANGING,
-        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
-        m=m,
-        kappa=kappa,
-        r1=r1,
-        r2=r2,
-        conditions=conditions,
-        cone_const=cm,
-        kernel_diag=kernel.k0,
-        m_max=kernel.m_max,
-        localization=(cm * r1, r2),
-        extras={
-            "kappa_interval_lower": kappa_lo,
-            "kappa_interval_upper": kappa_hi,
-            "forcing_min": e_min,
-            "forcing_max": e_max,
-            "positive_forcing_mass": epos_mass,
-        },
+        THEOREM_SIGN_CHANGING, verdict, m, kappa, r1, r2, conditions, cm, k0, m_max, (cm * r1, r2), extras
     )
 
 
-def _inner_radius(cm: float, m: float, mu: float, c: float, e_min: float, r2: float) -> float:
-    """Largest R1 with (1-c_m) m^2 mu R1^(2 mu) + c R1^mu <= e_min c_m^(1-2 mu).
+def _envelope_radius(cm: float, m: float, mu: float, c: float, e_min: float, r2: float) -> float:
+    """The largest R1 <= R2 with (1-c_m) m^2 mu R1^(2 mu) + c R1^mu <= e_min c_m^(1-2 mu).
 
-    The left side is increasing in R1 and vanishes at 0 while the right side
-    is a positive constant, so the equality point exists and bisection in log
-    space is safe.  Any R1 at or below it supports the lower envelope
-    g0 = m^2 R1.
+    The left side is a quadratic in z = R1^mu with positive coefficients, so
+    its root is z = 2 target / (c + sqrt(c^2 + 4 (1-c_m) m^2 mu target)).
+    z^(1/mu) magnifies the rounding of z 1/mu-fold, so R1 is then stepped
+    down (``_nudged``) until the left side, evaluated in floats, is at most
+    the target.  Any R1 at or below it supports the lower envelope
+    g0 = m^2 R1.  Returns 0 when the root underflows.
     """
     target = e_min * cm ** (1.0 - 2.0 * mu)
-
-    def excess(r):
-        return (1.0 - cm) * m * m * mu * r ** (2.0 * mu) + c * r**mu - target
-
-    lo, hi = math.log(r2) - 2000.0, math.log(r2)
-    if excess(math.exp(hi)) <= 0.0:
-        return math.exp(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # excess(exp(hi)) > 0 holds throughout, so once lo and hi are
-        # adjacent floats no later step can move lo
-        if mid == lo or mid == hi:
-            break
-        if excess(math.exp(mid)) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
+    quad = (1.0 - cm) * m * m * mu
+    z = 2.0 * target / (c + math.sqrt(c * c + 4.0 * quad * target))
+    r1 = min(_power(z, 1.0 / mu), r2)
+    return _nudged(r1, lambda r: quad * r ** (2.0 * mu) + c * r**mu - target <= 0.0, -1)
 
 
 def _ceiling(name: str, level: float, c: float, mu: float, cm: float) -> float:
@@ -404,10 +388,7 @@ def _ceiling(name: str, level: float, c: float, mu: float, cm: float) -> float:
     Raises OutOfFloatRange, naming ``name``, when the value overflows or
     underflows to 0; small mu makes the exponent large.
     """
-    try:
-        value = (1.0 / cm) * (level / c) ** (1.0 / mu)
-    except OverflowError:
-        value = math.inf
+    value = (1.0 / cm) * _power(level / c, 1.0 / mu)
     if not 0.0 < value < math.inf:
         raise OutOfFloatRange(
             f"{name} = (1/c_m)(level/c)^(1/mu) is beyond float range "
@@ -431,20 +412,6 @@ def _forcing_gate(e_min: float, eps: float) -> Condition:
     return _cond("forcing_positive", e_min, 0.0, ">=", max(eps, 1e-300))
 
 
-def _positive_conditions(
-    lp: LiebauProblem, cm: float, m: float, m_max: float, e_min: float, e_max: float, eps: float
-) -> tuple[Condition, ...]:
-    """The conditions of the positive-forcing criterion at one m.
-
-    Only the gate ``forcing_positive`` when e_min <= 0; otherwise the gate,
-    ``shift_lower`` and ``shift_window``.
-    """
-    gate = _forcing_gate(e_min, eps)
-    if e_min <= 0.0:
-        return (gate,)
-    return (gate, *(_cond(*sides, eps) for sides in _shift_sides(lp, cm, m, m_max, e_min, e_max)))
-
-
 def _positive_scores(lp, kc: greens.KernelConstants, ms, e_min, e_max, eps) -> np.ndarray:
     """The search score (minimum relative margin) of the positive criterion at
     each m, -inf where the kernel cannot be built or a condition fails; e_min > 0."""
@@ -466,70 +433,48 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
 
     On a pass the certificate carries the localization ceiling
     R2 = (1/c_m)(e_max/c)^(1/mu), an inner radius R1 defined by the lower
-    envelope construction, the largest forcing peak ``e_max_threshold`` that
+    envelope construction (the root of a quadratic in R1^mu, see
+    ``_envelope_radius``), the largest forcing peak ``e_max_threshold`` that
     would still satisfy the criterion at this m, and the ceiling the
-    threshold would imply.  This is the one public path to a positive-forcing
-    certificate; ``search_certificate`` ranks the m grid on the conditions
-    alone and returns this function's certificate at the winning m.  Raises
-    OutOfFloatRange, naming the quantity, when R2 or the ceiling at the
-    threshold overflows or underflows to 0 (it happens at small mu, where
-    the exponent 1/mu is large), and when the inner radius R1 underflows to
-    0 (a tiny c_m, as at large a, puts its root below the smallest float).
+    threshold would imply.  ``search_certificate`` ranks the m grid on the
+    conditions alone and returns this certificate at the winning m, bit for
+    bit.  Raises OutOfFloatRange, naming the quantity, when R2 or the
+    ceiling at the threshold overflows or underflows to 0 (it happens at
+    small mu, where the exponent 1/mu is large), and when the inner radius
+    R1 underflows to 0 (a tiny c_m, as at large a, puts its root below the
+    smallest float).
     """
     kernel = greens.build(lp.a, m, lp.T)
-    cm = kernel.cone_constant
+    return _positive_forcing(lp, m, eps, kernel.cone_constant, kernel.k0, kernel.m_max)
+
+
+def _positive_forcing(lp, m, eps, cm, k0, m_max) -> Certificate:
+    """``check_positive_forcing`` given the kernel constants at m."""
     mu, c = lp.mu, lp.c
     e_min, e_max, _, _ = lp.e.extrema()
-
-    conditions = _positive_conditions(lp, cm, m, kernel.m_max, e_min, e_max, eps)
+    conditions = (_forcing_gate(e_min, eps),)  # only the gate when e_min <= 0
+    extras = {"forcing_min": e_min, "forcing_max": e_max}
+    r1 = r2 = localization = None
     if e_min <= 0.0:
-        return Certificate(
-            theorem=THEOREM_POSITIVE_FORCING,
-            verdict=VERDICT_INAPPLICABLE,
-            m=m,
-            kappa=None,
-            r1=None,
-            r2=None,
-            conditions=conditions,
-            cone_const=cm,
-            kernel_diag=kernel.k0,
-            m_max=kernel.m_max,
-            localization=None,
-            extras={"forcing_min": e_min, "forcing_max": e_max},
-        )
-
-    threshold = cm**mu * (e_min + m * m * mu * e_min * e_min / (c * c))
-    bound_at_threshold = _ceiling("bound_at_threshold", threshold, c, mu, cm)
-    ok = all(cc.satisfied for cc in conditions)
-    r1 = r2 = None
-    localization = None
-    if ok:
-        r2 = _ceiling("localization ceiling R2", e_max, c, mu, cm)
-        r1 = _inner_radius(cm, m, mu, c, e_min, r2)
-        if r1 == 0.0:
-            raise OutOfFloatRange(
-                f"inner radius R1 underflows to 0, below float range "
-                f"(m={m!r}, c_m={cm!r}, mu={mu!r}, c={c!r}, e_min={e_min!r})"
-            )
-        localization = (cm * r1, r2)
+        verdict = VERDICT_INAPPLICABLE
+    else:
+        conditions += tuple(_cond(*sides, eps) for sides in _shift_sides(lp, cm, m, m_max, e_min, e_max))
+        threshold = cm**mu * (e_min + m * m * mu * e_min * e_min / (c * c))
+        extras["e_max_threshold"] = threshold
+        extras["bound_at_threshold"] = _ceiling("bound_at_threshold", threshold, c, mu, cm)
+        ok = all(cc.satisfied for cc in conditions)
+        verdict = VERDICT_PASS if ok else VERDICT_FAIL
+        if ok:
+            r2 = _ceiling("localization ceiling R2", e_max, c, mu, cm)
+            r1 = _envelope_radius(cm, m, mu, c, e_min, r2)
+            if not r1:
+                raise OutOfFloatRange(
+                    f"inner radius R1 underflows to 0, below float range "
+                    f"(m={m!r}, c_m={cm!r}, mu={mu!r}, c={c!r}, e_min={e_min!r})"
+                )
+            localization = (cm * r1, r2)
     return Certificate(
-        theorem=THEOREM_POSITIVE_FORCING,
-        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
-        m=m,
-        kappa=None,
-        r1=r1,
-        r2=r2,
-        conditions=conditions,
-        cone_const=cm,
-        kernel_diag=kernel.k0,
-        m_max=kernel.m_max,
-        localization=localization,
-        extras={
-            "forcing_min": e_min,
-            "forcing_max": e_max,
-            "e_max_threshold": threshold,
-            "bound_at_threshold": bound_at_threshold,
-        },
+        THEOREM_POSITIVE_FORCING, verdict, m, None, r1, r2, conditions, cm, k0, m_max, localization, extras
     )
 
 
@@ -556,24 +501,15 @@ def check_necessary(lp: LiebauProblem) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Deterministic grids for the certificate search; a bad field raises ConfigError naming it."""
+    """The m grid and required margin of the search; a bad field raises ConfigError naming it."""
 
     m_points: int = 64
-    radius_points: int = 48
-    radius_lo: float = 1e-6
-    radius_hi: float = 1e8
     eps: float = 0.0
 
     def __post_init__(self):
-        for key, least in (("m_points", 1), ("radius_points", 2)):
-            value = getattr(self, key)
-            if not (isinstance(value, (int, np.integer)) and least <= value <= MAX_GRID):
-                raise ConfigError(f"must be an integer in [{least}, {MAX_GRID}], got {value!r}", key)
-        lo, hi = self.radius_lo, self.radius_hi
-        if not 0.0 < lo < hi < math.inf:
-            # name the bound that was moved from its default
-            key = "radius_hi" if lo == SearchOptions.radius_lo else "radius_lo"
-            raise ConfigError(f"need 0 < radius_lo < radius_hi < inf, got {lo!r}, {hi!r}", key)
+        k = self.m_points
+        if not (isinstance(k, (int, np.integer)) and 1 <= k <= MAX_GRID):
+            raise ConfigError(f"must be an integer in [1, {MAX_GRID}], got {k!r}", "m_points")
         if not math.isfinite(self.eps):
             raise ConfigError(f"must be finite, got {self.eps!r}", "eps")
 
@@ -582,29 +518,115 @@ class SearchOptions:
 # (up to MAX_GRID points) holds a few chunk-sized arrays, not grid-sized ones
 SEARCH_CHUNK = 65536
 
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)  # normal floats
+
+
+def _newton(f, df, x: float) -> float:
+    """The root of a concave f (slope df) next to x, where f(x) <= 0: Newton's
+    steps approach it monotonically from x's side."""
+    for _ in range(100):
+        step = f(x) / df(x)
+        if x - step == x:
+            break
+        x -= step
+    return x
+
+
+def _log_u_window(mu, log_b, rho, k0e, eps):
+    """The interval of log u, u = (c_m R1)^mu, where root_clearance,
+    kappa_upper and kappa_lower hold at eps > 0 (kappa at the geometric
+    midpoint, B = e^log_b), or None when it is empty.
+
+    kappa_upper asks h(L) = p L + log1p(-B e^L) >= log eps, p = (1-2 mu)/mu;
+    h is concave with its peak where B e^L = p/(1+p).  Newton finds its left
+    root in v = log(B e^L) from L = log(eps)/p and its right root in
+    w = log1p(-B e^L) from w = log eps + p log B, where h is near linear, so
+    both stay on the infeasible side.
+    """
+    p, log_eps = (1.0 - 2.0 * mu) / mu, math.log(eps)
+    q = p / (1.0 + p)
+    if eps >= k0e or p * (math.log(q) - log_b) + math.log1p(-q) < log_eps:
+        return None
+    left = _newton(
+        lambda v: p * (v - log_b) + math.log1p(-math.exp(v)) - log_eps,
+        lambda v: p + math.exp(v) / math.expm1(v),
+        log_eps / p + log_b,
+    )
+    right = _newton(
+        lambda w: p * (math.log(-math.expm1(w)) - log_b) + w - log_eps,
+        lambda w: 1.0 + p * math.exp(w) / math.expm1(w),
+        log_eps + p * log_b,
+    )
+    lo = max(math.log(rho + eps), left - log_b)
+    hi = min(math.log1p(-eps / k0e), math.log(-math.expm1(right))) - log_b
+    return (lo, hi) if lo <= hi else None
+
+
+def _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass, eps):
+    """(score, (kappa, R1, R2)) of the sign-changing route at one m, or None.
+
+    With u = (c_m R1)^mu, B = sqrt(mu / (K(0) integral e_+)), rho the right
+    side of ``root_clearance`` and kappa at the geometric midpoint of its
+    interval, root_clearance has relative margin 1 - rho/u and both kappa
+    conditions 1 - B u, so the best u is sqrt(rho/B), with score
+    s = 1 - sqrt(rho B); for eps > 0, u is clamped into ``_log_u_window``.
+    R2 = (e_max/(c (1-s)))^(1/mu) gives ceiling_clearance the same relative
+    margin (and a margin of at least eps).  All of it runs in log space;
+    then R1 and R2 are nudged until the conditions hold in floats.  None
+    when c_m R1 or R2 leaves float range or a condition fails at eps.
+    """
+    mu = lp.mu
+    rho = _root_floor(lp, m, e_min)
+    log_b = 0.5 * (math.log(mu) - math.log(k0 * epos_mass))
+    log_u = 0.5 * (math.log(rho) - log_b)
+    direction = 0
+    if eps > 0.0:
+        window = _log_u_window(mu, log_b, rho, k0 * epos_mass, eps)
+        if window is None:
+            return None
+        direction = (log_u < window[0]) - (log_u > window[1])
+        log_u = min(max(log_u, window[0]), window[1])
+    log_1ms = max(math.log(rho) - log_u, log_b + log_u)  # log(1 - s)
+    log_r2 = max(math.log(e_max / lp.c) - log_1ms, math.log((e_max + max(eps, 0.0)) / lp.c)) / mu
+    if not (_LOG_TINY < log_u / mu and log_u / mu - math.log(cm) < _LOG_HUGE and log_r2 < _LOG_HUGE):
+        return None
+
+    def inner(r1):
+        y1 = cm * r1
+        power, kappa_lo, kappa_hi = _kappa_interval(y1, mu, k0, epos_mass)
+        kappa = math.sqrt(kappa_lo) * math.sqrt(kappa_hi)
+        return kappa, _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps)
+
+    r1 = _nudged(math.exp(log_u / mu) / cm, lambda r: all(cc.satisfied for cc in inner(r)[1]), direction)
+    if r1 is None:
+        return None
+    r2 = _nudged(max(math.exp(log_r2), math.nextafter(r1, math.inf)),
+                 lambda r: _ceiling_clearance(lp, e_max, r, eps).satisfied, 1)
+    if r2 is None:
+        return None
+    kappa, conditions = inner(r1)
+    score = min(_min_relative_margin(conditions), _ceiling_clearance(lp, e_max, r2, eps).relative_margin)
+    return score, (kappa, r1, r2)
+
 
 def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions()):
-    """Scan (m, kappa, R1, R2) for a passing certificate.
+    """Scan the m grid for a passing certificate.
 
     Returns the passing certificate with the largest minimum relative margin,
-    or None.  The m grid covers (0, m_max) uniformly; radii move on a log
-    grid; kappa is eliminated analytically: for fixed m and R1 the two kappa
-    conditions delimit an interval, any point of which works, and the
-    geometric midpoint is used.  The route is picked from the sign of the
-    forcing minimum: strictly positive forcing uses the two-inequality
-    criterion, sign-changing forcing uses the kappa system (whose root
-    clearance bound is only meaningful there).  Both routes rank the grid on
-    their checker's own conditions, all required to hold at ``opts.eps``,
-    and call the checker once, at the winner (so on the positive route R1
-    and R2 are computed for the winning m only).  The kernel constants of
-    the m grid come from ``greens.kernel_constants``, SEARCH_CHUNK values of
-    m per pass, and no kernel is built per m; the positive route scores each
-    chunk as arrays.  ``ceiling_clearance`` depends on R2 alone and is
-    evaluated once per radius; when no radius passes it (small mu flattens
-    c R2^mu) nothing qualifies.  An m outside the mask ``ok`` of
-    ``kernel_constants`` (one ``greens.build`` would refuse) takes no part.
-    Ties keep the earliest (m, R1, R2), so the result is a pure function of
-    the problem and the options.
+    or None.  The m grid covers (0, m_max) uniformly; every other parameter
+    comes in closed form, so no grid bounds the radii.  Strictly positive
+    forcing uses the two-inequality criterion, sign-changing forcing the
+    kappa system (whose root clearance bound is only meaningful there) at
+    the max-margin (kappa, R1, R2) of ``_sign_tuple``, skipping an m whose R1
+    or R2 would leave float range.  Both routes rank the grid on their
+    checker's own conditions, all required to hold at ``opts.eps``, and make
+    the certificate once, at the winner (so the positive route computes R1
+    and R2 for it only), from the constants of the ``greens.kernel_constants``
+    passes (SEARCH_CHUNK values of m each): no kernel is built, and the
+    certificate equals the public checker's bit for bit.  An m outside the
+    mask ``ok`` (one ``greens.build`` would refuse) takes no part.  Ties keep
+    the earliest m, so the result is a pure function of the problem and the
+    options.
     """
     ebar, ok = check_necessary(lp)
     if not ok:
@@ -616,55 +638,35 @@ def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions())
     eps = opts.eps
 
     if e_min > 0.0:
-        check = check_positive_forcing
+        core = _positive_forcing
 
         def best_in(chunk, kc):
             score = _positive_scores(lp, kc, chunk, e_min, e_max, eps)
             i = int(np.argmax(score))  # the first of equal scores
-            return None if score[i] == -math.inf else (float(score[i]), (float(chunk[i]),))
+            if score[i] == -math.inf:
+                return None
+            constants = (float(kc.cone_constant[i]), float(kc.k0[i]), kc.m_max)
+            return float(score[i]), (float(chunk[i]), eps, *constants)
 
     else:
         # sign-changing route: the positive part of the forcing must carry mass
         epos_mass = _positive_forcing_mass(lp)
         if epos_mass <= 0.0:
             return None
-        radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points).tolist()
-        clearances = [_ceiling_clearance(lp, e_max, r2, eps) for r2 in radii]
-        ceilings = [(r2, cc.relative_margin) for r2, cc in zip(radii, clearances) if cc.satisfied]
-        if not ceilings:
-            return None
-        check = check_sign_changing
+        core = _sign_changing
 
         def best_in(chunk, kc):
-            best = None  # (score, (m, kappa, r1, r2))
+            best = None  # (score, (m, kappa, r1, r2, eps, c_m, K(0), m_max))
             for m, cm, k0 in zip(*(x[kc.ok].tolist() for x in (chunk, kc.cone_constant, kc.k0))):
-                for r1 in radii:
-                    y1 = cm * r1
-                    power, kappa_lo, kappa_hi = _kappa_interval(y1, lp.mu, k0, epos_mass)
-                    if kappa_lo > kappa_hi:
-                        continue
-                    # most R1 that get here fail root_clearance: test its sides
-                    # before building the three Condition records
-                    lhs, rhs = _root_clearance_sides(lp, m, y1, e_min)
-                    if lhs - rhs < eps:
-                        continue
-                    kappa = math.sqrt(kappa_lo * kappa_hi)
-                    inner = _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps)
-                    if not all(cc.satisfied for cc in inner):
-                        continue
-                    common = _min_relative_margin(inner)
-                    for r2, rel in ceilings:
-                        if r2 <= r1:
-                            continue
-                        score = min(common, rel)
-                        if best is None or score > best[0]:
-                            best = (score, (m, kappa, r1, r2))
+                found = _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass, eps)
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = (found[0], (m, *found[1], eps, cm, k0, kc.m_max))
             return best
 
-    winner = None  # (score, the checker's parameters after lp)
+    winner = None  # (score, the core's parameters after lp)
     for lo in range(0, k, SEARCH_CHUNK):
         chunk = ms[lo : lo + SEARCH_CHUNK]
         best = best_in(chunk, greens.kernel_constants(lp.a, chunk, lp.T))
         if best is not None and (winner is None or best[0] > winner[0]):
             winner = best
-    return None if winner is None else check(lp, *winner[1], eps=eps)
+    return None if winner is None else core(lp, *winner[1])

@@ -149,8 +149,7 @@ def parse_problem(obj, where: str):
 OPTION_SCHEMA = {
     "certify": {"theorem": str, "m": float, "kappa": float, "r1": float, "r2": float,
                 "eps": float, "g0": "function", "g1": "function"},
-    "search": {"m_points": int, "radius_points": int, "radius_lo": float, "radius_hi": float,
-               "eps": float},
+    "search": {"m_points": int, "eps": float},
     "solve": {"n": int, "initial": float, "bracket": 2, "polish": bool},
 }
 _OPTION_CLASSES = {"search": certify.SearchOptions, "solve": SolveOptions}
@@ -504,9 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="scan parameters for a passing certificate")
     add_problem_source(p)
     p.add_argument("--m-points", type=int, dest="m_points")
-    p.add_argument("--radius-points", type=int, dest="radius_points")
-    p.add_argument("--radius-lo", type=float, dest="radius_lo")
-    p.add_argument("--radius-hi", type=float, dest="radius_hi")
     p.add_argument("--eps", type=float)
     p.set_defaults(handler=_cmd_search)
 

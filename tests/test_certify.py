@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -71,6 +72,19 @@ class TestSignChanging:
         assert lo <= 2200.0 <= hi
         assert lo == pytest.approx(2191.1, abs=0.5)
         assert hi == pytest.approx(2209.5, abs=0.5)
+
+    def test_r1_window_and_r2_floor(self, trapezoid_lp):
+        cert = check_sign_changing(trapezoid_lp, 0.7, 2200.0, 25.0, 1e4)
+        extras, cm, mu = cert.extras, cert.cone_const, trapezoid_lp.mu
+        assert extras["r1_window_lower"] < 25.0 < extras["r1_window_upper"]
+        # root_clearance is an equality at the floor of the window
+        floor = (cm * extras["r1_window_lower"]) ** mu
+        assert floor == pytest.approx(cert.condition("root_clearance").rhs, rel=1e-13)
+        # and the kappa interval closes at its ceiling
+        top = check_sign_changing(trapezoid_lp, 0.7, 1.0, extras["r1_window_upper"], 1e4).extras
+        assert top["kappa_interval_lower"] == pytest.approx(top["kappa_interval_upper"], rel=1e-12)
+        assert extras["r2_floor"] == pytest.approx((0.00548239 / 0.005) ** 100, rel=1e-13)
+        assert extras["r2_floor"] < 1e4
 
     def test_fails_outside_kappa_interval(self, trapezoid_lp):
         cert = check_sign_changing(trapezoid_lp, 0.7, 2500.0, 25.0, 1e4)
@@ -244,13 +258,13 @@ class TestSearchOptionsCheckThemselves:
             ({"m_points": 0}, "m_points"),
             ({"m_points": 2.0}, "m_points"),
             ({"m_points": 2**23}, "m_points"),
-            ({"radius_points": 1}, "radius_points"),
-            ({"radius_lo": -1.0}, "radius_lo"),
-            ({"radius_lo": 0.0}, "radius_lo"),
-            ({"radius_lo": 1e9}, "radius_lo"),
-            ({"radius_lo": 100.0, "radius_hi": 1.0}, "radius_lo"),
-            ({"radius_hi": 1e-7}, "radius_hi"),
-            ({"radius_hi": math.inf}, "radius_hi"),
+            ({"m_points": 2**22 + 1}, "m_points"),
+            ({"m_points": -1}, "m_points"),
+            ({"m_points": np.int64(0)}, "m_points"),
+            ({"m_points": 64.5}, "m_points"),
+            ({"m_points": "64"}, "m_points"),
+            ({"m_points": None}, "m_points"),
+            ({"eps": math.inf}, "eps"),
             ({"eps": math.nan}, "eps"),
             ({"eps": -math.inf}, "eps"),
         ],
@@ -297,6 +311,22 @@ class TestSearch:
         assert cert is not None and cert.passed
         assert scans == [lp.e]
         assert dump_json(cert.to_dict()) == dump_json(search_certificate(cosine_lp).to_dict())
+
+    @pytest.mark.parametrize("name", ["cosine_lp", "trapezoid_lp"])
+    def test_search_builds_no_kernel(self, name, request, monkeypatch):
+        # the winner's certificate reuses the constants of the kernel_constants pass
+        lp = request.getfixturevalue(name)
+        builds = []
+        build = greens.build
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(greens, "build", counted)
+        cert = search_certificate(lp)
+        assert cert is not None and cert.passed
+        assert builds == []
 
     def test_deterministic_across_reruns(self, cosine_lp, trapezoid_lp):
         for lp in (cosine_lp, trapezoid_lp):
@@ -374,6 +404,21 @@ def tied_best_grid_points(lp):
     return [i for i, c in enumerate(certs) if c.passed and c.min_relative_margin() == best]
 
 
+def envelope_excess(cm, m, mu, c, e_min, r):
+    """The left side minus the right side of the inner-radius inequality, in floats."""
+    return (1.0 - cm) * m * m * mu * r ** (2.0 * mu) + c * r**mu - e_min * cm ** (1.0 - 2.0 * mu)
+
+
+def mpmath_inner_radius(cm, m, mu, c, e_min):
+    """The root z^(1/mu) of the quadratic in z = R1^mu, to 50 digits."""
+    with mpmath.workdps(50):
+        cm, m, mu, c, e_min = (mpmath.mpf(x) for x in (cm, m, mu, c, e_min))
+        target = e_min * cm ** (1 - 2 * mu)
+        quad = (1 - cm) * m * m * mu
+        z = 2 * target / (c + mpmath.sqrt(c * c + 4 * quad * target))
+        return z ** (1 / mu)
+
+
 class TestInnerRadius:
     @given(
         cm=st.floats(1e-3, 1.0, exclude_max=True),
@@ -383,14 +428,30 @@ class TestInnerRadius:
         e_min=st.floats(1e-3, 10.0),
         r2=st.floats(-200.0, 200.0).map(math.exp),
     )
-    # excess(r2) <= 0: R2 itself is returned before any bisection step
+    # excess(r2) <= 0: R2 itself is the answer
     @example(cm=0.94, m=0.7, mu=0.01, c=1.49, e_min=1.54, r2=1e-30)
     # close to the cosine preset at m = 0.7
     @example(cm=0.9414400495738342, m=0.7, mu=0.01, c=1.49, e_min=1.540053, r2=34.95)
-    def test_equal_to_two_hundred_step_loop(self, cm, m, mu, c, e_min, r2):
-        assert certify._inner_radius(cm, m, mu, c, e_min, r2) == two_hundred_step_inner_radius(
-            cm, m, mu, c, e_min, r2
-        )
+    def test_close_to_two_hundred_step_loop(self, cm, m, mu, c, e_min, r2):
+        r1 = certify._envelope_radius(cm, m, mu, c, e_min, r2)
+        assert r1 <= r2
+        assert envelope_excess(cm, m, mu, c, e_min, r1) <= 0.0
+        # z^(1/mu) magnifies the rounding of z, and the float excess is only
+        # that sharp, so the two roots agree to 2e-15/mu relative (1e-13 at
+        # mu = 0.02, 2e-12 at mu = 1e-3); subnormal roots keep fewer digits
+        old = two_hundred_step_inner_radius(cm, m, mu, c, e_min, r2)
+        if old >= sys.float_info.min:
+            assert abs(r1 - old) <= 2e-15 / mu * old
+
+    @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp"])
+    def test_equal_to_mpmath_root(self, name, request):
+        lp = request.getfixturevalue(name)
+        cert = search_certificate(lp)
+        e_min = cert.extras["forcing_min"]
+        exact = mpmath_inner_radius(cert.cone_const, cert.m, lp.mu, lp.c, e_min)
+        assert exact < cert.r2
+        assert abs(cert.r1 - exact) <= 1e-13 * exact
+        assert envelope_excess(cert.cone_const, cert.m, lp.mu, lp.c, e_min, cert.r1) <= 0.0
 
 
 class TestSearchRanksOnConditions:
@@ -478,24 +539,24 @@ class TestSearchRanksOnConditions:
     @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp"])
     def test_localizes_the_winner_only(self, name, request, monkeypatch):
         lp = request.getfixturevalue(name)
-        counts = {"inner_radius": 0, "check": 0}
-        inner_radius, check = certify._inner_radius, certify.check_positive_forcing
+        counts = {"inner_radius": 0, "core": 0}
+        inner_radius, core = certify._envelope_radius, certify._positive_forcing
 
         def counted_inner_radius(*args):
             counts["inner_radius"] += 1
             return inner_radius(*args)
 
-        def counted_check(*args, **kwargs):
-            counts["check"] += 1
-            return check(*args, **kwargs)
+        def counted_core(*args, **kwargs):
+            counts["core"] += 1
+            return core(*args, **kwargs)
 
-        monkeypatch.setattr(certify, "_inner_radius", counted_inner_radius)
-        monkeypatch.setattr(certify, "check_positive_forcing", counted_check)
+        monkeypatch.setattr(certify, "_envelope_radius", counted_inner_radius)
+        monkeypatch.setattr(certify, "_positive_forcing", counted_core)
         cert = search_certificate(lp)
-        assert counts == {"inner_radius": 1, "check": 1}
+        assert counts == {"inner_radius": 1, "core": 1}
         again = certify.check_positive_forcing(lp, cert.m)
         assert same_certificate(cert, again)
-        assert counts["inner_radius"] <= 2
+        assert counts == {"inner_radius": 2, "core": 2}
 
 
 class TestSearchChunks:
@@ -515,8 +576,8 @@ class TestSearchChunks:
         cert = search_certificate(lp)
         assert cert is not None and cert.passed
         assert same_certificate(cert, whole)
-        # 64 = 9 * 7 + 1 grid points, then the checker's build at the winner
-        assert sizes == [7] * 9 + [1, 1]
+        # 64 = 9 * 7 + 1 grid points; the winner's certificate builds no kernel
+        assert sizes == [7] * 9 + [1]
 
     # at 23 the first tied point is the last of its chunk; at 7 the tie spans four chunks
     @pytest.mark.parametrize("chunk", [7, 23])
@@ -538,9 +599,10 @@ def trapezoid(a: float, plateau: float) -> LiebauProblem:
     return LiebauProblem(a=a, mu=0.01, c=0.005, T=1.0, e=e)
 
 
-# sign-changing problems with the smallest radius of their search grid: three
-# trapezoids from the corners and the middle of the benchmark's box, and a
-# cosine with minimum -5e-5, whose R1 lies far below the default grid
+# sign-changing problems with the smallest radius of the grid their oracles
+# scan: three trapezoids from the corners and the middle of the benchmark's
+# box, and a cosine with minimum -5e-5, whose R1 lies far below the old
+# default grid of 48 radii from 1e-6 to 1e8
 SIGN_PROBLEMS = {
     "trapezoid_1.4": (trapezoid(1.4, 0.0050), 1e-6),
     "trapezoid_1.6": (trapezoid(1.6, 0.0054), 1e-6),
@@ -552,8 +614,14 @@ SIGN_PROBLEMS = {
 }
 
 
-def hand_written_sign_scan(lp, opts=certify.SearchOptions()):
-    """The earlier sign-changing route, with the four inequalities written out by hand.
+def old_grid(radius_lo=1e-6, radius_hi=1e8, points=48):
+    """The radius grid the search scanned before it took the radii in closed form."""
+    return np.geomspace(radius_lo, radius_hi, points).tolist()
+
+
+def hand_written_sign_scan(lp, opts, radii):
+    """The earlier sign-changing route on the grid ``radii``, with the four
+    inequalities written out by hand.
 
     It did not require kappa_upper and kappa_lower to meet eps, and it
     skipped every R2 below the floor (e_max/c)^(1/mu).
@@ -564,7 +632,6 @@ def hand_written_sign_scan(lp, opts=certify.SearchOptions()):
     ms = m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
     epos_mass = lp.e.positive_part().mean() * lp.T
     mu, c = lp.mu, lp.c
-    radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points)
     r2_floor = (e_max / c) ** (1.0 / mu)
     winner = None
     for m in ms:
@@ -607,16 +674,17 @@ def hand_written_sign_scan(lp, opts=certify.SearchOptions()):
     return cert if cert.passed else None
 
 
-def brute_force_sign(lp, opts):
-    """The best check_sign_changing over every (m, R1, geometric-mid kappa, R2) of the grid."""
+def brute_force_sign(lp, opts, radii):
+    """The best check_sign_changing over every (m, R1, geometric-mid kappa, R2)
+    with m on the search's grid and R1 < R2 on ``radii``."""
     m_max = greens.m_window(lp.a, lp.T)
     k = opts.m_points
-    radii = np.geomspace(opts.radius_lo, opts.radius_hi, opts.radius_points).tolist()
     best = None
     for m in (m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)).tolist():
         for i, r1 in enumerate(radii[:-1]):
             extras = check_sign_changing(lp, m, 1.0, r1, radii[-1]).extras
-            kappa = math.sqrt(extras["kappa_interval_lower"] * extras["kappa_interval_upper"])
+            # as the search takes it, which keeps tiny products from underflowing
+            kappa = math.sqrt(extras["kappa_interval_lower"]) * math.sqrt(extras["kappa_interval_upper"])
             for r2 in radii[i + 1:]:
                 cert = check_sign_changing(lp, m, kappa, r1, r2, eps=opts.eps)
                 if cert.passed and (
@@ -626,59 +694,121 @@ def brute_force_sign(lp, opts):
     return best
 
 
+def assert_sound_sign_certificate(lp, cert, eps):
+    """A passing sign-changing certificate whose every margin meets eps, and
+    that the public checker reproduces byte for byte."""
+    assert cert is not None and cert.passed
+    assert cert.theorem == certify.THEOREM_SIGN_CHANGING
+    assert all(cc.margin >= eps for cc in cert.conditions)
+    again = check_sign_changing(lp, cert.m, cert.kappa, cert.r1, cert.r2, eps=eps)
+    assert same_certificate(cert, again)
+
+
 class TestSignSearchRanksOnConditions:
+    # the hand-written scan does not require the kappa pair to meet eps, so
+    # for eps > 0 it is only a lower bound (and its winner may fail)
+    @pytest.mark.parametrize("eps", [1e-6, 1e-4])
+    @pytest.mark.parametrize("name", ["preset", *SIGN_PROBLEMS])
+    def test_at_least_the_hand_written_scan(self, name, eps, trapezoid_lp):
+        lp, radius_lo = (trapezoid_lp, 1e-6) if name == "preset" else SIGN_PROBLEMS[name]
+        opts = certify.SearchOptions(eps=eps)
+        cert = search_certificate(lp, opts)
+        oracle = hand_written_sign_scan(lp, opts, old_grid(radius_lo))
+        if oracle is not None or cert is not None:
+            assert_sound_sign_certificate(lp, cert, eps)
+        if oracle is not None:
+            assert cert.min_relative_margin() >= oracle.min_relative_margin() - 1e-12
+
+    # with the winner's radii added to the old grid, each oracle's best score
+    # is the search's: no grid tuple beats the closed form at any m, so the
+    # closed form is at least as good as the old grid
     @pytest.mark.parametrize("eps", [0.0, -1e-9])
     @pytest.mark.parametrize("name", ["preset", *SIGN_PROBLEMS])
     def test_equal_to_hand_written_scan(self, name, eps, trapezoid_lp):
         lp, radius_lo = (trapezoid_lp, 1e-6) if name == "preset" else SIGN_PROBLEMS[name]
-        opts = certify.SearchOptions(radius_lo=radius_lo, eps=eps)
+        opts = certify.SearchOptions(eps=eps)
         cert = search_certificate(lp, opts)
-        assert cert is not None and cert.passed
-        assert cert.theorem == certify.THEOREM_SIGN_CHANGING
-        assert same_certificate(cert, hand_written_sign_scan(lp, opts))
+        assert_sound_sign_certificate(lp, cert, eps)
+        oracle = hand_written_sign_scan(lp, opts, sorted(old_grid(radius_lo) + [cert.r1, cert.r2]))
+        assert oracle.min_relative_margin() == pytest.approx(cert.min_relative_margin(), abs=1e-12)
 
-    @pytest.mark.parametrize("eps", [0.0, 1e-6])
+    @pytest.mark.parametrize("eps", [-1e-9, 0.0, 1e-6, 1e-4])
     def test_equal_to_brute_force(self, trapezoid_lp, eps):
-        opts = certify.SearchOptions(m_points=8, radius_points=12, eps=eps)
-        oracle = brute_force_sign(trapezoid_lp, opts)
-        assert oracle is not None
-        assert same_certificate(search_certificate(trapezoid_lp, opts), oracle)
+        opts = certify.SearchOptions(m_points=8, eps=eps)
+        cert = search_certificate(trapezoid_lp, opts)
+        assert_sound_sign_certificate(trapezoid_lp, cert, eps)
+        oracle = brute_force_sign(trapezoid_lp, opts, sorted(old_grid(points=12) + [cert.r1, cert.r2]))
+        assert oracle.min_relative_margin() == pytest.approx(cert.min_relative_margin(), abs=1e-12)
+
+    def test_closed_form_margins_on_the_preset(self, trapezoid_lp):
+        # the old grid search read 0.0367, 0.0310 and 0.0159
+        margins = {}
+        for eps in (0.0, 1e-6, 1e-4):
+            cert = search_certificate(trapezoid_lp, certify.SearchOptions(eps=eps))
+            margins[eps] = round(cert.min_relative_margin(), 4)
+        assert margins == {0.0: 0.3386, 1e-6: 0.0335, 1e-4: 0.0204}
+
+    def test_optimum_at_the_winning_m(self, trapezoid_lp):
+        # at eps = 0 root_clearance and the kappa pair have equal relative
+        # margins 1 - sqrt(rho B), and ceiling_clearance matches them
+        cert = search_certificate(trapezoid_lp)
+        lp = trapezoid_lp
+        rho = cert.condition("root_clearance").rhs
+        b = math.sqrt(lp.mu / (cert.kernel_diag * cert.extras["positive_forcing_mass"]))
+        best = 1.0 - math.sqrt(rho * b)
+        for cc in cert.conditions:
+            assert cc.relative_margin == pytest.approx(best, rel=1e-12)
+        lo, hi = cert.extras["r1_window_lower"], cert.extras["r1_window_upper"]
+        assert lo < cert.r1 < hi
+        assert cert.extras["r2_floor"] < cert.r2
+
+    def test_found_cosine_passes_with_the_default_options(self):
+        # its R1 lies far below the old default grid, which found nothing
+        lp = SIGN_PROBLEMS["trig"][0]
+        assert hand_written_sign_scan(lp, certify.SearchOptions(), old_grid()) is None
+        cert = search_certificate(lp)
+        assert_sound_sign_certificate(lp, cert, 0.0)
+        assert cert.min_relative_margin() > 0.2
+        assert cert.r1 < 1e-60
 
     def test_strict_eps_needs_the_kappa_conditions(self, trapezoid_lp):
         # at eps = 1e-6 the hand-written scan's winner fails kappa_upper or
         # kappa_lower, so it returned nothing although grid tuples pass
         opts = certify.SearchOptions(eps=1e-6)
-        assert hand_written_sign_scan(trapezoid_lp, opts) is None
+        assert hand_written_sign_scan(trapezoid_lp, opts, old_grid()) is None
         cert = search_certificate(trapezoid_lp, opts)
-        assert cert is not None and cert.passed
+        assert_sound_sign_certificate(trapezoid_lp, cert, 1e-6)
         assert (cert.m, cert.r1, cert.r2) == (
-            0.74811969270580392, 0.00095218953540840748, 414019.95764592243
+            0.7481196927058039, 0.0012282844720899297, 300829.1953470734
         )
-        assert cert.min_relative_margin() >= 0.0
-        assert all(cc.margin >= 1e-6 for cc in cert.conditions)
 
     def test_no_radius_clears_the_ceiling(self, trapezoid_lp):
-        # ceiling_clearance needs R2 >= (e_max/c)^(1/mu), about 9.6e3, while
-        # the tuple found at eps = 1e-6 passes the other three conditions
-        opts = certify.SearchOptions(radius_points=12, radius_hi=5e3)
-        assert search_certificate(trapezoid_lp, opts) is None
-        assert hand_written_sign_scan(trapezoid_lp, opts) is None
-        assert brute_force_sign(trapezoid_lp, opts) is None
+        # ceiling_clearance needs R2 >= (e_max/c)^(1/mu), about 1.0e4, so a
+        # grid that stops at 5e3 finds nothing, while the tuple found at
+        # eps = 1e-6 passes the other three conditions; the closed form sets
+        # R2 above that floor
+        opts = certify.SearchOptions(m_points=8)
+        radii = old_grid(radius_hi=5e3, points=12)
+        assert hand_written_sign_scan(trapezoid_lp, opts, radii) is None
+        assert brute_force_sign(trapezoid_lp, opts, radii) is None
         inner = check_sign_changing(trapezoid_lp, 0.7481196927058039, 0.0986, 9.5e-4, 5e3)
         assert [c.satisfied for c in inner.conditions] == [True, True, True, False]
+        assert inner.extras["r2_floor"] == pytest.approx(1.0e4, rel=0.01)
+        cert = search_certificate(trapezoid_lp, opts)
+        assert cert.passed and cert.r2 > cert.extras["r2_floor"]
 
     @pytest.mark.parametrize("name", ["preset", "trig"])
     def test_checks_the_winner_only(self, name, trapezoid_lp, monkeypatch):
-        lp, radius_lo = (trapezoid_lp, 1e-6) if name == "preset" else SIGN_PROBLEMS[name]
+        lp = trapezoid_lp if name == "preset" else SIGN_PROBLEMS[name][0]
         calls = []
-        check = certify.check_sign_changing
+        core = certify._sign_changing
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return check(*args, **kwargs)
+            return core(*args, **kwargs)
 
-        monkeypatch.setattr(certify, "check_sign_changing", counted)
-        cert = search_certificate(lp, certify.SearchOptions(radius_lo=radius_lo))
+        monkeypatch.setattr(certify, "_sign_changing", counted)
+        cert = search_certificate(lp)
         assert cert is not None and cert.passed
         assert len(calls) == 1
 
@@ -743,7 +873,7 @@ class TestSmallMu:
             certify._ceiling("localization ceiling R2", 1.0, 1.49, 1e-4, 0.94)
 
     def test_inner_radius_underflow_is_named(self):
-        # at a = 300 c_m is tiny for large m, and the root of _inner_radius
+        # at a = 300 c_m is tiny for large m, and the inner radius R1
         # lies below the smallest float at grid point 20 of the default 64
         lp = LiebauProblem(300.0, 0.01, 1.49, 1.0, PeriodicFunction.trig(1.0, 1.54215, [(0.002, 1, 0.0)]))
         with pytest.raises(OutOfFloatRange, match="inner radius R1"):
@@ -751,11 +881,17 @@ class TestSmallMu:
         # the search's winner keeps a representable R1
         cert = search_certificate(lp)
         assert cert.passed
-        assert (cert.m, cert.r1) == (11.540991928798762, 5.304468747840355e-25)
+        assert (cert.m, cert.r1) == (11.540991928798762, 5.304468747840308e-25)
 
     def test_sign_route_floor_beyond_range_finds_nothing(self, trapezoid_lp):
+        # R1 and R2 leave float range at every m, which the search skips
+        # (its log-space arithmetic raises no overflow warning); the checker
+        # reports the unreachable bounds as inf
         lp = LiebauProblem(trapezoid_lp.a, 1e-5, trapezoid_lp.c, trapezoid_lp.T, trapezoid_lp.e)
         assert search_certificate(lp) is None
+        assert search_certificate(lp, certify.SearchOptions(eps=1e-6)) is None
+        extras = check_sign_changing(lp, 0.7, 1.0, 1.0, 2.0).extras
+        assert extras["r2_floor"] == extras["r1_window_lower"] == math.inf
 
 
 class TestSerialization:

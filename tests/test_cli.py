@@ -149,7 +149,7 @@ class TestSearchCommand:
         assert cert["verdict"] == "pass"
         params = cert["params"]
         assert (params["m"], params["r1"], params["r2"]) == (
-            0.74811969270580392, 0.00095218953540840748, 414019.95764592243
+            0.74811969270580392, 0.0012282844720899297, 300829.19534707337
         )
         assert all(c["margin"] >= 1e-6 for c in cert["conditions"])
 
@@ -448,6 +448,8 @@ class TestOptionRangesExitTwo:
     @pytest.mark.parametrize(
         "flags, field",
         [
+            # the radius options are gone: argparse refuses their flags, and a
+            # config names their keys as unknown
             (["--radius-lo", "0"], "search.radius_lo"),
             (["--radius-lo", "-1"], "search.radius_lo"),
             (["--radius-lo", "100", "--radius-hi", "1"], "search.radius_lo"),
@@ -458,7 +460,22 @@ class TestOptionRangesExitTwo:
             (["--m-points", str(10**20)], "search.m_points"),
         ],
     )
-    def test_search_grid_out_of_range(self, capsys, flags, field):
+    def test_search_grid_out_of_range(self, capsys, tmp_path, flags, field):
+        # as flags, and as keys of a config's search section
+        options = {f[2:].replace("-", "_"): json.loads(v) for f, v in zip(flags[::2], flags[1::2])}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": COSINE_PROBLEM, "search": options}))
+        code, out, err = run_captured(capsys, ["search", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+        assert "Traceback" not in err
+        if "radius" in field:
+            with pytest.raises(SystemExit) as exc:
+                run(["search", "--preset", "trapezoid", *flags])
+            assert exc.value.code == EXIT_CONFIG
+            assert flags[0] in capsys.readouterr().err
+            return
         code, out, err = run_captured(capsys, ["search", "--preset", "trapezoid", *flags])
         assert code == EXIT_CONFIG
         assert out == ""
