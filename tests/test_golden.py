@@ -30,6 +30,13 @@ for _p in PRESET_NAMES:
             continue
         _code = cli.EXIT_SEARCH_EMPTY if (_cmd, _p) == ("search", "benchmark") else cli.EXIT_OK
         CASES[f"{_cmd}-{_p}.json"] = ([_cmd, "--preset", _p], _code)
+# the kernel of each root case: its constants and samples of K
+for _case, _params in (
+    ("real-distinct", ["-a", "1.6", "-m", "0.7", "-T", "1"]),
+    ("complex-pair", ["-a", "0", "-m", "0.25", "-T", "6.283185307179586"]),
+    ("double-root", ["-a", "2", "-m", "1", "-T", "1"]),
+):
+    CASES[f"greens-{_case}.txt"] = (["greens", *_params, "--csv-out", "-"], cli.EXIT_OK)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
