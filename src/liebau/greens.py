@@ -4,32 +4,41 @@ The constant-coefficient kernel is translation invariant: G(t, s) = K((t - s)
 mod T) for a single-variable kernel K on [0, T].  K solves the homogeneous
 equation away from the wrap point, matches its endpoint values, and carries a
 unit jump in slope across the wrap; those three facts pin it down uniquely.
+Inside the window 0 < m < sqrt((pi/T)^2 + (a/2)^2) the kernel is strictly
+positive and integrates to 1/m^2 in each variable.
 
-With lam1, lam2 the roots of lam^2 + a*lam + m^2 = 0 and distinct,
+On [0, T) the kernel is a short sum of exponential modes, and this mode list
+is its one representation (``GreensKernel.modes``):
 
-    K(tau) = [exp(lam1 tau)/(1 - exp(lam1 T)) - exp(lam2 tau)/(1 - exp(lam2 T))]
-             / (lam1 - lam2),
+    K(tau) = Re sum_j c_j tau^p_j e^{lam_j tau}.
 
-the complex-pair and double-root cases being the real-part and limit forms of
-the same expression.  Inside the window 0 < m < sqrt((pi/T)^2 + (a/2)^2) the
-kernel is strictly positive and integrates to 1/m^2 in each variable.
+With lam1, lam2 the roots of lam^2 + a lam + m^2 = 0 and distinct, real or
+complex, the modes are (c_1, 0, lam1) and (c_2, 0, lam2) with
+
+    c_1 = 1 / ((1 - e^{lam1 T}) (lam1 - lam2)),   c_2 = -1 / ((1 - e^{lam2 T}) (lam1 - lam2)),
+
+and a complex pair, whose two modes are conjugate, keeps the one mode
+(2 c_1, 0, lam1).  Where |a^2 - 4 m^2| < _BRANCH_EPS * 4 m^2 that expression
+cancels, and the confluent limit serves: lam = -a/2, E = e^{lam T} and the
+modes (T E / (1 - E)^2, 0, lam) and (1 / (1 - E), 1, lam).  ``_modes`` decides
+the root case once per m, and takes 1 - e^{lam T} without cancellation.
 
 K(0) = K(T), so K' has a zero t* in (0, T), and only one: K' = 0 is a
 monotone equation for real roots, a linear one for the double root, and for
 a complex pair lam = -a/2 +- i omega its zeros are pi/omega > T apart.
-Solving K'(t*) = 0 gives
+Solving K'(t*) = 0 for each shape of mode list gives
 
-    real roots:    t* = log(lam2 (1 - e^{lam1 T}) / (lam1 (1 - e^{lam2 T}))) / (lam1 - lam2)
-    complex pair:  t* = ((-arg(lam1 / (1 - e^{lam1 T}))) mod pi) / omega
-    double root:   t* = 2/a - T E / (1 - E),   E = exp(-a T / 2)
+    two real modes:    t* = log(-c_2 lam2 / (c_1 lam1)) / (lam1 - lam2)
+    one complex mode:  t* = (atan2(Re(c lam), Im(c lam)) mod pi) / omega
+    double root:       t* = -c_1 / c_2 - 1 / lam
 
 and since K'' = -m^2 K < 0 at t*, K(t*) is the maximum and K(0) the minimum.
 The cone constant is c_m = K(0)/K(t*) in (0, 1).  ``kernel_constants``
-computes K(0), t*, K(t*) and c_m for a whole array of m, one pass per root
-case, and marks in its mask ``ok`` each m that ``build`` would refuse;
-``build`` is that function on one m, so the two agree bit for bit.  The
-per-m constants (the exponentials e^{lam T}, the powers and t*) go through
-libm one m at a time, and numpy evaluates only the tau-dependent factors.
+computes K(0), t*, K(t*) and c_m for a whole array of m in one pass, and
+marks in its mask ``ok`` each m that ``build`` would refuse; ``build`` is
+that function on one m, so the two agree bit for bit.  The modes and t* are
+Python arithmetic and libm, one m at a time; numpy sums the modes at tau
+(``_mode_sum``), for K(t*) as for ``GreensKernel.at``.
 
 Kernel responses x(t) = integral_0^T K((t - s) mod T) g(s) ds of smooth g
 come from one quadrature, ``circular_response``: the periodic trapezoid rule
@@ -39,15 +48,13 @@ jump of K at the wrap, leaving an O(h^4) error.  ``apply_kernel`` runs it on
 a fine grid and reads off-grid t from the trigonometric interpolant of the
 fine-grid response; ``solve.picard_iterate`` runs it once per step.
 
-A g with breakpoints is integrated by one sweep that is exact in the kernel.
-On [0, T) the kernel is a short sum of exponential modes,
-K(tau) = Re sum_j c_j tau^p_j e^{lam_j tau} (``_modes``), so the response
-only needs the causal sums P(t) = integral_0^t e^{lam (t-s)} g ds and, for
-the tau-mode of the double root, M(t) = integral_0^t (t-s) e^{lam (t-s)} g ds:
-the part s > t of the integral is P(T) and M(T) carried once round the
-period.  Both sums come from an 8-point Gauss-Legendre rule on sub-gaps of
-the sorted points {0, T}, t mod T and the breakpoints of g, accumulated by
-one anchored cumulative sum per mode.
+A g with breakpoints is integrated by one sweep that is exact in the kernel:
+the response of each mode only needs the causal sums P(t) = integral_0^t
+e^{lam (t-s)} g ds and, for the tau-mode of the double root, M(t) =
+integral_0^t (t-s) e^{lam (t-s)} g ds; the part s > t of the integral is P(T)
+and M(T) carried once round the period.  Both sums come from an 8-point
+Gauss-Legendre rule on sub-gaps of the sorted points {0, T}, t mod T and the
+breakpoints of g, accumulated by one anchored cumulative sum per mode.
 """
 
 from __future__ import annotations
@@ -61,12 +68,12 @@ import numpy as np
 
 from .errors import BadPeriod, LiebauError, MOutOfRange, PropertyViolation
 from .funcspec import PeriodicFunction
-from .numerics import cyclic_fd_operator, per_element, simpson_segmented
+from .numerics import cyclic_fd_operator, simpson_segmented
 
+# the root case of a kernel, read off its modes; a label for output
 CASE_REAL_DISTINCT = "real_distinct"
 CASE_DOUBLE_ROOT = "double_root"
 CASE_COMPLEX_PAIR = "complex_pair"
-CASES = (CASE_REAL_DISTINCT, CASE_DOUBLE_ROOT, CASE_COMPLEX_PAIR)  # indexed by case code
 
 # Relative tolerance on |a^2 - 4 m^2| / (4 m^2) below which the confluent
 # formula is used.  That formula is off by about this ratio times kmax, while
@@ -97,15 +104,36 @@ _BLOCK_EXP = 32.0
 # kink-free g, sub-gaps no wider than T / BASE_PANELS for g with breakpoints
 BASE_PANELS = 1024
 
+Mode = tuple[complex, int, complex]  # (c_j, p_j, lam_j)
+
 
 def m_window(a: float, T: float) -> float:
     """Upper end of the admissible shift window, sqrt((pi/T)^2 + (a/2)^2)."""
     return math.sqrt((math.pi / T) ** 2 + (a / 2.0) ** 2)
 
 
+def _mode_sum(c: np.ndarray, p: np.ndarray, lam: np.ndarray, tau) -> np.ndarray:
+    """Re sum_j c_j tau^p_j e^{lam_j tau}, the modes j along the first axis of c, p and lam.
+
+    Real arithmetic: each term is e^{Re lam tau} (Re c cos(w tau) - Im c
+    sin(w tau)) with w = Im lam.  Where no mode is complex the rotation,
+    which would multiply by exactly 1, is skipped, so the bits of a kernel's
+    values do not depend on the kernels evaluated with it.
+    """
+    terms = np.exp(lam.real * tau)
+    w = lam.imag
+    if w.any():
+        terms *= c.real * np.cos(w * tau) - c.imag * np.sin(w * tau)
+    else:
+        terms *= c.real
+    if p.any():
+        terms *= np.where(p, tau, 1.0)
+    return terms.sum(axis=0)
+
+
 @dataclass(frozen=True)
 class GreensKernel:
-    """Immutable kernel with its derived constants.
+    """Immutable kernel: its modes and derived constants.
 
     ``k0`` = K(0) is the minimum of K and ``kmax`` = K(t*) its maximum.
     """
@@ -113,86 +141,86 @@ class GreensKernel:
     a: float
     m: float
     T: float
-    case: str
-    roots: tuple[complex, complex]
+    modes: tuple[Mode, ...]
     k0: float
     kmax: float
     cone_constant: float
     m_max: float
 
+    @property
+    def case(self) -> str:
+        """The root case, read off the shape of the mode list."""
+        if len(self.modes) == 1:
+            return CASE_COMPLEX_PAIR
+        return CASE_DOUBLE_ROOT if self.modes[1][1] else CASE_REAL_DISTINCT
+
     def at(self, tau) -> float | np.ndarray:
         """K(tau) for tau in [0, T]; tau = T is folded onto tau = 0."""
-        return _kernel_values(self.case, self.roots, self.T, tau)
+        # the kernel is T-periodic and continuous; wrap so K(T) lands on K(0)
+        tt = np.mod(tau, self.T)
+        shape = (-1,) + (1,) * np.ndim(tt)
+        vals = _mode_sum(*(np.array(x).reshape(shape) for x in zip(*self.modes)), tt)
+        return float(vals) if np.ndim(vals) == 0 else vals
 
     def green(self, t, s) -> float | np.ndarray:
         """G(t, s) = K((t - s) mod T)."""
-        tau = np.mod(np.asarray(t, dtype=float) - np.asarray(s, dtype=float), self.T)
-        out = _kernel_values(self.case, self.roots, self.T, tau)
+        out = self.at(np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
         return out if np.ndim(t) or np.ndim(s) else float(out)
 
 
-def _select_case(a: float, m):
-    """The root case code of each m (an index into CASES; 0-d for a scalar m)."""
-    disc = a * a - 4.0 * m * m
-    return np.where(np.abs(disc) < _BRANCH_EPS * 4.0 * m * m, 1, np.where(disc > 0.0, 0, 2))
+def _one_minus_exp(z: complex) -> complex:
+    """1 - e^z = 2 sin^2(y/2) e^x - expm1(x) - 2 i e^x sin(y/2) cos(y/2) for
+    z = x + i y.  For x <= 0 the real part adds two nonnegative terms, so it
+    keeps its digits for small |z|, where 1 - cmath.exp(z) cancels."""
+    x, h = z.real, 0.5 * z.imag
+    e, s = math.exp(x), math.sin(h)
+    return complex(2.0 * s * s * e - math.expm1(x), -2.0 * e * s * math.cos(h))
 
 
-def _roots(a: float, m, case: str) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of lam^2 + a lam + m^2 = 0 for each m of one ``case``, in the
-    form the formulas of ``case`` use them: real arrays but for a complex pair."""
-    m = np.asarray(m, dtype=float)
-    if case == CASE_COMPLEX_PAIR:
-        lam = np.empty(m.shape, dtype=complex)
-        lam.real = -a / 2.0
-        lam.imag = np.sqrt(4.0 * m * m - a * a) / 2.0
-        return lam, lam.conj()
-    if case == CASE_DOUBLE_ROOT:
-        lam = np.full(m.shape, -a / 2.0)
-        return lam, lam
-    sq = np.sqrt(a * a - 4.0 * m * m)
-    return (-a + sq) / 2.0, (-a - sq) / 2.0
+def _reciprocal(z: complex) -> complex:
+    """1/z, and inf for z = 0: a root that rounds to 0 has 1 - e^{lam T} = 0,
+    and its infinite coefficient makes K(0) infinite or NaN, which ``ok`` refuses."""
+    return 1.0 / z if z else complex(math.inf)
 
 
-def _kernel_values(case: str, roots, T: float, tau):
-    """K(tau) of the kernels with the given roots, all of one ``case``.
+def _modes(a: float, m: float, T: float) -> tuple[Mode, Mode]:
+    """The two modes of the kernel of one m; its root case is decided here.
 
-    ``roots`` is a pair of complex numbers, or of 1-D arrays (one kernel per
-    element) that broadcast against tau.  Only the tau-dependent factors are
-    numpy arithmetic; the per-kernel constants use libm (``per_element``).
+    A complex pair's two modes are conjugate, so their real parts are equal:
+    the first mode carries both, and the second has c = 0.
     """
-    # the kernel is T-periodic and continuous; wrap so K(T) lands on K(0)
-    tt = np.mod(tau, T)
-    if case == CASE_DOUBLE_ROOT:
-        lam = roots[0].real
-        E = per_element(math.exp, lam * T)
-        vals = np.exp(lam * tt) * (tt * (1.0 - E) + T * E) / per_element(math.pow, 1.0 - E, 2.0)
-    elif case == CASE_REAL_DISTINCT:
-        l1, l2 = roots[0].real, roots[1].real
-        vals = (
-            np.exp(l1 * tt) / (1.0 - per_element(math.exp, l1 * T))
-            - np.exp(l2 * tt) / (1.0 - per_element(math.exp, l2 * T))
-        ) / (l1 - l2)
-    else:
-        lam = roots[0]
-        vals = np.imag(np.exp(lam * tt) / (1.0 - np.exp(lam * T))) / lam.imag
-    return float(vals) if np.ndim(vals) == 0 else vals
+    disc = a * a - 4.0 * m * m
+    if abs(disc) < _BRANCH_EPS * 4.0 * m * m:
+        lam = complex(-0.5 * a)
+        b = _reciprocal(_one_minus_exp(lam * T))
+        return ((T * cmath.exp(lam * T) * b * b, 0, lam), (b, 1, lam))
+    half = cmath.sqrt(disc) / 2.0  # imaginary for a complex pair
+    l1, l2 = -0.5 * a + half, -0.5 * a - half
+    d = l1 - l2
+    c1 = _reciprocal(_one_minus_exp(l1 * T) * d)
+    if half.imag:
+        return ((2.0 * c1, 0, l1), (0j, 0, l2))
+    return ((c1, 0, l1), (-_reciprocal(_one_minus_exp(l2 * T) * d), 0, l2))
 
 
-def _critical_point(case: str, roots, T: float):
-    """The zero of K' in (0, T) of each kernel, solved from the kernel formula
-    of ``case`` with libm, one kernel at a time (a float for scalar roots)."""
-    scalar = np.ndim(roots[0]) == 0
-    r1, r2 = ([complex(r)] for r in roots) if scalar else (r.tolist() for r in roots)
-    if case == CASE_DOUBLE_ROOT:
-        out = [-1.0 / lam + T * math.exp(lam * T) / math.expm1(lam * T) for lam in (r.real for r in r1)]
-    elif case == CASE_REAL_DISTINCT:
-        out = [
-            math.log(l2 * math.expm1(l1 * T) / (l1 * math.expm1(l2 * T))) / (l1 - l2)
-            for l1, l2 in ((p.real, q.real) for p, q in zip(r1, r2))
-        ]
-    else:
-        out = [(-cmath.phase(lam / (1.0 - cmath.exp(lam * T)))) % math.pi / lam.imag for lam in r1]
-    return out[0] if scalar else np.array(out)
+def _critical_point(modes: tuple[Mode, Mode]) -> float:
+    """The zero t* of K' in (0, T), in closed form for each shape of mode pair."""
+    (c1, _, l1), (c2, p2, l2) = modes
+    if l1.imag:  # Re(c1 lam e^{lam t}) = 0 where omega t = pi/2 - arg(c1 lam) mod pi
+        z = c1 * l1
+        return math.atan2(z.real, z.imag) % math.pi / l1.imag
+    if p2:  # K' = ((c1 + c2 t) lam + c2) e^{lam t}
+        return -(c1 / c2).real - 1.0 / l1.real
+    return math.log((-c2 * l2 / (c1 * l1)).real) / (l1 - l2).real
+
+
+def _constants(a: float, m: float, T: float) -> tuple:
+    """(c1, c2, lam1, lam2, p1, p2, K(0), t*) of one m: its two modes
+    (c_j, p_j, lam_j) side by side, K(0), and t* (NaN unless 0 < K(0) < inf)."""
+    modes = _modes(a, m, T)
+    (c1, p1, l1), (c2, p2, l2) = modes
+    k0 = c1.real + (0.0 if p2 else c2.real)  # _mode_sum at tau = 0, bit for bit
+    return c1, c2, l1, l2, p1, p2, k0, _critical_point(modes) if 0.0 < k0 < math.inf else math.nan
 
 
 class KernelConstants(NamedTuple):
@@ -204,8 +232,9 @@ class KernelConstants(NamedTuple):
     """
 
     m_max: float
-    case: np.ndarray  # case code of each m, an index into CASES
-    roots: tuple[np.ndarray, np.ndarray]  # complex; NaN where no case formula ran
+    # (c, p, lam), each of shape (2, len(ms)): the two modes of each m (see
+    # _modes); c = 0 outside (0, m_max)
+    modes: tuple[np.ndarray, np.ndarray, np.ndarray]
     k0: np.ndarray  # K(0)
     t_max: np.ndarray  # t*
     kmax: np.ndarray  # K(t*)
@@ -220,8 +249,11 @@ def _check_coefficients(a: float, T: float) -> None:
         raise LiebauError(f"friction coefficient must be finite and nonnegative, got {a!r}")
 
 
+_OUTSIDE = (0j, 0j, 0j, 0j, 0, 0, math.nan, math.nan)  # the _constants of an m outside (0, m_max)
+
+
 def kernel_constants(a: float, ms, T: float) -> KernelConstants:
-    """K(0), t*, K(t*) and c_m for every m of a 1-D array, in one pass per root case.
+    """K(0), t*, K(t*) and c_m for every m of a 1-D array, in one pass.
 
     Raises BadPeriod and LiebauError as ``build`` does; an m that ``build``
     would refuse (MOutOfRange or PropertyViolation) is marked in ``ok``
@@ -231,25 +263,17 @@ def kernel_constants(a: float, ms, T: float) -> KernelConstants:
     _check_coefficients(a, T)
     ms = np.asarray(ms, dtype=float)
     mmax = m_window(a, T)
-    k0, t_max, kmax, cone = np.full((4, len(ms)), math.nan)
-    r1, r2 = np.full((2, len(ms)), complex(math.nan, math.nan))
-    case = _select_case(a, ms)
     inside = (0.0 < ms) & (ms < mmax)
-    # a root that rounds to 0 makes K(0) infinite or NaN, which ``ok`` refuses
+    rows = [_constants(a, m, T) if ins else _OUTSIDE for m, ins in zip(ms.tolist(), inside.tolist())]
+    c1, c2, l1, l2, p1, p2, k0, t_max = list(zip(*rows)) or [()] * 8
+    c, lam = np.array([c1, c2], dtype=complex), np.array([l1, l2], dtype=complex)
+    p, k0, t_max = np.array([p1, p2], dtype=float), np.array(k0, dtype=float), np.array(t_max, dtype=float)
+    # an infinite or NaN constant of a refused m must not warn
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for code in sorted(set(case[inside].tolist())):
-            name, idx = CASES[code], np.flatnonzero(inside & (case == code))
-            r1[idx], r2[idx] = roots = _roots(a, ms[idx], name)
-            k0[idx] = k = _kernel_values(name, roots, T, 0.0)
-            # the t* formula divides by the roots: only for a finite K(0)
-            keep = (0.0 < k) & (k < math.inf)
-            idx, roots = idx[keep], (roots[0][keep], roots[1][keep])
-            t_max[idx] = t = _critical_point(name, roots, T)
-            keep = (0.0 < t) & (t < T)
-            kmax[idx[keep]] = _kernel_values(name, (roots[0][keep], roots[1][keep]), T, t[keep])
-    ok = inside & (0.0 < k0) & (k0 < kmax)
-    cone[ok] = k0[ok] / kmax[ok]
-    return KernelConstants(mmax, case, (r1, r2), k0, t_max, kmax, cone, ok)
+        kmax = np.where((0.0 < t_max) & (t_max < T), _mode_sum(c, p, lam, t_max), math.nan)
+        ok = inside & (0.0 < k0) & (k0 < kmax)
+        cone = np.where(ok, k0 / kmax, math.nan)
+    return KernelConstants(mmax, (c, p, lam), k0, t_max, kmax, cone, ok)
 
 
 def build(a: float, m: float, T: float) -> GreensKernel:
@@ -273,8 +297,9 @@ def build(a: float, m: float, T: float) -> GreensKernel:
             f"kernel constants out of range: K(0)={k0!r}, t_max={t_max!r}, K(t_max)={kmax!r}; "
             "the cone construction does not apply to this parameter set"
         )
-    roots = (complex(kc.roots[0][0]), complex(kc.roots[1][0]))
-    return GreensKernel(a, m, T, CASES[kc.case[0]], roots, k0, kmax, float(kc.cone_constant[0]), mmax)
+    # the mode list, without a complex pair's zero mode
+    modes = tuple((complex(c), int(p), complex(lam)) for c, p, lam in zip(*(x[:, 0] for x in kc.modes)) if c)
+    return GreensKernel(a, m, T, modes, k0, kmax, float(kc.cone_constant[0]), mmax)
 
 
 def circular_response(kernel: GreensKernel, g_values) -> np.ndarray:
@@ -306,32 +331,6 @@ def _interpolant_at(values: np.ndarray, T: float, t_values: np.ndarray) -> np.nd
     phase = np.outer(t_values, (2.0 * np.pi / T) * np.arange(len(coef)))
     # Re(e^{i phase} coef) in real arithmetic: one len(t) x len(coef) temporary
     return np.cos(phase) @ coef.real - np.sin(phase, out=phase) @ coef.imag
-
-
-def _modes(kernel: GreensKernel) -> tuple[tuple[complex, int, complex], ...]:
-    """K on [0, T) as Re sum_j c_j tau^p_j e^{lam_j tau}, as (c_j, p_j, lam_j).
-
-    Two real modes for distinct real roots, one complex mode for a complex
-    pair, and e^{lam tau} with tau e^{lam tau} for the double root.  The
-    constants are the ones ``_kernel_values`` evaluates, rounding included.
-    """
-    T = kernel.T
-    if kernel.case == CASE_DOUBLE_ROOT:
-        lam = kernel.roots[0].real
-        E = math.exp(lam * T)
-        return (
-            (complex(T * E / (1.0 - E) ** 2), 0, complex(lam)),
-            (complex(1.0 / (1.0 - E)), 1, complex(lam)),
-        )
-    if kernel.case == CASE_REAL_DISTINCT:
-        l1, l2 = kernel.roots[0].real, kernel.roots[1].real
-        return (
-            (complex(1.0 / ((1.0 - math.exp(l1 * T)) * (l1 - l2))), 0, complex(l1)),
-            (complex(-1.0 / ((1.0 - math.exp(l2 * T)) * (l1 - l2))), 0, complex(l2)),
-        )
-    lam = kernel.roots[0]
-    # Im(z) / omega = Re(-i z / omega)
-    return ((-1j / ((1.0 - cmath.exp(lam * T)) * lam.imag), 0, lam),)
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
@@ -380,7 +379,7 @@ def _causal_sums(lam: complex, p: int, nodes, wg, edges):
 def _sweep_response(kernel: GreensKernel, g: PeriodicFunction, t: np.ndarray):
     """integral_0^T K((t - s) mod T) g(s) ds for g with breakpoints, by one sweep."""
     T = kernel.T
-    modes = _modes(kernel)
+    modes = kernel.modes
     breaks = [b for b in g.breakpoints() if 0.0 < b < T]
     pts, where = np.unique(np.concatenate([np.mod(t, T), [0.0, T], breaks]), return_inverse=True)
     gaps = np.diff(pts)
@@ -514,7 +513,7 @@ def verify_properties(kernel: GreensKernel) -> KernelReport:
     passed = (
         positivity_min > 0.0
         and mass_dev <= PROPERTY_TOL
-        and chain_violation <= max(PROPERTY_TOL, 1e-12)
+        and chain_violation <= PROPERTY_TOL
         and worst_res <= REPRODUCTION_TOL
     )
     report = KernelReport(positivity_min, mass_dev, chain_violation, worst_res, passed)

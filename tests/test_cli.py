@@ -149,7 +149,7 @@ class TestSearchCommand:
         assert cert["verdict"] == "pass"
         params = cert["params"]
         assert (params["m"], params["r1"], params["r2"]) == (
-            0.74811969270580392, 0.0012282844720899297, 300829.19534707337
+            0.74811969270580392, 0.0012282844720899304, 300829.19534707337
         )
         assert all(c["margin"] >= 1e-6 for c in cert["conditions"])
 

@@ -27,22 +27,26 @@ def kernel_a0():
 class TestBuild:
     def test_real_distinct_roots(self, kernel_example):
         assert kernel_example.case == greens.CASE_REAL_DISTINCT
-        r1, r2 = kernel_example.roots
+        (_, p1, r1), (_, p2, r2) = kernel_example.modes
+        assert p1 == p2 == 0
         assert r1.real == pytest.approx(-0.412702, abs=1e-6)
         assert r2.real == pytest.approx(-1.187298, abs=1e-6)
         assert r1.imag == r2.imag == 0.0
 
     def test_complex_pair(self, kernel_a0):
+        # one mode carries the conjugate pair: its root is the one with omega > 0
         assert kernel_a0.case == greens.CASE_COMPLEX_PAIR
-        r1, r2 = kernel_a0.roots
-        assert r1.real == 0.0 and r2.real == 0.0
+        ((_, p, r1),) = kernel_a0.modes
+        assert p == 0
+        assert r1.real == 0.0
         assert r1.imag == pytest.approx(0.25, abs=1e-15)
-        assert r2.imag == pytest.approx(-0.25, abs=1e-15)
 
     def test_double_root_case(self):
         k = greens.build(2.0, 1.0, 1.0)
         assert k.case == greens.CASE_DOUBLE_ROOT
-        assert k.roots[0] == k.roots[1] == complex(-1.0, 0.0)
+        (_, p1, r1), (_, p2, r2) = k.modes
+        assert (p1, p2) == (0, 1)
+        assert r1 == r2 == complex(-1.0, 0.0)
 
     def test_window_violation(self):
         # m_max^2 = pi^2 + 0.64 = 10.5096..., so m = 3.3 is out
@@ -81,18 +85,18 @@ class TestKernelValues:
             assert k.at(0.0) == k.at(k.T)
 
     def test_case_boundary_continuity(self):
-        # distinct-roots and complex formulas must agree with the confluent
-        # formula as the discriminant crosses zero
+        # the distinct-roots modes on either side of the double root a = 2 m
+        # must agree with the confluent modes at it as the discriminant
+        # crosses zero (a moves by about 2.5e-9, K by about as much)
         T = 1.0
         m = 1.0
-        for sign in (+1.0, -1.0):
-            a = math.sqrt(4 * m * m + sign * 1e-8)
-            case = greens.CASES[greens._select_case(a, m)]
-            taus = np.linspace(0, T, 41)
-            got = greens._kernel_values(case, greens._roots(a, m, case), T, taus)
-            double = greens._roots(a, m, greens.CASE_DOUBLE_ROOT)
-            confluent = greens._kernel_values(greens.CASE_DOUBLE_ROOT, double, T, taus)
-            np.testing.assert_allclose(got, confluent, atol=1e-6)
+        taus = np.linspace(0, T, 41)
+        confluent = greens.build(2.0 * m, m, T)
+        assert confluent.case == greens.CASE_DOUBLE_ROOT
+        for sign, case in ((+1.0, greens.CASE_REAL_DISTINCT), (-1.0, greens.CASE_COMPLEX_PAIR)):
+            k = greens.build(math.sqrt(4 * m * m + sign * 1e-8), m, T)
+            assert k.case == case
+            np.testing.assert_allclose(k.at(taus), confluent.at(taus), atol=1e-6)
 
 
 def mp_kernel_function(a, m, T):
@@ -285,7 +289,7 @@ class TestClosedFormExtrema:
     def test_critical_point_is_the_maximum(self, params, case):
         k = greens.build(*params)
         assert k.case == case
-        t_max = greens._critical_point(k.case, k.roots, k.T)
+        t_max = float(greens.kernel_constants(k.a, [k.m], k.T).t_max[0])
         assert 0.0 < t_max < k.T
         assert k.kmax == k.at(t_max)
         for h in (1e-3, 1e-5):
@@ -297,7 +301,8 @@ class TestClosedFormExtrema:
 
     def test_a0_maximum_at_half_period(self, kernel_a0):
         k = kernel_a0
-        assert greens._critical_point(k.case, k.roots, k.T) == pytest.approx(math.pi, rel=1e-14)
+        t_max = float(greens.kernel_constants(k.a, [k.m], k.T).t_max[0])
+        assert t_max == pytest.approx(math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("m, T", [(1.0, 1.0), (0.3, 5.0), (1.5, 0.5)])
     def test_cone_constant_continuous_across_discriminant(self, m, T):
@@ -309,59 +314,85 @@ class TestClosedFormExtrema:
             assert abs(k.cone_constant - confluent.cone_constant) <= 1e-7
 
 
+# greens._BRANCH_EPS, restated
+CONFLUENT_EPS = float(np.finfo(float).eps) ** (2.0 / 3.0)
+
+
 def one_kernel_constants(a, m, T):
-    """(case, roots, K(0), t*, K(t*)) of one kernel by the earlier scalar
-    code, the reference for the array pass; None where that code refused m.
+    """(modes, K(0), t*, K(t*)) of one kernel by the closed forms of the
+    greens module docstring, restated: the reference for the array pass;
+    None where the kernel is refused.
 
-    Python floats and libm throughout, but for numpy's exp of the
-    tau-dependent factors of K (and of e^{lam T} for a complex pair), as
-    that code had them.
+    The modes are two (c, p, lam) triples, a complex pair's conjugate modes
+    folded into the first (the second then has c = 0).  Python floats,
+    complex numbers and libm throughout, but for numpy's exp, cos and sin of
+    the tau-dependent factors of K(t*), as the array pass has them.
     """
-    disc = a * a - 4.0 * m * m
-    if abs(disc) < greens._BRANCH_EPS * 4.0 * m * m:
-        case, roots = greens.CASE_DOUBLE_ROOT, (complex(-a / 2.0, 0.0),) * 2
-    elif disc > 0.0:
-        sq = math.sqrt(disc)
-        case, roots = greens.CASE_REAL_DISTINCT, (complex((-a + sq) / 2.0, 0.0), complex((-a - sq) / 2.0, 0.0))
-    else:
-        omega = math.sqrt(4.0 * m * m - a * a) / 2.0
-        case, roots = greens.CASE_COMPLEX_PAIR, (complex(-a / 2.0, omega), complex(-a / 2.0, -omega))
-
-    def K(tau):
-        tt = np.mod(np.asarray(tau, dtype=float), T)
-        if case == greens.CASE_DOUBLE_ROOT:
-            lam = roots[0].real
-            E = math.exp(lam * T)
-            return float(np.exp(lam * tt) * (tt * (1.0 - E) + T * E) / (1.0 - E) ** 2)
-        if case == greens.CASE_REAL_DISTINCT:
-            l1, l2 = roots[0].real, roots[1].real
-            return float((np.exp(l1 * tt) / (1.0 - math.exp(l1 * T))
-                          - np.exp(l2 * tt) / (1.0 - math.exp(l2 * T))) / (l1 - l2))
-        lam = roots[0]
-        return float(np.imag(np.exp(lam * tt) / (1.0 - np.exp(lam * T))) / lam.imag)
-
-    def critical_point():
-        if case == greens.CASE_DOUBLE_ROOT:
-            lam = roots[0].real
-            return -1.0 / lam + T * math.exp(lam * T) / math.expm1(lam * T)
-        if case == greens.CASE_REAL_DISTINCT:
-            l1, l2 = roots[0].real, roots[1].real
-            return math.log(l2 * math.expm1(l1 * T) / (l1 * math.expm1(l2 * T))) / (l1 - l2)
-        lam = roots[0]
-        return (-cmath.phase(lam / (1.0 - cmath.exp(lam * T)))) % math.pi / lam.imag
-
     if not 0.0 < m < greens.m_window(a, T):
         return None
+
+    def one_minus_exp(z):  # 1 - e^z without cancellation for Re z <= 0
+        e, s = math.exp(z.real), math.sin(0.5 * z.imag)
+        return complex(2.0 * s * s * e - math.expm1(z.real), -2.0 * e * s * math.cos(0.5 * z.imag))
+
+    def reciprocal(z):  # a root that rounds to 0 gives an infinite coefficient
+        return 1.0 / z if z else complex(math.inf)
+
+    disc = a * a - 4.0 * m * m
+    if abs(disc) < CONFLUENT_EPS * 4.0 * m * m:
+        lam = complex(-0.5 * a)
+        b = reciprocal(one_minus_exp(lam * T))
+        modes = ((T * cmath.exp(lam * T) * b * b, 0, lam), (b, 1, lam))
+    else:
+        half = cmath.sqrt(disc) / 2.0
+        l1, l2 = -0.5 * a + half, -0.5 * a - half
+        c1 = reciprocal(one_minus_exp(l1 * T) * (l1 - l2))
+        if half.imag:
+            modes = ((2.0 * c1, 0, l1), (0j, 0, l2))
+        else:
+            modes = ((c1, 0, l1), (-reciprocal(one_minus_exp(l2 * T) * (l1 - l2)), 0, l2))
+    (c1, _, l1), (c2, p2, l2) = modes
+
+    def critical_point():
+        if l1.imag:  # one complex mode
+            z = c1 * l1
+            return math.atan2(z.real, z.imag) % math.pi / l1.imag
+        if p2:  # the double root
+            return -(c1 / c2).real - 1.0 / l1.real
+        return math.log((-c2 * l2 / (c1 * l1)).real) / (l1 - l2).real
+
+    def K(tau):
+        total = None
+        for c, p, lam in modes:
+            if not c:
+                continue  # a complex pair's second mode adds 0
+            term = np.exp(lam.real * tau)
+            if lam.imag:
+                term = term * (c.real * np.cos(lam.imag * tau) - c.imag * np.sin(lam.imag * tau))
+            else:
+                term = term * c.real
+            term = term * tau if p else term
+            total = term if total is None else total + term
+        return float(total)
+
     with np.errstate(all="ignore"):
-        k0 = K(0.0)
+        k0 = c1.real + (0.0 if p2 else c2.real)
         t_max = critical_point() if 0.0 < k0 < math.inf else math.nan
         kmax = K(t_max) if 0.0 < t_max < T else math.nan
-    return (case, roots, k0, t_max, kmax) if 0.0 < k0 < kmax else None
+    return (modes, k0, t_max, kmax) if 0.0 < k0 < kmax else None
+
+
+def nonzero_modes(modes):
+    """A mode list as flat hex strings, without c = 0 modes."""
+    return [
+        h for c, p, lam in modes if c
+        for h in (complex(c).real.hex(), complex(c).imag.hex(), int(p), complex(lam).real.hex(), complex(lam).imag.hex())
+    ]
 
 
 def assert_equal_to_build(a, ms, T):
-    """kernel_constants(a, ms, T) equals build(a, m, T) and the earlier scalar
-    code at every m, bit for bit, and its mask is False exactly where they refuse."""
+    """kernel_constants(a, ms, T) equals build(a, m, T) and the scalar
+    reference at every m, bit for bit, and its mask is False exactly where they refuse."""
     kc = greens.kernel_constants(a, ms, T)
     assert kc.m_max == greens.m_window(a, T)
     for i, m in enumerate(np.asarray(ms, dtype=float).tolist()):
@@ -374,16 +405,14 @@ def assert_equal_to_build(a, ms, T):
             assert math.isnan(kc.cone_constant[i])
             continue
         assert kc.ok[i]
-        assert greens.CASES[kc.case[i]] == k.case == reference[0]
+        modes, k0, t_max, kmax = reference
         got = [kc.k0[i], kc.t_max[i], kc.kmax[i], kc.cone_constant[i]]
-        built = [k.k0, greens._critical_point(k.case, k.roots, T), k.kmax, k.cone_constant]
-        want = [*reference[2:], reference[2] / reference[4]]
-        for root, built_root, mine in zip(reference[1], k.roots, (kc.roots[0][i], kc.roots[1][i])):
-            got += [mine.real, mine.imag]
-            built += [built_root.real, built_root.imag]
-            want += [root.real, root.imag]
+        built = [k.k0, greens.kernel_constants(a, [m], T).t_max[0], k.kmax, k.cone_constant]
+        want = [k0, t_max, kmax, k0 / kmax]
         hexes = [[float(x).hex() for x in row] for row in (got, built, want)]
         assert hexes[0] == hexes[1] == hexes[2]
+        mine = zip(*(x[:, i] for x in kc.modes))
+        assert nonzero_modes(mine) == nonzero_modes(k.modes) == nonzero_modes(modes)
 
 
 DEFAULT_GRID_FRACTIONS = np.linspace(1 / 65, 64 / 65, 64)
@@ -405,7 +434,7 @@ class TestKernelConstants:
         above = 0.5 * (0.5 * a + greens.m_window(a, T))  # between a/2 and m_max
         ms = np.array([0.25 * a, 0.5 * a * (1.0 - 1e-12), 0.5 * a, 0.5 * a * (1.0 + 1e-12), above])
         kc = greens.kernel_constants(a, ms, T)
-        names = [greens.CASES[code] for code in kc.case]
+        names = [greens.build(a, m, T).case for m in ms.tolist()]
         assert names == [greens.CASE_REAL_DISTINCT] + [greens.CASE_DOUBLE_ROOT] * 3 + [
             greens.CASE_COMPLEX_PAIR
         ]
@@ -416,7 +445,8 @@ class TestKernelConstants:
     def test_zero_friction_grid(self, T):
         ms = DEFAULT_GRID_FRACTIONS * greens.m_window(0.0, T)
         kc = greens.kernel_constants(0.0, ms, T)
-        assert kc.ok.all() and {greens.CASES[code] for code in kc.case} == {greens.CASE_COMPLEX_PAIR}
+        assert kc.ok.all()
+        assert {greens.build(0.0, m, T).case for m in ms.tolist()} == {greens.CASE_COMPLEX_PAIR}
         assert_equal_to_build(0.0, ms, T)
 
     def test_mask_is_where_build_refuses(self):
@@ -553,12 +583,12 @@ class TestApplyKernel:
 
 
 class TestModes:
-    """The exponential modes that the kinked-response sweep integrates."""
+    """The exponential modes, summed in complex arithmetic, against ``at``."""
 
     @staticmethod
     def assert_modes_rebuild_kernel(k):
         tau = np.linspace(0.0, k.T, 257)[:-1]
-        terms = [c * tau**p * np.exp(lam * tau) for c, p, lam in greens._modes(k)]
+        terms = [c * tau**p * np.exp(lam * tau) for c, p, lam in k.modes]
         rebuilt = sum(term.real for term in terms)
         # distinct real modes cancel as the roots merge, and kernel.at then
         # loses the same digits, so the bound is relative to the modes' size,
@@ -630,22 +660,23 @@ def simpson_response(k, g, ts, base_panels=1024):
 
 def mp_response(k, table, t):
     """integral_0^T K((t - s) mod T) g(s) ds at 40 digits for a piecewise-linear
-    table g, with K built from the kernel's own (binary) roots."""
+    table g, with K built from the kernel's own (binary) roots: the lam of its
+    modes, a complex pair's second root the conjugate of its one mode's."""
     with mpmath.workdps(40):
         T = mpmath.mpf(k.T)
-        if k.case == greens.CASE_DOUBLE_ROOT:
-            lam = mpmath.mpf(k.roots[0].real)
-            E = mpmath.exp(lam * T)
-            K = lambda tau: mpmath.exp(lam * tau) * (tau * (1 - E) + T * E) / (1 - E) ** 2
-        elif k.case == greens.CASE_REAL_DISTINCT:
-            l1, l2 = (mpmath.mpf(r.real) for r in k.roots)
-            K = lambda tau: (
-                mpmath.exp(l1 * tau) / (1 - mpmath.exp(l1 * T))
-                - mpmath.exp(l2 * tau) / (1 - mpmath.exp(l2 * T))
-            ) / (l1 - l2)
+        l1 = mpmath.mpc(k.modes[0][2].real, k.modes[0][2].imag)
+        if len(k.modes) == 1:
+            l2 = mpmath.conj(l1)
         else:
-            lam = mpmath.mpc(k.roots[0].real, k.roots[0].imag)
-            K = lambda tau: mpmath.im(mpmath.exp(lam * tau) / (1 - mpmath.exp(lam * T))) / lam.imag
+            l2 = mpmath.mpc(k.modes[1][2].real, k.modes[1][2].imag)
+        if l1 == l2:  # the double root
+            E = mpmath.exp(l1 * T)
+            K = lambda tau: mpmath.re(mpmath.exp(l1 * tau) * (tau * (1 - E) + T * E) / (1 - E) ** 2)
+        else:
+            K = lambda tau: mpmath.re(
+                (mpmath.exp(l1 * tau) / (1 - mpmath.exp(l1 * T)) - mpmath.exp(l2 * tau) / (1 - mpmath.exp(l2 * T)))
+                / (l1 - l2)
+            )
         t = mpmath.mpf(float(np.mod(t, k.T)))
         total = mpmath.mpf(0)
         for (t0, v0), (t1, v1) in zip(table[:-1], table[1:]):
