@@ -132,9 +132,11 @@ def mp_constants(a, m, T, t_guess):
         return tuple(float(x) for x in (t_max, k0, kmax, k0 / kmax))
 
 
-# Bounds on kernel_errors.  Over the draws of TestKernelAgainstMpmath the
-# largest errors of the closed forms were 4.2 (K), 14.7 (t*) and 0.63 (c_m),
-# and over 1000 other draws of the same strategy 7.9, 15.2 and 7.9.
+# Bounds on kernel_errors, set on the per-root-case formulas that preceded
+# the mode list: over the draws of TestKernelAgainstMpmath their largest
+# errors were 4.2 (K), 14.7 (t*) and 0.63 (c_m), and over 1000 other draws of
+# the same strategy 7.9, 15.2 and 7.9.  The mode list reads 4.1, 1.5 and 0.60,
+# and 4.7, 1.1 and 2.6.
 KERNEL_ULP_BOUNDS = {"K": 32, "t_max": 64, "cone_constant": 32}
 
 
