@@ -10,6 +10,7 @@ from test_numerics import two_sweep_solve
 from liebau import greens, presets, solve
 from liebau.errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from liebau.funcspec import PeriodicFunction
+from liebau.numerics import resample_spectrum, trig_interpolate
 from liebau.problem import GeneralProblem, regularize, shifted_rhs, truncated_rhs
 from liebau.solve import (
     SolveOptions,
@@ -321,6 +322,76 @@ class TestNewtonKrylovPolish:
             sol = solve_periodic(gp, SolveOptions(n=16, initial=1.0))
         assert sol.polish_iterations == 0
         assert np.array_equal(sol.values, np.ones(16))
+
+
+def dense_refined_residuals(gp, values):
+    """Both refined residuals on the dense grid of REFINE_FACTOR * n points.
+
+    x and x'' + a x' are resampled there from one zero-padded spectrum, the
+    node samples of r and s by ``trig_interpolate`` for the collocated
+    residual, and r and s are evaluated exactly at the fine nodes for the
+    other.
+    """
+    T, n = gp.T, len(values)
+    n_f = solve.REFINE_FACTOR * n
+    w = (2.0 * np.pi / T) * np.arange(n // 2 + 1)
+    symbol = -(w**2) + 1j * gp.a * w
+    if n % 2 == 0:
+        symbol[-1] = -(w[-1] ** 2)
+    mean = values.mean()
+    spec = np.fft.rfft(values - mean)
+    x_f = resample_spectrum(spec, n, n_f) + mean
+    lin = resample_spectrum(spec * symbol, n, n_f)
+    nodes = np.arange(n) * (T / n)
+    fine_nodes = np.arange(n_f) * (T / n_f)
+    positive = np.clip(x_f, 1e-300, None)
+    x_alpha, x_beta = positive**gp.alpha, positive**gp.beta
+    r_interp = trig_interpolate(np.asarray(gp.r(nodes), dtype=float), n_f)
+    s_interp = trig_interpolate(np.asarray(gp.s(nodes), dtype=float), n_f)
+    r_exact = np.asarray(gp.r(fine_nodes), dtype=float)
+    s_exact = np.asarray(gp.s(fine_nodes), dtype=float)
+    colloc = lin - (r_interp * x_alpha - s_interp * x_beta)
+    exact = lin - (r_exact * x_alpha - s_exact * x_beta)
+    return float(np.max(np.abs(colloc))), float(np.max(np.abs(exact)))
+
+
+def _oracle_problem(case):
+    if case == "trig_s":
+        # no preset has a non-constant s
+        return GeneralProblem(
+            a=0.8, T=2.0,
+            r=PeriodicFunction.trig(2.0, 2.0, [(0.5, 1, 0.0)]),
+            s=PeriodicFunction.trig(2.0, 1.0, [(0.3, 2, 1.0)]),
+            alpha=0.2, beta=0.7,
+        ), SolveOptions(initial=4.0)
+    return regularize(presets.preset(case).problem), SolveOptions()
+
+
+class TestRefinedResiduals:
+    @settings(max_examples=60)
+    @given(
+        case=st.sampled_from(["cosine", "cubic", "trapezoid", "trig_s"]),
+        n=st.integers(8, 1100),
+        noise=st.sampled_from([0.0, 1e-9, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_dense_grid(self, case, n, noise, seed):
+        gp, opts = _oracle_problem(case)
+        x = solve_periodic(gp, dataclasses.replace(opts, n=n)).values
+        # relative noise reaches every mode, the Nyquist mode of an even n included
+        x = x * (1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+        nodes = np.arange(n) * (gp.T / n)
+        r, s = np.asarray(gp.r(nodes), dtype=float), np.asarray(gp.s(nodes), dtype=float)
+        got = solve._refined_residuals(gp, x, r, s)
+        want = dense_refined_residuals(gp, x)
+        # A converged residual is what is left of r x^alpha - s x^beta after
+        # cancellation (1.6e-11 of terms near 4.5e3 for cosine at n = 37), so
+        # the two roundings may differ there by an ulp of those terms.
+        ulp_of_terms = np.finfo(float).eps * float(
+            np.max(np.abs(r) * x**gp.alpha + np.abs(s) * x**gp.beta)
+        )
+        for g, o in zip(got, want):
+            assert abs(g - o) <= 1e-6 * o + 4.0 * ulp_of_terms
 
 
 class TestFdResidual:
