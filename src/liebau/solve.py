@@ -46,7 +46,6 @@ from .problem import GeneralProblem, deregularize, truncated_rhs
 from .numerics import (
     cyclic_fd_operator,
     gmres,
-    resample_spectrum,
     solve_cyclic_tridiagonal,
     spectral_derivatives,
     trig_interpolate,
@@ -62,6 +61,11 @@ NEWTON_MAX_STEPS = 50
 
 # ``sup_residual`` is measured on a grid this many times finer than the solution's.
 REFINE_FACTOR = 4
+
+# Most points of one block of fine-grid phases in ``_refined_residuals``: at
+# n = 512 all four phases go in one block, at n = 4096 each goes alone, and
+# no temporary of the diagnostic outgrows an n = 4096 grid.
+_PHASE_BLOCK_POINTS = 4096
 
 # Grid of the finite-difference Newton stage when the polish runs on a finer
 # grid: the polish only needs a start inside its basin, and the cyclic solves
@@ -353,24 +357,51 @@ def _polish(x, T, a, f_of, fprime_of):
 
 
 def _refined_residuals(gp, values, r_nodes, s_nodes):
+    """``sup_residual`` and ``sup_residual_exact_data`` over the REFINE_FACTOR * n fine nodes.
+
+    Fine node REFINE_FACTOR * i + j is node i shifted by j h / REFINE_FACTOR,
+    so an interpolant's values at phase j are the n-point inverse transform
+    of its spectrum times e^{i w j h / REFINE_FACTOR}.  For even n, irfft
+    reads only the real part of the Nyquist bin, so that bin takes the real
+    factor cos(w j h / REFINE_FACTOR) of the symmetric split in
+    ``resample_spectrum``.  The phases go in blocks of at most
+    ``_PHASE_BLOCK_POINTS`` points, so no REFINE_FACTOR * n array is built.
+    A coefficient whose node samples equal their mean is that constant,
+    with no transform.
+    """
     T = gp.T
     n = len(values)
     n_f = REFINE_FACTOR * n
-    # x and d2 + a d1 on the fine grid from one transform of x
     mean = values.mean()
     spec = np.fft.rfft(values - mean)
-    x_f = resample_spectrum(spec, n, n_f) + mean
-    lin = resample_spectrum(spec * _operator_symbol(n, T, gp.a), n, n_f)
-    fine_nodes = np.arange(n_f) * (T / n_f)
-    positive = np.clip(x_f, 1e-300, None)
-    r_interp = trig_interpolate(r_nodes, n_f)
-    s_interp = trig_interpolate(s_nodes, n_f)
-    x_alpha, x_beta = positive**gp.alpha, positive**gp.beta
-    res_colloc = lin - (r_interp * x_alpha - s_interp * x_beta)
-    r_exact = np.asarray(gp.r(fine_nodes), dtype=float)
-    s_exact = np.asarray(gp.s(fine_nodes), dtype=float)
-    res_exact = lin - (r_exact * x_alpha - s_exact * x_beta)
-    return float(np.max(np.abs(res_colloc))), float(np.max(np.abs(res_exact)))
+    lin_spec = spec * _operator_symbol(n, T, gp.a)
+    coefficients = []  # (mean, spectrum or None when constant) of r and s
+    for c in (r_nodes, s_nodes):
+        c_mean = c.mean()
+        centered = c - c_mean
+        coefficients.append((c_mean, np.fft.rfft(centered) if centered.any() else None))
+    bins = np.arange(n // 2 + 1)
+    block = max(1, _PHASE_BLOCK_POINTS // n)
+    sups_colloc, sups_exact = [], []
+    for first in range(0, REFINE_FACTOR, block):
+        phases = np.arange(first, min(first + block, REFINE_FACTOR))[:, None]
+        shift = np.exp((2j * np.pi / n_f) * (phases * bins))
+
+        def at_phases(spectrum, offset):
+            return np.fft.irfft(spectrum * shift, n=n) + offset
+
+        positive = np.clip(at_phases(spec, mean), 1e-300, None)
+        lin = at_phases(lin_spec, 0.0)
+        x_alpha, x_beta = positive**gp.alpha, positive**gp.beta
+        r_interp, s_interp = (
+            c_mean if c_spec is None else at_phases(c_spec, c_mean) for c_mean, c_spec in coefficients
+        )
+        sups_colloc.append(np.max(np.abs(lin - (r_interp * x_alpha - s_interp * x_beta))))
+        fine_nodes = (REFINE_FACTOR * np.arange(n) + phases) * (T / n_f)
+        r_exact = np.asarray(gp.r(fine_nodes), dtype=float)
+        s_exact = np.asarray(gp.s(fine_nodes), dtype=float)
+        sups_exact.append(np.max(np.abs(lin - (r_exact * x_alpha - s_exact * x_beta))))
+    return float(np.max(sups_colloc)), float(np.max(sups_exact))
 
 
 def fd_residual(gp: GeneralProblem, x) -> float:

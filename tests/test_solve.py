@@ -1,6 +1,8 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -368,21 +370,24 @@ def _oracle_problem(case):
 
 
 class TestRefinedResiduals:
-    @settings(max_examples=60)
+    @settings(max_examples=80)
     @given(
         case=st.sampled_from(["cosine", "cubic", "trapezoid", "trig_s"]),
         n=st.integers(8, 1100),
         noise=st.sampled_from([0.0, 1e-9, 1e-3]),
         seed=st.integers(0, 2**32 - 1),
+        # besides the default, one phase per block, and uneven blocks such as 3 + 1
+        block_points=st.sampled_from([solve._PHASE_BLOCK_POINTS, 1, 2048]),
     )
-    def test_matches_the_dense_grid(self, case, n, noise, seed):
+    def test_matches_the_dense_grid(self, case, n, noise, seed, block_points):
         gp, opts = _oracle_problem(case)
         x = solve_periodic(gp, dataclasses.replace(opts, n=n)).values
         # relative noise reaches every mode, the Nyquist mode of an even n included
         x = x * (1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, n))
         nodes = np.arange(n) * (gp.T / n)
         r, s = np.asarray(gp.r(nodes), dtype=float), np.asarray(gp.s(nodes), dtype=float)
-        got = solve._refined_residuals(gp, x, r, s)
+        with mock.patch.object(solve, "_PHASE_BLOCK_POINTS", block_points):
+            got = solve._refined_residuals(gp, x, r, s)
         want = dense_refined_residuals(gp, x)
         # A converged residual is what is left of r x^alpha - s x^beta after
         # cancellation (1.6e-11 of terms near 4.5e3 for cosine at n = 37), so
@@ -392,6 +397,20 @@ class TestRefinedResiduals:
         )
         for g, o in zip(got, want):
             assert abs(g - o) <= 1e-6 * o + 4.0 * ulp_of_terms
+
+    def test_large_solve_peaks_below_one_mib(self):
+        # one float array of REFINE_FACTOR * 4096 points is 128 KiB; the dense
+        # diagnostic's fine-grid temporaries took the peak to 1.95 MiB
+        gp = regularize(presets.preset("cosine").problem)
+        opts = SolveOptions(n=4096)
+        solve_periodic(gp, opts)
+        tracemalloc.start()
+        try:
+            solve_periodic(gp, opts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestFdResidual:
