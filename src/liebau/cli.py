@@ -15,7 +15,8 @@ type, not finite or out of range, a malformed solution CSV or one whose t
 column is not the problem's grid arange(n) * (T/n), and a certificate
 ceiling or inner radius beyond float range), 3 certificate failed, 4
 certificate inapplicable, 5 search found nothing, 6 solver failed (no
-convergence, or the iterate left the positive cone).
+convergence, or the iterate left the positive cone), 141 stdout was closed
+before the output was written (a broken pipe, as in ``| head -1``).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -50,6 +52,7 @@ EXIT_CERT_FAIL = 3
 EXIT_CERT_INAPPLICABLE = 4
 EXIT_SEARCH_EMPTY = 5
 EXIT_SOLVER = 6
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, the status a shell shows for a process ended by it
 
 
 @dataclass
@@ -293,6 +296,12 @@ def _cmd_greens(args) -> int:
         raise ConfigError(
             f"need between 2 and {MAX_GRID} samples, got {args.samples}", "greens.samples"
         )
+    # greens.m_window squares pi/T and a/2, which overflows beyond this root
+    root_max = math.sqrt(sys.float_info.max)
+    if args.T > 0.0 and math.pi / args.T > root_max:
+        raise ConfigError(f"too small: (pi/T)^2 overflows, got {args.T!r}", "greens.T")
+    if root_max < args.a / 2.0 < math.inf:
+        raise ConfigError(f"too large: (a/2)^2 overflows, got {args.a!r}", "greens.a")
     kernel = greens.build(args.a, args.m, args.T)
     taus = np.linspace(0.0, kernel.T, args.samples)
     values = np.asarray(kernel.at(taus), dtype=float)
@@ -544,7 +553,15 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (``liebau greens --csv-out - | head -1``);
+        # stdout goes to devnull so the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 from liebau import acceptance
 from liebau.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_CERT_FAIL,
     EXIT_CERT_INAPPLICABLE,
     EXIT_CONFIG,
@@ -61,6 +65,34 @@ class TestGreensCommand:
         assert code == EXIT_CONFIG
         assert out == ""
         assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "a, T, field", [("1", "1e-300", "greens.T"), ("1", "5e-324", "greens.T"), ("1e300", "1", "greens.a")]
+    )
+    def test_window_overflow_is_config_error(self, capsys, a, T, field):
+        # m_window squares pi/T and a/2; past float range that raised OverflowError
+        code, out, err = run_captured(capsys, ["greens", "-a", a, "-m", "0.5", "-T", T])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert field in err
+
+    def test_closed_pipe_exits_quietly(self):
+        # 200000 rows fill the pipe buffer, so the writer is still writing when the reader stops
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        argv = ["greens", "-a", "1.6", "-m", "0.7", "-T", "1", "--samples", "200000", "--csv-out", "-"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "liebau", *argv],
+            env=dict(os.environ, PYTHONPATH=src),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert err == b""
 
 
 class TestCertifyCommand:
