@@ -30,7 +30,8 @@ equation; this is the number that converges to rounding level).
 ``sup_residual_exact_data`` evaluates the coefficients exactly at the fine
 nodes instead, so it additionally sees how much of the continuum data the
 grid resolution cannot represent; for band-limited coefficients the two
-coincide.
+coincide.  The fine nodes are taken as ``REFINE_FACTOR`` phase-shifted
+copies of the n-grid, each evaluated by n-point transforms.
 """
 
 from __future__ import annotations
@@ -381,23 +382,24 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
         centered = c - c_mean
         coefficients.append((c_mean, np.fft.rfft(centered) if centered.any() else None))
     bins = np.arange(n // 2 + 1)
+    fine_index = REFINE_FACTOR * np.arange(n)
     block = max(1, _PHASE_BLOCK_POINTS // n)
     sups_colloc, sups_exact = [], []
     for first in range(0, REFINE_FACTOR, block):
         phases = np.arange(first, min(first + block, REFINE_FACTOR))[:, None]
         shift = np.exp((2j * np.pi / n_f) * (phases * bins))
 
-        def at_phases(spectrum, offset):
-            return np.fft.irfft(spectrum * shift, n=n) + offset
+        def at_phases(spectrum):
+            return np.fft.irfft(spectrum * shift, n=n)
 
-        positive = np.clip(at_phases(spec, mean), 1e-300, None)
-        lin = at_phases(lin_spec, 0.0)
+        positive = np.clip(at_phases(spec) + mean, 1e-300, None)
+        lin = at_phases(lin_spec)
         x_alpha, x_beta = positive**gp.alpha, positive**gp.beta
         r_interp, s_interp = (
-            c_mean if c_spec is None else at_phases(c_spec, c_mean) for c_mean, c_spec in coefficients
+            c_mean if c_spec is None else at_phases(c_spec) + c_mean for c_mean, c_spec in coefficients
         )
         sups_colloc.append(np.max(np.abs(lin - (r_interp * x_alpha - s_interp * x_beta))))
-        fine_nodes = (REFINE_FACTOR * np.arange(n) + phases) * (T / n_f)
+        fine_nodes = (fine_index + phases) * (T / n_f)
         r_exact = np.asarray(gp.r(fine_nodes), dtype=float)
         s_exact = np.asarray(gp.s(fine_nodes), dtype=float)
         sups_exact.append(np.max(np.abs(lin - (r_exact * x_alpha - s_exact * x_beta))))
