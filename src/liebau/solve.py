@@ -64,8 +64,8 @@ NEWTON_MAX_STEPS = 50
 REFINE_FACTOR = 4
 
 # Most points of one block of fine-grid phases in ``_refined_residuals``: at
-# n = 512 all four phases go in one block, at n = 4096 each goes alone, and
-# no temporary of the diagnostic outgrows an n = 4096 grid.
+# n = 512 all four phases go in one block, and from n = 4096 each goes alone,
+# so a temporary holds max(n, 4096) points at most, never REFINE_FACTOR * n.
 _PHASE_BLOCK_POINTS = 4096
 
 # Grid of the finite-difference Newton stage when the polish runs on a finer
