@@ -367,8 +367,9 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
     factor cos(w j h / REFINE_FACTOR) of the symmetric split in
     ``resample_spectrum``.  The phases go in blocks of at most
     ``_PHASE_BLOCK_POINTS`` points, so no REFINE_FACTOR * n array is built.
-    A coefficient whose node samples equal their mean is that constant,
-    with no transform.
+    A coefficient whose node samples are all equal is that constant, with
+    no transform.  (The mean of equal samples may miss them by an ulp, as
+    s = 0.30000000000000004 of the tank preset reads 0.29999999999999993.)
     """
     T = gp.T
     n = len(values)
@@ -376,11 +377,13 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
     mean = values.mean()
     spec = np.fft.rfft(values - mean)
     lin_spec = spec * _operator_symbol(n, T, gp.a)
-    coefficients = []  # (mean, spectrum or None when constant) of r and s
+    coefficients = []  # (mean, spectrum) of r and s; (value, None) for a constant
     for c in (r_nodes, s_nodes):
-        c_mean = c.mean()
-        centered = c - c_mean
-        coefficients.append((c_mean, np.fft.rfft(centered) if centered.any() else None))
+        if np.all(c == c[0]):
+            coefficients.append((c[0], None))
+        else:
+            c_mean = c.mean()
+            coefficients.append((c_mean, np.fft.rfft(c - c_mean)))
     bins = np.arange(n // 2 + 1)
     fine_index = REFINE_FACTOR * np.arange(n)
     block = max(1, _PHASE_BLOCK_POINTS // n)
