@@ -366,13 +366,15 @@ def _oracle_problem(case):
             s=PeriodicFunction.trig(2.0, 1.0, [(0.3, 2, 1.0)]),
             alpha=0.2, beta=0.7,
         ), SolveOptions(initial=4.0)
-    return regularize(presets.preset(case).problem), SolveOptions()
+    # the tank's s = 0.30000000000000004 has the node mean 0.29999999999999993
+    preset = presets.preset(case)
+    return regularize(preset.problem), SolveOptions(**preset.solve)
 
 
 class TestRefinedResiduals:
-    @settings(max_examples=80)
+    @settings(max_examples=100)
     @given(
-        case=st.sampled_from(["cosine", "cubic", "trapezoid", "trig_s"]),
+        case=st.sampled_from(["cosine", "cubic", "trapezoid", "benchmark", "trig_s"]),
         n=st.integers(8, 1100),
         noise=st.sampled_from([0.0, 1e-9, 1e-3]),
         seed=st.integers(0, 2**32 - 1),
