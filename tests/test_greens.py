@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liebau import greens
 from liebau.acceptance import _MASS_CASES
@@ -527,6 +527,73 @@ class TestVerifyProperties:
     def test_reproduction_residual_of_acceptance_kernels(self, params):
         report = greens.verify_properties(greens.build(*params))
         assert report.reproduction_residual < 1e-6
+
+
+def dense_mass_deviation(kernel) -> float:
+    """max over the 64 rows t = jT/64 of |integral_0^T G(t, s) ds - 1/m^2|, each row
+    a Simpson integral in s with a panel break at t."""
+    T, m = kernel.T, kernel.m
+    dev = 0.0
+    for t in np.linspace(0.0, T, 65)[:-1].tolist():
+        row = simpson_segmented(lambda s: kernel.green(t, s), 0.0, T, splits=[t], base_panels=1024)
+        dev = max(dev, abs(row - 1.0 / (m * m)))
+    return dev
+
+
+def dense_grid_facts(kernel) -> tuple[float, float]:
+    """(min G, worst relative violation of G >= K(0) >= c_m G) over the full
+    PROPERTY_GRID x PROPERTY_GRID matrix G(t_i, t_j), t_i = i T / PROPERTY_GRID."""
+    ts = np.linspace(0.0, kernel.T, greens.PROPERTY_GRID, endpoint=False)
+    G = kernel.green(ts[:, None], ts[None, :])
+    k0, cm = kernel.k0, kernel.cone_constant
+    lower = float(np.max((k0 - G) / k0))
+    upper = float(np.max((cm * G - k0) / k0))
+    return float(G.min()), max(lower, upper, 0.0)
+
+
+def _report(kernel) -> greens.KernelReport:
+    try:
+        return greens.verify_properties(kernel)
+    except PropertyViolation as exc:
+        return exc.report
+
+
+def assert_matches_dense_oracles(kernel) -> None:
+    report = _report(kernel)
+    # the deviations are rounding noise of integrals of size 1/m^2
+    mass_scale = 1.0 / (kernel.m * kernel.m)
+    assert abs(report.mass_deviation - dense_mass_deviation(kernel)) <= 1e-13 * mass_scale
+    positivity, chain = dense_grid_facts(kernel)
+    assert abs(report.positivity_min - positivity) <= 1e-12 * abs(positivity)
+    assert abs(report.chain_violation - chain) <= 1e-12  # relative to K(0) already
+
+
+class TestVerifyPropertiesAgainstDenseOracles:
+    """verify_properties' mass, positivity and cone-chain facts against the
+    dense row-by-row and matrix computations they summarize."""
+
+    @pytest.mark.parametrize("params", _MASS_CASES)
+    def test_acceptance_kernels(self, params):
+        assert_matches_dense_oracles(greens.build(*params))
+
+    @settings(max_examples=20)
+    @given(
+        case=st.sampled_from([greens.CASE_REAL_DISTINCT, greens.CASE_DOUBLE_ROOT, greens.CASE_COMPLEX_PAIR]),
+        a=st.floats(0.2, 4.0),
+        frac=st.floats(0.05, 0.95),
+        T=st.floats(0.3, 8.0),
+    )
+    def test_drawn_kernels(self, case, a, frac, T):
+        half = 0.5 * a
+        if case == greens.CASE_REAL_DISTINCT:
+            m = frac * half
+        elif case == greens.CASE_DOUBLE_ROOT:
+            m = half
+        else:
+            m = half + frac * (greens.m_window(a, T) - half)
+        kernel = greens.build(a, m, T)
+        assert kernel.case == case
+        assert_matches_dense_oracles(kernel)
 
 
 def trig_response(a, m, T, offset, terms, t):
