@@ -273,6 +273,20 @@ def _csv_output(path: str, header: list[str], columns: list[np.ndarray]) -> tupl
     return (None if path == "-" else path), "\n".join(lines) + "\n"
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout in full or raise BrokenPipeError.  Under ``python -u`` a write
+    cut short by a closing reader takes part of the bytes, and the text layer drops the rest."""
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:  # a text-only stream, such as io.StringIO
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding))
+    while data:
+        data = data[binary.write(data) :]
+    binary.flush()
+
+
 def _emit(obj, out=None, *more: tuple[str | None, str]) -> None:
     """Write obj as JSON to ``out`` (stdout if None), then each (path, text) in ``more``.
 
@@ -285,7 +299,7 @@ def _emit(obj, out=None, *more: tuple[str | None, str]) -> None:
             _write_text(path, text)
     for path, text in outputs:
         if path is None:
-            sys.stdout.write(text)
+            _write_stdout(text)
 
 
 # ---------------------------------------------------------------------------

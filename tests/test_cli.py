@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import math
 import os
@@ -77,13 +78,14 @@ class TestGreensCommand:
         assert out == ""
         assert field in err
 
-    def test_closed_pipe_exits_quietly(self):
+    @staticmethod
+    def assert_closed_pipe_exits_quietly(**env):
         # 200000 rows fill the pipe buffer, so the writer is still writing when the reader stops
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         argv = ["greens", "-a", "1.6", "-m", "0.7", "-T", "1", "--samples", "200000", "--csv-out", "-"]
         proc = subprocess.Popen(
             [sys.executable, "-m", "liebau", *argv],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=src, **env),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
@@ -93,6 +95,49 @@ class TestGreensCommand:
         proc.stderr.close()
         assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
         assert err == b""
+
+    def test_closed_pipe_exits_quietly(self):
+        self.assert_closed_pipe_exits_quietly()
+
+    def test_closed_pipe_exits_quietly_unbuffered(self):
+        # stdout's binary layer is then an unbuffered file, which may take part of a write
+        self.assert_closed_pipe_exits_quietly(PYTHONUNBUFFERED="1")
+
+    class ShortWrites(io.RawIOBase):
+        """An unbuffered stdout that takes at most 7 bytes per write, as a pipe
+        may when its reader closes; past ``limit`` bytes the pipe is closed."""
+
+        def __init__(self, limit=math.inf):
+            self.data = bytearray()
+            self.limit = limit
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            if len(self.data) >= self.limit:
+                raise BrokenPipeError(32, "Broken pipe")
+            taken = bytes(b[:7])
+            self.data += taken
+            return len(taken)
+
+    ARGV = ["greens", "-a", "1.6", "-m", "0.7", "-T", "1", "--csv-out", "-"]
+
+    def test_short_writes_are_completed(self, monkeypatch):
+        raw = self.ShortWrites()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        assert run(self.ARGV) == EXIT_OK
+        golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "greens-real-distinct.txt")
+        with open(golden, "rb") as fh:
+            assert bytes(raw.data) == fh.read()
+
+    def test_short_writes_then_a_closed_pipe_raise(self, monkeypatch):
+        # the bytes are either all written or the write ends in BrokenPipeError, never a silent 0
+        raw = self.ShortWrites(limit=100)
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+        with pytest.raises(BrokenPipeError):
+            run(self.ARGV)
+        assert len(raw.data) == 105
 
 
 class TestCertifyCommand:
