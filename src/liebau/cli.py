@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import acceptance, certify, greens, presets
-from .errors import ConfigError, LeftPositiveCone, LiebauError, NoConvergence
+from .errors import BadPeriod, ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from .funcspec import PeriodicFunction
 from .numerics import dump_json, format_float
 from .problem import (
@@ -310,12 +310,10 @@ def _cmd_greens(args) -> int:
         raise ConfigError(
             f"need between 2 and {MAX_GRID} samples, got {args.samples}", "greens.samples"
         )
-    # greens.m_window squares pi/T and a/2, which overflows beyond this root
-    root_max = math.sqrt(sys.float_info.max)
-    if args.T > 0.0 and math.pi / args.T > root_max:
-        raise ConfigError(f"too small: (pi/T)^2 overflows, got {args.T!r}", "greens.T")
-    if root_max < args.a / 2.0 < math.inf:
-        raise ConfigError(f"too large: (a/2)^2 overflows, got {args.a!r}", "greens.a")
+    try:
+        greens.check_coefficients(args.a, args.T)
+    except LiebauError as exc:
+        raise ConfigError(str(exc), "greens.T" if isinstance(exc, BadPeriod) else "greens.a") from exc
     kernel = greens.build(args.a, args.m, args.T)
     taus = np.linspace(0.0, kernel.T, args.samples)
     values = np.asarray(kernel.at(taus), dtype=float)

@@ -164,8 +164,7 @@ class GreensKernel:
 
     def green(self, t, s) -> float | np.ndarray:
         """G(t, s) = K((t - s) mod T)."""
-        out = self.at(np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
-        return out if np.ndim(t) or np.ndim(s) else float(out)
+        return self.at(np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
 
 
 def _one_minus_exp(z: complex) -> complex:
@@ -242,11 +241,18 @@ class KernelConstants(NamedTuple):
     ok: np.ndarray
 
 
-def _check_coefficients(a: float, T: float) -> None:
-    if not (T > 0.0) or not math.isfinite(T):
-        raise BadPeriod(f"period must be positive, got {T!r}")
-    if not 0.0 <= a < math.inf:
-        raise LiebauError(f"friction coefficient must be finite and nonnegative, got {a!r}")
+# The largest rate, 1/T or a, of a kernel or problem: it keeps (pi/T)^2, (a/2)^2
+# and 1/h^2 on solve.MAX_GRID = 2^22 nodes below 1e294, so finite
+MAX_RATE = 1e140
+
+
+def check_coefficients(a: float, T: float) -> None:
+    """The range check of a and T for every kernel and problem: BadPeriod
+    unless 1/MAX_RATE <= T < inf, LiebauError unless 0 <= a <= MAX_RATE."""
+    if not 1.0 / MAX_RATE <= T < math.inf:
+        raise BadPeriod(f"period T must be finite and at least {1.0 / MAX_RATE!r}, got {T!r}")
+    if not 0.0 <= a <= MAX_RATE:
+        raise LiebauError(f"friction coefficient a must be finite and in [0, {MAX_RATE!r}], got {a!r}")
 
 
 _OUTSIDE = (0j, 0j, 0j, 0j, 0, 0, math.nan, math.nan)  # the _constants of an m outside (0, m_max)
@@ -260,7 +266,7 @@ def kernel_constants(a: float, ms, T: float) -> KernelConstants:
     instead.  Each element equals what ``build`` gives for that m, bit for
     bit: ``build`` is this function on one m.
     """
-    _check_coefficients(a, T)
+    check_coefficients(a, T)
     ms = np.asarray(ms, dtype=float)
     mmax = m_window(a, T)
     inside = (0.0 < ms) & (ms < mmax)
@@ -279,14 +285,13 @@ def kernel_constants(a: float, ms, T: float) -> KernelConstants:
 def build(a: float, m: float, T: float) -> GreensKernel:
     """Construct the kernel and all derived constants: ``kernel_constants`` on one m.
 
-    Raises BadPeriod for T <= 0 or non-finite, LiebauError for a negative or
-    non-finite a, and MOutOfRange when m (NaN or infinite included) is outside
-    (0, m_max); all before any kernel arithmetic.
+    Raises as ``check_coefficients`` does, and MOutOfRange when m (NaN or
+    infinite included) is outside (0, m_max); all before any kernel arithmetic.
     The extremal structure (the critical point t* in (0, T), with
     0 < K(0) < K(t*)) is checked here; a violation marks a near-degenerate
     case we refuse to certify with, so it raises PropertyViolation.
     """
-    _check_coefficients(a, T)
+    check_coefficients(a, T)
     mmax = m_window(a, T)
     if not (0.0 < m < mmax):
         raise MOutOfRange(m, mmax)
@@ -467,15 +472,10 @@ REPRODUCTION_TOL = 1e-6
 def verify_properties(kernel: GreensKernel) -> KernelReport:
     """Measure positivity, unit mass, the cone chain, and reproduction.
 
-    G(t, s) = K((t - s) mod T), so the first three facts are facts about K on
-    one period.  On the grid t_i = i T / PROPERTY_GRID the entries of G are
-    the PROPERTY_GRID values K(t_i), and positivity and the chain
-    K(0) <= G <= K(t*) = K(0)/c_m are read off them.  Every row of G
-    integrates to int_0^T K, one composite Simpson rule of 1024 panels on the
-    2049 nodes k T / 2048.  (Row t = j T / 64 split at t, for the kink of G
-    there, is the same sum in tau = (t - s) mod T: the same nodes, and the
-    split lands on an even node, whose weight 1 + 1 is that of any interior
-    even node.)
+    G(t, s) = K((t - s) mod T), so the first three are facts about K on one
+    period: on the grid t_i = i T / PROPERTY_GRID the entries of G are the
+    values K(t_i), and every row of G integrates to int_0^T K, one 1024-panel
+    Simpson rule.  (Simpson on a row t = j T / 64 split at t is the same sum.)
 
     Reproduction feeds smooth test forcings through the kernel and checks the
     resulting x against a second-order finite-difference residual for the

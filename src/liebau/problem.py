@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import BadRadii, LiebauError, NegativeState
 from .funcspec import PeriodicFunction
+from .greens import check_coefficients
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -73,15 +74,12 @@ class LiebauProblem:
     e: PeriodicFunction
 
     def __post_init__(self):
-        _require_finite(self, "a", "mu", "c", "T")
-        if self.a < 0.0:
-            raise LiebauError(f"need a >= 0, got {self.a!r}")
+        _require_finite(self, "mu", "c")
+        check_coefficients(self.a, self.T)
         if not (0.0 < self.mu < 0.5):
             raise LiebauError(f"need 0 < mu < 1/2 (equivalently b > 1), got mu={self.mu!r}")
         if self.c <= 0.0:
             raise LiebauError(f"need c > 0, got {self.c!r}")
-        if self.T <= 0.0:
-            raise LiebauError(f"need T > 0, got {self.T!r}")
         if self.e.period != self.T:
             raise LiebauError(
                 f"forcing period {self.e.period!r} does not match problem period {self.T!r}"
@@ -110,9 +108,8 @@ class GeneralProblem:
     beta: float
 
     def __post_init__(self):
-        _require_finite(self, "a", "T", "alpha", "beta")
-        if self.a < 0.0:
-            raise LiebauError(f"need a >= 0, got {self.a!r}")
+        _require_finite(self, "alpha", "beta")
+        check_coefficients(self.a, self.T)
         if not (0.0 < self.alpha < self.beta < 1.0):
             raise LiebauError(
                 f"exponents must satisfy 0 < alpha < beta < 1, got {self.alpha!r}, {self.beta!r}"

@@ -237,6 +237,33 @@ def write_config(tmp_path, problem) -> str:
     return str(path)
 
 
+class TestPeriodBound:
+    """A period below 1/greens.MAX_RATE is refused where the problem or kernel is
+    made: every command exits 2 with a config error naming T, and no traceback."""
+
+    TINY = {
+        "kind": "liebau", "a": 1.6, "mu": 0.01, "c": 1.49, "T": 1e-300,
+        "e": {"type": "trig", "period": 1e-300, "offset": 1.54215, "terms": [[0.002097, 1, 0.0]]},
+    }
+
+    @pytest.mark.parametrize("command", ["solve", "pump", "search", "certify"])
+    def test_tiny_period_in_a_config(self, capsys, tmp_path, command):
+        # before the bound: ZeroDivisionError from 1/h^2 (solve, pump) or
+        # OverflowError from (pi/T)^2 (search, certify), exit 1
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": self.TINY, "certify": {"theorem": "positive_forcing", "m": 0.7}}))
+        code, out, err = run_captured(capsys, [command, "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("config error: problem: period T must be finite and at least 1e-140")
+
+    def test_tiny_period_of_a_kernel(self, capsys):
+        code, out, err = run_captured(capsys, ["greens", "-a", "1.6", "-m", "0.7", "-T", "1e-300"])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith("config error: greens.T: period T must be finite and at least 1e-140")
+
+
 class TestSearchEdgeCases:
     def test_unbuildable_m_does_not_end_the_search(self, capsys, tmp_path):
         # at a = 300 the kernel of 22 of the 64 grid points cannot be built

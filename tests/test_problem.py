@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from liebau.errors import BadRadii, LiebauError, NegativeState
+from liebau import greens
+from liebau.errors import BadPeriod, BadRadii, LiebauError, NegativeState
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import (
     GeneralProblem,
@@ -106,6 +107,22 @@ class TestNonFinite:
                 r0=0.0, rho=1.0, zeta=1.0, g=9.8, a_tau=1.0, a_pi=0.1, v0=bad,
                 p=PeriodicFunction.constant(1.0, 0.0),
             )
+
+
+class TestCoefficientBound:
+    def test_rate_bound_holds_at_its_ends(self):
+        T = 1.0 / greens.MAX_RATE
+        e = PeriodicFunction.constant(T, 1.54)
+        LiebauProblem(greens.MAX_RATE, 0.01, 1.49, T, e)
+        GeneralProblem(a=greens.MAX_RATE, T=T, r=e, s=e, alpha=0.2, beta=0.9)
+        below = math.nextafter(T, 0.0)
+        e_below = PeriodicFunction.constant(below, 1.54)
+        with pytest.raises(BadPeriod, match="period T"):
+            LiebauProblem(1.6, 0.01, 1.49, below, e_below)
+        with pytest.raises(BadPeriod, match="period T"):
+            GeneralProblem(a=1.6, T=below, r=e_below, s=e_below, alpha=0.2, beta=0.9)
+        with pytest.raises(LiebauError, match="friction coefficient a"):
+            LiebauProblem(math.nextafter(greens.MAX_RATE, math.inf), 0.01, 1.49, T, e)
 
 
 class TestShiftedRhs:
