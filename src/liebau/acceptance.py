@@ -46,14 +46,9 @@ class CheckResult:
 
 
 @lru_cache(maxsize=None)
-def _kernel(a: float, m: float, T: float):
-    return greens.build(a, m, T)
-
-
-@lru_cache(maxsize=None)
 def _kernel_report(a: float, m: float, T: float) -> greens.KernelReport:
     """verify_properties of the kernel, or the report of the PropertyViolation it raises."""
-    kernel = _kernel(a, m, T)
+    kernel = greens.build(a, m, T)
     try:
         return greens.verify_properties(kernel)
     except PropertyViolation as exc:
@@ -79,10 +74,9 @@ def _all(*facts: tuple[bool, str]) -> CheckResult:
 
 
 def check_kernel_constants() -> CheckResult:
-    k = _kernel(1.6, 0.7, 1.0)
+    k = greens.build(1.6, 0.7, 1.0)
     ss = np.linspace(0.0, 1.0, 257)
-    diag = k.green(ss, ss)
-    diag_dev = float(np.max(np.abs(diag - k.k0)))
+    diag_dev = float(np.max(np.abs(k.green(ss, ss) - k.k0)))
     return _all(
         (abs(k.cone_constant - 0.94144) < 1e-4, f"cone constant {f17(k.cone_constant)}"),
         (abs(k.k0 - 1.96026) < 1e-4, f"diagonal value {f17(k.k0)}"),
@@ -94,22 +88,13 @@ _MASS_CASES = ((1.6, 0.7, 1.0), (0.0, 0.25, 2 * math.pi), (2.0, 1.0, 1.0))
 
 
 def check_unit_mass() -> CheckResult:
-    facts = []
-    for a, m, T in _MASS_CASES:
-        report = _kernel_report(a, m, T)
-        facts.append(
-            (report.mass_deviation < 1e-8,
-             f"(a={a}, m={m}) mass deviation {f17(report.mass_deviation)}")
-        )
-    return _all(*facts)
+    devs = [(a, m, _kernel_report(a, m, T).mass_deviation) for a, m, T in _MASS_CASES]
+    return _all(*((dev < 1e-8, f"(a={a}, m={m}) mass deviation {f17(dev)}") for a, m, dev in devs))
 
 
 def check_cone_chain() -> CheckResult:
-    facts = []
-    for a, m, T in _MASS_CASES:
-        worst = _kernel_report(a, m, T).chain_violation
-        facts.append((worst <= 1e-12, f"(a={a}, m={m}) chain violation {f17(worst)}"))
-    return _all(*facts)
+    worst = [(a, m, _kernel_report(a, m, T).chain_violation) for a, m, T in _MASS_CASES]
+    return _all(*((w <= 1e-12, f"(a={a}, m={m}) chain violation {f17(w)}") for a, m, w in worst))
 
 
 def check_trapezoid_certificate() -> CheckResult:
@@ -223,10 +208,8 @@ def check_search_soundness() -> CheckResult:
         gp = regularize(lp)
         m, r1, r2 = cert.m, cert.r1, cert.r2
         g1 = PeriodicFunction.constant(lp.T, m * m * r2)
-        if cert.kappa is not None:
-            g0 = lp.e.positive_part().scale(cert.kappa)
-        else:
-            g0 = PeriodicFunction.constant(lp.T, m * m * r1)
+        g0 = (lp.e.positive_part().scale(cert.kappa) if cert.kappa is not None
+              else PeriodicFunction.constant(lp.T, m * m * r1))
         general = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
         _, sol = _solution(name)  # constant guess from the forcing mean
         cone = cone_and_localization(sol.values, cert.cone_const, r1, r2)
