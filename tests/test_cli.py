@@ -238,8 +238,9 @@ def write_config(tmp_path, problem) -> str:
 
 
 class TestPeriodBound:
-    """A period below 1/greens.MAX_RATE is refused where the problem or kernel is
-    made: every command exits 2 with a config error naming T, and no traceback."""
+    """A period below 1/greens.MAX_RATE is refused where the problem is made: every
+    command exits 2 with a config error naming T, and no traceback.  The greens
+    command's case is TestGreensCommand.test_window_overflow_is_config_error."""
 
     TINY = {
         "kind": "liebau", "a": 1.6, "mu": 0.01, "c": 1.49, "T": 1e-300,
@@ -256,12 +257,6 @@ class TestPeriodBound:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.startswith("config error: problem: period T must be finite and at least 1e-140")
-
-    def test_tiny_period_of_a_kernel(self, capsys):
-        code, out, err = run_captured(capsys, ["greens", "-a", "1.6", "-m", "0.7", "-T", "1e-300"])
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert err.startswith("config error: greens.T: period T must be finite and at least 1e-140")
 
 
 class TestSearchEdgeCases:
