@@ -12,8 +12,7 @@ has a positive periodic regime, and computes those regimes:
 * ``certify``: condition checkers producing margin-carrying certificates,
   plus a deterministic parameter search.
 * ``solve``: cyclic finite-difference Newton solver with a Newton-Krylov
-  polish on the Fourier collocation residual, the truncated integral
-  operator, and localization checks.
+  polish on the Fourier collocation residual, and localization checks.
 * ``pump``: pipe-level residuals and the pumping-effect balance.
 * ``cli`` / ``acceptance``: command-line front end and the built-in
   regression suite (``liebau verify``).
@@ -44,7 +43,6 @@ from .problem import (
     from_physical,
     regularize,
     shifted_rhs,
-    truncated_rhs,
 )
 from .certify import (
     Certificate,
@@ -60,11 +58,9 @@ from .certify import (
 from .solve import (
     ConeReport,
     GridSolution,
-    PicardTrace,
     SolveOptions,
     cone_and_localization,
     fd_residual,
-    picard_iterate,
     solve_periodic,
 )
 from .pump import PumpReport, pump_report, singular_residual, x_to_u
@@ -93,7 +89,6 @@ __all__ = [
     "OutOfFloatRange",
     "PeriodicFunction",
     "PhysicalConfig",
-    "PicardTrace",
     "PropertyViolation",
     "PumpReport",
     "SearchOptions",
@@ -110,14 +105,12 @@ __all__ = [
     "fd_residual",
     "from_physical",
     "m_window",
-    "picard_iterate",
     "pump_report",
     "regularize",
     "search_certificate",
     "shifted_rhs",
     "singular_residual",
     "solve_periodic",
-    "truncated_rhs",
     "verify_properties",
     "x_to_u",
 ]

@@ -46,7 +46,7 @@ on a uniform n-grid is a circular convolution computed by FFT, and the term
 h^2/12 * g(t) is the Euler-Maclaurin endpoint correction for the unit slope
 jump of K at the wrap, leaving an O(h^4) error.  ``apply_kernel`` runs it on
 a fine grid and reads off-grid t from the trigonometric interpolant of the
-fine-grid response; ``solve.picard_iterate`` runs it once per step.
+fine-grid response.
 
 A g with breakpoints is integrated by one sweep that is exact in the kernel:
 the response of each mode only needs the causal sums P(t) = integral_0^t

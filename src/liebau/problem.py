@@ -12,9 +12,8 @@ Three levels, from physical to abstract:
   obtained from a LiebauProblem through the substitution u = x^mu, which
   maps (e, c, mu) to r = e/mu, s = c/mu, alpha = 1 - 2 mu, beta = 1 - mu.
 
-The shifted right-hand side f_m(t, x) = r x^alpha - s x^beta + m^2 x and its
-clamped truncation are defined here as well; both accept scalars or numpy
-arrays in t and x.
+The shifted right-hand side f_m(t, x) = r x^alpha - s x^beta + m^2 x is
+defined here as well; it accepts scalars or numpy arrays in t and x.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRadii, LiebauError, NegativeState
+from .errors import LiebauError, NegativeState
 from .funcspec import PeriodicFunction
 from .greens import check_coefficients
 
@@ -174,23 +173,4 @@ def shifted_rhs(gp: GeneralProblem, m: float, t, x):
     rv = np.asarray(gp.r(t), dtype=float)
     sv = np.asarray(gp.s(t), dtype=float)
     out = rv * xv**gp.alpha - sv * xv**gp.beta + m * m * xv
-    return out if (np.ndim(x) or np.ndim(t)) else float(out)
-
-
-def truncated_rhs(gp: GeneralProblem, m: float, cone_c: float, r1: float, r2: float, t, x):
-    """Continuous nonnegative truncation of f_m used by the integral operator.
-
-    Coincides with f_m on the band [cone_c * r1, r2] whenever f_m is
-    nonnegative there; outside, x is clamped to the band and the value is
-    floored at zero.
-    """
-    if not (0.0 < r1 < r2):
-        raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
-    if not (0.0 < cone_c < 1.0):
-        raise LiebauError(f"cone constant must lie in (0, 1), got {cone_c!r}")
-    xv = np.asarray(x, dtype=float)
-    if np.any(xv < 0.0):
-        raise NegativeState("truncated right-hand side evaluated at x < 0")
-    clamped = np.clip(xv, cone_c * r1, r2)
-    out = np.maximum(shifted_rhs(gp, m, t, clamped), 0.0)
     return out if (np.ndim(x) or np.ndim(t)) else float(out)

@@ -41,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import greens
-from .errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
-from .problem import GeneralProblem, deregularize, truncated_rhs
+from .errors import ConfigError, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
+from .problem import GeneralProblem, deregularize
 from .numerics import (
     cyclic_fd_operator,
     gmres,
@@ -422,59 +421,6 @@ def fd_residual(gp: GeneralProblem, x) -> float:
     f_of = _sampled(gp, n)[3]
     res = cyclic_fd_operator(x, gp.T / n, gp.a) - f_of(x)
     return float(np.max(np.abs(res)))
-
-
-@dataclass(frozen=True)
-class PicardTrace:
-    """Iterates of the truncated integral operator."""
-
-    nodes: np.ndarray
-    iterates: tuple[np.ndarray, ...]
-    sup_deltas: tuple[float, ...]
-    cone_const: float
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
-
-
-def picard_iterate(
-    gp: GeneralProblem,
-    m: float,
-    r1: float,
-    r2: float,
-    x0,
-    n_steps: int,
-) -> PicardTrace:
-    """Iterate x -> integral G_m(., s) f~(s, x(s)) ds on the grid of x0.
-
-    x0 holds the start's samples on arange(n) * (T/n).
-
-    The operator is compact, not contractive, so there is no convergence
-    guarantee; this is a direct probe of the paper's fixed-point operator,
-    not a solver.  Each step is one ``greens.circular_response``: the periodic
-    trapezoid rule as a circular convolution plus the h^2/12 * f~(t) term for
-    the kernel's unit slope jump at the wrap.
-    """
-    if not (0.0 < r1 < r2):
-        raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
-    kernel = greens.build(gp.a, m, gp.T)
-    cm = kernel.cone_constant
-    start = np.asarray(x0, dtype=float)
-    if start.ndim != 1 or len(start) == 0:
-        raise LiebauError(f"x0 must be a nonempty 1-D array, got shape {start.shape}")
-    nodes = np.arange(len(start)) * (gp.T / len(start))
-
-    iterates = [start.copy()]
-    deltas: list[float] = []
-    x = start.copy()
-    for _ in range(n_steps):
-        f = truncated_rhs(gp, m, cm, r1, r2, nodes, x)
-        x_next = greens.circular_response(kernel, f)
-        deltas.append(float(np.max(np.abs(x_next - x))))
-        x = x_next
-        iterates.append(x.copy())
-    return PicardTrace(nodes, tuple(iterates), tuple(deltas), cm)
 
 
 def cone_and_localization(values, cone_const: float, r1: float, r2: float) -> ConeReport:

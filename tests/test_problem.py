@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from liebau import greens
-from liebau.errors import BadPeriod, BadRadii, LiebauError, NegativeState
+from liebau.errors import BadPeriod, LiebauError, NegativeState
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import (
     GeneralProblem,
@@ -14,7 +14,6 @@ from liebau.problem import (
     from_physical,
     regularize,
     shifted_rhs,
-    truncated_rhs,
 )
 
 
@@ -164,52 +163,3 @@ class TestShiftedRhs:
         gp = regularize(constant_forcing_problem())
         with pytest.raises(NegativeState):
             shifted_rhs(gp, 0.7, 0.0, -1e-9)
-
-
-class TestTruncatedRhs:
-    def test_coincides_on_band(self):
-        # band chosen inside the region where the rhs is nonnegative
-        # (for e=1.54, c=1.49 that region ends near x = (1.54/1.49 + eps)^100)
-        gp = regularize(constant_forcing_problem(e_value=1.54, c=1.49, mu=0.01))
-        cm, r1, r2 = 0.94144, 0.1, 35.0
-        xs = np.linspace(cm * r1, r2, 57)
-        got = truncated_rhs(gp, 0.7, cm, r1, r2, 0.0, xs)
-        want = shifted_rhs(gp, 0.7, 0.0, xs)
-        np.testing.assert_allclose(got, want, rtol=1e-14)
-
-    def test_zero_state_clamps_to_band_floor(self):
-        gp = regularize(constant_forcing_problem())
-        cm, r1, r2 = 0.9, 1.0, 10.0
-        val = truncated_rhs(gp, 0.7, cm, r1, r2, 0.3, 0.0)
-        assert val == max(shifted_rhs(gp, 0.7, 0.3, cm * r1), 0.0)
-        assert val >= 0.0
-
-    def test_continuity_at_clamp_boundaries(self):
-        gp = regularize(constant_forcing_problem())
-        cm, r1, r2 = 0.94144, 25.0, 1e4
-        lo, hi = cm * r1, r2
-        eps = 1e-9
-        for edge in (lo, hi):
-            inner = truncated_rhs(gp, 0.7, cm, r1, r2, 0.2, edge)
-            outer = truncated_rhs(gp, 0.7, cm, r1, r2, 0.2, min(max(edge - eps, 0.0), r2))
-            assert inner == pytest.approx(outer, rel=1e-6)
-
-    def test_nonnegative_on_certified_grid(self):
-        # the trapezoid instance parameters with its certified tuple
-        e = PeriodicFunction.piecewise_linear(
-            [(0.0, -0.00005), (0.0005, 0.00548239), (0.9995, 0.00548239), (1.0, -0.00005)]
-        )
-        lp = LiebauProblem(1.6, 0.01, 0.005, 1.0, e)
-        gp = regularize(lp)
-        cm, r1, r2 = 0.94144, 25.0, 1e4
-        ts = np.linspace(0, 1, 64)
-        xs = np.geomspace(1e-3, r2, 64)
-        vals = truncated_rhs(gp, 0.7, cm, r1, r2, ts[:, None], xs[None, :])
-        assert np.all(vals >= 0.0)
-
-    def test_bad_radii(self):
-        gp = regularize(constant_forcing_problem())
-        with pytest.raises(BadRadii):
-            truncated_rhs(gp, 0.7, 0.9, 10.0, 1.0, 0.0, 0.5)
-        with pytest.raises(BadRadii):
-            truncated_rhs(gp, 0.7, 0.9, 0.0, 1.0, 0.0, 0.5)

@@ -10,15 +10,14 @@ from hypothesis import given, settings, strategies as st
 from test_numerics import two_sweep_solve
 
 from liebau import greens, presets, solve
-from liebau.errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NoConvergence
+from liebau.errors import ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import resample_spectrum, trig_interpolate
-from liebau.problem import GeneralProblem, regularize, shifted_rhs, truncated_rhs
+from liebau.problem import GeneralProblem, regularize, shifted_rhs
 from liebau.solve import (
     SolveOptions,
     cone_and_localization,
     fd_residual,
-    picard_iterate,
     solve_periodic,
 )
 
@@ -443,94 +442,41 @@ class TestFdResidual:
         assert res1 - res0 >= 1e-3 * (n / sol.T) ** 2 * 0.1
 
 
-def inline_picard(gp, m, r1, r2, start, n_steps):
-    """Picard iterates with the periodic trapezoid convolution written out in place."""
-    kernel = greens.build(gp.a, m, gp.T)
-    cm = kernel.cone_constant
-    npts = len(start)
-    h = gp.T / npts
-    nodes = np.arange(npts) * h
-    k_spec = np.fft.rfft(np.asarray(kernel.at(nodes), dtype=float))
-    iterates = [start.copy()]
-    x = start.copy()
-    for _ in range(n_steps):
-        f = np.asarray(truncated_rhs(gp, m, cm, r1, r2, nodes, x), dtype=float)
-        conv = np.fft.irfft(k_spec * np.fft.rfft(f), n=npts)
-        x = h * conv + (h * h / 12.0) * f
-        iterates.append(x.copy())
-    return iterates
+def inline_response(kernel, g):
+    """The periodic trapezoid convolution plus its h^2/12 endpoint term, written out in place."""
+    n = len(g)
+    h = kernel.T / n
+    k_spec = np.fft.rfft(np.asarray(kernel.at(np.arange(n) * h), dtype=float))
+    return h * np.fft.irfft(k_spec * np.fft.rfft(g), n=n) + (h * h / 12.0) * g
 
 
-class TestPicard:
-    @pytest.mark.parametrize(
-        "problem, r1, r2, start, n_steps",
-        [
-            ("cosine_lp", 1.0, 40.0, np.zeros(256), 1),
-            ("cosine_lp", 0.1, 40.0, np.full(256, 30.0), 5),
-            ("cosine_lp", 0.1, 37.954, np.full(256, 36.5), 1),
-            ("trapezoid_lp", 25.0, 1e4, np.full(256, 5000.0), 6),
-        ],
-    )
-    def test_iterates_bitwise_equal_to_inline_convolution(
-        self, request, problem, r1, r2, start, n_steps
-    ):
+def fixed_point_defect(gp, m, x):
+    """sup |T_m x - x| for samples x on arange(n) * (T/n), T_m x = circular_response(K_m, f_m(., x))."""
+    nodes = np.arange(len(x)) * (gp.T / len(x))
+    f = shifted_rhs(gp, m, nodes, x)
+    return float(np.max(np.abs(greens.circular_response(greens.build(gp.a, m, gp.T), f) - x)))
+
+
+class TestFixedPointOperator:
+    @pytest.mark.parametrize("problem, level", [("cosine_lp", 30.0), ("trapezoid_lp", 5000.0)])
+    def test_response_bitwise_equal_to_inline_convolution(self, request, problem, level):
         gp = regularize(request.getfixturevalue(problem))
-        trace = picard_iterate(gp, 0.7, r1, r2, start, n_steps)
-        reference = inline_picard(gp, 0.7, r1, r2, start, n_steps)
-        assert len(trace.iterates) == len(reference)
-        for got, want in zip(trace.iterates, reference):
-            assert np.array_equal(got, want)
+        nodes = np.arange(256) * (gp.T / 256)
+        x = level * (1.0 + 0.2 * np.cos(2.0 * np.pi * nodes / gp.T))
+        f = shifted_rhs(gp, 0.7, nodes, x)
+        kernel = greens.build(gp.a, 0.7, gp.T)
+        assert np.array_equal(greens.circular_response(kernel, f), inline_response(kernel, f))
 
-    def test_fixed_point_reproduced_in_one_step(self):
+    def test_constant_solution_reproduced_by_one_response(self):
         from liebau.problem import LiebauProblem
 
         lp = LiebauProblem(1.6, 0.01, 1.49, 1.0, PeriodicFunction.constant(1.0, 1.54))
-        gp = regularize(lp)
         x_star = (1.54 / 1.49) ** 100
-        trace = picard_iterate(gp, 0.7, 1.0, 35.0, np.full(512, x_star), 1)
-        assert trace.sup_deltas[0] < 1e-9
-
-    def test_zero_start_first_iterate_nonnegative(self, cosine_lp):
-        gp = regularize(cosine_lp)
-        trace = picard_iterate(gp, 0.7, 1.0, 40.0, np.zeros(256), 1)
-        assert np.all(trace.final >= 0.0)
-
-    def test_iterates_stay_in_cone(self, cosine_lp):
-        gp = regularize(cosine_lp)
-        trace = picard_iterate(gp, 0.7, 0.1, 40.0, np.full(256, 30.0), 5)
-        for it in trace.iterates[1:]:
-            assert float(it.min()) >= trace.cone_const * float(it.max()) * (1 - 1e-6)
-
-    def test_iterates_bounded_by_band_ceiling(self, trapezoid_lp, cosine_lp):
-        # on the certified trapezoid radii the truncated rhs never exceeds
-        # m^2 R2, so unit kernel mass bounds every iterate by R2
-        gp = regularize(trapezoid_lp)
-        r1, r2 = 25.0, 1e4
-        trace = picard_iterate(gp, 0.7, r1, r2, np.full(256, 5000.0), 6)
-        for it in trace.iterates:
-            assert float(it.max()) <= r2 * (1 + 1e-9)
-        # for the cosine instance the envelope argument covers one step
-        # started inside the outer band [c_m R2, R2]
-        gp2 = regularize(cosine_lp)
-        cert_r2 = 37.954
-        trace2 = picard_iterate(gp2, 0.7, 0.1, cert_r2, np.full(256, 36.5), 1)
-        assert float(trace2.final.max()) <= cert_r2 * (1 + 1e-9)
+        assert fixed_point_defect(regularize(lp), 0.7, np.full(512, x_star)) < 1e-9
 
     def test_solver_output_is_near_fixed_point(self, cosine_lp):
         gp = regularize(cosine_lp)
-        sol = solve_periodic(gp)
-        trace = picard_iterate(gp, 0.7, 0.1, 40.0, sol.values, 2)
-        assert trace.sup_deltas[0] < 1e-3
-
-    def test_bad_radii(self, cosine_lp):
-        gp = regularize(cosine_lp)
-        with pytest.raises(BadRadii):
-            picard_iterate(gp, 0.7, 40.0, 1.0, np.full(64, 1.0), 1)
-
-    @pytest.mark.parametrize("x0", [30.0, np.zeros(0), np.full((4, 4), 30.0)])
-    def test_start_must_be_nonempty_1d(self, cosine_lp, x0):
-        with pytest.raises(LiebauError, match="1-D"):
-            picard_iterate(regularize(cosine_lp), 0.7, 0.1, 40.0, x0, 1)
+        assert fixed_point_defect(gp, 0.7, solve_periodic(gp).values) < 1e-3
 
 
 class TestConeAndLocalization:
