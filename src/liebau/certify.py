@@ -36,9 +36,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import greens
-from .errors import BadRadii, ConfigError, InapplicableCriterion, KappaNonpositive, OutOfFloatRange
+from .errors import (
+    BadRadii,
+    ConfigError,
+    InapplicableCriterion,
+    KappaNonpositive,
+    LiebauError,
+    OutOfFloatRange,
+)
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
-from .numerics import per_element
+from .numerics import is_finite_real, per_element
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
 from .solve import MAX_GRID
 
@@ -508,10 +515,10 @@ class SearchOptions:
 
     def __post_init__(self):
         k = self.m_points
-        if not (isinstance(k, (int, np.integer)) and 1 <= k <= MAX_GRID):
+        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= MAX_GRID):
             raise ConfigError(f"must be an integer in [1, {MAX_GRID}], got {k!r}", "m_points")
-        if not math.isfinite(self.eps):
-            raise ConfigError(f"must be finite, got {self.eps!r}", "eps")
+        if not is_finite_real(self.eps):
+            raise ConfigError(f"must be a finite number, got {self.eps!r}", "eps")
 
 
 # most m values per kernel_constants pass of the search, so a fine m grid

@@ -18,6 +18,17 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+
+def is_finite_real(value) -> bool:
+    """True for a Python or numpy integer or float that is finite as a float; False for a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
 def per_element(f, x, *args):
     """f(x, *args) for a number x, or f of each element of a 1-D array x, in Python.
 

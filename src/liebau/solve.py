@@ -46,6 +46,7 @@ from .problem import GeneralProblem, deregularize
 from .numerics import (
     cyclic_fd_operator,
     gmres,
+    is_finite_real,
     solve_cyclic_tridiagonal,
     spectral_derivatives,
     trig_interpolate,
@@ -98,10 +99,15 @@ class SolveOptions:
         n_max = MAX_GRID // REFINE_FACTOR  # the residual check samples REFINE_FACTOR * n points
         if not (isinstance(self.n, (int, np.integer)) and 8 <= self.n <= n_max):
             raise ConfigError(f"must be an integer from 8 to {n_max}, got {self.n!r}", "n")
-        if self.initial is not None and not 0.0 < self.initial < math.inf:
-            raise ConfigError(f"must be positive and finite, got {self.initial!r}", "initial")
-        if self.bracket is not None and not 0.0 < self.bracket[0] < self.bracket[1] < math.inf:
-            raise ConfigError(f"need 0 < lo < hi < inf, got {self.bracket!r}", "bracket")
+        if self.initial is not None and not (is_finite_real(self.initial) and self.initial > 0.0):
+            raise ConfigError(f"must be a positive finite number, got {self.initial!r}", "initial")
+        b = self.bracket
+        if b is not None and not (
+            isinstance(b, tuple) and len(b) == 2 and all(map(is_finite_real, b)) and 0.0 < b[0] < b[1]
+        ):
+            raise ConfigError(f"need a pair (lo, hi) with 0 < lo < hi < inf, got {b!r}", "bracket")
+        if not isinstance(self.polish, (bool, np.bool_)):
+            raise ConfigError(f"must be a bool, got {self.polish!r}", "polish")
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,10 @@ class TestSearchOptionsCheckThemselves:
             ({"eps": math.inf}, "eps"),
             ({"eps": math.nan}, "eps"),
             ({"eps": -math.inf}, "eps"),
+            ({"eps": "x"}, "eps"),
+            ({"eps": None}, "eps"),
+            ({"eps": 10**400}, "eps"),
+            ({"m_points": True}, "m_points"),
         ],
     )
     def test_bad_field_raises_config_error(self, kwargs, field):

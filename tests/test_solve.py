@@ -121,12 +121,24 @@ class TestSolveOptionsCheckThemselves:
             ({"bracket": (0.0, 4.0)}, "bracket"),
             ({"bracket": (1.0, math.inf)}, "bracket"),
             ({"bracket": (math.nan, 4.0)}, "bracket"),
+            ({"initial": "3"}, "initial"),
+            ({"initial": True}, "initial"),
+            ({"initial": 10**400}, "initial"),
+            ({"bracket": 5.0}, "bracket"),
+            ({"bracket": (4.0, 40.0, 99.0)}, "bracket"),
+            ({"bracket": ("4", 40.0)}, "bracket"),
+            ({"polish": "no"}, "polish"),
+            ({"polish": 1}, "polish"),
         ],
     )
     def test_bad_field_raises_config_error(self, kwargs, field):
         with pytest.raises(ConfigError) as exc:
             SolveOptions(**kwargs)
         assert exc.value.location == field
+
+    @pytest.mark.parametrize("bracket", [(4.0, 40.0), (4, 40), (np.float64(4.0), np.float64(40.0))])
+    def test_numeric_bracket_is_accepted(self, bracket):
+        assert SolveOptions(n=4096, bracket=bracket).bracket == bracket
 
     def test_largest_grid_is_accepted(self):
         assert SolveOptions(n=2**20).n * solve.REFINE_FACTOR == solve.MAX_GRID
