@@ -214,10 +214,14 @@ def check_general(
     tolerates quadrature noise).  Envelope facts are sampled on a t x x grid
     (GENERAL_T_POINTS uniform t values with the coefficient breakpoints
     inserted, GENERAL_X_POINTS log-spaced x values with the endpoints);
-    responses come from ``greens.apply_kernel``.
+    responses come from ``greens.apply_kernel``, whose circular rule needs
+    T-periodic envelopes: LiebauError names a g0 or g1 of another period.
     """
     if not (0.0 < r1 < r2):
         raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
+    for name, g in (("g0", g0), ("g1", g1)):
+        if g.period != gp.T:
+            raise LiebauError(f"{name} period {g.period!r} does not match problem period {gp.T!r}")
     kernel = greens.build(gp.a, m, gp.T)
     cm = kernel.cone_constant
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import acceptance, certify, greens, presets
 from .errors import BadPeriod, ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from .funcspec import PeriodicFunction
-from .numerics import dump_json, format_float
+from .numerics import dump_json, format_float, is_finite_real
 from .problem import (
     GeneralProblem,
     LiebauProblem,
@@ -70,6 +70,10 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(obj: dict, key: str, where: str) -> float:
+    return _convert(_need(obj, key, where), float, f"{where}.{key}")
+
+
 def parse_function(obj, where: str) -> PeriodicFunction:
     if not isinstance(obj, dict):
         raise ConfigError("function must be a tagged object", where)
@@ -93,7 +97,7 @@ def parse_function(obj, where: str) -> PeriodicFunction:
             return PeriodicFunction.sum_of(parts)
     except ConfigError:
         raise
-    except (LiebauError, TypeError, ValueError) as exc:
+    except (LiebauError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc), where) from exc
     raise ConfigError(f"unknown function type {kind!r}", f"{where}.type")
 
@@ -105,33 +109,22 @@ def parse_problem(obj, where: str):
     try:
         if kind == "liebau":
             e = parse_function(_need(obj, "e", where), f"{where}.e")
+            a, c, T = (_number(obj, key, where) for key in ("a", "c", "T"))
             if "mu" in obj:
-                return LiebauProblem(
-                    _need(obj, "a", where), obj["mu"], _need(obj, "c", where),
-                    _need(obj, "T", where), e,
-                )
-            return LiebauProblem.from_b(
-                _need(obj, "a", where), _need(obj, "b", where), _need(obj, "c", where),
-                _need(obj, "T", where), e,
-            )
+                return LiebauProblem(a, _number(obj, "mu", where), c, T, e)
+            return LiebauProblem.from_b(a, _number(obj, "b", where), c, T, e)
         if kind == "general":
             return GeneralProblem(
-                a=_need(obj, "a", where),
-                T=_need(obj, "T", where),
+                a=_number(obj, "a", where),
+                T=_number(obj, "T", where),
                 r=parse_function(_need(obj, "r", where), f"{where}.r"),
                 s=parse_function(_need(obj, "s", where), f"{where}.s"),
-                alpha=_need(obj, "alpha", where),
-                beta=_need(obj, "beta", where),
+                alpha=_number(obj, "alpha", where),
+                beta=_number(obj, "beta", where),
             )
         if kind == "physical":
             cfg = PhysicalConfig(
-                r0=_need(obj, "r0", where),
-                rho=_need(obj, "rho", where),
-                zeta=_need(obj, "zeta", where),
-                g=_need(obj, "g", where),
-                a_tau=_need(obj, "a_tau", where),
-                a_pi=_need(obj, "a_pi", where),
-                v0=_need(obj, "v0", where),
+                **{key: _number(obj, key, where) for key in ("r0", "rho", "zeta", "g", "a_tau", "a_pi", "v0")},
                 p=parse_function(_need(obj, "p", where), f"{where}.p"),
             )
             return from_physical(cfg)
@@ -166,6 +159,8 @@ def _convert(value, kind, where: str):
             raise ConfigError(f"expected a list of {kind} numbers, got {value!r}", where)
         return tuple(_convert(v, float, f"{where}[{i}]") for i, v in enumerate(value))
     if kind is float and type(value) is int:
+        if not is_finite_real(value):
+            raise ConfigError("must be finite, got an integer beyond float range", where)
         value = float(value)
     if type(value) is not kind:
         raise ConfigError(f"expected {kind.__name__}, got {value!r}", where)
@@ -219,6 +214,8 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(str(exc), path) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", path) from exc
+    except (ValueError, RecursionError) as exc:  # bytes that are not UTF-8, an over-long integer, deep nesting
+        raise ConfigError(f"unreadable JSON: {exc}", path) from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level must be an object", path)
     problem = parse_problem(raw["problem"], "problem") if "problem" in raw else None

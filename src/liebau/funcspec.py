@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import BadPeriod, LiebauError
-from .numerics import simpson_segmented, zoom_minima
+from .numerics import is_finite_real, simpson_segmented, zoom_minima
 
 # Refinement tolerance (in t) for grid-based extrema; surfaced in
 # certificates because condition margins consume these values.
@@ -33,6 +33,14 @@ EXTREMA_REFINE_TOL = 1e-12
 _SCAN_POINTS = 8192
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def _harmonic(k) -> int:
+    """k as an int; LiebauError unless k is a whole number from 1 to below 2**53,
+    where floats stop holding every integer."""
+    if not (is_finite_real(k) and 1 <= k < 2**53 and k == int(k)):
+        raise LiebauError(f"harmonic must be a positive integer, got {k!r}")
+    return int(k)
 
 
 @dataclass(frozen=True)
@@ -60,9 +68,8 @@ class TrigPoly:
     terms: tuple[tuple[float, int, float], ...]
 
     def __post_init__(self):
-        for amp, k, _ in self.terms:
-            if int(k) != k or k < 1:
-                raise LiebauError(f"harmonic must be a positive integer, got {k!r}")
+        for _, k, _ in self.terms:
+            _harmonic(k)
 
     def eval(self, t: ArrayLike, period: float) -> ArrayLike:
         out = self.offset + np.zeros_like(np.asarray(t, dtype=float))
@@ -218,7 +225,7 @@ class PeriodicFunction:
         period: float, offset: float, terms: Sequence[tuple[float, int, float]] = ()
     ) -> "PeriodicFunction":
         return PeriodicFunction(
-            period, TrigPoly(float(offset), tuple((float(a), int(k), float(p)) for a, k, p in terms))
+            period, TrigPoly(float(offset), tuple((float(a), _harmonic(k), float(p)) for a, k, p in terms))
         )
 
     @staticmethod
@@ -228,10 +235,14 @@ class PeriodicFunction:
     @staticmethod
     def piecewise_linear(points: Sequence[tuple[float, float]]) -> "PeriodicFunction":
         pts = tuple((float(t), float(v)) for t, v in points)
+        if len(pts) < 2:
+            raise LiebauError(f"piecewise-linear table needs at least 2 points, got {len(pts)}")
         return PeriodicFunction(pts[-1][0], PiecewiseLinear(pts))
 
     @staticmethod
     def sum_of(parts: Sequence["PeriodicFunction"]) -> "PeriodicFunction":
+        if not parts:
+            raise LiebauError("a sum needs at least one part")
         period = parts[0].period
         for p in parts:
             if p.period != period:

@@ -229,6 +229,15 @@ class TestGeneralChecker:
         with pytest.raises(BadRadii):
             check_general(gp, 0.7, 10.0, 1.0, g, g)
 
+    @pytest.mark.parametrize("name", ["g0", "g1"])
+    def test_envelope_period_must_be_the_problem_period(self, trapezoid_lp, name):
+        # the circular rule of apply_kernel and its h^2/12 term assume T-periodic g
+        gp = regularize(trapezoid_lp)
+        envelopes = {"g0": PeriodicFunction.constant(1.0, 0.0), "g1": PeriodicFunction.constant(1.0, 0.49e4)}
+        envelopes[name] = PeriodicFunction.constant(7.0, envelopes[name](0.0))
+        with pytest.raises(LiebauError, match=f"{name} period 7.0 does not match problem period 1.0"):
+            check_general(gp, 0.7, 25.0, 1e4, **envelopes)
+
 
 class TestMonotonicity:
     def test_raising_forcing_peak_shrinks_margins(self, narrowband_lp):

@@ -422,6 +422,11 @@ TANK_PROBLEM = {
     "kind": "liebau", "a": 0.0, "b": 2.0, "c": 0.1, "T": 6.283185307179586,
     "e": {"type": "constant", "period": 6.283185307179586, "value": 1.0},
 }
+BIG = "1" + "0" * 400  # written in place of the string "BIG": an integer literal beyond float range
+
+
+def tank_trig(harmonic) -> dict:
+    return {"type": "trig", "period": 6.283185307179586, "offset": 1.0, "terms": [[0.1, harmonic, 0.0]]}
 
 
 class TestBadInputExitsTwo:
@@ -445,6 +450,62 @@ class TestBadInputExitsTwo:
         assert code == EXIT_CONFIG
         assert out == ""
         assert field in err
+
+    @pytest.mark.parametrize(
+        "command, config, field",
+        [
+            # a harmonic of 1.5 once ran as harmonic 1, exit 0
+            ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(1.5))}, "problem.e"),
+            ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(math.inf))}, "problem.e"),
+            ("search", {"problem": dict(TANK_PROBLEM, e=dict(TANK_PROBLEM["e"], value="BIG"))}, "problem.e"),
+            ("search", {"problem": dict(TANK_PROBLEM, c="BIG")}, "problem.c"),
+            ("search", {"problem": dict(TANK_PROBLEM, T="BIG")}, "problem.T"),
+            ("certify", {"problem": TANK_PROBLEM, "certify": {"theorem": "positive_forcing", "m": "BIG"}},
+             "certify.m"),
+            ("search", {"problem": dict(TANK_PROBLEM, e={"type": "sum", "parts": []})}, "problem.e"),
+            ("search", {"problem": dict(TANK_PROBLEM, e={"type": "piecewise", "points": []})}, "problem.e"),
+        ],
+        ids=["harmonic-1.5", "harmonic-inf", "huge-value", "huge-c", "huge-T", "huge-m", "empty-sum",
+             "empty-piecewise"],
+    )
+    def test_malformed_config(self, capsys, tmp_path, command, config, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config).replace('"BIG"', BIG))
+        code, out, err = run_captured(capsys, [command, "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"problem": "\xff"}',
+            b'{"problem": {"kind": "liebau", "c": 1' + b"0" * 5000 + b"}}",  # past the int digit limit
+            b'{"problem": ' + b"[" * 100000 + b"]" * 100000 + b"}",  # nested past the recursion limit
+        ],
+        ids=["not-utf8", "long-integer", "deep-nesting"],
+    )
+    def test_unreadable_json(self, capsys, tmp_path, data):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(data)
+        code, out, err = run_captured(capsys, ["search", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"config error: {path}: unreadable JSON")
+
+    def test_general_envelope_of_another_period(self, capsys, tmp_path):
+        # the constant g1 = m^2 R2 once passed here though its period is 7, not T = 1
+        certify_opts = {
+            "theorem": "general", "m": 0.7, "r1": 1.0, "r2": 37.953962145416071, "eps": -1e-9,
+            "g0": {"type": "constant", "period": 1.0, "value": 0.49},
+            "g1": {"type": "constant", "period": 7.0, "value": 0.49 * 37.953962145416071},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": COSINE_PROBLEM, "certify": certify_opts}))
+        code, out, err = run_captured(capsys, ["certify", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: g1 period 7.0 does not match problem period 1.0\n"
 
     def test_nan_problem_value(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"

@@ -185,6 +185,15 @@ class TestValidation:
         with pytest.raises(LiebauError):
             PeriodicFunction.piecewise_linear([(0.0, 0.0), (0.5, 1.0), (0.5, 2.0), (1.0, 0.0)])
 
+    @pytest.mark.parametrize("harmonic", [1.5, math.inf, math.nan, 0, -1, True, 2**53, "1"])
+    def test_harmonic_must_be_a_whole_number(self, harmonic):
+        # int() once turned 1.5 into harmonic 1, and inf into an OverflowError
+        with pytest.raises(LiebauError, match="harmonic"):
+            PeriodicFunction.trig(1.0, 0.0, [(1.0, harmonic, 0.0)])
+
+    def test_whole_float_harmonic_is_kept_as_int(self):
+        assert PeriodicFunction.trig(1.0, 0.0, [(1.0, 2.0, 0.0)]).body.terms == ((1.0, 2, 0.0),)
+
     def test_positive_period_required(self):
         with pytest.raises(LiebauError):
             PeriodicFunction.constant(0.0, 1.0)
