@@ -6,7 +6,11 @@ class LiebauError(Exception):
 
 
 class BadPeriod(LiebauError):
-    """The period T must be strictly positive."""
+    """A period is out of range.
+
+    A function's period must be positive and finite; a problem's or kernel's
+    period T must also be at least 1/``greens.MAX_RATE``.
+    """
 
 
 class MOutOfRange(LiebauError):

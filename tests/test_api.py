@@ -1,0 +1,53 @@
+"""The public surface that the README documents and the benchmark harness calls.
+
+``perfbench/workloads.py`` uses only names in ``liebau.__all__``,
+``presets.preset`` and the ``PeriodicFunction`` constructors; a deletion or
+rename that breaks one of its calls fails here rather than in a benchmark run.
+"""
+
+import numpy as np
+import pytest
+
+import liebau
+from liebau import PeriodicFunction, presets
+
+# the names perfbench/workloads.py reads from the package
+BENCHMARK_NAMES = (
+    "LiebauError",
+    "LiebauProblem",
+    "PeriodicFunction",
+    "SolveOptions",
+    "check_positive_forcing",
+    "check_sign_changing",
+    "regularize",
+    "search_certificate",
+    "solve_periodic",
+)
+
+
+def test_every_public_name_resolves():
+    assert len(set(liebau.__all__)) == len(liebau.__all__)
+    for name in liebau.__all__:
+        assert getattr(liebau, name, None) is not None, name
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_benchmark_name_is_public(name):
+    assert name in liebau.__all__
+
+
+def test_solve_as_the_benchmark_calls_it():
+    v0 = 6.0
+    lp = presets.preset("benchmark", v0=v0).problem
+    opts = liebau.SolveOptions(n=4096, bracket=((v0 - 3.0) ** 3, (v0 - 1.0) ** 3))
+    sol = liebau.solve_periodic(liebau.regularize(lp), opts)
+    assert sol.converged is True
+    assert sol.nodes.shape == sol.values.shape == (4096,)
+    assert sol.T == lp.T
+    assert sol.max_value == float(np.max(sol.values))
+    assert 0.0 <= sol.sup_residual < 1e-6
+
+
+@pytest.mark.parametrize("name", ["trig", "poly", "piecewise_linear"])
+def test_benchmark_forcing_constructor(name):
+    assert callable(getattr(PeriodicFunction, name, None))
