@@ -471,7 +471,7 @@ def fixed_point_defect(gp, m, x):
 
 class TestFixedPointOperator:
     @pytest.mark.parametrize("problem, level", [("cosine_lp", 30.0), ("trapezoid_lp", 5000.0)])
-    def test_response_bitwise_equal_to_inline_convolution(self, request, problem, level):
+    def test_equals_inline_convolution(self, request, problem, level):
         gp = regularize(request.getfixturevalue(problem))
         nodes = np.arange(256) * (gp.T / 256)
         x = level * (1.0 + 0.2 * np.cos(2.0 * np.pi * nodes / gp.T))
