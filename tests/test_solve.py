@@ -470,7 +470,10 @@ def fixed_point_defect(gp, m, x):
 
 
 class TestFixedPointOperator:
-    @pytest.mark.parametrize("problem, level", [("cosine_lp", 30.0), ("trapezoid_lp", 5000.0)])
+    @pytest.mark.parametrize(
+        "problem, level",
+        [("cosine_lp", 0.0), ("cosine_lp", 30.0), ("cosine_lp", 36.5), ("trapezoid_lp", 5000.0)],
+    )
     def test_equals_inline_convolution(self, request, problem, level):
         gp = regularize(request.getfixturevalue(problem))
         nodes = np.arange(256) * (gp.T / 256)
