@@ -10,11 +10,11 @@ field order, so identical inputs produce byte-identical output.
 
 Exit codes: 0 success (certificate passed / solver converged / all checks
 green), 1 ``verify`` found a failing check, 2 configuration or usage error
-(including an unknown option key, an option or problem value of the wrong
-type, not finite or out of range, a malformed solution CSV or one whose t
-column is not the problem's grid arange(n) * (T/n), and a certificate
-ceiling or inner radius beyond float range), 3 certificate failed, 4
-certificate inapplicable, 5 search found nothing, 6 solver failed (no
+(including an unknown option key, an option, problem or function-record
+value of the wrong type, not finite or out of range, a malformed solution
+CSV or one whose t column is not the problem's grid arange(n) * (T/n), and
+a certificate ceiling or inner radius beyond float range), 3 certificate
+failed, 4 certificate inapplicable, 5 search found nothing, 6 solver failed (no
 convergence, or the iterate left the positive cone), 141 stdout was closed
 before the output was written (a broken pipe, as in ``| head -1``).
 """
@@ -74,21 +74,35 @@ def _number(obj: dict, key: str, where: str) -> float:
     return _convert(_need(obj, key, where), float, f"{where}.{key}")
 
 
+def _list_of(value, kind, where: str) -> list:
+    """A JSON list whose items are converted to ``kind`` as ``_convert`` does."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"expected a list, got {value!r}", where)
+    return [_convert(v, kind, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def parse_function(obj, where: str) -> PeriodicFunction:
+    """A function record; every number in it must be a finite JSON number."""
     if not isinstance(obj, dict):
         raise ConfigError("function must be a tagged object", where)
     kind = _need(obj, "type", where)
     try:
         if kind == "constant":
-            return PeriodicFunction.constant(_need(obj, "period", where), _need(obj, "value", where))
+            return PeriodicFunction.constant(_number(obj, "period", where), _number(obj, "value", where))
         if kind == "trig":
             return PeriodicFunction.trig(
-                _need(obj, "period", where), obj.get("offset", 0.0), obj.get("terms", [])
+                _number(obj, "period", where),
+                _convert(obj.get("offset", 0.0), float, f"{where}.offset"),
+                _list_of(obj.get("terms", []), 3, f"{where}.terms"),
             )
         if kind == "poly":
-            return PeriodicFunction.poly(_need(obj, "period", where), _need(obj, "coeffs", where))
+            return PeriodicFunction.poly(
+                _number(obj, "period", where), _list_of(_need(obj, "coeffs", where), float, f"{where}.coeffs")
+            )
         if kind == "piecewise":
-            return PeriodicFunction.piecewise_linear(_need(obj, "points", where))
+            return PeriodicFunction.piecewise_linear(
+                _list_of(_need(obj, "points", where), 2, f"{where}.points")
+            )
         if kind == "sum":
             parts = [
                 parse_function(p, f"{where}.parts[{i}]")

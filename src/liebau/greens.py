@@ -328,8 +328,11 @@ def _interpolant_at(values: np.ndarray, T: float, t_values: np.ndarray) -> np.nd
     """The trigonometric interpolant of uniform periodic samples, summed at t_values.
 
     The Nyquist bin of an even sample count is split symmetrically, so the
-    interpolant is real and passes through every sample.
+    interpolant is real and passes through every sample.  Equal samples
+    (the response to a constant g) are their constant, with no sum.
     """
+    if np.all(values == values[0]):
+        return np.full(len(t_values), values[0])
     n = len(values)
     coef = np.fft.rfft(values) / n
     coef[1 : (n + 1) // 2] *= 2.0  # bins k and n - k fold into one real term

@@ -182,12 +182,15 @@ def gmres(
     estimate is known after every matvec.  The iteration stops once that
     estimate is at most ``rtol * ||b||_2``, on breakdown, or after
     ``max_cycles`` cycles; the last iterate, whose residual is the smallest
-    so far, is returned either way.
+    so far, is returned either way.  Only a cycle that restarts computes the
+    true residual b - A u, which starts the next one; a cycle that stops
+    returns u on its estimate, so a call that converges in its first cycle
+    makes one matvec per Arnoldi vector and no more.
     """
     u = np.zeros_like(b)
     r = b
     target = rtol * math.sqrt(float(np.dot(b, b)))
-    for _ in range(max_cycles):
+    for cycle in range(max_cycles):
         beta = math.sqrt(float(np.dot(r, r)))
         if beta <= target:
             break
@@ -227,6 +230,8 @@ def gmres(
             y[i] = acc / cols[i][i]
         for yi, v in zip(y, basis):
             u += yi * v
+        if abs(g[-1]) <= target or cycle == max_cycles - 1:
+            break
         r = b - matvec(u)
     return u
 

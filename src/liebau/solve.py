@@ -6,12 +6,14 @@ cyclic tridiagonal and solved by bordered elimination.  With the polish on
 and n above ``COARSE_N`` (128), this stage runs on the 128-point grid only,
 and its solution is lifted to the n-grid by zero-padded FFT resampling (the
 nested-iteration start of Newton-Krylov methods).  A polish stage then runs
-Newton on the Fourier collocation residual d2 + a d1 - f(x) (spectral
-derivatives of the trigonometric interpolant) at n.  Each polish step solves
-its linear system by a short GMRES, preconditioned by FFT with the
-constant-coefficient operator D^2 + a D - mean f'(x), so the polish makes no
-cyclic tridiagonal solves; it stops once a step fails to halve the residual,
-which for smooth coefficient data leaves residuals near rounding level.
+Newton on the Fourier collocation residual d2 + a d1 - f(x) at n, taken as
+one rfft of x - mean x times the symbol of D^2 + a D and one irfft (the
+spectral form of x'' + a x' that the residual diagnostic uses too).  Each
+polish step solves its linear system by a short GMRES, preconditioned by FFT
+with the constant-coefficient operator D^2 + a D - mean f'(x), so the polish
+makes no cyclic tridiagonal solves; it stops once a step fails to halve the
+residual, which for smooth coefficient data leaves residuals near rounding
+level.
 
 The coarse start only has to land in the polish's basin.  Where it does not
 (the coarse Newton stage fails, the lifted iterate is not strictly positive,
@@ -48,7 +50,6 @@ from .numerics import (
     gmres,
     is_finite_real,
     solve_cyclic_tridiagonal,
-    spectral_derivatives,
     trig_interpolate,
 )
 
@@ -157,7 +158,7 @@ def _rounding_floor(x: np.ndarray, h: float, a: float) -> float:
 
 def _operator_symbol(n: int, T: float, a: float) -> np.ndarray:
     """rfft symbol of D^2 + a D on n nodes; the Nyquist bin keeps no first
-    derivative, as in ``spectral_derivatives``."""
+    derivative, as in ``numerics.spectral_derivatives``."""
     w = (2.0 * np.pi / T) * np.arange(n // 2 + 1)
     symbol = -(w**2) + 1j * a * w
     if n % 2 == 0:
@@ -310,25 +311,27 @@ def _fd_newton(x, h, a, f_of, fprime_of):
 def _polish(x, T, a, f_of, fprime_of):
     """Newton on the collocation residual d2 + a d1 - f(x), from x.
 
-    Each step solves (D^2 + a D - diag f'(x)) delta = -res by GMRES, right
+    The residual is irfft(rfft(x - mean x) * symbol) - f(x), with the symbol
+    of D^2 + a D from ``_operator_symbol``: one rfft/irfft pair.  Each step
+    solves (D^2 + a D - diag f'(x)) delta = -res by GMRES, right
     preconditioned by P = D^2 + a D - mean f'(x), whose FFT symbol
     -w^2 + i a w - mean f' is inverted mode by mode.  Since D^2 + a D = P +
     mean f', the preconditioned operator is I - (f'(x) - mean f') P^-1, one
-    rfft/irfft pair per matvec.  Steps continue while each one at least
-    halves the sup-norm residual; a step that leaves the positive cone, or
-    does not lower the residual, is dropped, except that after a kept step a
-    step of at most ``_POLISH_NOISE_STEP`` times max x is kept whatever its
-    residual (whose change is then rounding noise) and ends the polish.  A
-    zero bin of the symbol (mode 0 when mean f' = 0) makes P singular, and x
-    is returned as it is.  Returns the iterate, the number of steps kept and
-    its sup-norm residual.
+    rfft/irfft pair per matvec; GMRES returns on its own residual estimate,
+    with no matvec after its last Arnoldi vector.  Steps continue while each
+    one at least halves the sup-norm residual; a step that leaves the
+    positive cone, or does not lower the residual, is dropped, except that
+    after a kept step a step of at most ``_POLISH_NOISE_STEP`` times max x is
+    kept whatever its residual (whose change is then rounding noise) and
+    ends the polish.  A zero bin of the symbol (mode 0 when mean f' = 0)
+    makes P singular, and x is returned as it is.  Returns the iterate, the
+    number of steps kept and its sup-norm residual.
     """
     n = len(x)
     symbol = _operator_symbol(n, T, a)
 
     def residual(y):
-        d1, d2 = spectral_derivatives(y, T)
-        return d2 + a * d1 - f_of(y)
+        return np.fft.irfft(np.fft.rfft(y - y.mean()) * symbol, n=n) - f_of(y)
 
     res = residual(x)
     res_norm = float(np.max(np.abs(res)))
@@ -367,7 +370,9 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
 
     Fine node REFINE_FACTOR * i + j is node i shifted by j h / REFINE_FACTOR,
     so an interpolant's values at phase j are the n-point inverse transform
-    of its spectrum times e^{i w j h / REFINE_FACTOR}.  For even n, irfft
+    of its spectrum times e^{i w j h / REFINE_FACTOR}.  One complex exp gives
+    phase 1's factors; phase 0 needs none, and phase j > 1 takes phase j -
+    1's times phase 1's, which moves them by a few ulp.  For even n, irfft
     reads only the real part of the Nyquist bin, so that bin takes the real
     factor cos(w j h / REFINE_FACTOR) of the symmetric split in
     ``resample_spectrum``.  The phases go in blocks of at most
@@ -389,16 +394,24 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
         else:
             c_mean = c.mean()
             coefficients.append((c_mean, np.fft.rfft(c - c_mean)))
-    bins = np.arange(n // 2 + 1)
+    step = np.exp((2j * np.pi / n_f) * np.arange(n // 2 + 1))  # phase 1's factor
+    factor = None  # phase j's factor, step**j by products; phase 0 has none
     fine_index = REFINE_FACTOR * np.arange(n)
     block = max(1, _PHASE_BLOCK_POINTS // n)
     sups_colloc, sups_exact = [], []
     for first in range(0, REFINE_FACTOR, block):
         phases = np.arange(first, min(first + block, REFINE_FACTOR))[:, None]
-        shift = np.exp((2j * np.pi / n_f) * (phases * bins))
+        factors = []
+        for j in range(first, first + len(phases)):
+            factor = None if j == 0 else step if j == 1 else factor * step
+            factors.append(factor)
+        if len(factors) == 1:
+            shift = factors[0]
+        else:
+            shift = np.array([np.ones_like(step) if f is None else f for f in factors])
 
         def at_phases(spectrum):
-            return np.fft.irfft(spectrum * shift, n=n)
+            return np.fft.irfft(spectrum if shift is None else spectrum * shift, n=n)
 
         positive = np.clip(at_phases(spec) + mean, 1e-300, None)
         lin = at_phases(lin_spec)

@@ -456,8 +456,9 @@ class TestBadInputExitsTwo:
         [
             # a harmonic of 1.5 once ran as harmonic 1, exit 0
             ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(1.5))}, "problem.e"),
-            ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(math.inf))}, "problem.e"),
-            ("search", {"problem": dict(TANK_PROBLEM, e=dict(TANK_PROBLEM["e"], value="BIG"))}, "problem.e"),
+            ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(math.inf))}, "problem.e.terms[0][1]"),
+            ("search", {"problem": dict(TANK_PROBLEM, e=dict(TANK_PROBLEM["e"], value="BIG"))},
+             "problem.e.value"),
             ("search", {"problem": dict(TANK_PROBLEM, c="BIG")}, "problem.c"),
             ("search", {"problem": dict(TANK_PROBLEM, T="BIG")}, "problem.T"),
             ("certify", {"problem": TANK_PROBLEM, "certify": {"theorem": "positive_forcing", "m": "BIG"}},
@@ -475,6 +476,32 @@ class TestBadInputExitsTwo:
         assert code == EXIT_CONFIG
         assert out == ""
         assert err.startswith(f"config error: {field}: ")
+
+    @pytest.mark.parametrize("bad", ["1.54215", True, None], ids=["string", "bool", "null"])
+    @pytest.mark.parametrize(
+        "record, field",
+        [
+            ({"type": "constant", "period": 1.0, "value": "BAD"}, "value"),
+            ({"type": "constant", "period": "BAD", "value": 1.54}, "period"),
+            ({"type": "trig", "period": 1.0, "offset": "BAD", "terms": []}, "offset"),
+            ({"type": "trig", "period": 1.0, "offset": 1.54, "terms": [[0.002097, 1, "BAD"]]}, "terms[0][2]"),
+            ({"type": "trig", "period": 1.0, "offset": 1.54, "terms": [["BAD", 1, 0.0]]}, "terms[0][0]"),
+            ({"type": "trig", "period": 1.0, "offset": 1.54, "terms": "BAD"}, "terms"),
+            ({"type": "poly", "period": 1.0, "coeffs": [1.54, "BAD"]}, "coeffs[1]"),
+            ({"type": "piecewise", "points": [[0.0, 1.54], [1.0, "BAD"]]}, "points[1][1]"),
+            ({"type": "sum", "parts": [{"type": "constant", "period": 1.0, "value": "BAD"}]},
+             "parts[0].value"),
+        ],
+    )
+    def test_function_record_number_of_the_wrong_type(self, capsys, tmp_path, record, field, bad):
+        # a string such as "1.54215" once went through float() and certified with exit 0
+        record = json.loads(json.dumps(record).replace('"BAD"', json.dumps(bad)))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"problem": dict(COSINE_PROBLEM, e=record)}))
+        code, out, err = run_captured(capsys, ["search", "--config", str(path)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err.startswith(f"config error: problem.e.{field}: expected ")
 
     @pytest.mark.parametrize(
         "data",

@@ -651,6 +651,42 @@ class TestApplyKernel:
         assert np.max(np.abs(moved - exact)) <= 1e-12 * scale
 
 
+def dense_interpolant(values, T, t_values):
+    """The trigonometric interpolant summed over every bin, as
+    ``greens._interpolant_at`` does for samples that are not all equal."""
+    n = len(values)
+    coef = np.fft.rfft(values) / n
+    coef[1 : (n + 1) // 2] *= 2.0
+    phase = np.outer(t_values, (2.0 * np.pi / T) * np.arange(len(coef)))
+    return np.cos(phase) @ coef.real - np.sin(phase) @ coef.imag
+
+
+class TestInterpolantAt:
+    # apply_kernel interpolates off-grid t from 2 * BASE_PANELS = 2048 samples.
+    # For a power-of-two count of equal samples the rfft's sums and
+    # differences are exact, so the dense sum returns the constant itself.
+    # (For other counts it may miss it by an ulp; the shortcut does not.)
+    @given(
+        value=st.floats(-1e200, 1e200),
+        n=st.sampled_from([8, 64, 1024, 2 * greens.BASE_PANELS]),
+        T=st.floats(1e-3, 1e3),
+        t_fracs=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=600),
+    )
+    def test_equal_samples_bitwise_equal_to_the_dense_sum(self, value, n, T, t_fracs):
+        values = np.full(n, value)
+        t_values = np.asarray(t_fracs) * T
+        got = greens._interpolant_at(values, T, t_values)
+        assert got.tobytes() == dense_interpolant(values, T, t_values).tobytes()
+
+    def test_samples_that_differ_take_the_dense_sum(self):
+        values = np.ones(64)
+        values[5] += 1e-12
+        t_values = np.linspace(0.0, 2.0, 37)
+        got = greens._interpolant_at(values, 2.0, t_values)
+        assert np.array_equal(got, dense_interpolant(values, 2.0, t_values))
+        assert not np.all(got == got[0])
+
+
 class TestModes:
     """The exponential modes, summed in complex arithmetic, against ``at``."""
 

@@ -129,12 +129,106 @@ class TestCyclicTridiagonal:
         assert np.all(np.isnan(x))
 
 
+def gmres_with_final_residual(matvec, b, rtol, restart, max_cycles):
+    """The earlier ``gmres``, which formed b - A u after every cycle, the last too."""
+    u = np.zeros_like(b)
+    r = b
+    target = rtol * math.sqrt(float(np.dot(b, b)))
+    for _ in range(max_cycles):
+        beta = math.sqrt(float(np.dot(r, r)))
+        if beta <= target:
+            break
+        basis = [r / beta]
+        cols = []
+        rot = []
+        g = [beta]
+        for j in range(restart):
+            w = matvec(basis[j])
+            col = []
+            for v in basis:
+                hij = float(np.dot(v, w))
+                w -= hij * v
+                col.append(hij)
+            below = math.sqrt(float(np.dot(w, w)))
+            for i, (c, s) in enumerate(rot):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], below)
+            if rho == 0.0:
+                break
+            c, s = col[j] / rho, below / rho
+            col[j] = rho
+            rot.append((c, s))
+            cols.append(col)
+            g.append(-s * g[j])
+            g[j] *= c
+            if abs(g[j + 1]) <= target or below == 0.0:
+                break
+            basis.append(w / below)
+        if not cols:
+            break
+        y = [0.0] * len(cols)
+        for i in range(len(cols) - 1, -1, -1):
+            acc = g[i]
+            for k in range(i + 1, len(cols)):
+                acc -= cols[k][i] * y[k]
+            y[i] = acc / cols[i][i]
+        for yi, v in zip(y, basis):
+            u += yi * v
+        r = b - matvec(u)
+    return u
+
+
+def counted(A):
+    """x -> A x, and the list that gets a copy of each x it is called with."""
+    calls = []
+
+    def matvec(v):
+        calls.append(v.copy())
+        return A @ v
+
+    return matvec, calls
+
+
 class TestGmres:
     @staticmethod
     def system(n, seed, spread):
         rng = np.random.default_rng(seed)
         A = np.eye(n) + spread * rng.standard_normal((n, n)) / np.sqrt(n)
         return A, rng.standard_normal(n)
+
+    @pytest.mark.parametrize(
+        "n, seed, spread, rtol, restart, cycles",
+        [
+            (40, 5, 0.5, 1e-12, 40, 1),  # one cycle reaches the target
+            (40, 5, 0.5, 1e-12, 6, 30),  # restarts, then stops on the estimate
+            (60, 9, 0.9, 1e-14, 3, 2),  # the budget runs out
+            (30, 2, 0.1, 1e-10, 12, 4),  # near the identity, as in the polish
+            (8, 0, 0.0, 1e-12, 12, 4),  # the identity: one Arnoldi step
+        ],
+    )
+    def test_bitwise_equal_with_one_matvec_less(self, n, seed, spread, rtol, restart, cycles):
+        A, b = self.system(n, seed, spread)
+        matvec, calls = counted(A)
+        old_matvec, old_calls = counted(A)
+        u = gmres(matvec, b, rtol, restart, cycles)
+        assert u.tobytes() == gmres_with_final_residual(old_matvec, b, rtol, restart, cycles).tobytes()
+        # the earlier form's last matvec was the residual of the returned u
+        assert len(calls) == len(old_calls) - 1
+        assert all(np.array_equal(x, y) for x, y in zip(calls, old_calls))
+
+    def test_restart_starts_from_the_true_residual(self):
+        A, b = self.system(40, 5, 0.5)
+        matvec, calls = counted(A)
+        restart = 6
+        u = gmres(matvec, b, 1e-12, restart, 30)
+        assert np.linalg.norm(A @ u - b) <= 1e-11 * np.linalg.norm(b)
+        # cycle 1: restart Arnoldi vectors, then A u1; cycle 2 starts from
+        # the normalized b - A u1
+        assert len(calls) > restart + 1
+        u1 = calls[restart]
+        r1 = b - A @ u1
+        assert np.linalg.norm(r1) > 1e-12 * np.linalg.norm(b)
+        np.testing.assert_array_equal(calls[restart + 1], r1 / math.sqrt(float(np.dot(r1, r1))))
 
     @pytest.mark.parametrize("restart, cycles", [(40, 1), (6, 30)])
     def test_matches_dense_solve(self, restart, cycles):
@@ -154,7 +248,7 @@ class TestGmres:
         b = np.arange(1.0, 9.0)
         u = gmres(identity, b, 1e-12, 12, 4)
         np.testing.assert_allclose(u, b, rtol=1e-15)
-        assert len(calls) == 2  # one Arnoldi step and the residual that ends the cycle
+        assert len(calls) == 1  # one Arnoldi step; the cycle stops on its estimate
 
     def test_zero_right_hand_side(self):
         u = gmres(lambda v: 2.0 * v, np.zeros(5), 1e-12, 12, 4)

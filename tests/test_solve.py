@@ -12,7 +12,7 @@ from test_numerics import two_sweep_solve
 from liebau import greens, presets, solve
 from liebau.errors import ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from liebau.funcspec import PeriodicFunction
-from liebau.numerics import resample_spectrum, trig_interpolate
+from liebau.numerics import resample_spectrum, spectral_derivatives, trig_interpolate
 from liebau.problem import GeneralProblem, regularize, shifted_rhs
 from liebau.solve import (
     SolveOptions,
@@ -223,7 +223,7 @@ class TestCoarseToFine:
         gp = regularize(lp)
 
         def no_steps(x, T, a, f_of, fprime_of):
-            d1, d2 = solve.spectral_derivatives(x, T)
+            d1, d2 = spectral_derivatives(x, T)
             return x, 0, float(np.max(np.abs(d2 + a * d1 - f_of(x))))
 
         monkeypatch.setattr(solve, "_polish", no_steps)
@@ -280,13 +280,14 @@ class TestNewtonKrylovPolish:
     def test_final_noise_level_step_is_kept(self, case):
         # the last Newton correction at n = 512 is smaller than the rounding
         # noise of the residual; keeping it makes n = 512 agree with n = 4096
-        # to rounding, where dropping it left 3e-13 and 8e-14
+        # to rounding (4.5e-16 and 6.1e-16), where dropping it left 3e-13 and
+        # 8e-14
         gp = regularize(presets.preset(case).problem)
         sol = solve_periodic(gp, SolveOptions(n=512))
         fine = solve_periodic(gp, SolveOptions(n=4096))
         assert sol.polish_iterations == 2
         rel = float(np.max(np.abs(sol.values - fine.values[::8]))) / fine.max_value
-        assert rel <= 1e-14
+        assert rel <= 1e-15
 
     def test_converged_start_takes_no_noise_step(self, constant_solution):
         # the constant guess already solves the constant-forcing problem: a
@@ -318,6 +319,36 @@ class TestNewtonKrylovPolish:
         sol = solve_periodic(regularize(LiebauProblem(a, 0.01, 1.49, 1.0, e)), SolveOptions(n=n))
         floor = 64.0 * np.finfo(float).eps * (n / sol.T) ** 2 * max(1.0, sol.max_value)
         assert sol.sup_residual <= floor
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    @pytest.mark.parametrize("v0", [4.75, 5.0, 6.0, 7.0])
+    def test_tank_closed_form_to_rounding(self, n, v0):
+        # 1.82e-15 relative at worst (v0 = 6) when the polish residual went
+        # through spectral_derivatives; it has not moved since
+        lp, opts = _tank_opts(v0, n)
+        sol = solve_periodic(regularize(lp), opts)
+        exact = ((v0 - 2.0) + np.cos(sol.nodes)) ** 3
+        assert float(np.max(np.abs(sol.values - exact))) <= 5e-15 * float(np.max(exact))
+
+    @pytest.mark.parametrize("case", ["cosine", "cubic", "trapezoid", "benchmark", "trig_s"])
+    @pytest.mark.parametrize("n", [63, 512, 4096])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_residual_is_the_spectral_derivative_form(self, monkeypatch, case, n, noise):
+        # with a zero GMRES solution the polish keeps no step and returns the
+        # sup norm of its residual at the start
+        gp, opts = _oracle_problem(case)
+        x = solve_periodic(gp, dataclasses.replace(opts, n=n)).values
+        x = x * (1.0 + noise * np.random.default_rng(n).uniform(-1.0, 1.0, n))
+        f_of, fprime_of = solve._sampled(gp, n)[3:]
+        monkeypatch.setattr(solve, "gmres", lambda matvec, b, *rest: np.zeros_like(b))
+        got, steps, res_norm = solve._polish(x, gp.T, gp.a, f_of, fprime_of)
+        assert steps == 0 and got is x
+        d1, d2 = spectral_derivatives(x, gp.T)
+        want = float(np.max(np.abs(d2 + gp.a * d1 - f_of(x))))
+        # the two forms round differently: 1.4 ulp of the largest term at most
+        # over these cases
+        terms = float(np.max(np.abs(d2) + np.abs(gp.a * d1) + np.abs(f_of(x))))
+        assert abs(res_norm - want) <= 4.0 * np.finfo(float).eps * terms
 
     def test_singular_preconditioner_returns_newton_iterate(self):
         # r = s = +-1 (a square wave the nodes never sample on its ramps) makes
