@@ -45,7 +45,7 @@ from .errors import (
     OutOfFloatRange,
 )
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
-from .numerics import is_finite_real, per_element
+from .numerics import is_finite_real, per_element, sorted_unique
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
 from .solve import MAX_GRID
 
@@ -172,25 +172,22 @@ class Certificate:
 # check_general's t and x sample counts
 GENERAL_T_POINTS = 512
 GENERAL_X_POINTS = 512
-
-
-def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` without its first-call import of ``numpy.ma``."""
-    out = np.sort(values)
-    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+# t rows per block of check_general's band minima, so a block's f_m samples
+# stay in cache; a minimum is exact, so any block size gives the same value
+_BAND_BLOCK_ROWS = 64
 
 
 def _t_grid(gp: GeneralProblem, extra: list[PeriodicFunction]) -> np.ndarray:
     pts = list(np.linspace(0.0, gp.T, GENERAL_T_POINTS, endpoint=False))
     for f in [gp.r, gp.s] + extra:
         pts.extend(f.breakpoints())
-    return _sorted_unique(np.asarray(pts, dtype=float))
+    return sorted_unique(np.asarray(pts, dtype=float))
 
 
 def _x_grid(lo: float, hi: float) -> np.ndarray:
     if lo <= 0.0:
         raise BadRadii(f"band floor must be positive, got {lo!r}")
-    return _sorted_unique(np.concatenate([np.geomspace(lo, hi, GENERAL_X_POINTS), [lo, hi]]))
+    return sorted_unique(np.concatenate([np.geomspace(lo, hi, GENERAL_X_POINTS), [lo, hi]]))
 
 
 def check_general(
@@ -213,7 +210,8 @@ def check_general(
     least one of each response pair, each with margin >= eps (a negative eps
     tolerates quadrature noise).  Envelope facts are sampled on a t x x grid
     (GENERAL_T_POINTS uniform t values with the coefficient breakpoints
-    inserted, GENERAL_X_POINTS log-spaced x values with the endpoints);
+    inserted, GENERAL_X_POINTS log-spaced x values with the endpoints),
+    and each minimum is taken over blocks of _BAND_BLOCK_ROWS t rows;
     responses come from ``greens.apply_kernel``, whose circular rule needs
     T-periodic envelopes: LiebauError names a g0 or g1 of another period.
     """
@@ -229,14 +227,17 @@ def check_general(
     g0_t = np.asarray(g0(ts), dtype=float)
     g1_t = np.asarray(g1(ts), dtype=float)
 
-    def band_values(lo, hi):
-        xs = _x_grid(lo, hi)
-        return shifted_rhs(gp, m, ts[:, None], xs[None, :])
+    def band_min(lo, hi, margin):
+        """min over the band [lo, hi] of margin(rows, f_m on those t rows)."""
+        xs = _x_grid(lo, hi)[None, :]
+        blocks = [slice(i, i + _BAND_BLOCK_ROWS) for i in range(0, len(ts), _BAND_BLOCK_ROWS)]
+        mins = [np.min(margin(rows, shifted_rhs(gp, m, ts[rows, None], xs))) for rows in blocks]
+        return float(np.min(mins))
 
-    h1 = _cond("nonneg_on_band", float(np.min(band_values(cm * r1, r2))), 0.0, ">=", eps)
-    h2_min = float(np.min(g1_t[:, None] - band_values(cm * r2, r2)))
+    h1 = _cond("nonneg_on_band", band_min(cm * r1, r2, lambda rows, f: f), 0.0, ">=", eps)
+    h2_min = band_min(cm * r2, r2, lambda rows, f: g1_t[rows, None] - f)
     h2 = _cond("upper_envelope", h2_min, 0.0, ">=", eps, note="min over band of g1(t) - f_m")
-    h5_min = min(float(np.min(band_values(cm * r1, r1) - g0_t[:, None])), float(np.min(g0_t)))
+    h5_min = min(band_min(cm * r1, r1, lambda rows, f: f - g0_t[rows, None]), float(np.min(g0_t)))
     h5 = _cond(
         "lower_envelope", h5_min, 0.0, ">=", eps, note="min of (f_m - g0) and of g0 on the band"
     )

@@ -25,7 +25,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import BadPeriod, LiebauError
-from .numerics import is_finite_real, simpson_segmented, zoom_minima
+from .numerics import is_finite_real, simpson_segmented, sorted_unique, zoom_minima
 
 # Refinement tolerance (in t) for grid-based extrema; surfaced in
 # certificates because condition margins consume these values.
@@ -72,9 +72,18 @@ class TrigPoly:
             _harmonic(k)
 
     def eval(self, t: ArrayLike, period: float) -> ArrayLike:
-        out = self.offset + np.zeros_like(np.asarray(t, dtype=float))
+        # in place, with the operations of offset + sum amp * cos(2 pi k t / T + phase)
+        tt = np.asarray(t, dtype=float)
+        out = np.zeros_like(tt)
+        out += self.offset
+        term = np.empty_like(tt)
         for amp, k, phase in self.terms:
-            out = out + amp * np.cos(2.0 * np.pi * k * np.asarray(t) / period + phase)
+            np.multiply(2.0 * np.pi * k, tt, out=term)
+            term /= period
+            term += phase
+            np.cos(term, out=term)
+            term *= amp
+            out += term
         return out if np.ndim(t) else float(out)
 
     def mean(self, period: float) -> float:
@@ -98,10 +107,13 @@ class PolyOnPeriod:
 
     coeffs: tuple[float, ...]
 
-    def _value_raw(self, t: ArrayLike) -> ArrayLike:
-        out = np.zeros_like(np.asarray(t, dtype=float))
+    def _value_raw(self, t: ArrayLike) -> np.ndarray:
+        # Horner's rule in place: out = out * t + c for each coefficient, highest first
+        tt = np.asarray(t, dtype=float)
+        out = np.zeros_like(tt)
         for c in reversed(self.coeffs):
-            out = out * np.asarray(t) + c
+            out *= tt
+            out += c
         return out
 
     def eval(self, t: ArrayLike, period: float) -> ArrayLike:
@@ -270,11 +282,15 @@ class PeriodicFunction:
         """(min, max, argmin, argmax) over one period.
 
         Exact for constants and piecewise-linear tables (and clips of them);
-        anything else is scanned on a uniform grid and all local winners are
-        refined together by zoom rounds (``numerics.zoom_minima``) until each
-        bracket is at most EXTREMA_REFINE_TOL * max(1, T) wide in t.  A run
-        of adjacent winners with equal values is refined as one bracket.
-        Computed on the first call; later calls return the same tuple.
+        anything else is scanned on a uniform grid (with any breakpoints
+        inserted).  One pass over the scan finds the local minima and maxima,
+        and one ``numerics.zoom_minima`` call refines the minima of f and the
+        maxima, as minima of -f, together until each bracket is at most
+        EXTREMA_REFINE_TOL * max(1, T) wide in t; each sign's brackets stop
+        on their own, so both results equal those of two separate passes bit
+        for bit.  A run of adjacent winners with equal values is refined as
+        one bracket.  Computed on the first call; later calls return the
+        same tuple.
         """
         return self._extrema
 
@@ -295,29 +311,30 @@ class PeriodicFunction:
         grid = np.linspace(0.0, T, _SCAN_POINTS, endpoint=False)
         extra = self.breakpoints()
         if extra:
-            grid = np.unique(np.concatenate([grid, np.asarray(extra, dtype=float)]))
+            grid = sorted_unique(np.concatenate([grid, np.asarray(extra, dtype=float)]))
         vals = np.asarray(self(grid), dtype=float)
+        lows, highs = _local_extrema(vals)
+        # a run of adjacent winners of one kind with equal values (a flat
+        # stretch) is one bracket, from the grid neighbour before its first
+        # winner to the one after its last, wrapped at the ends; the minima's
+        # brackets come first, then the maxima's
+        i = np.concatenate((lows, highs))
+        starts = np.ones(len(i), dtype=bool)
+        starts[1:] = (np.diff(i) != 1) | (vals[i[1:]] != vals[i[:-1]])
+        if len(highs):
+            starts[len(lows)] = True  # the maxima's first run is a bracket of its own
+        first, last = i[starts], i[np.append(starts[1:], True)]
+        n_low = int(np.count_nonzero(starts[: len(lows)]))
+        sign = np.full(len(first), -1.0)
+        sign[:n_low] = 1.0
+        n = len(grid)
+        left = grid[first - 1] - np.where(first == 0, T, 0.0)
+        right = grid[(last + 1) % n] + np.where(last == n - 1, T, 0.0)
         tol = EXTREMA_REFINE_TOL * max(1.0, T)
-
-        def refine(sign: float) -> tuple[float, float]:
-            # a run of adjacent local winners with equal values (a flat stretch)
-            # is one bracket, from the grid neighbour before its first winner to
-            # the one after its last, wrapped at the ends
-            fv = sign * vals
-            i = _local_minima(fv)
-            starts = np.ones(len(i), dtype=bool)
-            starts[1:] = (np.diff(i) != 1) | (fv[i[1:]] != fv[i[:-1]])
-            first, last = i[starts], i[np.append(starts[1:], True)]
-            n = len(grid)
-            left = grid[first - 1] - np.where(first == 0, T, 0.0)
-            right = grid[(last + 1) % n] + np.where(last == n - 1, T, 0.0)
-            t, v = zoom_minima(lambda s: sign * self(s), left, right, grid[first], fv[first], tol)
-            k = int(np.argmin(v))
-            return float(np.mod(t[k], T)), sign * float(v[k])
-
-        argmin, fmin = refine(+1.0)
-        argmax, fmax = refine(-1.0)
-        return fmin, fmax, argmin, argmax
+        t, v = zoom_minima(self, left, right, grid[first], sign * vals[first], tol, sign)
+        kmin = int(np.argmin(v[:n_low]))
+        kmax = n_low + int(np.argmin(v[n_low:]))
+        return float(v[kmin]), -float(v[kmax]), float(np.mod(t[kmin], T)), float(np.mod(t[kmax], T))
 
     def positive_part(self) -> "PeriodicFunction":
         """Pointwise max(f, 0) as a new function.
@@ -366,8 +383,8 @@ def _validate(body: Body, period: float) -> None:
         if vs[0] != vs[-1]:
             raise LiebauError("piecewise-linear endpoint values must match exactly")
     elif isinstance(body, PolyOnPeriod):
-        p0 = body._value_raw(0.0)
-        pT = body._value_raw(period)
+        p0 = float(body._value_raw(0.0))
+        pT = float(body._value_raw(period))
         scale = max(1.0, abs(p0))
         if abs(pT - p0) > 1e-10 * scale:
             raise LiebauError(
@@ -390,9 +407,21 @@ def _clip_piecewise(body: PiecewiseLinear) -> PiecewiseLinear:
     return PiecewiseLinear(tuple(pts))
 
 
-def _local_minima(fv: np.ndarray) -> np.ndarray:
-    """Ascending indices i with fv[i] <= both cyclic neighbours (ties included)."""
-    return np.flatnonzero((fv <= np.roll(fv, 1)) & (fv <= np.roll(fv, -1)))
+def _local_extrema(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending indices i with vals[i] <= both cyclic neighbours (minima) and
+    with vals[i] >= both (maxima), ties included.
+
+    Each value is compared with its cyclic left neighbour once: le[i] says
+    vals[i] <= vals[i - 1], and le[i + 1] (le[n] repeats le[0]) says
+    vals[i] >= vals[i + 1]; likewise ge.
+    """
+    n = len(vals)
+    le, ge = np.empty(n + 1, dtype=bool), np.empty(n + 1, dtype=bool)
+    np.less_equal(vals[1:], vals[:-1], out=le[1:n])
+    np.greater_equal(vals[1:], vals[:-1], out=ge[1:n])
+    le[0] = le[n] = vals[0] <= vals[-1]
+    ge[0] = ge[n] = vals[0] >= vals[-1]
+    return np.flatnonzero(le[:n] & ge[1:]), np.flatnonzero(ge[:n] & le[1:])
 
 
 def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:

@@ -23,7 +23,7 @@ def test_acceptance(check_id, description, fn):
 def test_run_all_loads_neither_numpy_ma_nor_polynomial():
     # ``liebau verify`` starts a fresh process, and loading numpy.ma (through
     # np.unique) or numpy.polynomial (through leggauss) would add to every
-    # start-up; certify._sorted_unique and greens._GAUSS_X/_GAUSS_W avoid them
+    # start-up; numerics.sorted_unique and greens._GAUSS_X/_GAUSS_W avoid them
     code = (
         "import sys\n"
         "from liebau import acceptance\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liebau import certify, greens
+from liebau import certify, greens, presets
 from liebau.certify import (
     check_general,
     check_legacy_criterion,
@@ -26,7 +26,7 @@ from liebau.errors import (
 )
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import dump_json
-from liebau.problem import LiebauProblem, regularize
+from liebau.problem import LiebauProblem, regularize, shifted_rhs
 
 # quadrature tolerance for response margins that are exactly zero analytically
 QUAD_EPS = -1e-9
@@ -200,6 +200,35 @@ class TestGeneralChecker:
         assert lo_min.margin == pytest.approx(r1 * (1 - cert.cone_const), rel=1e-6)
         lo_max = cert.condition("lower_response_max")
         assert abs(lo_max.margin) < 1e-9
+
+    @pytest.mark.parametrize("rows", [certify._BAND_BLOCK_ROWS, 1, 7, 10**6])
+    @pytest.mark.parametrize("name", ["trapezoid", "cosine"])
+    def test_block_minima_equal_full_band_minima(self, name, rows, monkeypatch):
+        # the re-check of liebau verify's search-soundness: a constant g1 = m^2 R2
+        # and g0 = kappa e_+ (trapezoid) or the constant m^2 R1 (cosine)
+        lp = presets.preset(name).problem
+        cert = search_certificate(lp)
+        gp, m, r1, r2 = regularize(lp), cert.m, cert.r1, cert.r2
+        g1 = PeriodicFunction.constant(lp.T, m * m * r2)
+        g0 = (lp.e.positive_part().scale(cert.kappa) if cert.kappa is not None
+              else PeriodicFunction.constant(lp.T, m * m * r1))
+        monkeypatch.setattr(certify, "_BAND_BLOCK_ROWS", rows)
+        general = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
+        cm = general.cone_const
+        ts = certify._t_grid(gp, [g0, g1])
+        g0_t, g1_t = g0(ts), g1(ts)
+
+        def band(lo, hi):
+            return shifted_rhs(gp, m, ts[:, None], certify._x_grid(lo, hi)[None, :])
+
+        full_band = {
+            "nonneg_on_band": float(np.min(band(cm * r1, r2))),
+            "upper_envelope": float(np.min(g1_t[:, None] - band(cm * r2, r2))),
+            "lower_envelope": min(float(np.min(band(cm * r1, r1) - g0_t[:, None])), float(np.min(g0_t))),
+        }
+        assert {k: general.condition(k).lhs.hex() for k in full_band} == {
+            k: v.hex() for k, v in full_band.items()
+        }
 
     def test_soundness_link_from_sign_changing(self, trapezoid_lp):
         # a passing kappa certificate implies the general system with
@@ -835,14 +864,6 @@ class TestSignSearchRanksOnConditions:
 
 
 class TestSortedUnique:
-    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, -3.0, 7.5]), min_size=1))
-    def test_equal_to_np_unique(self, values):
-        arr = np.asarray(values, dtype=float)
-        out = certify._sorted_unique(arr)
-        expected = np.unique(arr)
-        assert out.dtype == expected.dtype
-        assert out.tobytes() == expected.tobytes()
-
     def test_grids_equal_to_np_unique(self, trapezoid_lp):
         gp = regularize(trapezoid_lp)
         extra = [trapezoid_lp.e.positive_part(), PeriodicFunction.constant(1.0, 2.0)]

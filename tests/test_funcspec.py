@@ -1,9 +1,15 @@
 import math
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from liebau import funcspec
+from liebau import funcspec, presets
 from liebau.errors import LiebauError
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import ZOOM_MAX_POINTS, ZOOM_POINTS
@@ -245,7 +251,7 @@ def all_ties() -> PeriodicFunction:
 
 
 def oracle_winners(fv: np.ndarray) -> list[int]:
-    """The scalar scan for local minima that funcspec._local_minima replaced."""
+    """The scalar scan for local minima that the vectorized scan replaced."""
     n = len(fv)
     return [i for i in range(n) if fv[i] <= fv[(i - 1) % n] and fv[i] <= fv[(i + 1) % n]]
 
@@ -277,29 +283,29 @@ class TestVectorisedScans:
     @pytest.mark.parametrize("make", [sum_with_breakpoints, zeros_at_nodes])
     def test_winners_match_scalar_scan_inside_extrema(self, make, monkeypatch):
         seen = []
-        local_minima = funcspec._local_minima
+        local_extrema = funcspec._local_extrema
 
-        def recording(fv):
-            out = local_minima(fv)
-            seen.append((fv.copy(), out))
+        def recording(vals):
+            out = local_extrema(vals)
+            seen.append((vals.copy(), out))
             return out
 
-        monkeypatch.setattr(funcspec, "_local_minima", recording)
+        monkeypatch.setattr(funcspec, "_local_extrema", recording)
         f = make()
         f.extrema()
-        assert len(seen) == 2  # one scan for the minimum, one for the maximum
-        for fv, winners in seen:
-            assert winners.tolist() == oracle_winners(fv)
+        assert len(seen) == 1  # one scan finds the minima and the maxima
+        vals, (lows, highs) = seen[0]
+        assert lows.tolist() == oracle_winners(vals)
+        assert highs.tolist() == oracle_winners(-vals)
         if f.breakpoints():
-            assert len(seen[0][0]) > funcspec._SCAN_POINTS
+            assert len(vals) > funcspec._SCAN_POINTS
 
     def test_winners_match_scalar_scan_when_all_tie(self):
         f = all_ties()
         fv = np.asarray(f(np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)))
-        for sign in (1.0, -1.0):
-            winners = funcspec._local_minima(sign * fv).tolist()
-            assert winners == oracle_winners(sign * fv)
-            assert winners == list(range(funcspec._SCAN_POINTS))
+        for sign, winners in zip((1.0, -1.0), funcspec._local_extrema(fv)):
+            assert winners.tolist() == oracle_winners(sign * fv)
+            assert winners.tolist() == list(range(funcspec._SCAN_POINTS))
 
     @pytest.mark.parametrize("make", [all_ties, sum_with_breakpoints, zeros_at_nodes])
     def test_crossings_bitwise_equal_scalar_scan(self, make):
@@ -326,24 +332,33 @@ def recording_calls(monkeypatch) -> list[int]:
     return sizes
 
 
+def counting_zoom(monkeypatch) -> list[tuple[int, int]]:
+    """(minimum brackets, maximum brackets) of every zoom_minima call from now on."""
+    brackets = []
+    zoom = funcspec.zoom_minima
+
+    def counting(f, left, right, t, v, tol, sign):
+        brackets.append((int(np.sum(sign > 0)), int(np.sum(sign < 0))))
+        return zoom(f, left, right, t, v, tol, sign)
+
+    monkeypatch.setattr(funcspec, "zoom_minima", counting)
+    return brackets
+
+
 class TestExtremaZoom:
-    def test_few_vectorized_calls_per_sign(self, monkeypatch):
-        per_sign = []
+    def test_one_call_per_round_for_both_signs(self, monkeypatch):
+        sizes = []
         zoom = funcspec.zoom_minima
 
         def counting(f, *args):
-            sizes = []
-            per_sign.append(sizes)
             return zoom(lambda s: sizes.append(len(s)) or f(s), *args)
 
         monkeypatch.setattr(funcspec, "zoom_minima", counting)
         PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 3, 0.3)]).extrema()
         # a grid-cell bracket shrinks 64-fold per round from 2/8192 to 1e-12 in 5 rounds;
-        # all 3 minima (maxima) of the harmonic-3 cosine share each round's call
-        assert len(per_sign) == 2
-        for sizes in per_sign:
-            assert 1 <= len(sizes) <= 5
-            assert set(sizes) == {3 * (2 * ZOOM_POINTS + 1)}
+        # the 3 minima and 3 maxima of the harmonic-3 cosine share each round's call
+        assert 1 <= len(sizes) <= 5
+        assert set(sizes) == {6 * (2 * ZOOM_POINTS + 1)}
 
     def test_winner_at_grid_index_zero_zooms_across_the_wrap(self):
         # minimum 1 at t* just below T, so the scan's winner is node 0 and the
@@ -351,7 +366,7 @@ class TestExtremaZoom:
         t_star = 1.0 - 0.3 / funcspec._SCAN_POINTS
         f = PeriodicFunction.trig(1.0, 2.0, [(1.0, 1, math.pi - 2.0 * math.pi * t_star)])
         grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
-        assert 0 in funcspec._local_minima(f(grid)).tolist()
+        assert 0 in funcspec._local_extrema(f(grid))[0].tolist()
         assert float(np.min(f(grid))) > 1.0 + 1e-9
         fmin, _, argmin, _ = f.extrema()
         assert fmin == pytest.approx(1.0, abs=4e-16)
@@ -363,44 +378,245 @@ class TestExtremaZoom:
         [
             # (min, max) and the brackets zoomed per sign
             # zero amplitude: all 8192 nodes tie for both the minimum and the maximum
-            (all_ties(), ((0.0, 0.0), [1, 1])),
+            (all_ties(), ((0.0, 0.0), (1, 1))),
             # cos < 1/2 on two thirds of the period, so about 5461 nodes tie at 0,
             # for the minimum and, flat as they are, for the maximum beside the peak
-            (PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0)]).positive_part(), ((0.0, 0.5), [1, 2])),
+            (PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0)]).positive_part(), ((0.0, 0.5), (1, 2))),
         ],
     )
     def test_plateau_of_tied_winners(self, monkeypatch, f, expected):
         grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
-        assert len(funcspec._local_minima(f(grid))) > 4096
-        brackets = []
-        zoom = funcspec.zoom_minima
-
-        def counting(f, left, *args):
-            brackets.append(len(left))
-            return zoom(f, left, *args)
-
-        monkeypatch.setattr(funcspec, "zoom_minima", counting)
+        assert len(funcspec._local_extrema(f(grid))[0]) > 4096
+        brackets = counting_zoom(monkeypatch)
         sizes = recording_calls(monkeypatch)
         fmin, fmax, _, _ = f.extrema()
         assert (fmin, fmax) == expected[0]
         assert max(sizes) <= ZOOM_MAX_POINTS
         # each flat stretch is one bracket per sign (about 5461 or 8192 before)
-        assert brackets == expected[1]
+        assert brackets == [expected[1]]
 
     def test_equal_values_apart_stay_separate_brackets(self, monkeypatch):
         # the two minima of a harmonic-2 cosine have equal grid values but are
         # not adjacent, so each keeps its own bracket
-        brackets = []
-        zoom = funcspec.zoom_minima
-
-        def counting(f, left, *args):
-            brackets.append(len(left))
-            return zoom(f, left, *args)
-
-        monkeypatch.setattr(funcspec, "zoom_minima", counting)
+        brackets = counting_zoom(monkeypatch)
         fmin, fmax, _, _ = PeriodicFunction.trig(1.0, 2.0, [(1.0, 2, 0.0)]).extrema()
-        assert brackets == [2, 2]
+        assert brackets == [(2, 2)]
         assert (fmin, fmax) == (1.0, 3.0)
+
+
+def two_pass_zoom(f, left, right, t, v, tol):
+    """The earlier ``numerics.zoom_minima``: one sign, its chunks refined one after another."""
+    t, v = np.array(t, dtype=float), np.array(v, dtype=float)
+    steps = np.linspace(0.0, 1.0, 2 * ZOOM_POINTS + 1)
+    chunk = ZOOM_MAX_POINTS // len(steps)
+    for lo in range(0, len(t), chunk):
+        a, b = left[lo : lo + chunk], right[lo : lo + chunk]
+        tc, vc = t[lo : lo + chunk], v[lo : lo + chunk]
+        rows = np.arange(len(a))
+        for _ in range(16):
+            if np.all(b - a <= tol):
+                break
+            pts = a[:, None] + (b - a)[:, None] * steps
+            vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
+            j = np.argmin(vals, axis=1)
+            lowest = vals[rows, j]
+            better = lowest < vc
+            tc[better], vc[better] = pts[rows, j][better], lowest[better]
+            a, b = pts[rows, np.maximum(j - 1, 0)], pts[rows, np.minimum(j + 1, 2 * ZOOM_POINTS)]
+    return t, v
+
+
+def two_pass_extrema(f: PeriodicFunction) -> tuple[float, float, float, float]:
+    """The earlier ``PeriodicFunction._scanned_extrema``: the minimum and the
+    maximum each scanned, grouped into brackets and zoomed in its own pass."""
+    T = f.period
+    grid = np.linspace(0.0, T, funcspec._SCAN_POINTS, endpoint=False)
+    extra = f.breakpoints()
+    if extra:
+        grid = np.unique(np.concatenate([grid, np.asarray(extra, dtype=float)]))
+    vals = np.asarray(f(grid), dtype=float)
+    tol = funcspec.EXTREMA_REFINE_TOL * max(1.0, T)
+
+    def refine(sign):
+        fv = sign * vals
+        i = np.flatnonzero((fv <= np.roll(fv, 1)) & (fv <= np.roll(fv, -1)))
+        starts = np.ones(len(i), dtype=bool)
+        starts[1:] = (np.diff(i) != 1) | (fv[i[1:]] != fv[i[:-1]])
+        first, last = i[starts], i[np.append(starts[1:], True)]
+        n = len(grid)
+        left = grid[first - 1] - np.where(first == 0, T, 0.0)
+        right = grid[(last + 1) % n] + np.where(last == n - 1, T, 0.0)
+        t, v = two_pass_zoom(lambda s: sign * f(s), left, right, grid[first], fv[first], tol)
+        k = int(np.argmin(v))
+        return float(np.mod(t[k], T)), sign * float(v[k])
+
+    argmin, fmin = refine(+1.0)
+    argmax, fmax = refine(-1.0)
+    return fmin, fmax, argmin, argmax
+
+
+def assert_scan_bit_identical(f: PeriodicFunction) -> None:
+    new = PeriodicFunction(f.period, f.body)._scanned_extrema()  # a fresh instance: no kept values
+    assert [x.hex() for x in new] == [x.hex() for x in two_pass_extrema(f)]
+
+
+def trig_then(offset, terms, period, t):
+    """``TrigPoly.eval`` as the earlier out-of-place formula."""
+    out = offset + np.zeros_like(np.asarray(t, dtype=float))
+    for amp, k, phase in terms:
+        out = out + amp * np.cos(2.0 * np.pi * k * np.asarray(t) / period + phase)
+    return out if np.ndim(t) else float(out)
+
+
+def poly_then(coeffs, period, t):
+    """``PolyOnPeriod.eval`` as the earlier out-of-place Horner formula."""
+    tt = np.mod(t, period)
+    out = np.zeros_like(np.asarray(tt, dtype=float))
+    for c in reversed(coeffs):
+        out = out * np.asarray(tt) + c
+    return out if np.ndim(t) else float(out)
+
+
+periods = st.sampled_from([1.0, 2.0 * math.pi, 0.37, 5.0])
+trig_terms = st.lists(
+    st.tuples(st.floats(-2.0, 2.0), st.integers(1, 8), st.floats(0.0, 2.0 * math.pi)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def continuous_cubic(period, c0, c2, c3):
+    # c1 is chosen so that p(T) = p(0): c1 T + c2 T^2 + c3 T^3 = 0
+    return PeriodicFunction.poly(period, [c0, -(c2 * period + c3 * period**2), c2, c3])
+
+
+class TestTwoPassOracle:
+    """One merged pass gives the extrema of the earlier two passes, bit for bit."""
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_preset_forcings(self, name):
+        e = presets.preset(name).problem.e
+        assert_scan_bit_identical(e)
+        assert_scan_bit_identical(e.positive_part())
+
+    def test_benchmark_classes_on_a_grid(self):
+        # the benchmark's cosine (harmonics 1-3) and cubic forcings at offset 1.54215
+        for amp in np.linspace(0.0, 0.0021, 7):
+            for k in (1, 2, 3):
+                assert_scan_bit_identical(PeriodicFunction.trig(1.0, 1.54215, [(float(amp), k, 0.0)]))
+        for s in np.linspace(-0.02, 0.02, 9):
+            s = float(s)
+            assert_scan_bit_identical(PeriodicFunction.poly(1.0, [1.54215, s, -3.0 * s, 2.0 * s]))
+
+    @given(periods, st.floats(-1.0, 1.0), trig_terms)
+    def test_drawn_trig(self, period, offset, terms):
+        assert_scan_bit_identical(PeriodicFunction.trig(period, offset, terms))
+
+    @given(periods, st.floats(-1.0, 1.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    def test_drawn_poly(self, period, c0, c2, c3):
+        assert_scan_bit_identical(continuous_cubic(period, c0, c2, c3))
+
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5),
+        st.floats(-1.0, 1.0),
+        trig_terms,
+    )
+    def test_drawn_sum_with_breakpoints(self, levels, offset, terms):
+        table = [(i / len(levels), v) for i, v in enumerate(levels)] + [(1.0, levels[0])]
+        f = PeriodicFunction.sum_of(
+            [PeriodicFunction.piecewise_linear(table), PeriodicFunction.trig(1.0, offset, terms)]
+        )
+        assert f.breakpoints()
+        assert_scan_bit_identical(f)
+
+    @given(
+        st.floats(-1.5, 0.5),
+        st.tuples(st.floats(0.1, 1.0), st.integers(1, 4), st.floats(0.0, 2.0 * math.pi)),
+        st.tuples(st.floats(-1.0, 1.0), st.integers(1, 6), st.floats(0.0, 2.0 * math.pi)),
+    )
+    def test_drawn_two_term_positive_parts(self, offset, first, second):
+        assert_scan_bit_identical(PeriodicFunction.trig(1.0, offset, [first, second]).positive_part())
+
+    @pytest.mark.parametrize(
+        "offset, terms",
+        [
+            (
+                -0.5154017342165804,
+                [(0.6829014176579647, 4, 2.401381883923562), (0.11377713089996044, 3, 3.9911469718550974)],
+            ),
+            (
+                -0.849526905302308,
+                [(0.9194553331567862, 3, 3.258600710290592), (0.6407992674416769, 2, 3.196755742717324)],
+            ),
+            (-0.5, [(1.0, 1, 0.0)]),
+        ],
+    )
+    def test_plateau_plus_peak(self, offset, terms):
+        # zero plateaus and peaks: the minima's wide plateau brackets need more
+        # rounds than the maxima's grid cells, and the first two forcings' fmax
+        # moves by an ulp if the maxima keep zooming until the minima are done
+        assert_scan_bit_identical(PeriodicFunction.trig(1.0, offset, terms).positive_part())
+
+    @pytest.mark.parametrize("level", [0.0, -0.0, 1.54215, -3.0])
+    def test_all_ties(self, level):
+        assert_scan_bit_identical(PeriodicFunction.trig(1.0, level, [(0.0, 3, 0.0)]))
+        assert_scan_bit_identical(PeriodicFunction.poly(2.0, [level]))
+
+    def test_more_brackets_than_one_chunk(self):
+        # 3000 minima and 3000 maxima: each sign spans 6 groups of 508 brackets
+        f = PeriodicFunction.trig(1.0, 1.0, [(0.3, 3000, 0.1)])
+        grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
+        assert len(funcspec._local_extrema(f(grid))[0]) > ZOOM_MAX_POINTS // (2 * ZOOM_POINTS + 1)
+        assert_scan_bit_identical(f)
+
+
+class TestInPlaceEval:
+    @given(
+        periods,
+        st.floats(-2.0, 2.0),
+        trig_terms,
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+    )
+    def test_trig_bitwise_equal_to_the_earlier_formula(self, period, offset, terms, ts):
+        body = PeriodicFunction.trig(period, offset, terms).body
+        for t in (np.asarray(ts), np.linspace(0.0, period, 8192, endpoint=False), ts[0]):
+            new, old = body.eval(t, period), trig_then(body.offset, body.terms, period, t)
+            assert type(new) is type(old)
+            assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+    @given(
+        periods,
+        st.floats(-1.0, 1.0),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=40),
+    )
+    def test_poly_bitwise_equal_to_the_earlier_formula(self, period, c0, c2, c3, ts):
+        body = continuous_cubic(period, c0, c2, c3).body
+        for t in (np.asarray(ts), np.linspace(0.0, period, 8192, endpoint=False), ts[0]):
+            new, old = body.eval(t, period), poly_then(body.coeffs, period, t)
+            assert type(new) is type(old)
+            assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
+
+
+def test_extrema_with_breakpoints_load_no_numpy_ma():
+    # the breakpoint merge goes through numerics.sorted_unique; np.unique
+    # would import numpy.ma on its first call
+    code = (
+        "import sys\n"
+        "from liebau import PeriodicFunction\n"
+        "pw = PeriodicFunction.piecewise_linear([(0.0, -0.5), (0.3, 0.7), (0.6, -0.2), (1.0, -0.5)])\n"
+        "cos = PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0)])\n"
+        "for f in (PeriodicFunction.sum_of([pw, cos]), cos.positive_part()):\n"
+        "    assert f.breakpoints()\n"
+        "    f.extrema()\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestComputedOnce:

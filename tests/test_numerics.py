@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liebau.numerics import (
+    ZOOM_MAX_POINTS,
     ZOOM_POINTS,
     cyclic_differences,
     cyclic_fd_operator,
     gmres,
     solve_cyclic_tridiagonal,
+    sorted_unique,
     trig_interpolate,
     zoom_minima,
 )
@@ -380,7 +382,7 @@ def zoom_one(f, left, mid, right, tol=1e-12):
         sizes.append(len(ts))
         return np.array([f(float(x)) for x in ts])
 
-    t, v = zoom_minima(vectorized, np.array([left]), np.array([right]), [mid], [f(mid)], tol)
+    t, v = zoom_minima(vectorized, np.array([left]), np.array([right]), [mid], [f(mid)], tol, [1.0])
     return float(t[0]), float(v[0]), sizes
 
 
@@ -428,12 +430,55 @@ class TestZoomMinima:
             return np.cos(2.0 * np.pi * ts + 0.3)
 
         centres = np.arange(300) * 27 * H_SCAN
-        t, v = zoom_minima(f, centres - H_SCAN, centres + H_SCAN, centres, f(centres), 1e-12)
+        t, v = zoom_minima(f, centres - H_SCAN, centres + H_SCAN, centres, f(centres), 1e-12, np.ones(300))
         sizes = sizes[1:]  # the first call above gave the starting values
         assert len(sizes) <= rounds_bound(2.0 * H_SCAN, 1e-12) == 5
         assert set(sizes) == {300 * (2 * ZOOM_POINTS + 1)}
         assert np.all(v <= np.cos(2.0 * np.pi * centres + 0.3))
         assert np.array_equal(v, np.cos(2.0 * np.pi * t + 0.3))
+
+    @pytest.mark.parametrize(
+        "n_low, n_high, low_width, high_width",
+        [
+            (3, 3, 2e-9, 2.0 * H_SCAN),  # minima done after 2 rounds, maxima after 5
+            (3, 3, 2.0 * H_SCAN, 2e-9),
+            (600, 40, 2.0 * H_SCAN, 2e-9),  # two groups of minima, then one of maxima
+            (1, 1100, 2.0 * H_SCAN, 2.0 * H_SCAN),
+        ],
+    )
+    def test_signs_refine_as_their_own_calls(self, n_low, n_high, low_width, high_width):
+        # minima of f and of -f in one call: each sign's brackets get the
+        # rounds that a call with that sign alone gives them, bit for bit
+        def f(ts):
+            return np.cos(2.0 * np.pi * 3.0 * ts + 0.3)
+
+        rng = np.random.default_rng(n_low + n_high)
+        centres = rng.uniform(0.0, 1.0, n_low + n_high)
+        width = np.repeat([low_width, high_width], [n_low, n_high])
+        sign = np.repeat([1.0, -1.0], [n_low, n_high])
+        left, right = centres - width / 2.0, centres + width / 2.0
+        sizes, low_sizes, high_sizes = [], [], []
+        t, v = zoom_minima(
+            lambda ts: sizes.append(len(ts)) or f(ts), left, right, centres, sign * f(centres), 1e-12, sign
+        )
+        lo = slice(0, n_low)
+        hi = slice(n_low, None)
+        lows = zoom_minima(
+            lambda ts: low_sizes.append(len(ts)) or f(ts),
+            left[lo], right[lo], centres[lo], f(centres[lo]), 1e-12, np.ones(n_low),
+        )
+        highs = zoom_minima(
+            lambda ts: high_sizes.append(len(ts)) or -f(ts),
+            left[hi], right[hi], centres[hi], -f(centres[hi]), 1e-12, np.ones(n_high),
+        )
+        assert t.tobytes() == np.concatenate([lows[0], highs[0]]).tobytes()
+        assert v.tobytes() == np.concatenate([lows[1], highs[1]]).tobytes()
+        assert max(sizes) <= ZOOM_MAX_POINTS
+        if n_low + n_high <= ZOOM_MAX_POINTS // (2 * ZOOM_POINTS + 1):
+            # one call of f per round while both signs need rounds, then the slower sign's alone
+            fast, slow = sorted([low_sizes, high_sizes], key=len)
+            assert len(fast) < len(slow)
+            assert sizes == [x + y for x, y in zip(slow, fast)] + slow[len(fast) :]
 
     @given(
         st.lists(
@@ -456,3 +501,13 @@ class TestZoomMinima:
         scale = max(abs(ref), sum(abs(a) for a, _, _ in terms))
         assert v == f(t)
         assert v <= ref + 2.0 * math.ulp(scale)
+
+
+class TestSortedUnique:
+    @given(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1e-300, -3.0, 7.5]), min_size=1))
+    def test_equal_to_np_unique(self, values):
+        arr = np.asarray(values, dtype=float)
+        out = sorted_unique(arr)
+        expected = np.unique(arr)
+        assert out.dtype == expected.dtype
+        assert out.tobytes() == expected.tobytes()
