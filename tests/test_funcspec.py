@@ -460,7 +460,7 @@ def assert_scan_bit_identical(f: PeriodicFunction) -> None:
     assert [x.hex() for x in new] == [x.hex() for x in two_pass_extrema(f)]
 
 
-def trig_then(offset, terms, period, t):
+def earlier_trig_eval(offset, terms, period, t):
     """``TrigPoly.eval`` as the earlier out-of-place formula."""
     out = offset + np.zeros_like(np.asarray(t, dtype=float))
     for amp, k, phase in terms:
@@ -468,7 +468,7 @@ def trig_then(offset, terms, period, t):
     return out if np.ndim(t) else float(out)
 
 
-def poly_then(coeffs, period, t):
+def earlier_poly_eval(coeffs, period, t):
     """``PolyOnPeriod.eval`` as the earlier out-of-place Horner formula."""
     tt = np.mod(t, period)
     out = np.zeros_like(np.asarray(tt, dtype=float))
@@ -580,7 +580,7 @@ class TestInPlaceEval:
     def test_trig_bitwise_equal_to_the_earlier_formula(self, period, offset, terms, ts):
         body = PeriodicFunction.trig(period, offset, terms).body
         for t in (np.asarray(ts), np.linspace(0.0, period, 8192, endpoint=False), ts[0]):
-            new, old = body.eval(t, period), trig_then(body.offset, body.terms, period, t)
+            new, old = body.eval(t, period), earlier_trig_eval(body.offset, body.terms, period, t)
             assert type(new) is type(old)
             assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
 
@@ -594,7 +594,7 @@ class TestInPlaceEval:
     def test_poly_bitwise_equal_to_the_earlier_formula(self, period, c0, c2, c3, ts):
         body = continuous_cubic(period, c0, c2, c3).body
         for t in (np.asarray(ts), np.linspace(0.0, period, 8192, endpoint=False), ts[0]):
-            new, old = body.eval(t, period), poly_then(body.coeffs, period, t)
+            new, old = body.eval(t, period), earlier_poly_eval(body.coeffs, period, t)
             assert type(new) is type(old)
             assert np.asarray(new).tobytes() == np.asarray(old).tobytes()
 
