@@ -47,7 +47,6 @@ from .problem import (
 from .certify import (
     Certificate,
     Condition,
-    SearchOptions,
     check_general,
     check_legacy_criterion,
     check_necessary,
@@ -91,7 +90,6 @@ __all__ = [
     "PhysicalConfig",
     "PropertyViolation",
     "PumpReport",
-    "SearchOptions",
     "SolveOptions",
     "apply_kernel",
     "build_kernel",

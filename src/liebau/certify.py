@@ -47,7 +47,6 @@ from .errors import (
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
 from .numerics import is_finite_real, per_element, sorted_unique
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
-from .solve import MAX_GRID
 
 THEOREM_GENERAL = "general"
 THEOREM_SIGN_CHANGING = "sign_changing"
@@ -115,6 +114,17 @@ def _inapplicable(name, relation, note) -> Condition:
 def _min_relative_margin(conditions) -> float:
     vals = [c.relative_margin for c in conditions if c.applicable]
     return min(vals) if vals else math.inf
+
+
+def _check_eps(eps) -> None:
+    """The boundary check of every checker's and the search's eps: a finite number."""
+    if not is_finite_real(eps):
+        raise ConfigError(f"must be a finite number, got {eps!r}", "eps")
+
+
+def _check_radii(r1, r2) -> None:
+    if not (0.0 < r1 < r2 < math.inf):
+        raise BadRadii(f"need 0 < R1 < R2 < inf, got {r1!r}, {r2!r}")
 
 
 @dataclass(frozen=True)
@@ -214,9 +224,11 @@ def check_general(
     and each minimum is taken over blocks of _BAND_BLOCK_ROWS t rows;
     responses come from ``greens.apply_kernel``, whose circular rule needs
     T-periodic envelopes: LiebauError names a g0 or g1 of another period.
+    BadRadii refuses radii outside 0 < R1 < R2 < inf, and ConfigError names
+    an eps that is not a finite number.
     """
-    if not (0.0 < r1 < r2):
-        raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
+    _check_eps(eps)
+    _check_radii(r1, r2)
     for name, g in (("g0", g0), ("g1", g1)):
         if g.period != gp.T:
             raise LiebauError(f"{name} period {g.period!r} does not match problem period {gp.T!r}")
@@ -339,12 +351,14 @@ def check_sign_changing(
     R1 window this m admits, [rho^(1/mu), (K(0) integral e_+ / mu)^(1/(2 mu))]
     / c_m with rho the right side of ``root_clearance`` (its floor is 0 when
     e_min > 0), and the R2 floor (e_max/c)^(1/mu); a bound beyond float range
-    reads inf.
+    reads inf.  KappaNonpositive refuses a kappa outside (0, inf), BadRadii
+    radii outside 0 < R1 < R2 < inf, and ConfigError names an eps that is
+    not a finite number.
     """
-    if kappa <= 0.0:
-        raise KappaNonpositive(f"kappa must be positive, got {kappa!r}")
-    if not (0.0 < r1 < r2):
-        raise BadRadii(f"need 0 < R1 < R2, got {r1!r}, {r2!r}")
+    _check_eps(eps)
+    if not 0.0 < kappa < math.inf:
+        raise KappaNonpositive(f"kappa must be positive and finite, got {kappa!r}")
+    _check_radii(r1, r2)
     kernel = greens.build(lp.a, m, lp.T)
     return _sign_changing(lp, m, kappa, r1, r2, eps, kernel.cone_constant, kernel.k0, kernel.m_max)
 
@@ -454,8 +468,9 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
     ceiling at the threshold overflows or underflows to 0 (it happens at
     small mu, where the exponent 1/mu is large), and when the inner radius
     R1 underflows to 0 (a tiny c_m, as at large a, puts its root below the
-    smallest float).
+    smallest float).  ConfigError names an eps that is not a finite number.
     """
+    _check_eps(eps)
     kernel = greens.build(lp.a, m, lp.T)
     return _positive_forcing(lp, m, eps, kernel.cone_constant, kernel.k0, kernel.m_max)
 
@@ -511,24 +526,10 @@ def check_necessary(lp: LiebauProblem) -> tuple[float, bool]:
     return ebar, ebar > 0.0
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    """The m grid and required margin of the search; a bad field raises ConfigError naming it."""
+# points of the search's uniform m grid on (0, m_max); 4096 points raise the
+# winner's minimum relative margin by at most 0.5%, at 30 to 50 times the cost
+SEARCH_M_POINTS = 64
 
-    m_points: int = 64
-    eps: float = 0.0
-
-    def __post_init__(self):
-        k = self.m_points
-        if not (isinstance(k, (int, np.integer)) and not isinstance(k, bool) and 1 <= k <= MAX_GRID):
-            raise ConfigError(f"must be an integer in [1, {MAX_GRID}], got {k!r}", "m_points")
-        if not is_finite_real(self.eps):
-            raise ConfigError(f"must be a finite number, got {self.eps!r}", "eps")
-
-
-# most m values per kernel_constants pass of the search, so a fine m grid
-# (up to MAX_GRID points) holds a few chunk-sized arrays, not grid-sized ones
-SEARCH_CHUNK = 65536
 
 _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)  # normal floats
 
@@ -621,64 +622,49 @@ def _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass, eps):
     return score, (kappa, r1, r2)
 
 
-def search_certificate(lp: LiebauProblem, opts: SearchOptions = SearchOptions()):
+def search_certificate(lp: LiebauProblem, eps: float = 0.0):
     """Scan the m grid for a passing certificate.
 
     Returns the passing certificate with the largest minimum relative margin,
-    or None.  The m grid covers (0, m_max) uniformly; every other parameter
-    comes in closed form, so no grid bounds the radii.  Strictly positive
-    forcing uses the two-inequality criterion, sign-changing forcing the
-    kappa system (whose root clearance bound is only meaningful there) at
-    the max-margin (kappa, R1, R2) of ``_sign_tuple``, skipping an m whose R1
-    or R2 would leave float range.  Both routes rank the grid on their
-    checker's own conditions, all required to hold at ``opts.eps``, and make
-    the certificate once, at the winner (so the positive route computes R1
-    and R2 for it only), from the constants of the ``greens.kernel_constants``
-    passes (SEARCH_CHUNK values of m each): no kernel is built, and the
-    certificate equals the public checker's bit for bit.  An m outside the
-    mask ``ok`` (one ``greens.build`` would refuse) takes no part.  Ties keep
-    the earliest m, so the result is a pure function of the problem and the
-    options.
+    or None.  The m grid has SEARCH_M_POINTS points spread uniformly over
+    (0, m_max); every other parameter comes in closed form, so no grid bounds
+    the radii.  Strictly positive forcing uses the two-inequality criterion,
+    sign-changing forcing the kappa system (whose root clearance bound is
+    only meaningful there) at the max-margin (kappa, R1, R2) of
+    ``_sign_tuple``, skipping an m whose R1 or R2 would leave float range.
+    Both routes rank the grid on their checker's own conditions, all
+    required to hold at ``eps``, and make the certificate once, at the
+    winner (so the positive route computes R1 and R2 for it only), from the
+    constants of one ``greens.kernel_constants`` pass: no kernel is built,
+    and the certificate equals the public checker's bit for bit.  An m
+    outside the mask ``ok`` (one ``greens.build`` would refuse) takes no
+    part.  Ties keep the earliest m, so the result is a pure function of the
+    problem and eps.  A non-finite eps raises ConfigError naming it.
     """
+    _check_eps(eps)
     ebar, ok = check_necessary(lp)
     if not ok:
         return None
     e_min, e_max, _, _ = lp.e.extrema()
-    m_max = greens.m_window(lp.a, lp.T)
-    k = opts.m_points
-    ms = m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
-    eps = opts.eps
+    k = SEARCH_M_POINTS
+    ms = greens.m_window(lp.a, lp.T) * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
+    kc = greens.kernel_constants(lp.a, ms, lp.T)
 
     if e_min > 0.0:
-        core = _positive_forcing
-
-        def best_in(chunk, kc):
-            score = _positive_scores(lp, kc, chunk, e_min, e_max, eps)
-            i = int(np.argmax(score))  # the first of equal scores
-            if score[i] == -math.inf:
-                return None
-            constants = (float(kc.cone_constant[i]), float(kc.k0[i]), kc.m_max)
-            return float(score[i]), (float(chunk[i]), eps, *constants)
-
-    else:
-        # sign-changing route: the positive part of the forcing must carry mass
-        epos_mass = _positive_forcing_mass(lp)
-        if epos_mass <= 0.0:
+        score = _positive_scores(lp, kc, ms, e_min, e_max, eps)
+        i = int(np.argmax(score))  # the first of equal scores
+        if score[i] == -math.inf:
             return None
-        core = _sign_changing
+        constants = float(kc.cone_constant[i]), float(kc.k0[i]), kc.m_max
+        return _positive_forcing(lp, float(ms[i]), eps, *constants)
 
-        def best_in(chunk, kc):
-            best = None  # (score, (m, kappa, r1, r2, eps, c_m, K(0), m_max))
-            for m, cm, k0 in zip(*(x[kc.ok].tolist() for x in (chunk, kc.cone_constant, kc.k0))):
-                found = _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass, eps)
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], (m, *found[1], eps, cm, k0, kc.m_max))
-            return best
-
-    winner = None  # (score, the core's parameters after lp)
-    for lo in range(0, k, SEARCH_CHUNK):
-        chunk = ms[lo : lo + SEARCH_CHUNK]
-        best = best_in(chunk, greens.kernel_constants(lp.a, chunk, lp.T))
-        if best is not None and (winner is None or best[0] > winner[0]):
-            winner = best
-    return None if winner is None else core(lp, *winner[1])
+    # sign-changing route: the positive part of the forcing must carry mass
+    epos_mass = _positive_forcing_mass(lp)
+    if epos_mass <= 0.0:
+        return None
+    best = None  # (score, the parameters of _sign_changing after lp)
+    for m, cm, k0 in zip(*(x[kc.ok].tolist() for x in (ms, kc.cone_constant, kc.k0))):
+        found = _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass, eps)
+        if found is not None and (best is None or found[0] > best[0]):
+            best = (found[0], (m, *found[1], eps, cm, k0, kc.m_max))
+    return None if best is None else _sign_changing(lp, *best[1])

@@ -154,15 +154,14 @@ def parse_problem(obj, where: str):
 
 # Per command: option key -> kind.  float takes any finite JSON number, an
 # integer k takes a list of k numbers, "function" takes a function record.
-# The search and solve keys are exactly the fields of SearchOptions and
-# SolveOptions, which check their own ranges.
+# The solve keys are exactly the fields of SolveOptions, which checks its
+# own ranges.
 OPTION_SCHEMA = {
     "certify": {"theorem": str, "m": float, "kappa": float, "r1": float, "r2": float,
                 "eps": float, "g0": "function", "g1": "function"},
-    "search": {"m_points": int, "eps": float},
+    "search": {"eps": float},
     "solve": {"n": int, "initial": float, "bracket": 2, "polish": bool},
 }
-_OPTION_CLASSES = {"search": certify.SearchOptions, "solve": SolveOptions}
 
 
 def _convert(value, kind, where: str):
@@ -188,9 +187,9 @@ def command_options(cfg: RunConfig, section: str, args=None):
 
     Every value is converted to its OPTION_SCHEMA kind; an unknown key or a
     value of the wrong type raises ConfigError naming ``section.key``.  For
-    ``search`` and ``solve`` the result is the built SearchOptions or
-    SolveOptions, whose range errors are re-raised under ``section.key`` too;
-    for ``certify`` it is a dict.
+    ``solve`` the result is the built SolveOptions, whose range errors are
+    re-raised under ``solve.key`` too; for ``certify`` and ``search`` it is
+    a dict.
     """
     schema = OPTION_SCHEMA[section]
     raw = dict(cfg.options.get(section, {}))
@@ -202,9 +201,9 @@ def command_options(cfg: RunConfig, section: str, args=None):
         if key not in schema:
             raise ConfigError(f"unknown {section} option {key!r}", f"{section}.{key}")
         opts[key] = _convert(value, schema[key], f"{section}.{key}")
-    if section in _OPTION_CLASSES:
+    if section == "solve":
         try:
-            return _OPTION_CLASSES[section](**opts)
+            return SolveOptions(**opts)
         except ConfigError as exc:
             raise ConfigError(exc.message, f"{section}.{exc.location}") from exc
     if "r1" in opts and "r2" in opts and not (0 < opts["r1"] < opts["r2"]):
@@ -382,7 +381,7 @@ def _cmd_certify(args) -> int:
 def _cmd_search(args) -> int:
     cfg = _resolve(args)
     opts = command_options(cfg, "search", args)
-    cert = certify.search_certificate(_liebau_problem(cfg), opts)
+    cert = certify.search_certificate(_liebau_problem(cfg), eps=opts.get("eps", 0.0))
     if cert is None:
         _emit({"result": "none"}, args.out)
         return EXIT_SEARCH_EMPTY
@@ -534,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="scan parameters for a passing certificate")
     add_problem_source(p)
-    p.add_argument("--m-points", type=int, dest="m_points")
     p.add_argument("--eps", type=float)
     p.set_defaults(handler=_cmd_search)
 

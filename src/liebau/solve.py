@@ -261,12 +261,17 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is caught as a non-finite value
 def _fd_newton(x, h, a, f_of, fprime_of):
     """Damped Newton on the cyclic central-difference system, from x.
 
     Returns the solution and the number of Newton steps.  Each step solves
     the cyclic tridiagonal Jacobian system and halves the step until the
-    iterate stays positive and the sup-norm residual does not grow.
+    iterate stays positive and the sup-norm residual does not grow.  A
+    residual or f'(x) that is not finite ends the stage with NoConvergence
+    (the solution lies beyond float range; an overflowed f'(x) would give a
+    zero step that reads as convergence), and a trial step whose residual
+    is not finite counts as one that does not lower it.
     """
     if np.any(x <= 0.0):
         raise LeftPositiveCone("initial guess must be strictly positive")
@@ -277,9 +282,13 @@ def _fd_newton(x, h, a, f_of, fprime_of):
     res = cyclic_fd_operator(x, h, a) - f_of(x)
     for _ in range(NEWTON_MAX_STEPS):
         res_norm = float(np.max(np.abs(res)))
+        if not res_norm < math.inf:
+            raise NoConvergence("the FD residual is beyond float range")
         if res_norm <= _rounding_floor(x, h, a):
             return x, iterations
         diag = -2.0 / h**2 - fprime_of(x)
+        if not np.all(np.isfinite(diag)):
+            raise NoConvergence("f'(x) of the Newton iterate is beyond float range")
         step = solve_cyclic_tridiagonal(sub, diag, sup, sub[0], sup[-1], -res)
         lam = 1.0
         accepted = False
@@ -288,7 +297,8 @@ def _fd_newton(x, h, a, f_of, fprime_of):
             candidate = x + lam * step
             if np.all(candidate > 0.0):
                 cand_res = cyclic_fd_operator(candidate, h, a) - f_of(candidate)
-                if float(np.max(np.abs(cand_res))) <= res_norm * (1.0 + 1e-10) or lam < 1e-4:
+                cand_norm = float(np.max(np.abs(cand_res)))
+                if cand_norm <= res_norm * (1.0 + 1e-10) or (lam < 1e-4 and cand_norm < math.inf):
                     accepted = True
                     break
             else:

@@ -51,3 +51,24 @@ def test_solve_as_the_benchmark_calls_it():
 @pytest.mark.parametrize("name", ["trig", "poly", "piecewise_linear"])
 def test_benchmark_forcing_constructor(name):
     assert callable(getattr(PeriodicFunction, name, None))
+
+
+def _same(a, b) -> bool:
+    return a.to_dict() == b.to_dict()
+
+
+@pytest.mark.parametrize("name", ["cosine", "cubic"])
+def test_positive_search_as_the_benchmark_calls_it(name):
+    lp = presets.preset(name).problem
+    cert = liebau.search_certificate(lp)
+    assert cert is not None and cert.passed
+    again = liebau.check_positive_forcing(lp, cert.m)
+    assert again.passed and _same(cert, again)
+
+
+def test_sign_search_as_the_benchmark_calls_it():
+    lp = presets.preset("trapezoid").problem
+    cert = liebau.search_certificate(lp)
+    assert cert is not None and cert.passed
+    again = liebau.check_sign_changing(lp, cert.m, cert.kappa, cert.r1, cert.r2)
+    assert again.passed and _same(cert, again)

@@ -287,32 +287,57 @@ class TestMonotonicity:
         )
 
 
-class TestSearchOptionsCheckThemselves:
+BAD_EPS = [math.inf, math.nan, -math.inf, "x", None, 10**400]
+
+
+class TestBoundaryChecks:
+    # every entry point refuses a non-finite eps with the same ConfigError
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_search_refuses_eps(self, eps, cosine_lp):
+        with pytest.raises(ConfigError) as exc:
+            search_certificate(cosine_lp, eps=eps)
+        assert exc.value.location == "eps"
+
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_positive_forcing_refuses_eps(self, eps, cosine_lp):
+        with pytest.raises(ConfigError) as exc:
+            check_positive_forcing(cosine_lp, 0.7, eps=eps)
+        assert exc.value.location == "eps"
+
     @pytest.mark.parametrize(
-        "kwargs, field",
+        "kwargs, error",
         [
-            ({"m_points": 0}, "m_points"),
-            ({"m_points": 2.0}, "m_points"),
-            ({"m_points": 2**23}, "m_points"),
-            ({"m_points": 2**22 + 1}, "m_points"),
-            ({"m_points": -1}, "m_points"),
-            ({"m_points": np.int64(0)}, "m_points"),
-            ({"m_points": 64.5}, "m_points"),
-            ({"m_points": "64"}, "m_points"),
-            ({"m_points": None}, "m_points"),
-            ({"eps": math.inf}, "eps"),
-            ({"eps": math.nan}, "eps"),
-            ({"eps": -math.inf}, "eps"),
-            ({"eps": "x"}, "eps"),
-            ({"eps": None}, "eps"),
-            ({"eps": 10**400}, "eps"),
-            ({"m_points": True}, "m_points"),
+            *(({"eps": eps}, ConfigError) for eps in BAD_EPS),
+            ({"kappa": math.inf}, KappaNonpositive),
+            ({"kappa": math.nan}, KappaNonpositive),
+            ({"kappa": -math.inf}, KappaNonpositive),
+            ({"r2": math.inf}, BadRadii),
+            ({"r2": math.nan}, BadRadii),
+            ({"r1": math.nan}, BadRadii),
+            ({"r1": math.inf, "r2": math.inf}, BadRadii),
+            ({"r1": -math.inf}, BadRadii),
         ],
     )
-    def test_bad_field_raises_config_error(self, kwargs, field):
-        with pytest.raises(ConfigError) as exc:
-            certify.SearchOptions(**kwargs)
-        assert exc.value.location == field
+    def test_sign_changing_refuses(self, kwargs, error, trapezoid_lp):
+        args = {"m": 0.7, "kappa": 2200.0, "r1": 25.0, "r2": 1e4, **kwargs}
+        with pytest.raises(error):
+            check_sign_changing(trapezoid_lp, **args)
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            *(({"eps": eps}, ConfigError) for eps in BAD_EPS),
+            ({"r2": math.inf}, BadRadii),
+            ({"r2": math.nan}, BadRadii),
+            ({"r1": math.nan}, BadRadii),
+            ({"r1": math.inf, "r2": math.inf}, BadRadii),
+        ],
+    )
+    def test_general_refuses(self, kwargs, error, trapezoid_lp):
+        g = PeriodicFunction.constant(1.0, 1.0)
+        args = {"m": 0.7, "r1": 25.0, "r2": 1e4, "g0": g, "g1": g, **kwargs}
+        with pytest.raises(error):
+            check_general(regularize(trapezoid_lp), **args)
 
 
 class TestSearch:
@@ -354,19 +379,26 @@ class TestSearch:
 
     @pytest.mark.parametrize("name", ["cosine_lp", "trapezoid_lp"])
     def test_search_builds_no_kernel(self, name, request, monkeypatch):
-        # the winner's certificate reuses the constants of the kernel_constants pass
+        # one kernel_constants pass over the whole grid, whose constants the
+        # winner's certificate reuses
         lp = request.getfixturevalue(name)
-        builds = []
-        build = greens.build
+        builds, passes = [], []
+        build, kernel_constants = greens.build, greens.kernel_constants
 
         def counted(*args):
             builds.append(args)
             return build(*args)
 
+        def counted_pass(a, ms, T):
+            passes.append(len(ms))
+            return kernel_constants(a, ms, T)
+
         monkeypatch.setattr(greens, "build", counted)
+        monkeypatch.setattr(greens, "kernel_constants", counted_pass)
         cert = search_certificate(lp)
         assert cert is not None and cert.passed
         assert builds == []
+        assert passes == [certify.SEARCH_M_POINTS] == [64]
 
     def test_deterministic_across_reruns(self, cosine_lp, trapezoid_lp):
         for lp in (cosine_lp, trapezoid_lp):
@@ -395,7 +427,7 @@ def two_hundred_step_inner_radius(cm, m, mu, c, e_min, r2):
     return math.exp(lo)
 
 
-def search_every_m(lp, opts=certify.SearchOptions()):
+def search_every_m(lp, eps=0.0):
     """The earlier positive route: a full check_positive_forcing at every m of the grid.
 
     An m whose kernel cannot be built is skipped, as the search does, and so
@@ -403,7 +435,7 @@ def search_every_m(lp, opts=certify.SearchOptions()):
     raises too if such an m wins).
     """
     m_max = greens.m_window(lp.a, lp.T)
-    k = opts.m_points
+    k = certify.SEARCH_M_POINTS
     best = None
     for m in m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k):
         try:
@@ -411,7 +443,7 @@ def search_every_m(lp, opts=certify.SearchOptions()):
         except LiebauError:
             continue
         try:
-            cert = check_positive_forcing(lp, float(m), eps=opts.eps)
+            cert = check_positive_forcing(lp, float(m), eps=eps)
         except OutOfFloatRange:
             continue
         if cert.passed and (best is None or cert.min_relative_margin() > best.min_relative_margin()):
@@ -509,10 +541,9 @@ class TestSearchRanksOnConditions:
     @pytest.mark.parametrize("eps", [0.0, 0.05])
     def test_equal_to_full_check_at_every_m(self, name, eps, request):
         lp = request.getfixturevalue(name)
-        opts = certify.SearchOptions(eps=eps)
-        cert = search_certificate(lp, opts)
+        cert = search_certificate(lp, eps=eps)
         assert cert is not None and cert.passed
-        assert same_certificate(cert, search_every_m(lp, opts))
+        assert same_certificate(cert, search_every_m(lp, eps))
 
     @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp"])
     @pytest.mark.parametrize("eps", [0.0, 0.05])
@@ -609,39 +640,6 @@ class TestSearchRanksOnConditions:
         assert counts == {"inner_radius": 2, "core": 2}
 
 
-class TestSearchChunks:
-    @pytest.mark.parametrize("name", ["cosine_lp", "cubic_lp", "narrowband_lp", "trapezoid_lp"])
-    def test_small_chunks_give_the_same_certificate(self, name, request, monkeypatch):
-        lp = request.getfixturevalue(name)
-        whole = search_certificate(lp)
-        sizes = []
-        kernel_constants = greens.kernel_constants
-
-        def recording(a, ms, T):
-            sizes.append(len(ms))
-            return kernel_constants(a, ms, T)
-
-        monkeypatch.setattr(greens, "kernel_constants", recording)
-        monkeypatch.setattr(certify, "SEARCH_CHUNK", 7)
-        cert = search_certificate(lp)
-        assert cert is not None and cert.passed
-        assert same_certificate(cert, whole)
-        # 64 = 9 * 7 + 1 grid points; the winner's certificate builds no kernel
-        assert sizes == [7] * 9 + [1]
-
-    # at 23 the first tied point is the last of its chunk; at 7 the tie spans four chunks
-    @pytest.mark.parametrize("chunk", [7, 23])
-    def test_tie_across_a_chunk_boundary_keeps_the_earliest(self, chunk, cosine_lp, monkeypatch):
-        coarsen_relative_margins(monkeypatch)
-        tied = tied_best_grid_points(cosine_lp)
-        assert tied[0] // chunk < tied[-1] // chunk
-        whole = search_certificate(cosine_lp)
-        monkeypatch.setattr(certify, "SEARCH_CHUNK", chunk)
-        cert = search_certificate(cosine_lp)
-        assert same_certificate(cert, whole)
-        assert cert.m == DEFAULT_GRID_FRACTIONS[tied[0]] * greens.m_window(cosine_lp.a, cosine_lp.T)
-
-
 def trapezoid(a: float, plateau: float) -> LiebauProblem:
     e = PeriodicFunction.piecewise_linear(
         [(0.0, -0.00005), (0.0005, plateau), (0.9995, plateau), (1.0, -0.00005)]
@@ -669,7 +667,7 @@ def old_grid(radius_lo=1e-6, radius_hi=1e8, points=48):
     return np.geomspace(radius_lo, radius_hi, points).tolist()
 
 
-def hand_written_sign_scan(lp, opts, radii):
+def hand_written_sign_scan(lp, eps, radii):
     """The earlier sign-changing route on the grid ``radii``, with the four
     inequalities written out by hand.
 
@@ -678,7 +676,7 @@ def hand_written_sign_scan(lp, opts, radii):
     """
     e_min, e_max, _, _ = lp.e.extrema()
     m_max = greens.m_window(lp.a, lp.T)
-    k = opts.m_points
+    k = certify.SEARCH_M_POINTS
     ms = m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)
     epos_mass = lp.e.positive_part().mean() * lp.T
     mu, c = lp.mu, lp.c
@@ -694,7 +692,7 @@ def hand_written_sign_scan(lp, opts, radii):
         for r1 in radii:
             y1 = cm * r1
             margin1 = y1**mu - root_rhs
-            if margin1 < opts.eps:
+            if margin1 < eps:
                 continue
             kappa_lo = y1 / (k0 * epos_mass)
             kappa_hi = y1 ** (1.0 - 2.0 * mu) / mu
@@ -712,7 +710,7 @@ def hand_written_sign_scan(lp, opts, radii):
                 if r2 <= r1 or r2 < r2_floor:
                     continue
                 margin4 = c * r2**mu - e_max
-                if margin4 < opts.eps:
+                if margin4 < eps:
                     continue
                 score = min(common, margin4 / max(abs(e_max), c * r2**mu))
                 if winner is None or score > winner[0]:
@@ -720,15 +718,15 @@ def hand_written_sign_scan(lp, opts, radii):
     if winner is None:
         return None
     _, m, r1, kappa, r2 = winner
-    cert = check_sign_changing(lp, m, kappa, r1, r2, eps=opts.eps)
+    cert = check_sign_changing(lp, m, kappa, r1, r2, eps=eps)
     return cert if cert.passed else None
 
 
-def brute_force_sign(lp, opts, radii):
+def brute_force_sign(lp, eps, radii):
     """The best check_sign_changing over every (m, R1, geometric-mid kappa, R2)
     with m on the search's grid and R1 < R2 on ``radii``."""
     m_max = greens.m_window(lp.a, lp.T)
-    k = opts.m_points
+    k = certify.SEARCH_M_POINTS
     best = None
     for m in (m_max * np.linspace(1.0 / (k + 1), k / (k + 1.0), k)).tolist():
         for i, r1 in enumerate(radii[:-1]):
@@ -736,7 +734,7 @@ def brute_force_sign(lp, opts, radii):
             # as the search takes it, which keeps tiny products from underflowing
             kappa = math.sqrt(extras["kappa_interval_lower"]) * math.sqrt(extras["kappa_interval_upper"])
             for r2 in radii[i + 1:]:
-                cert = check_sign_changing(lp, m, kappa, r1, r2, eps=opts.eps)
+                cert = check_sign_changing(lp, m, kappa, r1, r2, eps=eps)
                 if cert.passed and (
                     best is None or cert.min_relative_margin() > best.min_relative_margin()
                 ):
@@ -761,9 +759,8 @@ class TestSignSearchRanksOnConditions:
     @pytest.mark.parametrize("name", ["preset", *SIGN_PROBLEMS])
     def test_at_least_the_hand_written_scan(self, name, eps, trapezoid_lp):
         lp, radius_lo = (trapezoid_lp, 1e-6) if name == "preset" else SIGN_PROBLEMS[name]
-        opts = certify.SearchOptions(eps=eps)
-        cert = search_certificate(lp, opts)
-        oracle = hand_written_sign_scan(lp, opts, old_grid(radius_lo))
+        cert = search_certificate(lp, eps=eps)
+        oracle = hand_written_sign_scan(lp, eps, old_grid(radius_lo))
         if oracle is not None or cert is not None:
             assert_sound_sign_certificate(lp, cert, eps)
         if oracle is not None:
@@ -776,25 +773,24 @@ class TestSignSearchRanksOnConditions:
     @pytest.mark.parametrize("name", ["preset", *SIGN_PROBLEMS])
     def test_equal_to_hand_written_scan(self, name, eps, trapezoid_lp):
         lp, radius_lo = (trapezoid_lp, 1e-6) if name == "preset" else SIGN_PROBLEMS[name]
-        opts = certify.SearchOptions(eps=eps)
-        cert = search_certificate(lp, opts)
+        cert = search_certificate(lp, eps=eps)
         assert_sound_sign_certificate(lp, cert, eps)
-        oracle = hand_written_sign_scan(lp, opts, sorted(old_grid(radius_lo) + [cert.r1, cert.r2]))
+        oracle = hand_written_sign_scan(lp, eps, sorted(old_grid(radius_lo) + [cert.r1, cert.r2]))
         assert oracle.min_relative_margin() == pytest.approx(cert.min_relative_margin(), abs=1e-12)
 
     @pytest.mark.parametrize("eps", [-1e-9, 0.0, 1e-6, 1e-4])
-    def test_equal_to_brute_force(self, trapezoid_lp, eps):
-        opts = certify.SearchOptions(m_points=8, eps=eps)
-        cert = search_certificate(trapezoid_lp, opts)
+    def test_equal_to_brute_force(self, trapezoid_lp, eps, monkeypatch):
+        monkeypatch.setattr(certify, "SEARCH_M_POINTS", 8)
+        cert = search_certificate(trapezoid_lp, eps=eps)
         assert_sound_sign_certificate(trapezoid_lp, cert, eps)
-        oracle = brute_force_sign(trapezoid_lp, opts, sorted(old_grid(points=12) + [cert.r1, cert.r2]))
+        oracle = brute_force_sign(trapezoid_lp, eps, sorted(old_grid(points=12) + [cert.r1, cert.r2]))
         assert oracle.min_relative_margin() == pytest.approx(cert.min_relative_margin(), abs=1e-12)
 
     def test_closed_form_margins_on_the_preset(self, trapezoid_lp):
         # the old grid search read 0.0367, 0.0310 and 0.0159
         margins = {}
         for eps in (0.0, 1e-6, 1e-4):
-            cert = search_certificate(trapezoid_lp, certify.SearchOptions(eps=eps))
+            cert = search_certificate(trapezoid_lp, eps=eps)
             margins[eps] = round(cert.min_relative_margin(), 4)
         assert margins == {0.0: 0.3386, 1e-6: 0.0335, 1e-4: 0.0204}
 
@@ -815,7 +811,7 @@ class TestSignSearchRanksOnConditions:
     def test_found_cosine_passes_with_the_default_options(self):
         # its R1 lies far below the old default grid, which found nothing
         lp = SIGN_PROBLEMS["trig"][0]
-        assert hand_written_sign_scan(lp, certify.SearchOptions(), old_grid()) is None
+        assert hand_written_sign_scan(lp, 0.0, old_grid()) is None
         cert = search_certificate(lp)
         assert_sound_sign_certificate(lp, cert, 0.0)
         assert cert.min_relative_margin() > 0.2
@@ -824,27 +820,26 @@ class TestSignSearchRanksOnConditions:
     def test_strict_eps_needs_the_kappa_conditions(self, trapezoid_lp):
         # at eps = 1e-6 the hand-written scan's winner fails kappa_upper or
         # kappa_lower, so it returned nothing although grid tuples pass
-        opts = certify.SearchOptions(eps=1e-6)
-        assert hand_written_sign_scan(trapezoid_lp, opts, old_grid()) is None
-        cert = search_certificate(trapezoid_lp, opts)
+        assert hand_written_sign_scan(trapezoid_lp, 1e-6, old_grid()) is None
+        cert = search_certificate(trapezoid_lp, eps=1e-6)
         assert_sound_sign_certificate(trapezoid_lp, cert, 1e-6)
         assert (cert.m, cert.r1, cert.r2) == (
             0.7481196927058039, 0.0012282844720899304, 300829.1953470734
         )
 
-    def test_no_radius_clears_the_ceiling(self, trapezoid_lp):
+    def test_no_radius_clears_the_ceiling(self, trapezoid_lp, monkeypatch):
         # ceiling_clearance needs R2 >= (e_max/c)^(1/mu), about 1.0e4, so a
         # grid that stops at 5e3 finds nothing, while the tuple found at
         # eps = 1e-6 passes the other three conditions; the closed form sets
         # R2 above that floor
-        opts = certify.SearchOptions(m_points=8)
+        monkeypatch.setattr(certify, "SEARCH_M_POINTS", 8)
         radii = old_grid(radius_hi=5e3, points=12)
-        assert hand_written_sign_scan(trapezoid_lp, opts, radii) is None
-        assert brute_force_sign(trapezoid_lp, opts, radii) is None
+        assert hand_written_sign_scan(trapezoid_lp, 0.0, radii) is None
+        assert brute_force_sign(trapezoid_lp, 0.0, radii) is None
         inner = check_sign_changing(trapezoid_lp, 0.7481196927058039, 0.0986, 9.5e-4, 5e3)
         assert [c.satisfied for c in inner.conditions] == [True, True, True, False]
         assert inner.extras["r2_floor"] == pytest.approx(1.0e4, rel=0.01)
-        cert = search_certificate(trapezoid_lp, opts)
+        cert = search_certificate(trapezoid_lp)
         assert cert.passed and cert.r2 > cert.extras["r2_floor"]
 
     @pytest.mark.parametrize("name", ["preset", "trig"])
@@ -910,7 +905,7 @@ class TestSmallMu:
         # reports the unreachable bounds as inf
         lp = LiebauProblem(trapezoid_lp.a, 1e-5, trapezoid_lp.c, trapezoid_lp.T, trapezoid_lp.e)
         assert search_certificate(lp) is None
-        assert search_certificate(lp, certify.SearchOptions(eps=1e-6)) is None
+        assert search_certificate(lp, eps=1e-6) is None
         extras = check_sign_changing(lp, 0.7, 1.0, 1.0, 2.0).extras
         assert extras["r2_floor"] == extras["r1_window_lower"] == math.inf
 

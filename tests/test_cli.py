@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from liebau import acceptance
+from liebau import acceptance, certify
 from liebau.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_CERT_FAIL,
@@ -24,7 +25,6 @@ from liebau.cli import (
     load_config,
     run,
 )
-from liebau.certify import SearchOptions
 from liebau.errors import ConfigError
 from liebau.problem import LiebauProblem
 from liebau.solve import SolveOptions
@@ -199,9 +199,7 @@ class TestCertifyCommand:
 
 class TestSearchCommand:
     def test_cosine_preset_finds(self, capsys):
-        code, out, _ = run_captured(
-            capsys, ["search", "--preset", "cosine", "--m-points", "16"]
-        )
+        code, out, _ = run_captured(capsys, ["search", "--preset", "cosine"])
         assert code == EXIT_OK
         assert json.loads(out)["verdict"] == "pass"
 
@@ -635,19 +633,20 @@ class TestOptionRangesExitTwo:
     @pytest.mark.parametrize(
         "flags, field",
         [
-            # the radius options are gone: argparse refuses their flags, and a
+            # the grid options are gone: argparse refuses their flags, and a
             # config names their keys as unknown
             (["--radius-lo", "0"], "search.radius_lo"),
             (["--radius-lo", "-1"], "search.radius_lo"),
             (["--radius-lo", "100", "--radius-hi", "1"], "search.radius_lo"),
             (["--radius-hi", "1e-7"], "search.radius_hi"),
             (["--m-points", "0"], "search.m_points"),
+            (["--m-points", "64"], "search.m_points"),
             (["--radius-points", "0"], "search.radius_points"),
             (["--radius-points", "1"], "search.radius_points"),
             (["--m-points", str(10**20)], "search.m_points"),
         ],
     )
-    def test_search_grid_out_of_range(self, capsys, tmp_path, flags, field):
+    def test_removed_search_grid_options(self, capsys, tmp_path, flags, field):
         # as flags, and as keys of a config's search section
         options = {f[2:].replace("-", "_"): json.loads(v) for f, v in zip(flags[::2], flags[1::2])}
         path = tmp_path / "cfg.json"
@@ -656,18 +655,12 @@ class TestOptionRangesExitTwo:
         assert code == EXIT_CONFIG
         assert out == ""
         assert field in err
+        assert "unknown search option" in err
         assert "Traceback" not in err
-        if "radius" in field:
-            with pytest.raises(SystemExit) as exc:
-                run(["search", "--preset", "trapezoid", *flags])
-            assert exc.value.code == EXIT_CONFIG
-            assert flags[0] in capsys.readouterr().err
-            return
-        code, out, err = run_captured(capsys, ["search", "--preset", "trapezoid", *flags])
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert field in err
-        assert "Traceback" not in err
+        with pytest.raises(SystemExit) as exc:
+            run(["search", "--preset", "trapezoid", *flags])
+        assert exc.value.code == EXIT_CONFIG
+        assert flags[0] in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -781,6 +774,15 @@ class TestOptionRangesExitTwo:
 
 
 class TestSolverFailureExitsSix:
+    def test_solution_beyond_float_range(self, capsys):
+        # x = ((v0 - 2) + cos t)^3 is about 1e900; f'(x) overflows, and
+        # pytest turns any RuntimeWarning on the way into an error
+        code, out, err = run_captured(capsys, ["solve", "--preset", "benchmark", "--v0", "1e300"])
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert "beyond float range" in err
+        assert "Traceback" not in err
+
     def test_collapsed_newton_iterate(self, capsys):
         code, out, err = run_captured(
             capsys, ["solve", "--preset", "benchmark", "--initial", "0.05", "-n", "512"]
@@ -803,8 +805,9 @@ class TestSolverFailureExitsSix:
 
 
 class TestOptionSchema:
-    def test_keys_match_option_dataclasses(self):
-        assert set(OPTION_SCHEMA["search"]) == set(SearchOptions.__dataclass_fields__)
+    def test_keys_match_the_library_parameters(self):
+        search_params = set(inspect.signature(certify.search_certificate).parameters) - {"lp"}
+        assert set(OPTION_SCHEMA["search"]) == search_params == {"eps"}
         assert set(OPTION_SCHEMA["solve"]) == set(SolveOptions.__dataclass_fields__)
 
     def test_flag_dests_are_schema_keys(self):
@@ -824,10 +827,10 @@ class TestOptionSchema:
 
     def test_range_error_names_the_section(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"problem": TANK_PROBLEM, "search": {"m_points": 0}}))
+        path.write_text(json.dumps({"problem": TANK_PROBLEM, "solve": {"n": 4}}))
         with pytest.raises(ConfigError) as exc:
             load_config(str(path))
-        assert exc.value.location == "search.m_points"
+        assert exc.value.location == "solve.n"
 
 
 class TestVerifyCommand:

@@ -93,6 +93,14 @@ class TestSolvePeriodic:
         with pytest.raises(NoConvergence):
             solve_periodic(gp, SolveOptions(n=64, initial=0.05))
 
+    @pytest.mark.parametrize("polish", [True, False])
+    def test_solution_beyond_float_range_is_not_converged(self, tank_lp, polish):
+        # x = ((v0 - 2) + cos t)^3 is about 1e900: f'(x) overflows at most
+        # nodes, which once made a zero Newton step read as convergence
+        gp = regularize(tank_lp(1e300))
+        with pytest.raises(NoConvergence, match="beyond float range"):
+            solve_periodic(gp, SolveOptions(bracket=(4.0, 40.0), polish=polish))
+
     def test_initial_guess_required_for_general(self):
         gp = GeneralProblem(
             a=0.0, T=1.0,
