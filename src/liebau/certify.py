@@ -116,10 +116,13 @@ def _min_relative_margin(conditions) -> float:
     return min(vals) if vals else math.inf
 
 
-def _check_eps(eps) -> None:
-    """The boundary check of every checker's and the search's eps: a finite number."""
-    if not is_finite_real(eps):
-        raise ConfigError(f"must be a finite number, got {eps!r}", "eps")
+def _check_numbers(**values) -> None:
+    """ConfigError names a checker's value that is not a real number (a bool is not) or a
+    non-finite eps; a NaN or infinite m, kappa or radius is left to the range checks."""
+    for name, value in values.items():
+        if not (is_finite_real(value) or (name != "eps" and isinstance(value, (float, np.floating)))):
+            kind = "finite" if name == "eps" else "real"
+            raise ConfigError(f"must be a {kind} number, got {value!r}", name)
 
 
 def _check_radii(r1, r2) -> None:
@@ -224,12 +227,14 @@ def check_general(
     and each minimum is taken over blocks of _BAND_BLOCK_ROWS t rows;
     responses come from ``greens.apply_kernel``, whose circular rule needs
     T-periodic envelopes: LiebauError names a g0 or g1 of another period.
-    BadRadii refuses radii outside 0 < R1 < R2 < inf, and ConfigError names
-    an eps that is not a finite number.
+    BadRadii refuses radii outside 0 < R1 < R2 < inf; ConfigError names what
+    ``_check_numbers`` refuses and a g0 or g1 that is not a PeriodicFunction.
     """
-    _check_eps(eps)
+    _check_numbers(m=m, r1=r1, r2=r2, eps=eps)
     _check_radii(r1, r2)
     for name, g in (("g0", g0), ("g1", g1)):
+        if not isinstance(g, PeriodicFunction):
+            raise ConfigError(f"must be a PeriodicFunction, got {g!r}", name)
         if g.period != gp.T:
             raise LiebauError(f"{name} period {g.period!r} does not match problem period {gp.T!r}")
     kernel = greens.build(gp.a, m, gp.T)
@@ -352,10 +357,10 @@ def check_sign_changing(
     / c_m with rho the right side of ``root_clearance`` (its floor is 0 when
     e_min > 0), and the R2 floor (e_max/c)^(1/mu); a bound beyond float range
     reads inf.  KappaNonpositive refuses a kappa outside (0, inf), BadRadii
-    radii outside 0 < R1 < R2 < inf, and ConfigError names an eps that is
-    not a finite number.
+    radii outside 0 < R1 < R2 < inf, and ConfigError what ``_check_numbers``
+    refuses.
     """
-    _check_eps(eps)
+    _check_numbers(m=m, kappa=kappa, r1=r1, r2=r2, eps=eps)
     if not 0.0 < kappa < math.inf:
         raise KappaNonpositive(f"kappa must be positive and finite, got {kappa!r}")
     _check_radii(r1, r2)
@@ -468,9 +473,9 @@ def check_positive_forcing(lp: LiebauProblem, m: float, eps: float = 0.0) -> Cer
     ceiling at the threshold overflows or underflows to 0 (it happens at
     small mu, where the exponent 1/mu is large), and when the inner radius
     R1 underflows to 0 (a tiny c_m, as at large a, puts its root below the
-    smallest float).  ConfigError names an eps that is not a finite number.
+    smallest float).  ConfigError names what ``_check_numbers`` refuses.
     """
-    _check_eps(eps)
+    _check_numbers(m=m, eps=eps)
     kernel = greens.build(lp.a, m, lp.T)
     return _positive_forcing(lp, m, eps, kernel.cone_constant, kernel.k0, kernel.m_max)
 
@@ -641,7 +646,7 @@ def search_certificate(lp: LiebauProblem, eps: float = 0.0):
     part.  Ties keep the earliest m, so the result is a pure function of the
     problem and eps.  A non-finite eps raises ConfigError naming it.
     """
-    _check_eps(eps)
+    _check_numbers(eps=eps)
     ebar, ok = check_necessary(lp)
     if not ok:
         return None

@@ -1,15 +1,15 @@
 """Shared numerical kernels.
 
 Everything here is deterministic and allocation-light: libm functions
-applied per element, segmented composite Simpson quadrature, a sorted
-unique that needs no ``numpy.ma``, batched zoom refinement of bracketed
-minima and maxima, a cyclic tridiagonal solver (bordered elimination in
-one fused forward/back sweep on Python floats for both right-hand sides,
-bitwise equal to two separate sweeps, NaN on a zero pivot), restarted
-GMRES with Givens rotations on Python floats, cyclic
-central differences, spectral differentiation and trigonometric
-resampling of periodic grid data onto finer grids, and fixed-width float
-printing for reproducible output files.
+applied per element, the check of trace arrays, segmented composite
+Simpson quadrature, a sorted unique that needs no ``numpy.ma``, batched
+zoom refinement of bracketed minima and maxima, a cyclic tridiagonal
+solver (bordered elimination in one fused forward/back sweep on Python
+floats for both right-hand sides, bitwise equal to two separate sweeps,
+NaN on a zero pivot), restarted GMRES with Givens rotations on Python
+floats, cyclic central differences, spectral differentiation and
+trigonometric resampling of periodic grid data onto finer grids, and
+fixed-width float printing for reproducible output files.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from .errors import LiebauError
 
 
 def is_finite_real(value) -> bool:
@@ -28,6 +30,22 @@ def is_finite_real(value) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an int beyond float range
         return False
+
+
+def trace_array(values, name: str, nonpositive: type[LiebauError] | None = None) -> np.ndarray:
+    """``values`` as a float array, or LiebauError if not numbers, not 1-D, empty or not
+    finite; with ``nonpositive`` set, that error refuses an entry <= 0."""
+    try:
+        x = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise LiebauError(f"{name} must be an array of numbers: {exc}") from None
+    if x.ndim != 1 or not x.size:
+        raise LiebauError(f"{name} must be a non-empty 1-D array, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise LiebauError(f"{name} has a non-finite entry")
+    if nonpositive is not None and np.any(x <= 0.0):
+        raise nonpositive(f"{name} must be strictly positive")
+    return x
 
 
 def per_element(f, x, *args):

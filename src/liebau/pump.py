@@ -11,7 +11,8 @@ the total volume fixed, a lower mean pipe quantity is a higher mean tank
 level, which is the pumping effect.  The report quantifies this as
 ``delta = e_mean/c - u_mean`` and cross-checks it with the balance residual.
 
-A trace is a 1-D array of u samples on the problem's grid arange(n) * (T/n).
+A trace is a 1-D array of u samples on the problem's grid arange(n) * (T/n),
+checked by ``numerics.trace_array`` (NonpositiveLevel for u <= 0).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeState, NonpositiveLevel
+from .errors import LiebauError, NegativeState, NonpositiveLevel
 from .problem import LiebauProblem
-from .numerics import cyclic_differences, spectral_derivatives
+from .numerics import cyclic_differences, spectral_derivatives, trace_array
 
 
 @dataclass(frozen=True)
@@ -43,22 +44,23 @@ def singular_residual(
 ) -> float:
     """Sup-norm residual of the pipe-level equation on the grid.
 
-    Cyclic central differences by default; pass analytic derivative samples
-    to isolate the model identity from discretization error.
+    Cyclic central differences by default; pass analytic samples of both
+    derivatives, of u's shape, to isolate the model identity from
+    discretization error.
     """
-    values = np.asarray(u, dtype=float)
-    if np.any(values <= 0.0):
-        raise NonpositiveLevel("the pipe-level model is singular at u = 0")
+    values = trace_array(u, "u", NonpositiveLevel)
     n = len(values)
     h = lp.T / n
     nodes = np.arange(n) * h
-    if uprime is None:
+    if uprime is None and usecond is None:
         d1, d2 = cyclic_differences(values)
         du = d1 / (2.0 * h)
         d2u = d2 / h**2
     else:
-        du = np.asarray(uprime, dtype=float)
-        d2u = np.asarray(usecond, dtype=float)
+        du = trace_array(uprime, "uprime")
+        d2u = trace_array(usecond, "usecond")
+        if not du.shape == d2u.shape == values.shape:
+            raise LiebauError(f"uprime and usecond need u's shape {values.shape}")
     e_vals = np.asarray(lp.e(nodes), dtype=float)
     res = d2u + lp.a * du - (e_vals - lp.b * du**2) / values + lp.c
     return float(np.max(np.abs(res)))
@@ -66,10 +68,7 @@ def singular_residual(
 
 def x_to_u(x, mu: float) -> np.ndarray:
     """Transform regularized samples back to pipe-level units, u = x^mu."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise NegativeState("cannot transform a nonpositive trace")
-    return x**mu
+    return trace_array(x, "x", NegativeState) ** mu
 
 
 def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
@@ -78,9 +77,7 @@ def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
     Periodic means are plain node averages (spectrally accurate for smooth
     periodic data); u' comes from spectral differentiation of the trace.
     """
-    values = np.asarray(u, dtype=float)
-    if np.any(values <= 0.0):
-        raise NonpositiveLevel("the pipe-level model is singular at u = 0")
+    values = trace_array(u, "u", NonpositiveLevel)
     T = lp.T
     u_mean = float(values.mean())
     e_mean = lp.e.mean()

@@ -15,14 +15,13 @@ makes no cyclic tridiagonal solves; it stops once a step fails to halve the
 residual, which for smooth coefficient data leaves residuals near rounding
 level.
 
-The coarse start only has to land in the polish's basin.  Where it does not
-(the coarse Newton stage fails, the lifted iterate is not strictly positive,
-or the polish ends above the FD rounding floor at n, as on data the coarse
-grid cannot resolve), the FD Newton stage runs again at n, from the lifted
-iterate when it is positive and from the initial guess otherwise, and the
-polish follows.  ``GridSolution.fd_n`` records the grid of the Newton stage
-that gave the solution.  Without the polish the FD stage runs at n alone:
-a clean second-order scheme whose order can be observed.
+Each stage runs once, and nothing retries where the coarse start misses the
+polish's basin: a coarse Newton failure raises LeftPositiveCone or
+NoConvergence, a lift that is not strictly positive raises LeftPositiveCone,
+and a polish that ends above the rounding floor (on data 128 points cannot
+resolve) returns its iterate, whose level ``sup_residual`` reports.  Without
+the polish the FD stage runs at n alone: a clean second-order scheme whose
+order can be observed.
 
 Residual reporting: ``sup_residual`` is the collocated residual of the
 returned representation measured on a ``REFINE_FACTOR`` (4) times finer grid,
@@ -50,6 +49,7 @@ from .numerics import (
     gmres,
     is_finite_real,
     solve_cyclic_tridiagonal,
+    trace_array,
     trig_interpolate,
 )
 
@@ -120,10 +120,10 @@ class GridSolution:
     values: np.ndarray
     sup_residual: float
     sup_residual_exact_data: float
-    iterations: int  # Newton steps and polish steps together, over every stage run
+    iterations: int  # Newton steps and polish steps together
     converged: bool
     polish_iterations: int  # the polish's share of ``iterations``
-    fd_n: int  # grid of the Newton stage behind the solution
+    fd_n: int  # grid of the FD Newton stage: min(n, COARSE_N) with the polish, n without
 
     @property
     def min_value(self) -> float:
@@ -205,47 +205,25 @@ def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarra
 def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> GridSolution:
     """Compute a positive periodic solution on a uniform cyclic grid.
 
-    Damped Newton on central differences (on the coarse grid when the polish
-    runs) followed by the collocation Newton polish on the n-grid, with a
-    fine-grid Newton fallback (see module docstring).  Raises NoConvergence
-    when the iteration budget runs out and LeftPositiveCone when damping
-    cannot keep the iterate positive (a bad initial guess, or no positive
-    solution nearby).
+    One pass: damped Newton on central differences on ``fd_n`` = min(n,
+    COARSE_N) points with the polish (n without), the lift of its solution to
+    the n-grid and the collocation Newton polish there.  Raises NoConvergence
+    when the Newton budget runs out and LeftPositiveCone when damping cannot
+    keep the iterate positive or the lift is not (a bad initial guess, or no
+    positive solution nearby); see the module docstring.
     """
-    n = opts.n
-    T = gp.T
-    a = gp.a
-    h = T / n
+    n, T, a = opts.n, gp.T, gp.a
     nodes, r_nodes, s_nodes, f_of, fprime_of = _sampled(gp, n)
-
-    x = None
-    start = None
-    iterations = polish_iters = 0
-    if opts.polish and n > COARSE_N:
-        f_c, fprime_c = _sampled(gp, COARSE_N)[3:]
-        try:
-            x_c, iterations = _fd_newton(
-                _initial_values(gp, opts, COARSE_N), T / COARSE_N, a, f_c, fprime_c
-            )
-        except (LeftPositiveCone, NoConvergence):
-            pass  # the fine stage below runs from the initial guess and decides
-        else:
-            lifted = trig_interpolate(x_c, n)
-            if np.all(lifted > 0.0):
-                start = lifted
-                x, polish_iters, res_norm = _polish(lifted, T, a, f_of, fprime_of)
-                if res_norm > _rounding_floor(x, h, a):
-                    x = None
-    fd_n = COARSE_N
-    if x is None:
-        fd_n = n
-        if start is None:
-            start = _initial_values(gp, opts, n)
-        x, steps = _fd_newton(start, h, a, f_of, fprime_of)
-        iterations += steps
-        if opts.polish:
-            x, steps, _ = _polish(x, T, a, f_of, fprime_of)
-            polish_iters += steps
+    fd_n = min(n, COARSE_N) if opts.polish else n
+    f_fd, fprime_fd = (f_of, fprime_of) if fd_n == n else _sampled(gp, fd_n)[3:]
+    x, iterations = _fd_newton(_initial_values(gp, opts, fd_n), T / fd_n, a, f_fd, fprime_fd)
+    polish_iters = 0
+    if opts.polish:
+        if fd_n < n:
+            x = trig_interpolate(x, n)
+            if not np.all(x > 0.0):
+                raise LeftPositiveCone("the lifted coarse solution is not strictly positive")
+        x, polish_iters, _ = _polish(x, T, a, f_of, fprime_of)
 
     sup_res, sup_res_exact = _refined_residuals(gp, x, r_nodes, s_nodes)
     return GridSolution(
@@ -441,11 +419,9 @@ def fd_residual(gp: GeneralProblem, x) -> float:
     """Sup-norm finite-difference residual of samples x on the grid arange(n) * (T/n).
 
     The cyclic stencils build periodicity in, so there is no separate
-    boundary defect to report.
+    boundary defect to report.  ``numerics.trace_array`` checks x.
     """
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
-        raise NegativeState("residual requested for a nonpositive trace")
+    x = trace_array(x, "x", NegativeState)
     n = len(x)
     f_of = _sampled(gp, n)[3]
     res = cyclic_fd_operator(x, gp.T / n, gp.a) - f_of(x)
@@ -453,7 +429,9 @@ def fd_residual(gp: GeneralProblem, x) -> float:
 
 
 def cone_and_localization(values, cone_const: float, r1: float, r2: float) -> ConeReport:
-    """Check cone membership and the localization band for trace samples."""
+    """Check cone membership and the localization band for trace samples
+    (checked by ``numerics.trace_array``)."""
+    values = trace_array(values, "values")
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     return ConeReport(

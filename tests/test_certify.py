@@ -290,6 +290,10 @@ class TestMonotonicity:
 BAD_EPS = [math.inf, math.nan, -math.inf, "x", None, 10**400]
 
 
+# values that are not real numbers, refused by ConfigError naming the field
+NOT_NUMBERS = ["x", None, True, np.bool_(False), 10**400, [1.0]]
+
+
 class TestBoundaryChecks:
     # every entry point refuses a non-finite eps with the same ConfigError
     @pytest.mark.parametrize("eps", BAD_EPS)
@@ -305,6 +309,15 @@ class TestBoundaryChecks:
         assert exc.value.location == "eps"
 
     @pytest.mark.parametrize(
+        "m, error", [*((m, ConfigError) for m in NOT_NUMBERS), (math.nan, MOutOfRange), (-1.0, MOutOfRange)]
+    )
+    def test_positive_forcing_refuses_m(self, m, error, cosine_lp):
+        with pytest.raises(error) as exc:
+            check_positive_forcing(cosine_lp, m)
+        if error is ConfigError:
+            assert exc.value.location == "m"
+
+    @pytest.mark.parametrize(
         "kwargs, error",
         [
             *(({"eps": eps}, ConfigError) for eps in BAD_EPS),
@@ -316,12 +329,17 @@ class TestBoundaryChecks:
             ({"r1": math.nan}, BadRadii),
             ({"r1": math.inf, "r2": math.inf}, BadRadii),
             ({"r1": -math.inf}, BadRadii),
+            *(({k: v}, ConfigError) for k in ("m", "kappa", "r1", "r2") for v in NOT_NUMBERS),
+            ({"m": math.nan}, MOutOfRange),
+            ({"kappa": 0}, KappaNonpositive),
         ],
     )
     def test_sign_changing_refuses(self, kwargs, error, trapezoid_lp):
         args = {"m": 0.7, "kappa": 2200.0, "r1": 25.0, "r2": 1e4, **kwargs}
-        with pytest.raises(error):
+        with pytest.raises(error) as exc:
             check_sign_changing(trapezoid_lp, **args)
+        if error is ConfigError:
+            assert exc.value.location == next(iter(kwargs))
 
     @pytest.mark.parametrize(
         "kwargs, error",
@@ -331,13 +349,24 @@ class TestBoundaryChecks:
             ({"r2": math.nan}, BadRadii),
             ({"r1": math.nan}, BadRadii),
             ({"r1": math.inf, "r2": math.inf}, BadRadii),
+            *(({k: v}, ConfigError) for k in ("m", "r1", "r2") for v in NOT_NUMBERS),
+            *(({g: v}, ConfigError) for g in ("g0", "g1") for v in ("g", 1.0, None)),
+            ({"m": math.inf}, MOutOfRange),
         ],
     )
     def test_general_refuses(self, kwargs, error, trapezoid_lp):
         g = PeriodicFunction.constant(1.0, 1.0)
         args = {"m": 0.7, "r1": 25.0, "r2": 1e4, "g0": g, "g1": g, **kwargs}
-        with pytest.raises(error):
+        with pytest.raises(error) as exc:
             check_general(regularize(trapezoid_lp), **args)
+        if error is ConfigError:
+            assert exc.value.location == next(iter(kwargs))
+
+    def test_numpy_numbers_are_accepted(self, trapezoid_lp):
+        cert = check_sign_changing(
+            trapezoid_lp, np.float64(0.7), np.float32(2200.0), np.int64(25), 1e4, eps=np.float64(0.0)
+        )
+        assert cert.kappa == 2200.0 and cert.r1 == 25
 
 
 class TestSearch:

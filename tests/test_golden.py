@@ -47,13 +47,27 @@ def test_stdout_matches_golden(capsys, name):
 
 
 def regenerate() -> None:
+    """Rewrite every golden file; stop at a case whose exit code is not the one in CASES."""
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, _) in sorted(CASES.items()):
+    for name, (argv, code) in sorted(CASES.items()):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            cli.run(argv)
+            got = cli.run(argv)
+        if got != code:
+            raise SystemExit(f"{name}: exit code {got}, expected {code}; not written")
         (GOLDEN / name).write_text(out.getvalue(), encoding="utf-8")
         print(name, file=sys.stderr)
+
+
+def test_regenerate_stops_at_a_wrong_exit_code(monkeypatch, tmp_path):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    codes = {tuple(argv): code for argv, code in CASES.values()}
+    codes["solve", "--preset", "cubic"] = cli.EXIT_SOLVER
+    monkeypatch.setattr(cli, "run", lambda argv: codes[tuple(argv)])
+    with pytest.raises(SystemExit, match=f"^solve-cubic.json: exit code {cli.EXIT_SOLVER}, expected 0"):
+        regenerate()
+    assert (tmp_path / "search-cubic.json").exists()
+    assert not (tmp_path / "solve-cubic.json").exists()
 
 
 if __name__ == "__main__":

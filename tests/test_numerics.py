@@ -16,6 +16,10 @@ from liebau.numerics import (
     zoom_minima,
 )
 
+# traces that ``trace_array``, and so every function that takes a trace,
+# refuses with LiebauError: empty, not 1-D, not finite or not numbers
+BAD_TRACES = [[], np.ones((4, 4)), [1.0, math.nan, 2.0, 3.0], [1.0, math.inf], ["a", "b"]]
+
 
 def test_cyclic_differences_match_inline_roll_formula():
     rng = np.random.default_rng(11)

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from test_numerics import BAD_TRACES
 
-from liebau.errors import NonpositiveLevel
+from liebau.errors import LiebauError, NonpositiveLevel
 from liebau.funcspec import PeriodicFunction
 from liebau.problem import LiebauProblem, regularize
 from liebau.pump import pump_report, singular_residual, x_to_u
@@ -37,6 +38,35 @@ class TestSingularResidual:
         bad = closed_form_trace(4.0) - 1.0
         with pytest.raises(NonpositiveLevel):
             singular_residual(tank_lp(4.0), bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        *(({"u": t}, "^u ") for t in BAD_TRACES),
+        *(({"uprime": t}, "^uprime ") for t in BAD_TRACES),
+        *(({"usecond": t}, "^usecond ") for t in BAD_TRACES),
+        ({"uprime": np.zeros(1023)}, "shape"),
+        ({"usecond": np.zeros((1, 1024))}, "^usecond "),
+        ({"uprime": None}, "^uprime "),
+    ],
+)
+def test_singular_residual_refuses_bad_trace(kwargs, message, tank_lp):
+    args = {"u": closed_form_trace(4.0), "uprime": -np.sin(TANK_NODES), "usecond": -np.cos(TANK_NODES)}
+    with pytest.raises(LiebauError, match=message):
+        singular_residual(tank_lp(4.0), **{**args, **kwargs})
+
+
+@pytest.mark.parametrize("trace", BAD_TRACES)
+def test_pump_report_refuses_bad_trace(trace, tank_lp):
+    with pytest.raises(LiebauError, match="^u "):
+        pump_report(tank_lp(4.0), trace)
+
+
+@pytest.mark.parametrize("trace", [*BAD_TRACES, [1.0, -1.0]])
+def test_x_to_u_refuses_bad_trace(trace):
+    with pytest.raises(LiebauError, match="^x "):
+        x_to_u(trace, 0.5)
 
 
 class TestTransform:

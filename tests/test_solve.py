@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_numerics import two_sweep_solve
+from test_numerics import BAD_TRACES, two_sweep_solve
 
 from liebau import greens, presets, solve
 from liebau.errors import ConfigError, LeftPositiveCone, LiebauError, NoConvergence
@@ -226,9 +226,13 @@ class TestCoarseToFine:
         rel = float(np.max(np.abs(sol.values - reference.values))) / reference.max_value
         assert rel <= 1e-12
 
-    def test_stalled_polish_falls_back_to_fine_newton(self, monkeypatch):
+    def test_stalled_polish_returns_the_lifted_iterate(self, monkeypatch):
         lp, opts = _case("tank", 4096)
         gp = regularize(lp)
+        x_c, steps = solve._fd_newton(
+            np.full(128, math.sqrt(opts.bracket[0] * opts.bracket[1])),
+            gp.T / 128, gp.a, *solve._sampled(gp, 128)[3:],
+        )
 
         def no_steps(x, T, a, f_of, fprime_of):
             d1, d2 = spectral_derivatives(x, T)
@@ -236,45 +240,38 @@ class TestCoarseToFine:
 
         monkeypatch.setattr(solve, "_polish", no_steps)
         sol = solve_periodic(gp, opts)
-        fine = _fine_path(monkeypatch, gp, opts)
-        assert sol.fd_n == fine.fd_n == 4096
-        assert sol.polish_iterations == fine.polish_iterations == 0
-        # Newton from the lifted iterate and from the constant guess both stop at
-        # the FD rounding floor, which pins the FD solution to about 1e-12
-        rel = float(np.max(np.abs(sol.values - fine.values))) / fine.max_value
-        assert rel <= 1e-11
+        assert sol.fd_n == 128
+        assert sol.polish_iterations == 0 and sol.iterations == steps
+        assert np.array_equal(sol.values, trig_interpolate(x_c, 4096))
+        # the lifted FD solution carries the coarse scheme's error: the
+        # polish ends above the rounding floor, and sup_residual reports it
+        assert sol.sup_residual > solve._rounding_floor(sol.values, gp.T / 4096, gp.a)
 
-    def test_nonpositive_lift_runs_the_fine_path(self, monkeypatch):
+    def test_nonpositive_lift_raises(self, monkeypatch):
         lp, opts = _case("cosine", 1024)
         gp = regularize(lp)
-        fine = _fine_path(monkeypatch, gp, opts)
         real = solve.trig_interpolate
+        monkeypatch.setattr(solve, "trig_interpolate", lambda values, n_out: -real(values, n_out))
+        with pytest.raises(LeftPositiveCone, match="lifted"):
+            solve_periodic(gp, opts)
 
-        def lift(values, n_out):
-            out = real(values, n_out)
-            return -out if len(values) == solve.COARSE_N else out
+    @pytest.mark.parametrize("v0, error", [(12.0, NoConvergence), (3.2, LeftPositiveCone)])
+    def test_coarse_newton_failure_raises(self, monkeypatch, v0, error):
+        # near v0 = 12 two solution branches of the tank problem meet, and
+        # Newton on 128 nodes ends in NoConvergence; at v0 = 3.2 the bracket's
+        # midpoint leaves the positive cone.  Neither retries on the n-grid.
+        lp, opts = _tank_opts(v0, 4096)
+        sizes = []
+        real = solve.solve_cyclic_tridiagonal
 
-        monkeypatch.setattr(solve, "trig_interpolate", lift)
-        sol = solve_periodic(gp, opts)
-        assert sol.fd_n == 1024
-        assert np.array_equal(sol.values, fine.values)
-        assert sol.polish_iterations == fine.polish_iterations
+        def counting(sub, diag, *rest):
+            sizes.append(len(diag))
+            return real(sub, diag, *rest)
 
-    def test_coarse_newton_failure_runs_the_fine_path(self, monkeypatch):
-        # near v0 = 12 two solution branches of the tank problem meet: Newton
-        # ends in NoConvergence on 128 nodes but converges on 4096
-        lp, opts = _tank_opts(12.0, 4096)
-        gp = regularize(lp)
-        with pytest.raises(NoConvergence):
-            solve._fd_newton(
-                np.full(128, math.sqrt(opts.bracket[0] * opts.bracket[1])),
-                gp.T / 128, gp.a, *solve._sampled(gp, 128)[3:],
-            )
-        sol = solve_periodic(gp, opts)
-        fine = _fine_path(monkeypatch, gp, opts)
-        assert sol.fd_n == fine.fd_n == 4096
-        assert np.array_equal(sol.values, fine.values)
-        assert sol.iterations == fine.iterations
+        monkeypatch.setattr(solve, "solve_cyclic_tridiagonal", counting)
+        with pytest.raises(error):
+            solve_periodic(regularize(lp), opts)
+        assert sizes and max(sizes) == 128
 
 
 class TestNewtonKrylovPolish:
@@ -491,6 +488,18 @@ class TestFdResidual:
         res1 = fd_residual(gp, bumped)
         n = len(sol.values)
         assert res1 - res0 >= 1e-3 * (n / sol.T) ** 2 * 0.1
+
+
+@pytest.mark.parametrize("trace", BAD_TRACES)
+def test_fd_residual_refuses_bad_trace(trace, tank_lp):
+    with pytest.raises(LiebauError, match="^x "):
+        fd_residual(regularize(tank_lp(4.0)), trace)
+
+
+@pytest.mark.parametrize("trace", BAD_TRACES)
+def test_cone_and_localization_refuses_bad_trace(trace):
+    with pytest.raises(LiebauError, match="^values "):
+        cone_and_localization(trace, 0.5, 1.0, 10.0)
 
 
 def inline_response(kernel, g):
