@@ -283,15 +283,15 @@ def gmres(
 
 
 def cyclic_differences(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Undivided cyclic central differences of periodic grid data.
+    """Undivided cyclic central differences of 1-D periodic grid data.
 
     Returns (x[i+1] - x[i-1], x[i+1] - 2 x[i] + x[i-1]) with wrap-around
     indices; dividing by 2h and h^2 gives the second-order first and second
     derivatives.  The division is left to the caller so each keeps its own
     arithmetic.
     """
-    xp = np.roll(values, -1)
-    xm = np.roll(values, 1)
+    xp = np.concatenate((values[1:], values[:1]))  # np.roll's shifts, at a fraction of its cost
+    xm = np.concatenate((values[-1:], values[:-1]))
     return xp - xm, xp - 2.0 * values + xm
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import LiebauError, NegativeState, NonpositiveLevel
 from .problem import LiebauProblem
-from .numerics import cyclic_differences, spectral_derivatives, trace_array
+from .numerics import cyclic_differences, is_finite_real, spectral_derivatives, trace_array
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,10 @@ def singular_residual(
 
 def x_to_u(x, mu: float) -> np.ndarray:
     """Transform regularized samples back to pipe-level units, u = x^mu."""
-    return trace_array(x, "x", NegativeState) ** mu
+    values = trace_array(x, "x", NegativeState)
+    if not is_finite_real(mu):
+        raise LiebauError(f"mu must be a finite real number, got {mu!r}")
+    return values**mu
 
 
 def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
@@ -78,6 +81,8 @@ def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
     periodic data); u' comes from spectral differentiation of the trace.
     """
     values = trace_array(u, "u", NonpositiveLevel)
+    if not is_finite_real(tol):
+        raise LiebauError(f"tol must be a finite real number, got {tol!r}")
     T = lp.T
     u_mean = float(values.mean())
     e_mean = lp.e.mean()

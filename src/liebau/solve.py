@@ -32,7 +32,11 @@ equation; this is the number that converges to rounding level).
 nodes instead, so it additionally sees how much of the continuum data the
 grid resolution cannot represent; for band-limited coefficients the two
 coincide.  The fine nodes are taken as ``REFINE_FACTOR`` phase-shifted
-copies of the n-grid, each evaluated by n-point transforms.
+copies of the n-grid.  Phase 0 is the n-grid itself, where both residuals
+are the node residual that the polish (or, without it, ``solve_periodic``)
+computed from its final transform of the solution; the other phases are
+evaluated by n-point inverse transforms of that same spectrum, so a solve
+transforms its final iterate once.
 """
 
 from __future__ import annotations
@@ -65,8 +69,9 @@ NEWTON_MAX_STEPS = 50
 REFINE_FACTOR = 4
 
 # Most points of one block of fine-grid phases in ``_refined_residuals``: at
-# n = 512 all four phases go in one block, and from n = 4096 each goes alone,
-# so a temporary holds max(n, 4096) points at most, never REFINE_FACTOR * n.
+# n = 512 phases 1 to 3 go in one block (phase 0 is the n-grid, and needs no
+# transform), and from n = 4096 each goes alone, so a temporary holds
+# max(n, 4096) points at most, never REFINE_FACTOR * n.
 _PHASE_BLOCK_POINTS = 4096
 
 # Grid of the finite-difference Newton stage when the polish runs on a finer
@@ -217,15 +222,18 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
     fd_n = min(n, COARSE_N) if opts.polish else n
     f_fd, fprime_fd = (f_of, fprime_of) if fd_n == n else _sampled(gp, fd_n)[3:]
     x, iterations = _fd_newton(_initial_values(gp, opts, fd_n), T / fd_n, a, f_fd, fprime_fd)
+    symbol = _operator_symbol(n, T, a)
     polish_iters = 0
     if opts.polish:
         if fd_n < n:
             x = trig_interpolate(x, n)
             if not np.all(x > 0.0):
                 raise LeftPositiveCone("the lifted coarse solution is not strictly positive")
-        x, polish_iters, _ = _polish(x, T, a, f_of, fprime_of)
+        x, polish_iters, res, spec = _polish(x, symbol, f_of, fprime_of)
+    else:
+        res, spec = _node_residual(x, symbol, f_of)
 
-    sup_res, sup_res_exact = _refined_residuals(gp, x, r_nodes, s_nodes)
+    sup_res, sup_res_exact = _refined_residuals(gp, x, res, spec, symbol, r_nodes, s_nodes)
     return GridSolution(
         T=T,
         nodes=nodes,
@@ -296,11 +304,18 @@ def _fd_newton(x, h, a, f_of, fprime_of):
     raise NoConvergence(f"no convergence within {NEWTON_MAX_STEPS} Newton iterations")
 
 
-def _polish(x, T, a, f_of, fprime_of):
+def _node_residual(y, symbol, f_of):
+    """Collocation residual irfft(rfft(y - mean y) * symbol) - f(y) at the
+    nodes, with the rfft(y - mean y) it was computed from."""
+    spec = np.fft.rfft(y - y.mean())
+    return np.fft.irfft(spec * symbol, n=len(y)) - f_of(y), spec
+
+
+def _polish(x, symbol, f_of, fprime_of):
     """Newton on the collocation residual d2 + a d1 - f(x), from x.
 
-    The residual is irfft(rfft(x - mean x) * symbol) - f(x), with the symbol
-    of D^2 + a D from ``_operator_symbol``: one rfft/irfft pair.  Each step
+    The residual is ``_node_residual``'s, with ``symbol`` the rfft symbol of
+    D^2 + a D from ``_operator_symbol``: one rfft/irfft pair.  Each step
     solves (D^2 + a D - diag f'(x)) delta = -res by GMRES, right
     preconditioned by P = D^2 + a D - mean f'(x), whose FFT symbol
     -w^2 + i a w - mean f' is inverted mode by mode.  Since D^2 + a D = P +
@@ -313,15 +328,11 @@ def _polish(x, T, a, f_of, fprime_of):
     kept whatever its residual (whose change is then rounding noise) and
     ends the polish.  A zero bin of the symbol (mode 0 when mean f' = 0)
     makes P singular, and x is returned as it is.  Returns the iterate, the
-    number of steps kept and its sup-norm residual.
+    number of steps kept, and the node residual and spectrum of the iterate
+    that ``_node_residual`` gave, for ``_refined_residuals``.
     """
     n = len(x)
-    symbol = _operator_symbol(n, T, a)
-
-    def residual(y):
-        return np.fft.irfft(np.fft.rfft(y - y.mean()) * symbol, n=n) - f_of(y)
-
-    res = residual(x)
+    res, spec = _node_residual(x, symbol, f_of)
     res_norm = float(np.max(np.abs(res)))
     steps = 0
     while True:
@@ -329,7 +340,7 @@ def _polish(x, T, a, f_of, fprime_of):
         fbar = float(fp.mean())
         denom = symbol - fbar
         if np.any(denom == 0.0):
-            return x, steps, res_norm
+            return x, steps, res, spec
         inv = 1.0 / denom
         spread = fp - fbar
 
@@ -340,41 +351,44 @@ def _polish(x, T, a, f_of, fprime_of):
         delta = precond(u)
         candidate = x + delta
         if np.any(candidate <= 0.0):
-            return x, steps, res_norm
-        cand_res = residual(candidate)
+            return x, steps, res, spec
+        cand_res, cand_spec = _node_residual(candidate, symbol, f_of)
         cand_norm = float(np.max(np.abs(cand_res)))
         noise_step = steps > 0 and np.max(np.abs(delta)) <= _POLISH_NOISE_STEP * np.max(x)
         if not (cand_norm < res_norm or noise_step):
-            return x, steps, res_norm
+            return x, steps, res, spec
         steps += 1
         halved = cand_norm <= 0.5 * res_norm
-        x, res, res_norm = candidate, cand_res, cand_norm
+        x, res, spec, res_norm = candidate, cand_res, cand_spec, cand_norm
         if noise_step or not halved:
-            return x, steps, res_norm
+            return x, steps, res, spec
 
 
-def _refined_residuals(gp, values, r_nodes, s_nodes):
+def _refined_residuals(gp, values, node_res, spec, symbol, r_nodes, s_nodes):
     """``sup_residual`` and ``sup_residual_exact_data`` over the REFINE_FACTOR * n fine nodes.
 
-    Fine node REFINE_FACTOR * i + j is node i shifted by j h / REFINE_FACTOR,
-    so an interpolant's values at phase j are the n-point inverse transform
-    of its spectrum times e^{i w j h / REFINE_FACTOR}.  One complex exp gives
-    phase 1's factors; phase 0 needs none, and phase j > 1 takes phase j -
-    1's times phase 1's, which moves them by a few ulp.  For even n, irfft
-    reads only the real part of the Nyquist bin, so that bin takes the real
-    factor cos(w j h / REFINE_FACTOR) of the symmetric split in
-    ``resample_spectrum``.  The phases go in blocks of at most
-    ``_PHASE_BLOCK_POINTS`` points, so no REFINE_FACTOR * n array is built.
-    A coefficient whose node samples are all equal is that constant, with
-    no transform.  (The mean of equal samples may miss them by an ulp, as
-    s = 0.30000000000000004 of the tank preset reads 0.29999999999999993.)
+    ``node_res`` and ``spec`` are ``_node_residual``'s residual of the
+    values and their mean-free spectrum, and ``symbol`` its operator symbol.
+    Fine node REFINE_FACTOR * i + j is node i shifted by j h / REFINE_FACTOR.
+    Phase 0 is the n-grid itself, bit for bit, where every interpolant equals
+    its samples: both residuals there are the node residual.  At phase j > 0
+    an interpolant's values are the n-point inverse transform of its
+    spectrum times e^{i w j h / REFINE_FACTOR}.  One complex exp gives phase
+    1's factors, and phase j > 1 takes phase j - 1's times phase 1's, which
+    moves them by a few ulp.  For even n, irfft reads only the real part of
+    the Nyquist bin, so that bin takes the real factor cos(w j h /
+    REFINE_FACTOR) of the symmetric split in ``resample_spectrum``.  The
+    phases go in blocks of at most ``_PHASE_BLOCK_POINTS`` points, so no
+    REFINE_FACTOR * n array is built.  A coefficient whose node samples are
+    all equal is that constant, with no transform.  (The mean of equal
+    samples may miss them by an ulp, as s = 0.30000000000000004 of the tank
+    preset reads 0.29999999999999993.)
     """
     T = gp.T
     n = len(values)
     n_f = REFINE_FACTOR * n
     mean = values.mean()
-    spec = np.fft.rfft(values - mean)
-    lin_spec = spec * _operator_symbol(n, T, gp.a)
+    lin_spec = spec * symbol
     coefficients = []  # (mean, spectrum) of r and s; (value, None) for a constant
     for c in (r_nodes, s_nodes):
         if np.all(c == c[0]):
@@ -383,23 +397,20 @@ def _refined_residuals(gp, values, r_nodes, s_nodes):
             c_mean = c.mean()
             coefficients.append((c_mean, np.fft.rfft(c - c_mean)))
     step = np.exp((2j * np.pi / n_f) * np.arange(n // 2 + 1))  # phase 1's factor
-    factor = None  # phase j's factor, step**j by products; phase 0 has none
+    factors = [step]  # factors[j - 1] is phase j's, step**j by products
+    for _ in range(2, REFINE_FACTOR):
+        factors.append(factors[-1] * step)
     fine_index = REFINE_FACTOR * np.arange(n)
     block = max(1, _PHASE_BLOCK_POINTS // n)
-    sups_colloc, sups_exact = [], []
-    for first in range(0, REFINE_FACTOR, block):
-        phases = np.arange(first, min(first + block, REFINE_FACTOR))[:, None]
-        factors = []
-        for j in range(first, first + len(phases)):
-            factor = None if j == 0 else step if j == 1 else factor * step
-            factors.append(factor)
-        if len(factors) == 1:
-            shift = factors[0]
-        else:
-            shift = np.array([np.ones_like(step) if f is None else f for f in factors])
+    node_sup = np.max(np.abs(node_res))
+    sups_colloc, sups_exact = [node_sup], [node_sup]
+    for first in range(1, REFINE_FACTOR, block):
+        chunk = factors[first - 1 : first - 1 + block]
+        phases = np.arange(first, first + len(chunk))[:, None]
+        shift = chunk[0] if len(chunk) == 1 else np.array(chunk)
 
         def at_phases(spectrum):
-            return np.fft.irfft(spectrum if shift is None else spectrum * shift, n=n)
+            return np.fft.irfft(spectrum * shift, n=n)
 
         positive = np.clip(at_phases(spec) + mean, 1e-300, None)
         lin = at_phases(lin_spec)
@@ -430,8 +441,11 @@ def fd_residual(gp: GeneralProblem, x) -> float:
 
 def cone_and_localization(values, cone_const: float, r1: float, r2: float) -> ConeReport:
     """Check cone membership and the localization band for trace samples
-    (checked by ``numerics.trace_array``)."""
+    (checked by ``numerics.trace_array``); each bound must be a finite real number."""
     values = trace_array(values, "values")
+    for name, bound in (("cone_const", cone_const), ("r1", r1), ("r2", r2)):
+        if not is_finite_real(bound):
+            raise LiebauError(f"{name} must be a finite real number, got {bound!r}")
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     return ConeReport(

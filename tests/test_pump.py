@@ -69,6 +69,18 @@ def test_x_to_u_refuses_bad_trace(trace):
         x_to_u(trace, 0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, "x", None, True])
+def test_pump_report_refuses_bad_tol(bad, tank_lp):
+    with pytest.raises(LiebauError, match="^tol must be a finite real number"):
+        pump_report(tank_lp(4.0), closed_form_trace(4.0), tol=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "a", None, True])
+def test_x_to_u_refuses_bad_mu(bad):
+    with pytest.raises(LiebauError, match="^mu must be a finite real number"):
+        x_to_u(np.full(8, 2.0), bad)
+
+
 class TestTransform:
     def test_constant_power(self):
         u = x_to_u(np.full(64, (1.54 / 1.49) ** 100), 0.01)

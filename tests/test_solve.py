@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -234,9 +235,8 @@ class TestCoarseToFine:
             gp.T / 128, gp.a, *solve._sampled(gp, 128)[3:],
         )
 
-        def no_steps(x, T, a, f_of, fprime_of):
-            d1, d2 = spectral_derivatives(x, T)
-            return x, 0, float(np.max(np.abs(d2 + a * d1 - f_of(x))))
+        def no_steps(x, symbol, f_of, fprime_of):
+            return x, 0, *solve._node_residual(x, symbol, f_of)
 
         monkeypatch.setattr(solve, "_polish", no_steps)
         sol = solve_periodic(gp, opts)
@@ -340,20 +340,22 @@ class TestNewtonKrylovPolish:
     @pytest.mark.parametrize("noise", [0.0, 1e-3])
     def test_residual_is_the_spectral_derivative_form(self, monkeypatch, case, n, noise):
         # with a zero GMRES solution the polish keeps no step and returns the
-        # sup norm of its residual at the start
+        # node residual of its start, with the spectrum it came from
         gp, opts = _oracle_problem(case)
         x = solve_periodic(gp, dataclasses.replace(opts, n=n)).values
         x = x * (1.0 + noise * np.random.default_rng(n).uniform(-1.0, 1.0, n))
         f_of, fprime_of = solve._sampled(gp, n)[3:]
         monkeypatch.setattr(solve, "gmres", lambda matvec, b, *rest: np.zeros_like(b))
-        got, steps, res_norm = solve._polish(x, gp.T, gp.a, f_of, fprime_of)
+        symbol = solve._operator_symbol(n, gp.T, gp.a)
+        got, steps, res, spec = solve._polish(x, symbol, f_of, fprime_of)
         assert steps == 0 and got is x
+        assert np.array_equal(spec, np.fft.rfft(x - x.mean()))
         d1, d2 = spectral_derivatives(x, gp.T)
-        want = float(np.max(np.abs(d2 + gp.a * d1 - f_of(x))))
-        # the two forms round differently: 1.4 ulp of the largest term at most
-        # over these cases
+        want = d2 + gp.a * d1 - f_of(x)
+        # the two forms round differently: 2.25 ulp of the largest term at most,
+        # node by node, over these cases
         terms = float(np.max(np.abs(d2) + np.abs(gp.a * d1) + np.abs(f_of(x))))
-        assert abs(res_norm - want) <= 4.0 * np.finfo(float).eps * terms
+        assert float(np.max(np.abs(res - want))) <= 4.0 * np.finfo(float).eps * terms
 
     def test_singular_preconditioner_returns_newton_iterate(self):
         # r = s = +-1 (a square wave the nodes never sample on its ramps) makes
@@ -425,27 +427,42 @@ class TestRefinedResiduals:
         n=st.integers(8, 1100),
         noise=st.sampled_from([0.0, 1e-9, 1e-3]),
         seed=st.integers(0, 2**32 - 1),
-        # besides the default, one phase per block, and uneven blocks such as 3 + 1
+        # besides the default, one phase per block, and uneven blocks such as 2 + 1
         block_points=st.sampled_from([solve._PHASE_BLOCK_POINTS, 1, 2048]),
+        polish=st.booleans(),
     )
-    def test_matches_the_dense_grid(self, case, n, noise, seed, block_points):
+    def test_matches_the_dense_grid(self, case, n, noise, seed, block_points, polish):
         gp, opts = _oracle_problem(case)
-        x = solve_periodic(gp, dataclasses.replace(opts, n=n)).values
+        sol = solve_periodic(gp, dataclasses.replace(opts, n=n, polish=polish))
         # relative noise reaches every mode, the Nyquist mode of an even n included
-        x = x * (1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, n))
+        x = sol.values * (1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, n))
         nodes = np.arange(n) * (gp.T / n)
         r, s = np.asarray(gp.r(nodes), dtype=float), np.asarray(gp.s(nodes), dtype=float)
+        symbol = solve._operator_symbol(n, gp.T, gp.a)
+        res, spec = solve._node_residual(x, symbol, solve._sampled(gp, n)[3])
         with mock.patch.object(solve, "_PHASE_BLOCK_POINTS", block_points):
-            got = solve._refined_residuals(gp, x, r, s)
+            got = solve._refined_residuals(gp, x, res, spec, symbol, r, s)
         want = dense_refined_residuals(gp, x)
+        # without noise, the solve's own report (from the polish's final
+        # residual, or from solve_periodic's without the polish) is checked too
+        reports = [got] if noise else [got, (sol.sup_residual, sol.sup_residual_exact_data)]
         # A converged residual is what is left of r x^alpha - s x^beta after
         # cancellation (1.6e-11 of terms near 4.5e3 for cosine at n = 37), so
         # the two roundings may differ there by an ulp of those terms.
         ulp_of_terms = np.finfo(float).eps * float(
             np.max(np.abs(r) * x**gp.alpha + np.abs(s) * x**gp.beta)
         )
-        for g, o in zip(got, want):
-            assert abs(g - o) <= 1e-6 * o + 4.0 * ulp_of_terms
+        for report in reports:
+            for g, o in zip(report, want):
+                assert abs(g - o) <= 1e-6 * o + 4.0 * ulp_of_terms
+
+    @pytest.mark.parametrize("T", [1.0, 2.0 * math.pi, 0.3, 7.77])
+    @pytest.mark.parametrize("n", [8, 37, 512, 1100, 4096])
+    def test_phase_zero_is_the_grid(self, T, n):
+        # scaling by a power of two is exact, so the diagnostic's phase-0 fine
+        # nodes are the grid's nodes and its residual there is the node residual
+        k = solve.REFINE_FACTOR
+        assert np.array_equal((k * np.arange(n)) * (T / (k * n)), np.arange(n) * (T / n))
 
     def test_large_solve_peaks_below_one_mib(self):
         # one float array of REFINE_FACTOR * 4096 points is 128 KiB; the dense
@@ -460,6 +477,71 @@ class TestRefinedResiduals:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestTransformsOncePerSolve:
+    # transform calls of one solve at n = 4096, lift and diagnostic included;
+    # the diagnostic's own transform of the final iterate made these 42, 40,
+    # 40, 78, 76 and 14
+    @pytest.mark.parametrize(
+        "case, polish, calls",
+        [
+            ("cosine", True, 38),
+            ("cubic", True, 36),
+            ("narrowband", True, 36),
+            ("trapezoid", True, 74),
+            ("benchmark", True, 72),
+            ("cosine", False, 12),
+        ],
+    )
+    def test_fft_calls_per_solve(self, monkeypatch, case, polish, calls):
+        preset = presets.preset(case)
+        gp = regularize(preset.problem)
+        forward_inputs, inverse_calls = [], []
+        rfft, irfft = np.fft.rfft, np.fft.irfft
+
+        def counting_rfft(a, *args, **kwargs):
+            forward_inputs.append(np.array(a, copy=True))
+            return rfft(a, *args, **kwargs)
+
+        def counting_irfft(a, *args, **kwargs):
+            inverse_calls.append(None)
+            return irfft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+        monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+        sol = solve_periodic(gp, SolveOptions(n=4096, polish=polish, **preset.solve))
+        assert len(forward_inputs) + len(inverse_calls) == calls
+        final = sol.values - sol.values.mean()
+        assert sum(np.array_equal(v, final) for v in forward_inputs) == 1
+
+
+# sha256 of values.tobytes(), iterations, polish_iterations and fd_n of the
+# preset solves, recorded with numpy 2.4 on x86-64 before the residual
+# diagnostic took its data from the polish; the values must not move by a bit.
+# (Another FFT or libm build may round differently.)
+_PINNED_SOLVES = {
+    ("trapezoid", 512, True): ("3e64a01fbec23a5b347028b5978355e04751851616fc31b74ce42cb54e7d1939", 10, 6, 128),
+    ("trapezoid", 4096, True): ("81eeceba3fdee40be349fbd3265422239f8ae1fbdc6e752996803d5b036ccc64", 10, 6, 128),
+    ("cosine", 512, True): ("99afe2728cdf5d088135ed3340b50ee92fbd14ee10a1bde7993658cd03b7f900", 4, 2, 128),
+    ("cosine", 4096, True): ("cc1bcd1a3c1b22dd7ed24e3d51d92c66cd3c2f3b9640087df4ec8e40c6823be0", 4, 2, 128),
+    ("cubic", 512, True): ("43747c7e129ec5441e8aa06c71be621eb2c64e74ef522a14a6fa786921e59eaf", 4, 2, 128),
+    ("cubic", 4096, True): ("287c38ed59b15d8cc4a0c934b9a8738f640e4a3290783d890e3239f7d1b69597", 4, 2, 128),
+    ("narrowband", 512, True): ("e8956aa573d154fd0d65d470e1fa84ee62d0a33eece806aa566f07d08461fb41", 4, 2, 128),
+    ("narrowband", 4096, True): ("df84f4f89b98cdc18745c8e5a16ee98fff9caf837213e439600eb09d5ab6ffdc", 4, 2, 128),
+    ("benchmark", 512, True): ("a427df95299a006e06d77d887021201b700e4e94c16280a50764e4bffb463210", 9, 3, 128),
+    ("benchmark", 4096, True): ("1b21f019276fbebe9b07db04106a9bb8ea6823751bca6fb8026a5f0d16f0376b", 9, 3, 128),
+    ("cosine", 512, False): ("d975cfb89b3981490378a13901e83ebee4cd3a9806fdb8730478bd3dd6651475", 2, 0, 512),
+}
+
+
+@pytest.mark.parametrize("case, n, polish", sorted(_PINNED_SOLVES))
+def test_solution_bits_are_pinned(case, n, polish):
+    preset = presets.preset(case)
+    sol = solve_periodic(regularize(preset.problem), SolveOptions(n=n, polish=polish, **preset.solve))
+    digest = hashlib.sha256(sol.values.tobytes()).hexdigest()
+    got = (digest, sol.iterations, sol.polish_iterations, sol.fd_n)
+    assert got == _PINNED_SOLVES[case, n, polish]
 
 
 class TestFdResidual:
@@ -500,6 +582,14 @@ def test_fd_residual_refuses_bad_trace(trace, tank_lp):
 def test_cone_and_localization_refuses_bad_trace(trace):
     with pytest.raises(LiebauError, match="^values "):
         cone_and_localization(trace, 0.5, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("name", ["cone_const", "r1", "r2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x", None, True])
+def test_cone_and_localization_refuses_bad_bound(name, bad):
+    bounds = {"cone_const": 0.5, "r1": 1.0, "r2": 10.0, name: bad}
+    with pytest.raises(LiebauError, match=f"^{name} must be a finite real number"):
+        cone_and_localization(np.full(8, 5.0), **bounds)
 
 
 def inline_response(kernel, g):
