@@ -459,8 +459,9 @@ class TestRefinedResiduals:
     @pytest.mark.parametrize("T", [1.0, 2.0 * math.pi, 0.3, 7.77])
     @pytest.mark.parametrize("n", [8, 37, 512, 1100, 4096])
     def test_phase_zero_is_the_grid(self, T, n):
-        # scaling by a power of two is exact, so the diagnostic's phase-0 fine
-        # nodes are the grid's nodes and its residual there is the node residual
+        # scaling by a power of two (REFINE_FACTOR) is exact, so the diagnostic's
+        # phase-0 fine nodes are the grid's nodes and its residual there is the
+        # node residual
         k = solve.REFINE_FACTOR
         assert np.array_equal((k * np.arange(n)) * (T / (k * n)), np.arange(n) * (T / n))
 
