@@ -43,7 +43,7 @@ from .problem import (
     from_physical,
     regularize,
 )
-from .pump import pump_report, x_to_u
+from .pump import check_tol, pump_report, x_to_u
 from .solve import MAX_GRID, GridSolution, SolveOptions, solve_periodic
 
 EXIT_OK = 0
@@ -459,8 +459,10 @@ def _read_solution_csv(path: str, mu: float, T: float) -> np.ndarray:
 
 def _cmd_pump(args) -> int:
     tol = 1e-9 if args.threshold is None else args.threshold
-    if not 0.0 <= tol < math.inf:
-        raise ConfigError(f"must be finite and at least 0, got {tol!r}", "pump.tol")
+    try:
+        check_tol(tol)
+    except LiebauError as exc:
+        raise ConfigError(str(exc), "pump.tol") from exc
     cfg = _resolve(args)
     lp = _liebau_problem(cfg)
     if args.solution:

@@ -8,6 +8,15 @@ representation is rich enough for every instance we care about while keeping
 means and extrema exact (or near-exact) so that downstream inequality
 margins are trustworthy.
 
+Extrema come from a finite set of candidate points wherever the body has
+one: the value of a constant, the vertices of a piecewise-linear table, the
+phases 0 and pi of a one-term cosine, and for a polynomial t = 0, the left
+limit at t = T and the roots of p' in (0, T), found on Python floats by
+isolating them between the roots of p''.  Sums, clips and cosines of several
+terms are scanned on a grid and refined by ``numerics.zoom_minima``.  The
+zeros of a polynomial, which become the breakpoints of its positive part,
+come from the same root isolation.
+
 Instances are immutable after construction and every operation is pure.
 A ``PeriodicFunction``'s extrema and positive part are computed lazily, once
 per instance, and kept on the instance: repeated ``extrema()`` and
@@ -27,10 +36,13 @@ import numpy as np
 from .errors import BadPeriod, LiebauError
 from .numerics import is_finite_real, simpson_segmented, sorted_unique, zoom_minima
 
-# Refinement tolerance (in t) for grid-based extrema; surfaced in
-# certificates because condition margins consume these values.
+# Refinement tolerance (in t) for the extrema of scanned bodies (sums, clips
+# and cosines of several terms); the candidate-point extrema of the other
+# bodies do not use it.  Surfaced in certificates because condition margins
+# consume these values.
 EXTREMA_REFINE_TOL = 1e-12
 _SCAN_POINTS = 8192
+_ROOT_STEPS = 100  # most Newton or bisection steps per polynomial root
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -281,22 +293,37 @@ class PeriodicFunction:
     def extrema(self) -> tuple[float, float, float, float]:
         """(min, max, argmin, argmax) over one period.
 
-        Exact for constants and piecewise-linear tables (and clips of them);
-        anything else is scanned on a uniform grid (with any breakpoints
-        inserted).  One pass over the scan finds the local minima and maxima,
-        and one ``numerics.zoom_minima`` call refines the minima of f and the
+        Bodies with a finite set of candidate points take each value with
+        the body's own ``eval`` at its candidate, keeping the earliest
+        candidate on ties:
+
+        - a constant: its value, at t = 0;
+        - a piecewise-linear table: its vertices;
+        - a one-term cosine offset + amp*cos(2*pi*k*t/T + phase): the first
+          t in [0, T/k) of phase pi and of phase 0 (mod 2*pi), swapped for
+          amp < 0; zero amplitude is a constant;
+        - a polynomial: t = 0, the roots of p' in (0, T), and t = T, whose
+          value is the raw p(T), the left limit at the wrap (reported at
+          t = 0).  The roots are isolated between those of p'', and so on
+          down to a linear derivative, and refined by bracketed Newton on
+          Python floats.
+
+        Anything else (sums, clips, cosines of several terms) is scanned on
+        a uniform grid (with any breakpoints inserted).  One pass over the
+        scan finds the local minima and maxima, and one
+        ``numerics.zoom_minima`` call refines the minima of f and the
         maxima, as minima of -f, together until each bracket is at most
         EXTREMA_REFINE_TOL * max(1, T) wide in t; each sign's brackets stop
-        on their own, so both results equal those of two separate passes bit
-        for bit.  A run of adjacent winners with equal values is refined as
-        one bracket.  Computed on the first call; later calls return the
+        on their own, so both results equal those of two separate passes
+        bit for bit.  A run of adjacent winners with equal values is refined
+        as one bracket.  Computed on the first call; later calls return the
         same tuple.
         """
         return self._extrema
 
     @cached_property
     def _extrema(self) -> tuple[float, float, float, float]:
-        body = self.body
+        body, T = self.body, self.period
         if isinstance(body, Constant):
             return body.value, body.value, 0.0, 0.0
         if isinstance(body, PiecewiseLinear):
@@ -304,6 +331,23 @@ class PeriodicFunction:
             vs = np.array([p[1] for p in body.points])
             imin, imax = int(np.argmin(vs)), int(np.argmax(vs))
             return float(vs[imin]), float(vs[imax]), float(ts[imin]), float(ts[imax])
+        if isinstance(body, TrigPoly) and len(body.terms) == 1:
+            amp, k, phase = body.terms[0]
+            if amp == 0.0:
+                v = body.eval(0.0, T)
+                return v, v, 0.0, 0.0
+            t_low, t_high = _first_phase(math.pi, phase, k, T), _first_phase(0.0, phase, k, T)
+            ts = [t_low, t_high] if amp > 0.0 else [t_high, t_low]
+            vs = body.eval(np.array(ts), T)
+            return float(vs[0]), float(vs[1]), ts[0], ts[1]
+        if isinstance(body, PolyOnPeriod):
+            coeffs = list(body.coeffs)
+            ts = [0.0, *(t for t in _real_roots(_derivative(coeffs), 0.0, T) if 0.0 < t < T), T]
+            # eval is the raw polynomial on [0, T); at T the raw value is the left limit
+            vs = body._value_raw(np.array(ts))
+            imin, imax = int(np.argmin(vs)), int(np.argmax(vs))  # the first of equal values
+            ts[-1] = 0.0  # the wrap point t = T is t = 0 of the period
+            return float(vs[imin]), float(vs[imax]), ts[imin], ts[imax]
         return self._scanned_extrema()
 
     def _scanned_extrema(self) -> tuple[float, float, float, float]:
@@ -424,9 +468,96 @@ def _local_extrema(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(le[:n] & ge[1:]), np.flatnonzero(ge[:n] & le[1:])
 
 
+def _first_phase(target: float, phase: float, k: int, period: float) -> float:
+    """The first t in [0, T/k) where 2*pi*k*t/T + phase = target (mod 2*pi)."""
+    tau = 2.0 * math.pi
+    t = (target - phase) % tau * period / (tau * k)
+    return t if t < period / k else 0.0  # the remainder can round up to 2*pi
+
+
+def _derivative(coeffs: list[float]) -> list[float]:
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def _horner(coeffs: list[float], t: float) -> float:
+    """The polynomial at t, by ``PolyOnPeriod._value_raw``'s Horner steps on Python floats."""
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * t + c
+    return out
+
+
+def _real_roots(coeffs: list[float], lo: float, hi: float) -> list[float]:
+    """Ascending real roots in [lo, hi] of the polynomial with ascending coefficients.
+
+    The roots of its derivative, found the same way, split [lo, hi] into
+    pieces on which it is monotone; a piece holds a root when its ends
+    differ in sign or one end is zero.  A polynomial that is constant has
+    no roots here, the zero polynomial included.
+    """
+    while len(coeffs) > 1 and coeffs[-1] == 0.0:
+        coeffs = coeffs[:-1]
+    if len(coeffs) < 2:
+        return []
+    slope = _derivative(coeffs)
+    ends = [lo, *_real_roots(slope, lo, hi), hi]
+    out: list[float] = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        fa, fb = _horner(coeffs, a), _horner(coeffs, b)
+        if fa == 0.0:
+            root = a
+        elif fb == 0.0:
+            root = b
+        elif (fa < 0.0) != (fb < 0.0):
+            root = _monotone_root(coeffs, slope, a, b, fa)
+        else:
+            continue
+        if not out or root != out[-1]:
+            out.append(root)
+    return out
+
+
+def _monotone_root(coeffs: list[float], slope: list[float], lo: float, hi: float, flo: float) -> float:
+    """The root in (lo, hi) of a polynomial that is monotone there and whose
+    ends differ in sign, flo being its value at lo.
+
+    Newton steps from the midpoint; a step that would leave the bracket,
+    which shrinks to each iterate, is replaced by a bisection.  Stops at an
+    exact zero, at a Newton fixed point, or when the bracket is two
+    neighbouring floats.
+    """
+    t = 0.5 * (lo + hi)
+    for _ in range(_ROOT_STEPS):
+        ft = _horner(coeffs, t)
+        if ft == 0.0:
+            return t
+        if (ft < 0.0) == (flo < 0.0):
+            lo, flo = t, ft
+        else:
+            hi = t
+        d = _horner(slope, t)
+        step = t - ft / d if d != 0.0 else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+            if not lo < step < hi:
+                return t
+        if step == t:
+            return t
+        t = step
+    return t
+
+
 def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:
-    """Zeros of f on one period, ascending: grid nodes where f is exactly 0,
-    and a bisected root inside every grid cell whose ends differ in sign."""
+    """Zeros of f on one period, ascending.
+
+    For a polynomial: t = 0 when p(0) = 0, then the roots of p in (0, T)
+    by ``_real_roots``.  Otherwise: grid nodes where f is exactly 0, and a
+    bisected root inside every grid cell whose ends differ in sign.
+    """
+    if isinstance(f.body, PolyOnPeriod):
+        coeffs = list(f.body.coeffs)
+        inner = [t for t in _real_roots(coeffs, 0.0, period) if 0.0 < t < period]
+        return ([0.0] if coeffs[0] == 0.0 else []) + inner
     grid = np.linspace(0.0, period, _SCAN_POINTS + 1)
     vals = np.asarray(f(grid), dtype=float)
     a, b = vals[:-1], vals[1:]

@@ -67,11 +67,22 @@ def singular_residual(
 
 
 def x_to_u(x, mu: float) -> np.ndarray:
-    """Transform regularized samples back to pipe-level units, u = x^mu."""
+    """Transform regularized samples back to pipe-level units, u = x^mu, for
+    the exponent mu in (0, 1/2) of a pipe-level problem."""
     values = trace_array(x, "x", NegativeState)
     if not is_finite_real(mu):
         raise LiebauError(f"mu must be a finite real number, got {mu!r}")
+    if not 0.0 < mu < 0.5:
+        raise LiebauError(f"need 0 < mu < 1/2, got mu={mu!r}")
     return values**mu
+
+
+def check_tol(tol) -> None:
+    """LiebauError unless the pumping detection threshold tol is a finite real number at least 0."""
+    if not is_finite_real(tol):
+        raise LiebauError(f"tol must be a finite real number, got {tol!r}")
+    if tol < 0.0:
+        raise LiebauError(f"tol must be at least 0, got {tol!r}")
 
 
 def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
@@ -79,10 +90,10 @@ def pump_report(lp: LiebauProblem, u, tol: float = 1e-9) -> PumpReport:
 
     Periodic means are plain node averages (spectrally accurate for smooth
     periodic data); u' comes from spectral differentiation of the trace.
+    Pumping is detected when delta exceeds tol, which ``check_tol`` checks.
     """
     values = trace_array(u, "u", NonpositiveLevel)
-    if not is_finite_real(tol):
-        raise LiebauError(f"tol must be a finite real number, got {tol!r}")
+    check_tol(tol)
     T = lp.T
     u_mean = float(values.mean())
     e_mean = lp.e.mean()

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
+from .errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
 from .problem import GeneralProblem, deregularize
 from .numerics import (
     cyclic_fd_operator,
@@ -441,11 +441,17 @@ def fd_residual(gp: GeneralProblem, x) -> float:
 
 def cone_and_localization(values, cone_const: float, r1: float, r2: float) -> ConeReport:
     """Check cone membership and the localization band for trace samples
-    (checked by ``numerics.trace_array``); each bound must be a finite real number."""
+    (checked by ``numerics.trace_array``); each bound must be a finite real
+    number, cone_const must lie in (0, 1), and BadRadii refuses radii outside
+    0 < r1 < r2."""
     values = trace_array(values, "values")
     for name, bound in (("cone_const", cone_const), ("r1", r1), ("r2", r2)):
         if not is_finite_real(bound):
             raise LiebauError(f"{name} must be a finite real number, got {bound!r}")
+    if not 0.0 < cone_const < 1.0:
+        raise LiebauError(f"cone_const must lie in (0, 1), got {cone_const!r}")
+    if not 0.0 < r1 < r2:
+        raise BadRadii(f"need 0 < r1 < r2, got {r1!r}, {r2!r}")
     vmin = float(np.min(values))
     vmax = float(np.max(values))
     return ConeReport(

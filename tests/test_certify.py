@@ -388,11 +388,11 @@ class TestSearch:
         assert search_certificate(lp) is None
 
     def test_forcing_scanned_once_per_search(self, cosine_lp, monkeypatch):
-        # a fresh forcing equal to the fixture's, so no earlier test has filled its caches
-        lp = LiebauProblem(
-            cosine_lp.a, cosine_lp.mu, cosine_lp.c, cosine_lp.T,
-            PeriodicFunction(cosine_lp.e.period, cosine_lp.e.body),
-        )
+        # the fixture's cosine plus a zero second term: the same values, from a
+        # fresh body that is scanned, so no earlier test has filled its caches
+        (amp, k, phase), = cosine_lp.e.body.terms
+        e = PeriodicFunction.trig(cosine_lp.e.period, cosine_lp.e.body.offset, [(amp, k, phase), (0.0, 2, 0.0)])
+        lp = LiebauProblem(cosine_lp.a, cosine_lp.mu, cosine_lp.c, cosine_lp.T, e)
         scans = []
         scan = PeriodicFunction._scanned_extrema
 

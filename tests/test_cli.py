@@ -710,6 +710,12 @@ class TestOptionRangesExitTwo:
         assert out == ""
         assert "pump.tol" in err
 
+    @pytest.mark.parametrize("tol, message", [("-1e-9", "tol must be at least 0"), ("nan", "tol must be a finite")])
+    def test_pump_tol_refused_by_pump_reports_rule(self, capsys, tol, message):
+        code, _, err = run_captured(capsys, ["pump", "--preset", "benchmark", f"--tol={tol}"])
+        assert code == EXIT_CONFIG
+        assert f"pump.tol: {message}" in err
+
     @pytest.mark.parametrize("tol", ["-inf", "-1e-9", "-1"])
     def test_pump_tol_negative_as_separate_token(self, capsys, tol):
         # a space-separated negative float is a value, not an unknown option

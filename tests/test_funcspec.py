@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -244,10 +245,15 @@ def zeros_at_nodes() -> PeriodicFunction:
     return PeriodicFunction.poly(1.0, [-0.1875, 1.0, -1.0])
 
 
+def scanned_zeros_at_nodes() -> PeriodicFunction:
+    # zeros_at_nodes plus a zero constant: the same values, from a sum, which is scanned
+    return PeriodicFunction.sum_of([zeros_at_nodes(), PeriodicFunction.constant(1.0, 0.0)])
+
+
 def all_ties() -> PeriodicFunction:
-    # zero amplitude: every grid value equals the offset (0), so every
-    # point ties with its neighbours and every node is a zero
-    return PeriodicFunction.trig(1.0, 0.0, [(0.0, 1, 0.0)])
+    # zero amplitudes: every grid value equals the offset (0), so every point
+    # ties with its neighbours and every node is a zero; two terms, so it is scanned
+    return PeriodicFunction.trig(1.0, 0.0, [(0.0, 1, 0.0), (0.0, 2, 0.0)])
 
 
 def oracle_winners(fv: np.ndarray) -> list[int]:
@@ -280,7 +286,7 @@ def oracle_crossings(f: PeriodicFunction, period: float) -> list[float]:
 
 
 class TestVectorisedScans:
-    @pytest.mark.parametrize("make", [sum_with_breakpoints, zeros_at_nodes])
+    @pytest.mark.parametrize("make", [sum_with_breakpoints, scanned_zeros_at_nodes])
     def test_winners_match_scalar_scan_inside_extrema(self, make, monkeypatch):
         seen = []
         local_extrema = funcspec._local_extrema
@@ -354,7 +360,8 @@ class TestExtremaZoom:
             return zoom(lambda s: sizes.append(len(s)) or f(s), *args)
 
         monkeypatch.setattr(funcspec, "zoom_minima", counting)
-        PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 3, 0.3)]).extrema()
+        # a zero second term keeps the harmonic-3 cosine's values in a body that is scanned
+        PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 3, 0.3), (0.0, 1, 0.0)]).extrema()
         # a grid-cell bracket shrinks 64-fold per round from 2/8192 to 1e-12 in 5 rounds;
         # the 3 minima and 3 maxima of the harmonic-3 cosine share each round's call
         assert 1 <= len(sizes) <= 5
@@ -397,9 +404,10 @@ class TestExtremaZoom:
 
     def test_equal_values_apart_stay_separate_brackets(self, monkeypatch):
         # the two minima of a harmonic-2 cosine have equal grid values but are
-        # not adjacent, so each keeps its own bracket
+        # not adjacent, so each keeps its own bracket; a zero second term keeps
+        # its values in a body that is scanned
         brackets = counting_zoom(monkeypatch)
-        fmin, fmax, _, _ = PeriodicFunction.trig(1.0, 2.0, [(1.0, 2, 0.0)]).extrema()
+        fmin, fmax, _, _ = PeriodicFunction.trig(1.0, 2.0, [(1.0, 2, 0.0), (0.0, 4, 0.0)]).extrema()
         assert brackets == [(2, 2)]
         assert (fmin, fmax) == (1.0, 3.0)
 
@@ -570,6 +578,236 @@ class TestTwoPassOracle:
         assert_scan_bit_identical(f)
 
 
+def one_term_cosines():
+    return st.builds(
+        lambda period, offset, amp, k, phase: PeriodicFunction.trig(period, offset, [(amp, k, phase)]),
+        periods,
+        st.floats(-1.0, 1.0),
+        st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0])),
+        st.integers(1, 8),
+        st.floats(-1e3, 1e3),
+    )
+
+
+def continuous_poly(period: float, c0: float, scaled) -> PeriodicFunction:
+    """c0 + c1 t + sum a_i (t/T)^i for i >= 2, with c1 chosen so that p(T) = p(0)."""
+    highs = [a / period**i for i, a in enumerate(scaled, start=2)]
+    c1 = -sum(c * period ** (i - 1) for i, c in enumerate(highs, start=2))
+    return PeriodicFunction.poly(period, [c0, c1, *highs])
+
+
+def double_root_quartic(period: float, c0: float, scale: float, at: float) -> PeriodicFunction:
+    """p' = k (t - r)^2 (t - s): a double root of p' at r = at*T, and the simple
+    root s at which int_0^T p' vanishes, so that p(T) = p(0)."""
+    k, r = scale / period**4, at * period
+    s = (((period - r) ** 4 - r**4) / 4 + r * ((period - r) ** 3 + r**3) / 3) / (((period - r) ** 3 + r**3) / 3)
+    return PeriodicFunction.poly(period, [c0, -k * r * r * s, k * (r * r + 2 * r * s) / 2, -k * (s + 2 * r) / 3, k / 4])
+
+
+polys = st.one_of(
+    # no interior critical point: p(T) differs from p(0) by at most 1e-11, within _validate's 1e-10
+    st.builds(lambda period, c0, s: PeriodicFunction.poly(period, [c0, s * 1e-11 / period]),
+              periods, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    st.builds(continuous_poly, periods, st.floats(-1.0, 1.0),
+              st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=5)),
+    st.builds(double_root_quartic, periods, st.floats(-1.0, 1.0),
+              st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3), st.floats(0.05, 0.95)),
+)
+
+
+def horner_bound(f: PeriodicFunction) -> float:
+    """2 d (u sum |c_i| T^i + eta): the rounding bound of Horner's rule of degree d at
+    |t| <= T, with u = 2^-53 and eta = 2^-1074 for rounding among subnormals."""
+    coeffs = f.body.coeffs
+    scale = sum(abs(c) * f.period**i for i, c in enumerate(coeffs))
+    return 2 * (len(coeffs) - 1) * (2.0**-53 * scale + 2.0**-1074)
+
+
+def scan_bound(f: PeriodicFunction) -> float:
+    """Twice horner_bound, plus the slope bound sum i |c_i| T^(i-1) times the scan's refinement
+    tolerance: the scan reaches the left limit at the wrap only to within that tolerance."""
+    coeffs, T = f.body.coeffs, f.period
+    slope = sum(i * abs(c) * T ** (i - 1) for i, c in enumerate(coeffs))
+    return 2 * horner_bound(f) + slope * funcspec.EXTREMA_REFINE_TOL * max(1.0, T)
+
+
+def mp_real_roots(c: list, lo, hi) -> list:
+    """Roots in [lo, hi] of odd multiplicity of the polynomial with ascending mpmath
+    coefficients c, at the working precision: the roots of c' split [lo, hi] into
+    monotone pieces, and each sign change is bisected down to the precision."""
+    while c and c[-1] == 0:
+        c = c[:-1]
+    if len(c) < 2:
+        return []
+    ends = [lo, *mp_real_roots([i * x for i, x in enumerate(c)][1:], lo, hi), hi]
+    p = lambda t: mpmath.polyval(c[::-1], t)
+    out = []
+    for a, b in zip(ends[:-1], ends[1:]):
+        fa = p(a)
+        if fa * p(b) < 0:
+            for _ in range(mpmath.mp.prec + 10):
+                mid = (a + b) / 2
+                if p(mid) * fa > 0:
+                    a = mid
+                else:
+                    b = mid
+            out.append(a)
+    return out
+
+
+def mp_poly_extrema(f: PeriodicFunction):
+    """(min, max) of the polynomial on [0, T] at 50 digits, over t = 0, T and the roots of p'."""
+    with mpmath.workdps(50):
+        c = [mpmath.mpf(x) for x in f.body.coeffs]
+        T = mpmath.mpf(f.period)
+        ts = [mpmath.mpf(0), T, *mp_real_roots([i * x for i, x in enumerate(c)][1:], mpmath.mpf(0), T)]
+        vals = [mpmath.polyval(c[::-1], t) for t in ts]
+        return min(vals), max(vals)
+
+
+def calls_during(run) -> set[tuple[str, str]]:
+    """(file, name) of every Python function run() calls, by the profiler hook."""
+    seen = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            seen.add((frame.f_code.co_filename, frame.f_code.co_name))
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+class TestCandidateExtrema:
+    """One-term cosines and polynomials take their extrema from candidate points."""
+
+    @given(one_term_cosines())
+    def test_one_term_cosine_is_offset_plus_minus_amplitude(self, f):
+        # eval's own operations with the cosine at exactly -1 and 1; the scan
+        # reads the same bits or, when its zoom narrows to the first of a
+        # rounding plateau's tied samples and misses the top one, 1 ulp inside
+        fmin, fmax, argmin, argmax = f.extrema()
+        offset, ((amp, k, _),) = f.body.offset, f.body.terms
+        low, high = (0.0 + offset) - abs(amp), (0.0 + offset) + abs(amp)
+        if amp == 0.0:
+            low = high = f(0.0)
+        assert [fmin.hex(), fmax.hex()] == [low.hex(), high.hex()]
+        assert (f(argmin), f(argmax)) == (fmin, fmax)
+        assert 0.0 <= argmin < f.period / k and 0.0 <= argmax < f.period / k
+        scan = PeriodicFunction(f.period, f.body)._scanned_extrema()
+        assert 0.0 <= scan[0] - fmin <= math.ulp(fmin) and 0.0 <= fmax - scan[1] <= math.ulp(fmax)
+
+    def test_benchmark_cosines_equal_the_scan_bit_for_bit(self):
+        for amp in np.linspace(-0.0021, 0.0021, 43):
+            for k in (1, 2, 3):
+                f = PeriodicFunction.trig(1.0, 1.54215, [(float(amp), k, 0.0)])
+                new, scan = f.extrema(), PeriodicFunction(f.period, f.body)._scanned_extrema()
+                assert [x.hex() for x in new[:2]] == [x.hex() for x in scan[:2]]
+
+    def test_scan_can_miss_the_top_ulp_of_a_cosine(self):
+        f = PeriodicFunction.trig(1.0, 0.8611196922831792, [(1.25, 8, 752.25)])
+        assert f.extrema()[1] == 0.8611196922831792 + 1.25
+        assert PeriodicFunction(f.period, f.body)._scanned_extrema()[1] == math.nextafter(f.extrema()[1], 0.0)
+
+    @given(polys)
+    def test_poly_agrees_with_scan_and_mpmath(self, f):
+        fmin, fmax, argmin, argmax = f.extrema()
+        scan = PeriodicFunction(f.period, f.body)._scanned_extrema()
+        bound = horner_bound(f)
+        ref_min, ref_max = mp_poly_extrema(f)
+        assert abs(fmin - scan[0]) <= scan_bound(f) and abs(fmax - scan[1]) <= scan_bound(f)
+        assert abs(mpmath.mpf(fmin) - ref_min) <= bound and abs(mpmath.mpf(fmax) - ref_max) <= bound
+        assert 0.0 <= argmin < f.period and 0.0 <= argmax < f.period
+
+    def test_benchmark_cubics_within_one_ulp_of_the_scan(self):
+        for s in np.linspace(-0.02, 0.02, 41):
+            f = PeriodicFunction.poly(1.0, [1.54215, float(s), -3.0 * float(s), 2.0 * float(s)])
+            new, scan = f.extrema(), PeriodicFunction(f.period, f.body)._scanned_extrema()
+            for a, b in zip(new[:2], scan[:2]):
+                assert abs(a - b) <= math.ulp(b)
+
+    def test_cubic_critical_points_in_closed_form(self):
+        # 1.54215 - 0.02 (t - 3 t^2 + 2 t^3) turns at (6 -+ sqrt(12))/12
+        _, _, argmin, argmax = presets.cubic_forcing().extrema()
+        assert argmin == pytest.approx((6 - math.sqrt(12)) / 12, abs=1e-15)
+        assert argmax == pytest.approx((6 + math.sqrt(12)) / 12, abs=1e-15)
+
+    def test_ties_keep_the_earliest_candidate(self):
+        # 1 - t + t^2 is 1 at both t = 0 and t = T; the first minimum of a harmonic-2 cosine
+        assert PeriodicFunction.poly(1.0, [1.0, -1.0, 1.0]).extrema() == (0.75, 1.0, 0.5, 0.0)
+        assert PeriodicFunction.trig(1.0, 0.0, [(1.0, 2, 0.0)]).extrema() == (-1.0, 1.0, 0.25, 0.0)
+
+    def test_left_limit_at_the_wrap_is_a_candidate(self):
+        # p = 1 + 1e-11 t rises to its raw value at T, the left limit at the wrap
+        fmin, fmax, argmin, argmax = PeriodicFunction.poly(1.0, [1.0, 1e-11]).extrema()
+        assert (fmin, fmax, argmin, argmax) == (1.0, 1.0 + 1e-11, 0.0, 0.0)
+
+    @pytest.mark.parametrize("amp", [0.0, -0.0])
+    def test_zero_amplitude_is_a_constant(self, amp):
+        assert PeriodicFunction.trig(2.0, -0.5, [(amp, 3, 1.0)]).extrema() == (-0.5, -0.5, 0.0, 0.0)
+
+    def test_negative_amplitude_swaps_min_and_max(self):
+        fmin, fmax, argmin, argmax = PeriodicFunction.trig(1.0, 2.0, [(-1.0, 1, 0.0)]).extrema()
+        assert (fmin, fmax, argmin, argmax) == (1.0, 3.0, 0.0, 0.5)
+
+    def test_no_scan_no_roots_no_linalg(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        monkeypatch.setattr(PeriodicFunction, "_scanned_extrema", refuse)
+        monkeypatch.setattr(funcspec, "zoom_minima", refuse)
+        monkeypatch.setattr(np, "roots", refuse)
+        funcs = [
+            PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 1, 0.0)]),
+            PeriodicFunction.trig(0.37, -0.2, [(-1.5, 8, 2.5)]),
+            PeriodicFunction.trig(5.0, 0.1, [(0.0, 2, 0.3)]),
+            PeriodicFunction.poly(1.0, [1.0, 1e-11]),
+            *(continuous_poly(2.0, 0.5, [(-1.0) ** i * (1.0 + 0.5 * i) for i in range(d - 1)]) for d in range(2, 7)),
+            double_root_quartic(1.0, 0.5, 1.0, 0.3),
+        ]
+        calls = calls_during(lambda: [f.extrema() for f in funcs])
+        assert not [c for c in calls if "linalg" in c[0] or c[1] in ("roots", "zoom_minima", "_scanned_extrema")]
+        assert ("funcspec.py", "_monotone_root") in {(os.path.basename(a), b) for a, b in calls}
+
+
+class TestPolyCrossings:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            zeros_at_nodes(),
+            # t (t - 1/2) (t - 1): a zero at t = 0 and one at the grid node 1/2
+            PeriodicFunction.poly(1.0, [0.0, 0.5, -1.5, 1.0]),
+            # the benchmark cubic lowered to cross zero twice
+            PeriodicFunction.poly(1.0, [-1e-3, -0.02, 0.06, -0.04]),
+            continuous_poly(2.0, 0.05, [-1.0, 0.5, 0.8, -0.3]),
+        ],
+    )
+    def test_roots_match_the_bisection_scan(self, f):
+        new, old = funcspec._find_crossings(f, f.period), oracle_crossings(f, f.period)
+        assert len(new) == len(old) > 0
+        np.testing.assert_allclose(new, old, rtol=0, atol=1e-15 * f.period)
+        assert set(x for x in old if f(x) == 0.0) <= set(new)  # exact zeros bit for bit
+
+    @given(polys)
+    def test_drawn_roots_are_roots(self, f):
+        crossings = funcspec._find_crossings(f, f.period)
+        assert crossings == sorted(set(crossings))
+        assert all(0.0 <= t < f.period for t in crossings)
+        for t in crossings:
+            assert abs(f(t)) <= 4 * horner_bound(f)
+
+    def test_positive_part_of_a_crossing_cubic(self):
+        f = PeriodicFunction.poly(1.0, [-1e-3, -0.02, 0.06, -0.04])
+        g = f.positive_part()
+        assert g.breakpoints() == funcspec._find_crossings(f, 1.0)
+        assert g.mean() == pytest.approx(
+            PeriodicFunction(1.0, funcspec.PositivePart(f.body, tuple(oracle_crossings(f, f.period)))).mean(), rel=1e-14
+        )
+
+
 class TestInPlaceEval:
     @given(
         periods,
@@ -638,11 +876,11 @@ class TestComputedOnce:
             return scan(self)
 
         monkeypatch.setattr(PeriodicFunction, "_scanned_extrema", counting)
-        f = zeros_at_nodes()
+        f = sum_with_breakpoints()
         for _ in range(3):
             f.extrema()
         assert len(calls) == 1
-        zeros_at_nodes().extrema()  # an equal but distinct instance scans on its own
+        sum_with_breakpoints().extrema()  # an equal but distinct instance scans on its own
         assert len(calls) == 2
 
     def test_equality_hash_and_repr_unchanged_by_caches(self):

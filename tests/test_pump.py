@@ -81,6 +81,24 @@ def test_x_to_u_refuses_bad_mu(bad):
         x_to_u(np.full(8, 2.0), bad)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300])
+def test_pump_report_refuses_negative_tol(tol):
+    # a constant trace has delta 0 - 0.965 here, which a negative tol once read as pumping
+    lp = LiebauProblem(0.5, 0.25, 0.2, 1.0, PeriodicFunction.constant(1.0, 0.007))
+    with pytest.raises(LiebauError, match="^tol must be at least 0"):
+        pump_report(lp, np.full(128, 1.0), tol=tol)
+
+
+def test_pump_report_accepts_zero_tol(tank_lp):
+    assert pump_report(tank_lp(4.0), closed_form_trace(4.0), tol=0.0).pumping_detected
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.2, 0.5, 5.0])
+def test_x_to_u_refuses_mu_outside_the_open_half_interval(mu):
+    with pytest.raises(LiebauError, match=r"^need 0 < mu < 1/2"):
+        x_to_u(np.full(8, 2.0), mu)
+
+
 class TestTransform:
     def test_constant_power(self):
         u = x_to_u(np.full(64, (1.54 / 1.49) ** 100), 0.01)
@@ -96,7 +114,7 @@ class TestTransform:
         n = 64
         rng = np.random.default_rng(0)
         vals = 1.0 + rng.uniform(0, 1, n)
-        back = x_to_u(x_to_u(vals, 0.2), 5.0)
+        back = x_to_u(vals**5.0, 0.2)
         np.testing.assert_allclose(back, vals, rtol=1e-12)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from test_numerics import BAD_TRACES, two_sweep_solve
 
 from liebau import greens, presets, solve
-from liebau.errors import ConfigError, LeftPositiveCone, LiebauError, NoConvergence
+from liebau.errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NoConvergence
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import resample_spectrum, spectral_derivatives, trig_interpolate
 from liebau.problem import GeneralProblem, regularize, shifted_rhs
@@ -591,6 +591,19 @@ def test_cone_and_localization_refuses_bad_bound(name, bad):
     bounds = {"cone_const": 0.5, "r1": 1.0, "r2": 10.0, name: bad}
     with pytest.raises(LiebauError, match=f"^{name} must be a finite real number"):
         cone_and_localization(np.full(8, 5.0), **bounds)
+
+
+@pytest.mark.parametrize("cone_const", [-3.0, 0.0, 1.0, 1.5])
+def test_cone_and_localization_refuses_cone_const_outside_unit_interval(cone_const):
+    # cone_const = -3 once read in_cone=True for any positive trace
+    with pytest.raises(LiebauError, match=r"^cone_const must lie in \(0, 1\)"):
+        cone_and_localization(np.full(8, 5.0), cone_const, 1.0, 10.0)
+
+
+@pytest.mark.parametrize("r1, r2", [(10.0, 1.0), (5.0, 5.0), (0.0, 10.0), (-1.0, 10.0)])
+def test_cone_and_localization_refuses_radii_outside_order(r1, r2):
+    with pytest.raises(BadRadii, match=r"^need 0 < r1 < r2"):
+        cone_and_localization(np.full(8, 5.0), 0.5, r1, r2)
 
 
 def inline_response(kernel, g):
