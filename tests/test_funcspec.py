@@ -87,8 +87,8 @@ class TestExtrema:
         fmin, fmax, argmin, argmax = f.extrema()
         assert fmin == pytest.approx(oracle_min, abs=1e-12)
         assert fmax == pytest.approx(oracle_max, abs=1e-12)
-        assert argmin == pytest.approx(t_lo, abs=1e-6)
-        assert argmax == pytest.approx(t_hi, abs=1e-6)
+        assert argmin == pytest.approx(t_lo, abs=1e-15)  # the root of p', not a scan point
+        assert argmax == pytest.approx(t_hi, abs=1e-15)
 
     def test_constant(self):
         fmin, fmax, _, _ = PeriodicFunction.constant(3.0, 2.5).extrema()
@@ -728,12 +728,6 @@ class TestCandidateExtrema:
             new, scan = f.extrema(), PeriodicFunction(f.period, f.body)._scanned_extrema()
             for a, b in zip(new[:2], scan[:2]):
                 assert abs(a - b) <= math.ulp(b)
-
-    def test_cubic_critical_points_in_closed_form(self):
-        # 1.54215 - 0.02 (t - 3 t^2 + 2 t^3) turns at (6 -+ sqrt(12))/12
-        _, _, argmin, argmax = presets.cubic_forcing().extrema()
-        assert argmin == pytest.approx((6 - math.sqrt(12)) / 12, abs=1e-15)
-        assert argmax == pytest.approx((6 + math.sqrt(12)) / 12, abs=1e-15)
 
     def test_ties_keep_the_earliest_candidate(self):
         # 1 - t + t^2 is 1 at both t = 0 and t = T; the first minimum of a harmonic-2 cosine
