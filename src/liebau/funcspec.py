@@ -12,10 +12,17 @@ Extrema come from a finite set of candidate points wherever the body has
 one: the value of a constant, the vertices of a piecewise-linear table, the
 phases 0 and pi of a one-term cosine, and for a polynomial t = 0, the left
 limit at t = T and the roots of p' in (0, T), found on Python floats by
-isolating them between the roots of p''.  Sums, clips and cosines of several
-terms are scanned on a grid and refined by ``numerics.zoom_minima``.  The
-zeros of a polynomial, which become the breakpoints of its positive part,
-come from the same root isolation.
+isolating them between the roots of p''.  The zeros of a polynomial, which
+become the breakpoints of its positive part, come from the same root
+isolation.  A clip's extrema are those of its inner body, clipped at 0.
+
+Every other body (sums and cosines of several terms) goes through one
+bisection, after Shubert (SIAM J. Numer. Anal. 9, 1972): each body bounds
+|f| and |f''| between its breakpoints, so a cell [l, r] holds no value below
+min(f(l), f(r)) - max|f''| (r - l)^2 / 8.  Cells that cannot beat the best
+value found, or cannot hold a zero, are dropped and the rest halved.  The
+extremum comes with an enclosure, and no grid has to resolve the data, so a
+high harmonic cannot alias onto a low one.
 
 Instances are immutable after construction and every operation is pure.
 A ``PeriodicFunction``'s extrema and positive part are computed lazily, once
@@ -34,24 +41,25 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import BadPeriod, LiebauError
-from .numerics import is_finite_real, simpson_segmented, sorted_unique, zoom_minima
+from .numerics import is_finite_real, simpson_segmented, sorted_unique
 
-# Refinement tolerance (in t) for the extrema of scanned bodies (sums, clips
-# and cosines of several terms); the candidate-point extrema of the other
-# bodies do not use it.  Surfaced in certificates because condition margins
-# consume these values.
+# Width (in t, times max(1, T)) below which the bisection of sums and
+# cosines of several terms stops halving a cell; the candidate-point extrema
+# of the other bodies do not use it.  Surfaced in certificates because
+# condition margins consume these values.
 EXTREMA_REFINE_TOL = 1e-12
-_SCAN_POINTS = 8192
+_START_CELLS = 64  # even cells the bisection starts from, breakpoints added
+_MAX_CELLS = 2**19  # most cells the bisection holds; 4 per period of the top harmonic suffice
+_MAX_HARMONIC = 65536  # the bisection's work grows linearly in the top harmonic
 _ROOT_STEPS = 100  # most Newton or bisection steps per polynomial root
 
 ArrayLike = Union[float, np.ndarray]
 
 
 def _harmonic(k) -> int:
-    """k as an int; LiebauError unless k is a whole number from 1 to below 2**53,
-    where floats stop holding every integer."""
-    if not (is_finite_real(k) and 1 <= k < 2**53 and k == int(k)):
-        raise LiebauError(f"harmonic must be a positive integer, got {k!r}")
+    """k as an int; LiebauError unless k is a whole number from 1 to _MAX_HARMONIC."""
+    if not (is_finite_real(k) and 1 <= k <= _MAX_HARMONIC and k == int(k)):
+        raise LiebauError(f"harmonic must be a whole number from 1 to {_MAX_HARMONIC}, got {k!r}")
     return int(k)
 
 
@@ -308,16 +316,14 @@ class PeriodicFunction:
           down to a linear derivative, and refined by bracketed Newton on
           Python floats.
 
-        Anything else (sums, clips, cosines of several terms) is scanned on
-        a uniform grid (with any breakpoints inserted).  One pass over the
-        scan finds the local minima and maxima, and one
-        ``numerics.zoom_minima`` call refines the minima of f and the
-        maxima, as minima of -f, together until each bracket is at most
-        EXTREMA_REFINE_TOL * max(1, T) wide in t; each sign's brackets stop
-        on their own, so both results equal those of two separate passes
-        bit for bit.  A run of adjacent winners with equal values is refined
-        as one bracket.  Computed on the first call; later calls return the
-        same tuple.
+        - a clip max(g, 0): the extrema of g, clipped at 0, at the same t.
+
+        Anything else (sums, cosines of several terms) takes each extremum
+        from the bisection of ``_extremum``, which evaluates f on cell ends
+        only and stops when no cell it keeps is wider than
+        EXTREMA_REFINE_TOL * max(1, T): the value is the best cell end, and
+        the bisection also bounds the true extremum from the other side.
+        Computed on the first call; later calls return the same tuple.
         """
         return self._extrema
 
@@ -348,51 +354,28 @@ class PeriodicFunction:
             imin, imax = int(np.argmin(vs)), int(np.argmax(vs))  # the first of equal values
             ts[-1] = 0.0  # the wrap point t = T is t = 0 of the period
             return float(vs[imin]), float(vs[imax]), ts[imin], ts[imax]
-        return self._scanned_extrema()
-
-    def _scanned_extrema(self) -> tuple[float, float, float, float]:
-        T = self.period
-        grid = np.linspace(0.0, T, _SCAN_POINTS, endpoint=False)
-        extra = self.breakpoints()
-        if extra:
-            grid = sorted_unique(np.concatenate([grid, np.asarray(extra, dtype=float)]))
-        vals = np.asarray(self(grid), dtype=float)
-        lows, highs = _local_extrema(vals)
-        # a run of adjacent winners of one kind with equal values (a flat
-        # stretch) is one bracket, from the grid neighbour before its first
-        # winner to the one after its last, wrapped at the ends; the minima's
-        # brackets come first, then the maxima's
-        i = np.concatenate((lows, highs))
-        starts = np.ones(len(i), dtype=bool)
-        starts[1:] = (np.diff(i) != 1) | (vals[i[1:]] != vals[i[:-1]])
-        if len(highs):
-            starts[len(lows)] = True  # the maxima's first run is a bracket of its own
-        first, last = i[starts], i[np.append(starts[1:], True)]
-        n_low = int(np.count_nonzero(starts[: len(lows)]))
-        sign = np.full(len(first), -1.0)
-        sign[:n_low] = 1.0
-        n = len(grid)
-        left = grid[first - 1] - np.where(first == 0, T, 0.0)
-        right = grid[(last + 1) % n] + np.where(last == n - 1, T, 0.0)
-        tol = EXTREMA_REFINE_TOL * max(1.0, T)
-        t, v = zoom_minima(self, left, right, grid[first], sign * vals[first], tol, sign)
-        kmin = int(np.argmin(v[:n_low]))
-        kmax = n_low + int(np.argmin(v[n_low:]))
-        return float(v[kmin]), -float(v[kmax]), float(np.mod(t[kmin], T)), float(np.mod(t[kmax], T))
+        if isinstance(body, PositivePart):
+            low, high, t_low, t_high = PeriodicFunction(T, body.inner).extrema()
+            return max(low, 0.0), max(high, 0.0), t_low, t_high
+        (low, t_low, _), (high, t_high, _) = _extremum(self, 1.0), _extremum(self, -1.0)
+        return low, high, t_low, t_high
 
     def positive_part(self) -> "PeriodicFunction":
         """Pointwise max(f, 0) as a new function.
 
         Piecewise-linear input stays piecewise linear: zero crossings are
         inserted as exact breakpoints so downstream integrals stay exact.
-        Other bodies are wrapped with their crossings located numerically.
-        Computed on the first call; later calls return the same function.
+        Other bodies are wrapped with their crossings located numerically;
+        a clip is its own positive part.  Computed on the first call; later
+        calls return the same function.
         """
         return self._positive_part
 
     @cached_property
     def _positive_part(self) -> "PeriodicFunction":
         body = self.body
+        if isinstance(body, PositivePart):
+            return self
         if isinstance(body, Constant):
             return PeriodicFunction(self.period, Constant(max(body.value, 0.0)))
         if isinstance(body, PiecewiseLinear):
@@ -449,23 +432,6 @@ def _clip_piecewise(body: PiecewiseLinear) -> PiecewiseLinear:
             pts.append((tc, 0.0))
     pts.append((points[-1][0], max(points[-1][1], 0.0)))
     return PiecewiseLinear(tuple(pts))
-
-
-def _local_extrema(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending indices i with vals[i] <= both cyclic neighbours (minima) and
-    with vals[i] >= both (maxima), ties included.
-
-    Each value is compared with its cyclic left neighbour once: le[i] says
-    vals[i] <= vals[i - 1], and le[i + 1] (le[n] repeats le[0]) says
-    vals[i] >= vals[i + 1]; likewise ge.
-    """
-    n = len(vals)
-    le, ge = np.empty(n + 1, dtype=bool), np.empty(n + 1, dtype=bool)
-    np.less_equal(vals[1:], vals[:-1], out=le[1:n])
-    np.greater_equal(vals[1:], vals[:-1], out=ge[1:n])
-    le[0] = le[n] = vals[0] <= vals[-1]
-    ge[0] = ge[n] = vals[0] >= vals[-1]
-    return np.flatnonzero(le[:n] & ge[1:]), np.flatnonzero(ge[:n] & le[1:])
 
 
 def _first_phase(target: float, phase: float, k: int, period: float) -> float:
@@ -547,33 +513,119 @@ def _monotone_root(coeffs: list[float], slope: list[float], lo: float, hi: float
     return t
 
 
+def _bounds(body: Body, period: float) -> tuple[float, float]:
+    """(a bound on |f|, a bound on |f''| between breakpoints) for one body on [0, T]."""
+    if isinstance(body, Constant):
+        return abs(body.value), 0.0
+    if isinstance(body, TrigPoly):
+        w = 2.0 * math.pi / period
+        size = abs(body.offset) + sum(abs(a) for a, _, _ in body.terms)
+        return size, sum(abs(a) * (w * k) ** 2 for a, k, _ in body.terms)
+    if isinstance(body, PolyOnPeriod):
+        c = body.coeffs
+        size = sum(abs(x) * period**i for i, x in enumerate(c))
+        return size, sum(i * (i - 1) * abs(x) * period ** (i - 2) for i, x in enumerate(c) if i > 1)
+    if isinstance(body, PiecewiseLinear):
+        return max(abs(v) for _, v in body.points), 0.0
+    if isinstance(body, Sum):
+        parts = [_bounds(p, period) for p in body.parts]
+        return sum(s for s, _ in parts), sum(c for _, c in parts)
+    return _bounds(body.inner, period)  # a clip: its inner body's
+
+
+def _bisect(f: PeriodicFunction, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(l, r, f(l), f(r)) of the cells of [0, T] that survive the bisection.
+
+    It starts from _START_CELLS even cells with f's breakpoints added, so no
+    cell straddles a kink.  Each round ``keep(l, r, f(l), f(r))`` selects the
+    cells to keep, and every kept cell wider than EXTREMA_REFINE_TOL *
+    max(1, T) is halved, f being called once on all the new midpoints.  It
+    stops when no kept cell is that wide, or when halving would make more
+    than _MAX_CELLS cells (a stretch flat to within the |f''| bound, such as
+    a clip's zero stretch inside a sum); the cells of the last round are
+    returned.
+    """
+    T = f.period
+    edges = np.linspace(0.0, T, _START_CELLS + 1)
+    extra = f.breakpoints()
+    if extra:
+        edges = sorted_unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
+    vals = np.asarray(f(edges), dtype=float)
+    l, r, fl, fr = edges[:-1], edges[1:], vals[:-1], vals[1:]
+    tol = EXTREMA_REFINE_TOL * max(1.0, T)
+    while True:
+        kept = keep(l, r, fl, fr)
+        l, r, fl, fr = l[kept], r[kept], fl[kept], fr[kept]
+        wide = r - l > tol
+        halved = int(np.count_nonzero(wide))
+        if not halved or len(l) + halved > _MAX_CELLS:
+            return l, r, fl, fr
+        narrow = ~wide
+        mid = 0.5 * (l[wide] + r[wide])
+        fmid = np.asarray(f(mid), dtype=float)
+        l = np.concatenate((l[narrow], l[wide], mid))
+        r = np.concatenate((r[narrow], mid, r[wide]))
+        fl = np.concatenate((fl[narrow], fl[wide], fmid))
+        fr = np.concatenate((fr[narrow], fmid, fr[wide]))
+
+
+def _extremum(f: PeriodicFunction, sign: float) -> tuple[float, float, float]:
+    """(value, t, bound) for the minimum of f (sign 1) or its maximum (sign -1).
+
+    ``value`` = f(t) is the best cell end the bisection evaluated, the
+    earliest of the first round's ties, with t in [0, T).  A cell stays
+    while the lower bound of sign * f on it, min(ends) - L (r - l)^2 / 8 with
+    L the bound on |f''|, is below the best value less 8 eps max|f|, an
+    allowance for rounding.  ``bound`` is the lowest of those lower bounds
+    over the cells left at the end and the best value less the allowance,
+    times sign: every value of f lies on its side (f >= bound for the
+    minimum) up to the rounding of f's evaluation.  A clip inside a sum is
+    the exception: its crossings, which bound the cells, lie only within
+    EXTREMA_REFINE_TOL * max(1, T) of its kinks, so next to one the
+    minimum's bound can miss by max|f'| times that.
+    """
+    size, curvature = _bounds(f.body, f.period)
+    slack = 8.0 * np.finfo(float).eps * size
+    best, best_t = math.inf, 0.0  # the best value of sign * f so far, and its t
+
+    def lower(l, r, gl, gr):
+        return np.minimum(gl, gr) - curvature * (r - l) ** 2 / 8.0
+
+    def keep(l, r, fl, fr):
+        nonlocal best, best_t
+        gl, gr = sign * fl, sign * fr
+        low = np.minimum(gl, gr)
+        i = int(np.argmin(low))
+        if low[i] < best:
+            best, best_t = float(low[i]), float(l[i] if gl[i] <= gr[i] else r[i])
+        return lower(l, r, gl, gr) < best - slack
+
+    l, r, fl, fr = _bisect(f, keep)
+    bound = float(np.min(lower(l, r, sign * fl, sign * fr), initial=best - slack))
+    return sign * best, best_t if best_t < f.period else 0.0, sign * bound
+
+
 def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:
     """Zeros of f on one period, ascending.
 
     For a polynomial: t = 0 when p(0) = 0, then the roots of p in (0, T)
-    by ``_real_roots``.  Otherwise: grid nodes where f is exactly 0, and a
-    bisected root inside every grid cell whose ends differ in sign.
+    by ``_real_roots``.  Otherwise the bisection of ``_bisect`` keeps a cell
+    while f > 0 holds at one end only, or while the bound on |f''| lets f
+    reach 0 between its ends.  Each final cell with f > 0 at one end only
+    gives one zero: an end where f is exactly 0, else its midpoint.  A zero
+    at which f does not change sign is no crossing.
     """
     if isinstance(f.body, PolyOnPeriod):
         coeffs = list(f.body.coeffs)
         inner = [t for t in _real_roots(coeffs, 0.0, period) if 0.0 < t < period]
         return ([0.0] if coeffs[0] == 0.0 else []) + inner
-    grid = np.linspace(0.0, period, _SCAN_POINTS + 1)
-    vals = np.asarray(f(grid), dtype=float)
-    a, b = vals[:-1], vals[1:]
-    out: list[float] = []
-    for i in np.flatnonzero((a == 0.0) | (a * b < 0.0)).tolist():
-        if vals[i] == 0.0:
-            out.append(float(grid[i]))
-        else:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = vals[i]
-            for _ in range(80):
-                midp = 0.5 * (lo + hi)
-                fm = float(f(midp))
-                if flo * fm <= 0.0:
-                    hi = midp
-                else:
-                    lo, flo = midp, fm
-            out.append(0.5 * (lo + hi))
-    return out
+    curvature = _bounds(f.body, period)[1]
+
+    def keep(l, r, fl, fr):
+        return ((fl > 0.0) != (fr > 0.0)) | (np.minimum(abs(fl), abs(fr)) < curvature * (r - l) ** 2 / 8.0)
+
+    l, r, fl, fr = _bisect(f, keep)
+    change = (fl > 0.0) != (fr > 0.0)
+    l, r, fl, fr = l[change], r[change], fl[change], fr[change]
+    zeros = np.where(fl == 0.0, l, np.where(fr == 0.0, r, 0.5 * (l + r)))
+    return sorted({0.0 if t >= period else t for t in zeros.tolist()})

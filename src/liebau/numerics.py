@@ -2,14 +2,14 @@
 
 Everything here is deterministic and allocation-light: libm functions
 applied per element, the check of trace arrays, segmented composite
-Simpson quadrature, a sorted unique that needs no ``numpy.ma``, batched
-zoom refinement of bracketed minima and maxima, a cyclic tridiagonal
-solver (bordered elimination in one fused forward/back sweep on Python
-floats for both right-hand sides, bitwise equal to two separate sweeps,
-NaN on a zero pivot), restarted GMRES with Givens rotations on Python
-floats, cyclic central differences, spectral differentiation and
+Simpson quadrature, a sorted unique that needs no ``numpy.ma``, a cyclic
+tridiagonal solver (bordered elimination in one fused forward/back sweep on
+Python floats for both right-hand sides, bitwise equal to two separate
+sweeps, NaN on a zero pivot), restarted GMRES with Givens rotations on
+Python floats, cyclic central differences, spectral differentiation and
 trigonometric resampling of periodic grid data onto finer grids, and
-fixed-width float printing for reproducible output files.
+fixed-width float printing for reproducible output files.  Forcing extrema
+and zeros have their own bisection in ``funcspec``.
 """
 
 from __future__ import annotations
@@ -98,61 +98,6 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     """``np.unique(values)`` of a non-empty 1-D array, without its first-call import of ``numpy.ma``."""
     out = np.sort(values)
     return out[np.concatenate(([True], out[1:] != out[:-1]))]
-
-
-ZOOM_POINTS = 64  # K: a zoom round samples 2K + 1 points per bracket and shrinks it K-fold
-ZOOM_MAX_POINTS = 65536  # most points zoom_minima passes to one call of f
-
-
-def zoom_minima(f, left, right, t, v, tol: float, sign) -> tuple[np.ndarray, np.ndarray]:
-    """Refine the bracketed minima of sign * f for a vectorized f, where
-    bracket i is [left[i], right[i]] (arrays), (t[i], v[i]) its best point so
-    far and ``sign[i]`` is +1 or -1, so one call refines minima of f and of
-    -f together.
-
-    Each run of brackets of one sign is cut into groups of
-    ZOOM_MAX_POINTS // (2K + 1) brackets, and a group stops as a whole once
-    all its brackets are at most ``tol`` wide: each bracket gets the rounds
-    a call with its group alone would give it.  Each round samples 2K + 1
-    evenly spaced points of every bracket of every unfinished group, calling
-    f once per run of adjacent unfinished groups of at most ZOOM_MAX_POINTS
-    points; it keeps each value below the best so far and narrows every
-    bracket to the two neighbours of its lowest point.  Only values are
-    compared, so kinks and flat stretches are safe.  Returns new (t, v).
-    """
-    t, v = np.array(t, dtype=float), np.array(v, dtype=float)
-    a, b = np.array(left, dtype=float), np.array(right, dtype=float)
-    sign = np.asarray(sign, dtype=float)
-    steps = np.linspace(0.0, 1.0, 2 * ZOOM_POINTS + 1)
-    chunk = ZOOM_MAX_POINTS // len(steps)
-    runs = [0, *(np.flatnonzero(sign[1:] != sign[:-1]) + 1).tolist(), len(t)]
-    groups = [(s, min(s + chunk, end)) for lo, end in zip(runs, runs[1:]) for s in range(lo, end, chunk)]
-    starts = [s for s, _ in groups]
-    first = np.arange(chunk) * len(steps)  # flat index of each row's first sample
-    for _ in range(16):  # backstop; a grid cell reaches 1e-12 in about 5 rounds
-        pieces: list[list[int]] = []  # runs of adjacent unfinished groups, each one call of f
-        for (s, e), done in zip(groups, np.logical_and.reduceat(b - a <= tol, starts).tolist()):
-            if done:
-                continue
-            if pieces and pieces[-1][1] == s and e - pieces[-1][0] <= chunk:
-                pieces[-1][1] = e
-            else:
-                pieces.append([s, e])
-        if not pieces:
-            break
-        for s, e in pieces:
-            row_first = first[: e - s]
-            pts = a[s:e, None] + (b[s:e] - a[s:e])[:, None] * steps
-            vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape) * sign[s:e, None]
-            k = vals.argmin(axis=1) + row_first  # flat index of each row's lowest sample
-            flat = pts.ravel()
-            lowest = vals.ravel()[k]
-            better = lowest < v[s:e]
-            np.copyto(t[s:e], flat[k], where=better)
-            np.copyto(v[s:e], lowest, where=better)
-            a[s:e] = flat[np.maximum(k - 1, row_first)]
-            b[s:e] = flat[np.minimum(k + 1, row_first + 2 * ZOOM_POINTS)]
-    return t, v
 
 
 def solve_cyclic_tridiagonal(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from liebau import certify, greens, presets
+from liebau import certify, funcspec, greens, presets
 from liebau.certify import (
     check_general,
     check_legacy_criterion,
@@ -387,24 +387,34 @@ class TestSearch:
         lp = LiebauProblem(0.0, 0.25, 1.0, 1.0, PeriodicFunction.constant(1.0, -1.0))
         assert search_certificate(lp) is None
 
-    def test_forcing_scanned_once_per_search(self, cosine_lp, monkeypatch):
+    def test_forcing_bisected_once_per_search(self, cosine_lp, monkeypatch):
         # the fixture's cosine plus a zero second term: the same values, from a
-        # fresh body that is scanned, so no earlier test has filled its caches
+        # fresh body that is bisected, so no earlier test has filled its caches
         (amp, k, phase), = cosine_lp.e.body.terms
         e = PeriodicFunction.trig(cosine_lp.e.period, cosine_lp.e.body.offset, [(amp, k, phase), (0.0, 2, 0.0)])
         lp = LiebauProblem(cosine_lp.a, cosine_lp.mu, cosine_lp.c, cosine_lp.T, e)
-        scans = []
-        scan = PeriodicFunction._scanned_extrema
+        calls = []
+        extremum = funcspec._extremum
 
-        def counting(self):
-            scans.append(self)
-            return scan(self)
+        def counting(f, sign):
+            calls.append((f, sign))
+            return extremum(f, sign)
 
-        monkeypatch.setattr(PeriodicFunction, "_scanned_extrema", counting)
+        monkeypatch.setattr(funcspec, "_extremum", counting)
         cert = search_certificate(lp)
         assert cert is not None and cert.passed
-        assert scans == [lp.e]
+        assert calls == [(lp.e, 1.0), (lp.e, -1.0)]
         assert dump_json(cert.to_dict()) == dump_json(search_certificate(cosine_lp).to_dict())
+
+    def test_aliased_forcing_is_not_certified_positive(self):
+        # harmonic 8191 aliased onto harmonic 1 on the 8192-point scan, which
+        # read e_min 0.2168 for a forcing whose minimum is -0.357
+        e = PeriodicFunction.trig(
+            1.0, 1.0, [(0.8406588551173528, 8191, 6.102007774807954), (0.5166707960555585, 1, 2.5207092162091653)]
+        )
+        assert e.extrema()[0] < 0.0
+        cert = search_certificate(LiebauProblem(a=1.6, mu=0.01, c=0.05, T=1.0, e=e))
+        assert cert is None or not (cert.passed and cert.theorem == certify.THEOREM_POSITIVE_FORCING)
 
     @pytest.mark.parametrize("name", ["cosine_lp", "trapezoid_lp"])
     def test_search_builds_no_kernel(self, name, request, monkeypatch):

@@ -455,6 +455,8 @@ class TestBadInputExitsTwo:
             # a harmonic of 1.5 once ran as harmonic 1, exit 0
             ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(1.5))}, "problem.e"),
             ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(math.inf))}, "problem.e.terms[0][1]"),
+            # the extrema bisection's work grows linearly in the top harmonic
+            ("search", {"problem": dict(TANK_PROBLEM, e=tank_trig(65537))}, "problem.e"),
             ("search", {"problem": dict(TANK_PROBLEM, e=dict(TANK_PROBLEM["e"], value="BIG"))},
              "problem.e.value"),
             ("search", {"problem": dict(TANK_PROBLEM, c="BIG")}, "problem.c"),
@@ -464,7 +466,7 @@ class TestBadInputExitsTwo:
             ("search", {"problem": dict(TANK_PROBLEM, e={"type": "sum", "parts": []})}, "problem.e"),
             ("search", {"problem": dict(TANK_PROBLEM, e={"type": "piecewise", "points": []})}, "problem.e"),
         ],
-        ids=["harmonic-1.5", "harmonic-inf", "huge-value", "huge-c", "huge-T", "huge-m", "empty-sum",
+        ids=["harmonic-1.5", "harmonic-inf", "harmonic-65537", "huge-value", "huge-c", "huge-T", "huge-m", "empty-sum",
              "empty-piecewise"],
     )
     def test_malformed_config(self, capsys, tmp_path, command, config, field):

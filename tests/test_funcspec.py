@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import os
@@ -7,13 +8,12 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from liebau import funcspec, presets
 from liebau.errors import LiebauError
 from liebau.funcspec import PeriodicFunction
-from liebau.numerics import ZOOM_MAX_POINTS, ZOOM_POINTS
 
 # Trapezoidal forcing instance used throughout: ramps of width 5e-4 at both
 # ends of [0, 1], plateau at e_max, endpoints at e_min < 0.
@@ -192,9 +192,10 @@ class TestValidation:
         with pytest.raises(LiebauError):
             PeriodicFunction.piecewise_linear([(0.0, 0.0), (0.5, 1.0), (0.5, 2.0), (1.0, 0.0)])
 
-    @pytest.mark.parametrize("harmonic", [1.5, math.inf, math.nan, 0, -1, True, 2**53, "1"])
+    @pytest.mark.parametrize("harmonic", [1.5, math.inf, math.nan, 0, -1, True, 65537, 2**53, "1"])
     def test_harmonic_must_be_a_whole_number(self, harmonic):
-        # int() once turned 1.5 into harmonic 1, and inf into an OverflowError
+        # int() once turned 1.5 into harmonic 1, and inf into an OverflowError;
+        # above 65536 the bisection's work would grow without bound
         with pytest.raises(LiebauError, match="harmonic"):
             PeriodicFunction.trig(1.0, 0.0, [(1.0, harmonic, 0.0)])
 
@@ -241,231 +242,18 @@ def sum_with_breakpoints() -> PeriodicFunction:
 
 
 def zeros_at_nodes() -> PeriodicFunction:
-    # -0.1875 + t - t^2 vanishes exactly at the scan nodes t = 0.25 and 0.75
+    # -0.1875 + t - t^2 vanishes exactly at t = 0.25 and 0.75, ends of the bisection's first cells
     return PeriodicFunction.poly(1.0, [-0.1875, 1.0, -1.0])
 
 
-def scanned_zeros_at_nodes() -> PeriodicFunction:
-    # zeros_at_nodes plus a zero constant: the same values, from a sum, which is scanned
+def summed_zeros_at_nodes() -> PeriodicFunction:
+    # zeros_at_nodes plus a zero constant: the same values, from a sum, which is bisected
     return PeriodicFunction.sum_of([zeros_at_nodes(), PeriodicFunction.constant(1.0, 0.0)])
 
 
 def all_ties() -> PeriodicFunction:
-    # zero amplitudes: every grid value equals the offset (0), so every point
-    # ties with its neighbours and every node is a zero; two terms, so it is scanned
+    # zero amplitudes: 0 everywhere, so every value ties; two terms, so it is bisected
     return PeriodicFunction.trig(1.0, 0.0, [(0.0, 1, 0.0), (0.0, 2, 0.0)])
-
-
-def oracle_winners(fv: np.ndarray) -> list[int]:
-    """The scalar scan for local minima that the vectorized scan replaced."""
-    n = len(fv)
-    return [i for i in range(n) if fv[i] <= fv[(i - 1) % n] and fv[i] <= fv[(i + 1) % n]]
-
-
-def oracle_crossings(f: PeriodicFunction, period: float) -> list[float]:
-    """The scalar crossing scan that funcspec._find_crossings replaced."""
-    grid = np.linspace(0.0, period, funcspec._SCAN_POINTS + 1)
-    vals = np.asarray(f(grid), dtype=float)
-    out: list[float] = []
-    for i in range(funcspec._SCAN_POINTS):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            out.append(float(grid[i]))
-        elif a * b < 0.0:
-            lo, hi = float(grid[i]), float(grid[i + 1])
-            flo = a
-            for _ in range(80):
-                midp = 0.5 * (lo + hi)
-                fm = float(f(midp))
-                if flo * fm <= 0.0:
-                    hi = midp
-                else:
-                    lo, flo = midp, fm
-            out.append(0.5 * (lo + hi))
-    return out
-
-
-class TestVectorisedScans:
-    @pytest.mark.parametrize("make", [sum_with_breakpoints, scanned_zeros_at_nodes])
-    def test_winners_match_scalar_scan_inside_extrema(self, make, monkeypatch):
-        seen = []
-        local_extrema = funcspec._local_extrema
-
-        def recording(vals):
-            out = local_extrema(vals)
-            seen.append((vals.copy(), out))
-            return out
-
-        monkeypatch.setattr(funcspec, "_local_extrema", recording)
-        f = make()
-        f.extrema()
-        assert len(seen) == 1  # one scan finds the minima and the maxima
-        vals, (lows, highs) = seen[0]
-        assert lows.tolist() == oracle_winners(vals)
-        assert highs.tolist() == oracle_winners(-vals)
-        if f.breakpoints():
-            assert len(vals) > funcspec._SCAN_POINTS
-
-    def test_winners_match_scalar_scan_when_all_tie(self):
-        f = all_ties()
-        fv = np.asarray(f(np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)))
-        for sign, winners in zip((1.0, -1.0), funcspec._local_extrema(fv)):
-            assert winners.tolist() == oracle_winners(sign * fv)
-            assert winners.tolist() == list(range(funcspec._SCAN_POINTS))
-
-    @pytest.mark.parametrize("make", [all_ties, sum_with_breakpoints, zeros_at_nodes])
-    def test_crossings_bitwise_equal_scalar_scan(self, make):
-        f = make()
-        new = funcspec._find_crossings(f, f.period)
-        old = oracle_crossings(f, f.period)
-        assert np.array_equal(np.asarray(new), np.asarray(old))
-        assert [x.hex() for x in new] == [x.hex() for x in old]
-
-    def test_zero_nodes_are_crossings(self):
-        assert funcspec._find_crossings(zeros_at_nodes(), 1.0) == [0.25, 0.75]
-
-
-def recording_calls(monkeypatch) -> list[int]:
-    """Sizes of every evaluation of any PeriodicFunction from now on."""
-    sizes: list[int] = []
-    call = PeriodicFunction.__call__
-
-    def recording(self, t):
-        sizes.append(int(np.size(t)))
-        return call(self, t)
-
-    monkeypatch.setattr(PeriodicFunction, "__call__", recording)
-    return sizes
-
-
-def counting_zoom(monkeypatch) -> list[tuple[int, int]]:
-    """(minimum brackets, maximum brackets) of every zoom_minima call from now on."""
-    brackets = []
-    zoom = funcspec.zoom_minima
-
-    def counting(f, left, right, t, v, tol, sign):
-        brackets.append((int(np.sum(sign > 0)), int(np.sum(sign < 0))))
-        return zoom(f, left, right, t, v, tol, sign)
-
-    monkeypatch.setattr(funcspec, "zoom_minima", counting)
-    return brackets
-
-
-class TestExtremaZoom:
-    def test_one_call_per_round_for_both_signs(self, monkeypatch):
-        sizes = []
-        zoom = funcspec.zoom_minima
-
-        def counting(f, *args):
-            return zoom(lambda s: sizes.append(len(s)) or f(s), *args)
-
-        monkeypatch.setattr(funcspec, "zoom_minima", counting)
-        # a zero second term keeps the harmonic-3 cosine's values in a body that is scanned
-        PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 3, 0.3), (0.0, 1, 0.0)]).extrema()
-        # a grid-cell bracket shrinks 64-fold per round from 2/8192 to 1e-12 in 5 rounds;
-        # the 3 minima and 3 maxima of the harmonic-3 cosine share each round's call
-        assert 1 <= len(sizes) <= 5
-        assert set(sizes) == {6 * (2 * ZOOM_POINTS + 1)}
-
-    def test_winner_at_grid_index_zero_zooms_across_the_wrap(self):
-        # minimum 1 at t* just below T, so the scan's winner is node 0 and the
-        # zoom has to search its left neighbour cell, which starts at grid[-1] - T
-        t_star = 1.0 - 0.3 / funcspec._SCAN_POINTS
-        f = PeriodicFunction.trig(1.0, 2.0, [(1.0, 1, math.pi - 2.0 * math.pi * t_star)])
-        grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
-        assert 0 in funcspec._local_extrema(f(grid))[0].tolist()
-        assert float(np.min(f(grid))) > 1.0 + 1e-9
-        fmin, _, argmin, _ = f.extrema()
-        assert fmin == pytest.approx(1.0, abs=4e-16)
-        assert 0.0 <= argmin < 1.0
-        assert abs(argmin - t_star) <= 1e-7  # the rounding-flat band of a unit cosine
-
-    @pytest.mark.parametrize(
-        "f, expected",
-        [
-            # (min, max) and the brackets zoomed per sign
-            # zero amplitude: all 8192 nodes tie for both the minimum and the maximum
-            (all_ties(), ((0.0, 0.0), (1, 1))),
-            # cos < 1/2 on two thirds of the period, so about 5461 nodes tie at 0,
-            # for the minimum and, flat as they are, for the maximum beside the peak
-            (PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0)]).positive_part(), ((0.0, 0.5), (1, 2))),
-        ],
-    )
-    def test_plateau_of_tied_winners(self, monkeypatch, f, expected):
-        grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
-        assert len(funcspec._local_extrema(f(grid))[0]) > 4096
-        brackets = counting_zoom(monkeypatch)
-        sizes = recording_calls(monkeypatch)
-        fmin, fmax, _, _ = f.extrema()
-        assert (fmin, fmax) == expected[0]
-        assert max(sizes) <= ZOOM_MAX_POINTS
-        # each flat stretch is one bracket per sign (about 5461 or 8192 before)
-        assert brackets == [expected[1]]
-
-    def test_equal_values_apart_stay_separate_brackets(self, monkeypatch):
-        # the two minima of a harmonic-2 cosine have equal grid values but are
-        # not adjacent, so each keeps its own bracket; a zero second term keeps
-        # its values in a body that is scanned
-        brackets = counting_zoom(monkeypatch)
-        fmin, fmax, _, _ = PeriodicFunction.trig(1.0, 2.0, [(1.0, 2, 0.0), (0.0, 4, 0.0)]).extrema()
-        assert brackets == [(2, 2)]
-        assert (fmin, fmax) == (1.0, 3.0)
-
-
-def two_pass_zoom(f, left, right, t, v, tol):
-    """The earlier ``numerics.zoom_minima``: one sign, its chunks refined one after another."""
-    t, v = np.array(t, dtype=float), np.array(v, dtype=float)
-    steps = np.linspace(0.0, 1.0, 2 * ZOOM_POINTS + 1)
-    chunk = ZOOM_MAX_POINTS // len(steps)
-    for lo in range(0, len(t), chunk):
-        a, b = left[lo : lo + chunk], right[lo : lo + chunk]
-        tc, vc = t[lo : lo + chunk], v[lo : lo + chunk]
-        rows = np.arange(len(a))
-        for _ in range(16):
-            if np.all(b - a <= tol):
-                break
-            pts = a[:, None] + (b - a)[:, None] * steps
-            vals = np.asarray(f(pts.ravel()), dtype=float).reshape(pts.shape)
-            j = np.argmin(vals, axis=1)
-            lowest = vals[rows, j]
-            better = lowest < vc
-            tc[better], vc[better] = pts[rows, j][better], lowest[better]
-            a, b = pts[rows, np.maximum(j - 1, 0)], pts[rows, np.minimum(j + 1, 2 * ZOOM_POINTS)]
-    return t, v
-
-
-def two_pass_extrema(f: PeriodicFunction) -> tuple[float, float, float, float]:
-    """The earlier ``PeriodicFunction._scanned_extrema``: the minimum and the
-    maximum each scanned, grouped into brackets and zoomed in its own pass."""
-    T = f.period
-    grid = np.linspace(0.0, T, funcspec._SCAN_POINTS, endpoint=False)
-    extra = f.breakpoints()
-    if extra:
-        grid = np.unique(np.concatenate([grid, np.asarray(extra, dtype=float)]))
-    vals = np.asarray(f(grid), dtype=float)
-    tol = funcspec.EXTREMA_REFINE_TOL * max(1.0, T)
-
-    def refine(sign):
-        fv = sign * vals
-        i = np.flatnonzero((fv <= np.roll(fv, 1)) & (fv <= np.roll(fv, -1)))
-        starts = np.ones(len(i), dtype=bool)
-        starts[1:] = (np.diff(i) != 1) | (fv[i[1:]] != fv[i[:-1]])
-        first, last = i[starts], i[np.append(starts[1:], True)]
-        n = len(grid)
-        left = grid[first - 1] - np.where(first == 0, T, 0.0)
-        right = grid[(last + 1) % n] + np.where(last == n - 1, T, 0.0)
-        t, v = two_pass_zoom(lambda s: sign * f(s), left, right, grid[first], fv[first], tol)
-        k = int(np.argmin(v))
-        return float(np.mod(t[k], T)), sign * float(v[k])
-
-    argmin, fmin = refine(+1.0)
-    argmax, fmax = refine(-1.0)
-    return fmin, fmax, argmin, argmax
-
-
-def assert_scan_bit_identical(f: PeriodicFunction) -> None:
-    new = PeriodicFunction(f.period, f.body)._scanned_extrema()  # a fresh instance: no kept values
-    assert [x.hex() for x in new] == [x.hex() for x in two_pass_extrema(f)]
 
 
 def earlier_trig_eval(offset, terms, period, t):
@@ -498,84 +286,175 @@ def continuous_cubic(period, c0, c2, c3):
     return PeriodicFunction.poly(period, [c0, -(c2 * period + c3 * period**2), c2, c3])
 
 
-class TestTwoPassOracle:
-    """One merged pass gives the extrema of the earlier two passes, bit for bit."""
+EPS = np.finfo(float).eps
 
-    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
-    def test_preset_forcings(self, name):
-        e = presets.preset(name).problem.e
-        assert_scan_bit_identical(e)
-        assert_scan_bit_identical(e.positive_part())
 
-    def test_benchmark_classes_on_a_grid(self):
-        # the benchmark's cosine (harmonics 1-3) and cubic forcings at offset 1.54215
-        for amp in np.linspace(0.0, 0.0021, 7):
-            for k in (1, 2, 3):
-                assert_scan_bit_identical(PeriodicFunction.trig(1.0, 1.54215, [(float(amp), k, 0.0)]))
-        for s in np.linspace(-0.02, 0.02, 9):
-            s = float(s)
-            assert_scan_bit_identical(PeriodicFunction.poly(1.0, [1.54215, s, -3.0 * s, 2.0 * s]))
+def derivative_bounds(body, period: float) -> tuple[float, float]:
+    """(max|f'|, max|f''|) between breakpoints, term by term."""
+    if isinstance(body, funcspec.Constant):
+        return 0.0, 0.0
+    if isinstance(body, funcspec.TrigPoly):
+        w = 2.0 * math.pi / period
+        return sum(abs(a) * w * k for a, k, _ in body.terms), sum(abs(a) * (w * k) ** 2 for a, k, _ in body.terms)
+    if isinstance(body, funcspec.PolyOnPeriod):
+        c = body.coeffs
+        return (sum(i * abs(x) * period ** (i - 1) for i, x in enumerate(c) if i),
+                sum(i * (i - 1) * abs(x) * period ** (i - 2) for i, x in enumerate(c) if i > 1))
+    if isinstance(body, funcspec.PiecewiseLinear):
+        pts = body.points
+        return max(abs((v1 - v0) / (t1 - t0)) for (t0, v0), (t1, v1) in zip(pts[:-1], pts[1:])), 0.0
+    if isinstance(body, funcspec.Sum):
+        parts = [derivative_bounds(p, period) for p in body.parts]
+        return sum(a for a, _ in parts), sum(b for _, b in parts)
+    return derivative_bounds(body.inner, period)
 
-    @given(periods, st.floats(-1.0, 1.0), trig_terms)
-    def test_drawn_trig(self, period, offset, terms):
-        assert_scan_bit_identical(PeriodicFunction.trig(period, offset, terms))
 
-    @given(periods, st.floats(-1.0, 1.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
-    def test_drawn_poly(self, period, c0, c2, c3):
-        assert_scan_bit_identical(continuous_cubic(period, c0, c2, c3))
+def mp_function(body, period):
+    """The body as a function of mpmath t in [0, T] at the working precision, with pi exact."""
+    mpf = mpmath.mpf
+    if isinstance(body, funcspec.Constant):
+        return lambda t: mpf(body.value)
+    if isinstance(body, funcspec.TrigPoly):
+        w, offset = 2 * mpmath.pi / period, mpf(body.offset)
+        terms = [(mpf(a), k * w, mpf(phase)) for a, k, phase in body.terms]
+        return lambda t: offset + mpmath.fsum(a * mpmath.cos(kw * t + phase) for a, kw, phase in terms)
+    if isinstance(body, funcspec.PolyOnPeriod):
+        coeffs = [mpf(c) for c in reversed(body.coeffs)]
+        return lambda t: mpmath.polyval(coeffs, t)
+    if isinstance(body, funcspec.PiecewiseLinear):
+        ts, vs = [mpf(t) for t, _ in body.points], [mpf(v) for _, v in body.points]
 
-    @given(
-        st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5),
-        st.floats(-1.0, 1.0),
-        trig_terms,
-    )
-    def test_drawn_sum_with_breakpoints(self, levels, offset, terms):
-        table = [(i / len(levels), v) for i, v in enumerate(levels)] + [(1.0, levels[0])]
-        f = PeriodicFunction.sum_of(
-            [PeriodicFunction.piecewise_linear(table), PeriodicFunction.trig(1.0, offset, terms)]
+        def linear(t):
+            i = min(bisect.bisect_right(ts, t), len(ts) - 1)
+            return vs[i - 1] + (vs[i] - vs[i - 1]) * (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+
+        return linear
+    if isinstance(body, funcspec.Sum):
+        parts = [mp_function(p, period) for p in body.parts]
+        return lambda t: mpmath.fsum(g(t) for g in parts)
+    inner = mp_function(body.inner, period)
+    return lambda t: max(inner(t), mpf(0))
+
+
+def mp_golden_min(fn, a, b, width):
+    """The lowest value golden-section search finds for fn on [a, b], its ends included,
+    narrowing the bracket to ``width``."""
+    ratio = (mpmath.sqrt(5) - 1) / 2
+    best = min(fn(a), fn(b))
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > width:
+        best = min(best, fc, fd)
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = fn(d)
+    return min(best, fc, fd)
+
+
+def mp_extremum(f: PeriodicFunction, sign: float, width: float = 1e-12, n: int = 2048):
+    """The minimum (sign 1) or maximum (sign -1) of f at 20 digits.
+
+    A clip's is its inner body's, clipped at 0.  Otherwise every local
+    minimum of sign * f on n even cells, breakpoints added, whose value is
+    within max|f''| h^2 / 4 of the lowest (h = T/n) is refined by golden
+    section over its two neighbouring cells in mpmath, a run of them as one,
+    down to ``width`` T, and the grid point itself is a candidate: on no
+    other cell can sign * f go below the lowest grid value less
+    max|f''| h^2 / 8.  A kink between grid points needs a smaller width.
+    """
+    body, T = f.body, f.period
+    if isinstance(body, funcspec.PositivePart):
+        return max(mp_extremum(PeriodicFunction(T, body.inner), sign, width, n), mpmath.mpf(0))
+    grid = np.unique(np.concatenate([np.linspace(0.0, T, n + 1), f.breakpoints()]))[:-1]
+    g = sign * np.asarray(f(grid))
+    gap = derivative_bounds(body, T)[1] * (T / n) ** 2 / 4 + 1e-12 * (1.0 + np.max(np.abs(g)))
+    low = np.flatnonzero((g <= np.roll(g, 1)) & (g <= np.roll(g, -1)) & (g <= g.min() + gap))
+    runs = np.split(low, np.flatnonzero(np.diff(low) != 1) + 1)  # a flat stretch is one search
+    left, right = np.roll(grid, 1), np.roll(grid, -1)
+    left[0] -= T
+    right[-1] += T
+    with mpmath.workdps(20):
+        period, value = mpmath.mpf(T), mp_function(body, T)
+        width = period * mpmath.mpf(width)
+
+        def fn(t):
+            return sign * value(t % period)
+
+        return sign * min(
+            min(fn(mpmath.mpf(grid[r[0]])), mp_golden_min(fn, mpmath.mpf(left[r[0]]), mpmath.mpf(right[r[-1]]), width))
+            for r in runs
         )
-        assert f.breakpoints()
-        assert_scan_bit_identical(f)
 
-    @given(
-        st.floats(-1.5, 0.5),
-        st.tuples(st.floats(0.1, 1.0), st.integers(1, 4), st.floats(0.0, 2.0 * math.pi)),
-        st.tuples(st.floats(-1.0, 1.0), st.integers(1, 6), st.floats(0.0, 2.0 * math.pi)),
-    )
-    def test_drawn_two_term_positive_parts(self, offset, first, second):
-        assert_scan_bit_identical(PeriodicFunction.trig(1.0, offset, [first, second]).positive_part())
 
-    @pytest.mark.parametrize(
-        "offset, terms",
-        [
-            (
-                -0.5154017342165804,
-                [(0.6829014176579647, 4, 2.401381883923562), (0.11377713089996044, 3, 3.9911469718550974)],
-            ),
-            (
-                -0.849526905302308,
-                [(0.9194553331567862, 3, 3.258600710290592), (0.6407992674416769, 2, 3.196755742717324)],
-            ),
-            (-0.5, [(1.0, 1, 0.0)]),
-        ],
-    )
-    def test_plateau_plus_peak(self, offset, terms):
-        # zero plateaus and peaks: the minima's wide plateau brackets need more
-        # rounds than the maxima's grid cells, and the first two forcings' fmax
-        # moves by an ulp if the maxima keep zooming until the minima are done
-        assert_scan_bit_identical(PeriodicFunction.trig(1.0, offset, terms).positive_part())
+def enclosure(f: PeriodicFunction, sign: float) -> tuple[float, float]:
+    """(value, bound) of the minimum (sign 1) or the maximum (sign -1) by the
+    bisection, value being what extrema() reports; a clip's are its inner
+    body's, clipped at 0."""
+    if isinstance(f.body, funcspec.PositivePart):
+        value, bound = enclosure(PeriodicFunction(f.period, f.body.inner), sign)
+        value, bound = max(value, 0.0), max(bound, 0.0)
+    else:
+        value, _, bound = funcspec._extremum(f, sign)
+    assert value == f.extrema()[0 if sign > 0 else 1]
+    return value, bound
 
-    @pytest.mark.parametrize("level", [0.0, -0.0, 1.54215, -3.0])
-    def test_all_ties(self, level):
-        assert_scan_bit_identical(PeriodicFunction.trig(1.0, level, [(0.0, 3, 0.0)]))
-        assert_scan_bit_identical(PeriodicFunction.poly(2.0, [level]))
 
-    def test_more_brackets_than_one_chunk(self):
-        # 3000 minima and 3000 maxima: each sign spans 6 groups of 508 brackets
-        f = PeriodicFunction.trig(1.0, 1.0, [(0.3, 3000, 0.1)])
-        grid = np.linspace(0.0, 1.0, funcspec._SCAN_POINTS, endpoint=False)
-        assert len(funcspec._local_extrema(f(grid))[0]) > ZOOM_MAX_POINTS // (2 * ZOOM_POINTS + 1)
-        assert_scan_bit_identical(f)
+def assert_encloses(f: PeriodicFunction, sign: float, ref, extra: float = 0.0) -> None:
+    """ref lies between the bisection's value and bound for f's extremum, each
+    side widened by 8 eps max|f| for rounding, plus ``extra``."""
+    value, bound = enclosure(f, sign)
+    slack = 8.0 * EPS * funcspec._bounds(f.body, f.period)[0] + extra
+    lo, hi = (bound, value) if sign > 0 else (value, bound)
+    assert mpmath.mpf(lo) - slack <= ref <= mpmath.mpf(hi) + slack
+
+
+def mp_crossings(f: PeriodicFunction, n: int = 4096) -> list[float]:
+    """The sign changes of f > 0 between the nodes of n even cells (breakpoints
+    added), each bisected in mpmath to 1e-25 T."""
+    T = f.period
+    grid = np.unique(np.concatenate([np.linspace(0.0, T, n + 1), f.breakpoints()]))
+    positive = np.asarray(f(grid)) > 0.0
+    out = []
+    with mpmath.workdps(30):
+        value = mp_function(f.body, T)
+        for i in np.flatnonzero(positive[:-1] != positive[1:]).tolist():
+            a, b = mpmath.mpf(grid[i]), mpmath.mpf(grid[i + 1])
+            while b - a > T * mpmath.mpf(10) ** -25:
+                mid = (a + b) / 2
+                if (value(mid) > 0) == positive[i]:
+                    a = mid
+                else:
+                    b = mid
+            out.append(float(a))
+    return out
+
+
+@st.composite
+def drawn_sums(draw) -> PeriodicFunction:
+    """2 to 4 cosine terms, with a continuous cubic and a piecewise-linear table each drawn or not."""
+    period = draw(periods)
+    terms = draw(st.lists(st.tuples(st.floats(-2.0, 2.0), st.integers(1, 8), st.floats(0.0, 2.0 * math.pi)),
+                          min_size=2, max_size=4))
+    parts = [PeriodicFunction.trig(period, draw(st.floats(-1.0, 1.0)), terms)]
+    if draw(st.booleans()):
+        parts.append(continuous_cubic(period, *draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-3.0, 3.0),
+                                                              st.floats(-3.0, 3.0)))))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=5))
+        table = [(period * i / len(levels), v) for i, v in enumerate(levels)] + [(period, levels[0])]
+        parts.append(PeriodicFunction.piecewise_linear(table))
+    return parts[0] if len(parts) == 1 else PeriodicFunction.sum_of(parts)
+
+
+# the forcing on which the 8192-point scan aliased harmonic 8191 onto harmonic 1
+ALIASED = PeriodicFunction.trig(
+    1.0, 1.0, [(0.8406588551173528, 8191, 6.102007774807954), (0.5166707960555585, 1, 2.5207092162091653)]
+)
 
 
 def one_term_cosines():
@@ -623,14 +502,6 @@ def horner_bound(f: PeriodicFunction) -> float:
     return 2 * (len(coeffs) - 1) * (2.0**-53 * scale + 2.0**-1074)
 
 
-def scan_bound(f: PeriodicFunction) -> float:
-    """Twice horner_bound, plus the slope bound sum i |c_i| T^(i-1) times the scan's refinement
-    tolerance: the scan reaches the left limit at the wrap only to within that tolerance."""
-    coeffs, T = f.body.coeffs, f.period
-    slope = sum(i * abs(c) * T ** (i - 1) for i, c in enumerate(coeffs))
-    return 2 * horner_bound(f) + slope * funcspec.EXTREMA_REFINE_TOL * max(1.0, T)
-
-
 def mp_real_roots(c: list, lo, hi) -> list:
     """Roots in [lo, hi] of odd multiplicity of the polynomial with ascending mpmath
     coefficients c, at the working precision: the roots of c' split [lo, hi] into
@@ -665,6 +536,14 @@ def mp_poly_extrema(f: PeriodicFunction):
         return min(vals), max(vals)
 
 
+def mp_poly_roots(f: PeriodicFunction) -> list[float]:
+    """The real roots in [0, T) of the polynomial, by mpmath.polyroots at 50 digits."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([mpmath.mpf(c) for c in reversed(f.body.coeffs)], maxsteps=200, extraprec=200)
+        real = [mpmath.re(r) for r in roots if abs(mpmath.im(r)) < mpmath.mpf(10) ** -30]
+        return sorted(float(r) for r in real if 0 <= r < f.period)
+
+
 def calls_during(run) -> set[tuple[str, str]]:
     """(file, name) of every Python function run() calls, by the profiler hook."""
     seen = set()
@@ -686,9 +565,7 @@ class TestCandidateExtrema:
 
     @given(one_term_cosines())
     def test_one_term_cosine_is_offset_plus_minus_amplitude(self, f):
-        # eval's own operations with the cosine at exactly -1 and 1; the scan
-        # reads the same bits or, when its zoom narrows to the first of a
-        # rounding plateau's tied samples and misses the top one, 1 ulp inside
+        # eval's own operations with the cosine at exactly -1 and 1
         fmin, fmax, argmin, argmax = f.extrema()
         offset, ((amp, k, _),) = f.body.offset, f.body.terms
         low, high = (0.0 + offset) - abs(amp), (0.0 + offset) + abs(amp)
@@ -697,37 +574,30 @@ class TestCandidateExtrema:
         assert [fmin.hex(), fmax.hex()] == [low.hex(), high.hex()]
         assert (f(argmin), f(argmax)) == (fmin, fmax)
         assert 0.0 <= argmin < f.period / k and 0.0 <= argmax < f.period / k
-        scan = PeriodicFunction(f.period, f.body)._scanned_extrema()
-        assert 0.0 <= scan[0] - fmin <= math.ulp(fmin) and 0.0 <= fmax - scan[1] <= math.ulp(fmax)
 
-    def test_benchmark_cosines_equal_the_scan_bit_for_bit(self):
+    def test_benchmark_cosines_inside_the_bisection_enclosure(self):
+        # with a zero second term the same values go through the bisection
         for amp in np.linspace(-0.0021, 0.0021, 43):
             for k in (1, 2, 3):
                 f = PeriodicFunction.trig(1.0, 1.54215, [(float(amp), k, 0.0)])
-                new, scan = f.extrema(), PeriodicFunction(f.period, f.body)._scanned_extrema()
-                assert [x.hex() for x in new[:2]] == [x.hex() for x in scan[:2]]
-
-    def test_scan_can_miss_the_top_ulp_of_a_cosine(self):
-        f = PeriodicFunction.trig(1.0, 0.8611196922831792, [(1.25, 8, 752.25)])
-        assert f.extrema()[1] == 0.8611196922831792 + 1.25
-        assert PeriodicFunction(f.period, f.body)._scanned_extrema()[1] == math.nextafter(f.extrema()[1], 0.0)
+                g = PeriodicFunction.trig(1.0, 1.54215, [(float(amp), k, 0.0), (0.0, 1, 0.0)])
+                for sign, exact in zip((1.0, -1.0), f.extrema()):
+                    assert_encloses(g, sign, mpmath.mpf(exact))
 
     @given(polys)
-    def test_poly_agrees_with_scan_and_mpmath(self, f):
+    def test_poly_agrees_with_mpmath(self, f):
         fmin, fmax, argmin, argmax = f.extrema()
-        scan = PeriodicFunction(f.period, f.body)._scanned_extrema()
         bound = horner_bound(f)
         ref_min, ref_max = mp_poly_extrema(f)
-        assert abs(fmin - scan[0]) <= scan_bound(f) and abs(fmax - scan[1]) <= scan_bound(f)
         assert abs(mpmath.mpf(fmin) - ref_min) <= bound and abs(mpmath.mpf(fmax) - ref_max) <= bound
         assert 0.0 <= argmin < f.period and 0.0 <= argmax < f.period
 
-    def test_benchmark_cubics_within_one_ulp_of_the_scan(self):
+    def test_benchmark_cubics_agree_with_mpmath(self):
         for s in np.linspace(-0.02, 0.02, 41):
             f = PeriodicFunction.poly(1.0, [1.54215, float(s), -3.0 * float(s), 2.0 * float(s)])
-            new, scan = f.extrema(), PeriodicFunction(f.period, f.body)._scanned_extrema()
-            for a, b in zip(new[:2], scan[:2]):
-                assert abs(a - b) <= math.ulp(b)
+            refs = mp_poly_extrema(f)
+            for value, ref in zip(f.extrema()[:2], refs):
+                assert abs(mpmath.mpf(value) - ref) <= math.ulp(value)
 
     def test_ties_keep_the_earliest_candidate(self):
         # 1 - t + t^2 is 1 at both t = 0 and t = T; the first minimum of a harmonic-2 cosine
@@ -747,12 +617,11 @@ class TestCandidateExtrema:
         fmin, fmax, argmin, argmax = PeriodicFunction.trig(1.0, 2.0, [(-1.0, 1, 0.0)]).extrema()
         assert (fmin, fmax, argmin, argmax) == (1.0, 3.0, 0.0, 0.5)
 
-    def test_no_scan_no_roots_no_linalg(self, monkeypatch):
+    def test_no_bisection_no_roots_no_linalg(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("called")
 
-        monkeypatch.setattr(PeriodicFunction, "_scanned_extrema", refuse)
-        monkeypatch.setattr(funcspec, "zoom_minima", refuse)
+        monkeypatch.setattr(funcspec, "_bisect", refuse)
         monkeypatch.setattr(np, "roots", refuse)
         funcs = [
             PeriodicFunction.trig(1.0, 1.54215, [(0.002097, 1, 0.0)]),
@@ -763,8 +632,159 @@ class TestCandidateExtrema:
             double_root_quartic(1.0, 0.5, 1.0, 0.3),
         ]
         calls = calls_during(lambda: [f.extrema() for f in funcs])
-        assert not [c for c in calls if "linalg" in c[0] or c[1] in ("roots", "zoom_minima", "_scanned_extrema")]
+        assert not [c for c in calls if "linalg" in c[0] or c[1] in ("roots", "_bisect")]
         assert ("funcspec.py", "_monotone_root") in {(os.path.basename(a), b) for a, b in calls}
+
+
+class TestBisection:
+    """Sums and cosines of several terms: the extremum and its enclosure against mpmath."""
+
+    @settings(max_examples=50)
+    @given(drawn_sums())
+    def test_drawn_sums_and_clips_inside_their_enclosures(self, f):
+        for sign in (1.0, -1.0):
+            ref = mp_extremum(f, sign)
+            assert_encloses(f, sign, ref)
+            assert_encloses(f.positive_part(), sign, max(ref, mpmath.mpf(0)))
+
+    @settings(max_examples=25)
+    @given(drawn_sums())
+    def test_drawn_clip_inside_a_sum(self, f):
+        # the clip's crossings, breakpoints of the sum, lie within the
+        # refinement tolerance of its kinks, so near a kink the minimum's
+        # bound can miss by max|f'| times that tolerance
+        g = PeriodicFunction.sum_of([f.positive_part(), PeriodicFunction.trig(f.period, 0.0, [(0.5, 3, 1.0)])])
+        miss = derivative_bounds(g.body, g.period)[0] * funcspec.EXTREMA_REFINE_TOL * max(1.0, g.period)
+        assert_encloses(g, 1.0, mp_extremum(g, 1.0, width=1e-19), extra=miss)
+        assert_encloses(g, -1.0, mp_extremum(g, -1.0))
+
+    @pytest.mark.parametrize("v0", [3.6, 4.0, 5.0, 10.0])
+    def test_tank_forcing_against_the_quadratic_in_cos_t(self, v0):
+        # offset + a cos t - 1.5 cos 2t = (offset + 1.5) + a x - 3 x^2 with x = cos t in [-1, 1]
+        f = tank_forcing(v0)
+        offset, ((a, _, _), _) = f.body.offset, f.body.terms
+        with mpmath.workdps(30):
+            q = lambda x: (mpmath.mpf(offset) + mpmath.mpf(1.5)) + a * x - 3 * x * x
+            xs = [mpmath.mpf(-1), mpmath.mpf(1)] + ([mpmath.mpf(a) / 6] if abs(a) < 6 else [])
+            refs = min(q(x) for x in xs), max(q(x) for x in xs)
+        slack = 8.0 * EPS * funcspec._bounds(f.body, f.period)[0]
+        for sign, ref, value in zip((1.0, -1.0), refs, f.extrema()):
+            assert_encloses(f, sign, ref)
+            assert abs(mpmath.mpf(value) - ref) <= slack
+
+    @pytest.mark.parametrize("name", presets.PRESET_NAMES)
+    def test_preset_forcings_against_mpmath(self, name):
+        e = presets.preset(name).problem.e
+        for f in (e, e.positive_part()):
+            for sign, value in zip((1.0, -1.0), f.extrema()):
+                slack = 8.0 * EPS * funcspec._bounds(f.body, f.period)[0]
+                assert abs(mpmath.mpf(value) - mp_extremum(f, sign)) <= slack
+
+    def test_top_ulp_of_a_cosine_inside_the_enclosure(self):
+        # the maximum lies on a rounding plateau whose top ulp a sampling search
+        # can miss (a zoom once read 1 ulp inside); a zero second term sends
+        # the cosine through the bisection
+        f = PeriodicFunction.trig(1.0, 0.8611196922831792, [(1.25, 8, 752.25), (0.0, 1, 0.0)])
+        value, _, bound = funcspec._extremum(f, -1.0)
+        assert 0.8611196922831792 + 1.25 == 2.111119692283179
+        assert value <= 2.111119692283179 <= bound
+
+    def test_minimum_just_below_the_wrap(self):
+        # minimum 1 at t* just below T, inside the last starting cell
+        t_star = 1.0 - 0.3 / 8192
+        f = PeriodicFunction.trig(1.0, 2.0, [(1.0, 1, math.pi - 2.0 * math.pi * t_star), (0.0, 2, 0.0)])
+        argmin = f.extrema()[2]
+        assert_encloses(f, 1.0, mpmath.mpf(1))
+        assert 0.0 <= argmin < 1.0
+        assert abs(argmin - t_star) <= 1e-7  # the rounding-flat band of a unit cosine
+
+    @pytest.mark.parametrize(
+        "f, expected",
+        [
+            (all_ties(), (0.0, 0.0, 0.0, 0.0)),
+            # the first of the equal minima of a harmonic-2 cosine, and its first maximum
+            (PeriodicFunction.trig(1.0, 2.0, [(1.0, 2, 0.0), (0.0, 4, 0.0)]), (1.0, 3.0, 0.25, 0.0)),
+        ],
+    )
+    def test_ties_keep_the_earliest_cell_end(self, f, expected):
+        assert f.extrema() == expected
+
+    def test_clip_takes_its_inner_extrema(self):
+        inner = PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0), (0.25, 3, 0.5)])
+        low, high, t_low, t_high = inner.extrema()
+        assert low < 0.0 < high
+        assert inner.positive_part().extrema() == (0.0, high, t_low, t_high)
+        assert inner.positive_part().positive_part() is inner.positive_part()
+
+    def test_zero_stretch_of_a_clip_in_a_sum_stops_at_the_cell_cap(self, monkeypatch):
+        # max(cos, 0) + 0 is flat on half the period while its |f''| bound is
+        # 4 pi^2, so no cell there can be dropped; halving stops at the cap
+        sizes = []
+        bisect = funcspec._bisect
+
+        def recording(f, keep):
+            return bisect(f, lambda l, r, fl, fr: sizes.append(len(l)) or keep(l, r, fl, fr))
+
+        monkeypatch.setattr(funcspec, "_bisect", recording)
+        f = PeriodicFunction.trig(1.0, 0.0, [(1.0, 1, 0.0)]).positive_part().plus_constant(0.0)
+        assert f.extrema()[:2] == (0.0, 1.0)
+        np.testing.assert_allclose(funcspec._find_crossings(f, 1.0), [0.25, 0.75], rtol=0, atol=1e-12)
+        assert max(sizes) <= funcspec._MAX_CELLS
+
+    def test_top_harmonic_stays_under_the_cell_cap(self, monkeypatch):
+        sizes = []
+        bisect = funcspec._bisect
+
+        def recording(f, keep):
+            return bisect(f, lambda l, r, fl, fr: sizes.append(len(l)) or keep(l, r, fl, fr))
+
+        monkeypatch.setattr(funcspec, "_bisect", recording)
+        f = PeriodicFunction.trig(1.0, 1.0, [(1.0, funcspec._MAX_HARMONIC, 0.3), (0.5, 1, 0.0)])
+        value, _, bound = funcspec._extremum(f, 1.0)
+        size, curvature = funcspec._bounds(f.body, 1.0)
+        # the cells left are at most EXTREMA_REFINE_TOL wide, so the enclosure is that narrow
+        assert 0.0 <= value - bound <= 8.0 * EPS * size + curvature * funcspec.EXTREMA_REFINE_TOL**2 / 8
+        assert max(sizes) <= funcspec._MAX_CELLS
+
+
+class TestAliasing:
+    """Harmonic 8191 aliased onto harmonic 1 on the 8192-point scan, which read min 0.2168."""
+
+    def test_extrema_inside_the_dense_reference_enclosure(self):
+        # a 2**24-point grid reads min -0.357329356766627 and max 2.357329356766626;
+        # between its points f moves past them by at most max|f''| h^2 / 8
+        gap = derivative_bounds(ALIASED.body, 1.0)[1] * 2.0**-48 / 8
+        fmin, fmax, _, _ = ALIASED.extrema()
+        assert -0.357329356766627 - gap <= fmin <= -0.357329356766627
+        assert 2.357329356766626 <= fmax <= 2.357329356766626 + gap
+        for sign, value in ((1.0, fmin), (-1.0, fmax)):
+            assert enclosure(ALIASED, sign)[0] == value
+
+    def test_positive_part_holds_every_sign_change(self):
+        crossings = np.array(ALIASED.positive_part().breakpoints())
+        assert len(crossings) == 6556
+        tol = funcspec.EXTREMA_REFINE_TOL
+        assert np.all((ALIASED(crossings - tol) > 0.0) != (ALIASED(crossings + tol) > 0.0))
+
+
+class TestCrossings:
+    def test_zero_nodes_are_crossings(self):
+        assert funcspec._find_crossings(zeros_at_nodes(), 1.0) == [0.25, 0.75]
+
+    def test_exact_zeros_of_a_sum_are_crossings(self):
+        assert funcspec._find_crossings(summed_zeros_at_nodes(), 1.0) == [0.25, 0.75]
+
+    def test_zero_everywhere_changes_no_sign(self):
+        assert funcspec._find_crossings(all_ties(), 1.0) == []
+
+    @pytest.mark.parametrize(
+        "f",
+        [sum_with_breakpoints(), tank_forcing(4.0), PeriodicFunction.trig(1.0, 0.1, [(0.5, 2, 0.3)])],
+    )
+    def test_crossings_against_mpmath(self, f):
+        new, ref = funcspec._find_crossings(f, f.period), mp_crossings(f)
+        assert len(new) == len(ref) > 0
+        np.testing.assert_allclose(new, ref, rtol=0, atol=funcspec.EXTREMA_REFINE_TOL * max(1.0, f.period))
 
 
 class TestPolyCrossings:
@@ -779,11 +799,10 @@ class TestPolyCrossings:
             continuous_poly(2.0, 0.05, [-1.0, 0.5, 0.8, -0.3]),
         ],
     )
-    def test_roots_match_the_bisection_scan(self, f):
-        new, old = funcspec._find_crossings(f, f.period), oracle_crossings(f, f.period)
-        assert len(new) == len(old) > 0
-        np.testing.assert_allclose(new, old, rtol=0, atol=1e-15 * f.period)
-        assert set(x for x in old if f(x) == 0.0) <= set(new)  # exact zeros bit for bit
+    def test_roots_match_mpmath(self, f):
+        new, ref = funcspec._find_crossings(f, f.period), mp_poly_roots(f)
+        assert len(new) == len(ref) > 0
+        np.testing.assert_allclose(new, ref, rtol=0, atol=1e-15 * f.period)
 
     @given(polys)
     def test_drawn_roots_are_roots(self, f):
@@ -798,7 +817,7 @@ class TestPolyCrossings:
         g = f.positive_part()
         assert g.breakpoints() == funcspec._find_crossings(f, 1.0)
         assert g.mean() == pytest.approx(
-            PeriodicFunction(1.0, funcspec.PositivePart(f.body, tuple(oracle_crossings(f, f.period)))).mean(), rel=1e-14
+            PeriodicFunction(1.0, funcspec.PositivePart(f.body, tuple(mp_poly_roots(f)))).mean(), rel=1e-14
         )
 
 
@@ -861,21 +880,21 @@ class TestComputedOnce:
         f = sum_with_breakpoints()
         assert f.positive_part() is f.positive_part()
 
-    def test_scan_runs_once_per_instance(self, monkeypatch):
+    def test_bisection_runs_once_per_instance(self, monkeypatch):
         calls = []
-        scan = PeriodicFunction._scanned_extrema
+        extremum = funcspec._extremum
 
-        def counting(self):
-            calls.append(self)
-            return scan(self)
+        def counting(f, sign):
+            calls.append(sign)
+            return extremum(f, sign)
 
-        monkeypatch.setattr(PeriodicFunction, "_scanned_extrema", counting)
+        monkeypatch.setattr(funcspec, "_extremum", counting)
         f = sum_with_breakpoints()
         for _ in range(3):
             f.extrema()
-        assert len(calls) == 1
-        sum_with_breakpoints().extrema()  # an equal but distinct instance scans on its own
-        assert len(calls) == 2
+        assert calls == [1.0, -1.0]
+        sum_with_breakpoints().extrema()  # an equal but distinct instance bisects on its own
+        assert calls == [1.0, -1.0] * 2
 
     def test_equality_hash_and_repr_unchanged_by_caches(self):
         f, g = sum_with_breakpoints(), sum_with_breakpoints()

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from liebau.numerics import (
-    ZOOM_MAX_POINTS,
-    ZOOM_POINTS,
     cyclic_differences,
     cyclic_fd_operator,
     gmres,
     solve_cyclic_tridiagonal,
     sorted_unique,
     trig_interpolate,
-    zoom_minima,
 )
 
 # traces that ``trace_array``, and so every function that takes a trace,
@@ -313,198 +310,6 @@ class TestTrigInterpolate:
 
         lifted = trig_interpolate(p(np.arange(128) / 128), n_out)
         np.testing.assert_allclose(lifted, p(np.arange(n_out) / n_out), rtol=0, atol=1e-13)
-
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
-
-
-def three_call_parabolic_min(f, left, mid, right, tol):
-    """Successive parabolic interpolation with golden-section fallback, the
-    scalar search the extrema scan used before the zoom: an independent
-    reference for ``zoom_minima``.
-
-    Returns (x, iterations, golden-section steps).
-    """
-    a, b = left, right
-    x = mid
-    fx = f(x)
-    iterations = golden = 0
-    for _ in range(200):
-        if (b - a) <= tol:
-            break
-        iterations += 1
-        fa, fb = f(a), f(b)
-        denom = (x - a) * (fx - fb) - (x - b) * (fx - fa)
-        if denom != 0.0:
-            v = x - 0.5 * ((x - a) ** 2 * (fx - fb) - (x - b) ** 2 * (fx - fa)) / denom
-        else:
-            v = math.nan
-        if not (a < v < b) or not math.isfinite(v) or abs(v - x) < 0.1 * tol:
-            golden += 1
-            v = a + _INVPHI * (b - a) if x < 0.5 * (a + b) else b - _INVPHI * (b - a)
-        fv = f(v)
-        if fv < fx:
-            if v < x:
-                b = x
-            else:
-                a = x
-            x, fx = v, fv
-        else:
-            if v < x:
-                a = v
-            else:
-                b = v
-    return x, iterations, golden
-
-
-H_SCAN = 1.0 / 8192  # the extrema scan's grid step on a unit period
-T_TRIG = (math.pi - 0.3) / (2.0 * math.pi)  # minimum of cos(2 pi t + 0.3)
-T_KINK = 0.3141592653589793
-
-# (f, left, mid, right): a grid winner and its two neighbours, as the extrema scan passes them
-BRACKETS = {
-    "smooth-trig": (
-        lambda t: 1.54215 + 0.002097 * math.cos(2.0 * math.pi * t + 0.3),
-        *(round(T_TRIG / H_SCAN) * H_SCAN + k * H_SCAN for k in (-1, 0, 1)),
-    ),
-    "kinked": (
-        lambda t: abs(t - T_KINK),
-        *(round(T_KINK / H_SCAN) * H_SCAN + k * H_SCAN for k in (-1, 0, 1)),
-    ),
-    "flat": (lambda t: 2.0, 0.5 - H_SCAN, 0.5, 0.5 + H_SCAN),
-    # the parabola through the three points has its vertex on the left end,
-    # outside the open bracket, so the first step is a golden-section step
-    "vertex-outside": (lambda t: t * t, 0.0, 0.9, 1.0),
-}
-
-
-def zoom_one(f, left, mid, right, tol=1e-12):
-    """zoom_minima on one bracket of a scalar f; returns (t, v, sizes of the f calls)."""
-    sizes = []
-
-    def vectorized(ts):
-        sizes.append(len(ts))
-        return np.array([f(float(x)) for x in ts])
-
-    t, v = zoom_minima(vectorized, np.array([left]), np.array([right]), [mid], [f(mid)], tol, [1.0])
-    return float(t[0]), float(v[0]), sizes
-
-
-def rounds_bound(width, tol):
-    """Rounds a bracket of this width needs when each round shrinks it K-fold."""
-    return math.ceil(math.log(width / tol) / math.log(ZOOM_POINTS))
-
-
-class TestZoomMinima:
-    @pytest.mark.parametrize("case", sorted(BRACKETS))
-    def test_no_worse_than_parabolic_reference(self, case):
-        f, left, mid, right = BRACKETS[case]
-        t, v, sizes = zoom_one(f, left, mid, right)
-        ref = f(three_call_parabolic_min(f, left, mid, right, 1e-12)[0])
-        assert v == f(t)
-        assert left <= t <= right
-        assert v <= ref + 2.0 * math.ulp(ref)
-        assert 0 < len(sizes) <= rounds_bound(right - left, 1e-12)
-        assert set(sizes) == {2 * ZOOM_POINTS + 1}
-
-    @pytest.mark.parametrize("case", ["kinked", "vertex-outside"])
-    def test_argmin_within_tol_of_reference_where_f_resolves_t(self, case):
-        f, left, mid, right = BRACKETS[case]
-        t, _, _ = zoom_one(f, left, mid, right)
-        x = three_call_parabolic_min(f, left, mid, right, 1e-12)[0]
-        assert abs(t - x) <= 2e-12
-
-    def test_smooth_argmin_inside_the_rounding_flat_band(self):
-        # near a smooth minimum f is flat to rounding over |t - t*| <= w, where
-        # (f''/2) w^2 = 2 ulp(f); any point there is as good as any other
-        f, left, mid, right = BRACKETS["smooth-trig"]
-        curvature = 0.002097 * (2.0 * math.pi) ** 2
-        w = math.sqrt(4.0 * math.ulp(1.54215) / curvature)
-        t, _, _ = zoom_one(f, left, mid, right)
-        x = three_call_parabolic_min(f, left, mid, right, 1e-12)[0]
-        assert abs(t - T_TRIG) <= w
-        assert abs(x - T_TRIG) <= w
-
-    def test_calls_per_batch_are_bounded_by_the_rounds(self):
-        # 300 grid-cell brackets of one cosine share each round's call of f
-        sizes = []
-
-        def f(ts):
-            sizes.append(len(ts))
-            return np.cos(2.0 * np.pi * ts + 0.3)
-
-        centres = np.arange(300) * 27 * H_SCAN
-        t, v = zoom_minima(f, centres - H_SCAN, centres + H_SCAN, centres, f(centres), 1e-12, np.ones(300))
-        sizes = sizes[1:]  # the first call above gave the starting values
-        assert len(sizes) <= rounds_bound(2.0 * H_SCAN, 1e-12) == 5
-        assert set(sizes) == {300 * (2 * ZOOM_POINTS + 1)}
-        assert np.all(v <= np.cos(2.0 * np.pi * centres + 0.3))
-        assert np.array_equal(v, np.cos(2.0 * np.pi * t + 0.3))
-
-    @pytest.mark.parametrize(
-        "n_low, n_high, low_width, high_width",
-        [
-            (3, 3, 2e-9, 2.0 * H_SCAN),  # minima done after 2 rounds, maxima after 5
-            (3, 3, 2.0 * H_SCAN, 2e-9),
-            (600, 40, 2.0 * H_SCAN, 2e-9),  # two groups of minima, then one of maxima
-            (1, 1100, 2.0 * H_SCAN, 2.0 * H_SCAN),
-        ],
-    )
-    def test_signs_refine_as_their_own_calls(self, n_low, n_high, low_width, high_width):
-        # minima of f and of -f in one call: each sign's brackets get the
-        # rounds that a call with that sign alone gives them, bit for bit
-        def f(ts):
-            return np.cos(2.0 * np.pi * 3.0 * ts + 0.3)
-
-        rng = np.random.default_rng(n_low + n_high)
-        centres = rng.uniform(0.0, 1.0, n_low + n_high)
-        width = np.repeat([low_width, high_width], [n_low, n_high])
-        sign = np.repeat([1.0, -1.0], [n_low, n_high])
-        left, right = centres - width / 2.0, centres + width / 2.0
-        sizes, low_sizes, high_sizes = [], [], []
-        t, v = zoom_minima(
-            lambda ts: sizes.append(len(ts)) or f(ts), left, right, centres, sign * f(centres), 1e-12, sign
-        )
-        lo = slice(0, n_low)
-        hi = slice(n_low, None)
-        lows = zoom_minima(
-            lambda ts: low_sizes.append(len(ts)) or f(ts),
-            left[lo], right[lo], centres[lo], f(centres[lo]), 1e-12, np.ones(n_low),
-        )
-        highs = zoom_minima(
-            lambda ts: high_sizes.append(len(ts)) or -f(ts),
-            left[hi], right[hi], centres[hi], -f(centres[hi]), 1e-12, np.ones(n_high),
-        )
-        assert t.tobytes() == np.concatenate([lows[0], highs[0]]).tobytes()
-        assert v.tobytes() == np.concatenate([lows[1], highs[1]]).tobytes()
-        assert max(sizes) <= ZOOM_MAX_POINTS
-        if n_low + n_high <= ZOOM_MAX_POINTS // (2 * ZOOM_POINTS + 1):
-            # one call of f per round while both signs need rounds, then the slower sign's alone
-            fast, slow = sorted([low_sizes, high_sizes], key=len)
-            assert len(fast) < len(slow)
-            assert sizes == [x + y for x, y in zip(slow, fast)] + slow[len(fast) :]
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-1.0, 1.0), st.integers(1, 6), st.floats(0.0, 2.0 * math.pi)
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-        st.integers(0, 8191),
-    )
-    def test_no_worse_on_random_trig_brackets(self, terms, i):
-        def f(t):
-            return sum(a * math.cos(2.0 * math.pi * k * t + p) for a, k, p in terms)
-
-        left, mid, right = (i - 1) * H_SCAN, i * H_SCAN, (i + 1) * H_SCAN
-        t, v, _ = zoom_one(f, left, mid, right)
-        ref = f(three_call_parabolic_min(f, left, mid, right, 1e-12)[0])
-        # f rounds on the scale of its largest term, not of its value
-        scale = max(abs(ref), sum(abs(a) for a, _, _ in terms))
-        assert v == f(t)
-        assert v <= ref + 2.0 * math.ulp(scale)
 
 
 class TestSortedUnique:
