@@ -199,6 +199,10 @@ class TestValidation:
         with pytest.raises(LiebauError, match="harmonic"):
             PeriodicFunction.trig(1.0, 0.0, [(1.0, harmonic, 0.0)])
 
+    def test_top_harmonic_is_accepted(self):
+        f = PeriodicFunction.trig(1.0, 0.0, [(1.0, funcspec._MAX_HARMONIC, 0.0)])
+        assert f.body.terms[0][1] == 65536
+
     def test_whole_float_harmonic_is_kept_as_int(self):
         assert PeriodicFunction.trig(1.0, 0.0, [(1.0, 2.0, 0.0)]).body.terms == ((1.0, 2, 0.0),)
 
@@ -747,6 +751,92 @@ class TestBisection:
         assert max(sizes) <= funcspec._MAX_CELLS
 
 
+    @pytest.mark.parametrize("level", [0.0, -0.0, 1.54215, -3.0])
+    def test_all_ties(self, level):
+        # every value ties: a cosine of zero amplitudes, and a constant cubic plus zero
+        for f in (
+            PeriodicFunction.trig(1.0, level, [(0.0, 3, 0.0), (0.0, 1, 0.0)]),
+            PeriodicFunction.sum_of([PeriodicFunction.poly(2.0, [level]), PeriodicFunction.constant(2.0, 0.0)]),
+        ):
+            assert f.extrema() == (level, level, 0.0, 0.0)
+            for sign in (1.0, -1.0):
+                assert_encloses(f, sign, mpmath.mpf(level))
+
+    @pytest.mark.parametrize(
+        "offset, terms",
+        [
+            (
+                -0.5154017342165804,
+                [(0.6829014176579647, 4, 2.401381883923562), (0.11377713089996044, 3, 3.9911469718550974)],
+            ),
+            (
+                -0.849526905302308,
+                [(0.9194553331567862, 3, 3.258600710290592), (0.6407992674416769, 2, 3.196755742717324)],
+            ),
+            (-0.5, [(1.0, 1, 0.0), (0.0, 2, 0.0)]),
+        ],
+    )
+    def test_plateau_plus_peak(self, offset, terms):
+        # clips with zero plateaus and peaks, alone and inside a sum, whose
+        # zero stretch no cell can be dropped from
+        clip = PeriodicFunction.trig(1.0, offset, terms).positive_part()
+        g = PeriodicFunction.sum_of([clip, PeriodicFunction.constant(1.0, 0.0)])
+        miss = derivative_bounds(g.body, 1.0)[0] * funcspec.EXTREMA_REFINE_TOL
+        for sign in (1.0, -1.0):
+            ref = mp_extremum(clip, sign)
+            assert_encloses(clip, sign, ref)
+            assert_encloses(g, sign, ref, extra=miss if sign > 0 else 0.0)
+
+    def test_thousands_of_minima(self):
+        # 3000 minima and 3000 maxima, each within the enclosure of offset -/+ amplitude
+        f = PeriodicFunction.trig(1.0, 1.0, [(0.3, 3000, 0.1), (0.0, 1, 0.0)])
+        assert_encloses(f, 1.0, mpmath.mpf(1.0) - mpmath.mpf(0.3))
+        assert_encloses(f, -1.0, mpmath.mpf(1.0) + mpmath.mpf(0.3))
+
+
+def sampled_curvature(f: PeriodicFunction, n: int = 4096) -> tuple[float, float]:
+    """(max|f|, max|second difference| / h^2) on n even cells, triples that reach a breakpoint left out.
+
+    By the mean value theorem each second difference over h^2 is f'' at some
+    point of its triple, so it cannot exceed max|f''| but for rounding."""
+    T = f.period
+    h = T / n
+    t = np.linspace(0.0, T, n, endpoint=False)
+    v = np.asarray(f(t))
+    second = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h**2
+    kinks = np.asarray(f.breakpoints() + [0.0, T])
+    near = np.any(np.abs(np.mod(t[:, None] - kinks[None, :] + T / 2, T) - T / 2) <= 1.01 * h, axis=1)
+    return float(np.max(np.abs(v))), float(np.max(np.abs(second[~near]), initial=0.0))
+
+
+class TestBounds:
+    """Each body's bound on |f| and on |f''| between breakpoints holds on dense samples."""
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            PeriodicFunction.constant(1.0, -0.7),
+            tank_forcing(4.0),
+            continuous_poly(2.0, 0.05, [-1.0, 0.5, 0.8, -0.3]),
+            trapezoid(),
+            sum_with_breakpoints(),
+            PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0), (0.25, 3, 0.5)]).positive_part(),
+        ],
+        ids=["constant", "trig", "poly", "piecewise-linear", "sum", "clip"],
+    )
+    def test_samples_inside_the_bounds(self, f):
+        size, curvature = funcspec._bounds(f.body, f.period)
+        top, second = sampled_curvature(f)
+        assert top <= size
+        # a second difference carries rounding of about 4 eps max|f| / h^2
+        assert second <= curvature + 4.0 * EPS * size * (4096 / f.period) ** 2
+
+    def test_sum_adds_its_parts_bounds(self):
+        parts = sum_with_breakpoints().body.parts
+        each = [funcspec._bounds(p, 1.0) for p in parts]
+        assert funcspec._bounds(funcspec.Sum(parts), 1.0) == (each[0][0] + each[1][0], each[0][1] + each[1][1])
+
+
 class TestAliasing:
     """Harmonic 8191 aliased onto harmonic 1 on the 8192-point scan, which read min 0.2168."""
 
@@ -779,7 +869,12 @@ class TestCrossings:
 
     @pytest.mark.parametrize(
         "f",
-        [sum_with_breakpoints(), tank_forcing(4.0), PeriodicFunction.trig(1.0, 0.1, [(0.5, 2, 0.3)])],
+        [
+            sum_with_breakpoints(),
+            tank_forcing(4.0),
+            PeriodicFunction.trig(1.0, 0.1, [(0.5, 2, 0.3)]),
+            PeriodicFunction.sum_of([trapezoid(), PeriodicFunction.trig(1.0, -0.2, [(0.4, 5, 0.7), (0.2, 2, 1.1)])]),
+        ],
     )
     def test_crossings_against_mpmath(self, f):
         new, ref = funcspec._find_crossings(f, f.period), mp_crossings(f)
