@@ -18,11 +18,13 @@ isolation.  A clip's extrema are those of its inner body, clipped at 0.
 
 Every other body (sums and cosines of several terms) goes through one
 bisection, after Shubert (SIAM J. Numer. Anal. 9, 1972): each body bounds
-|f| and |f''| between its breakpoints, so a cell [l, r] holds no value below
-min(f(l), f(r)) - max|f''| (r - l)^2 / 8.  Cells that cannot beat the best
-value found, or cannot hold a zero, are dropped and the rest halved.  The
-extremum comes with an enclosure, and no grid has to resolve the data, so a
-high harmonic cannot alias onto a low one.
+|f| and |f''| between its breakpoints (the cosine terms of one harmonic as
+one phasor, so terms that cancel do not inflate the bound), so a cell
+[l, r] holds no value below min(f(l), f(r)) - max|f''| (r - l)^2 / 8.
+Cells that cannot beat the best value found, or cannot hold a zero, are
+dropped and the rest halved.  The extremum comes with an enclosure, and no
+grid has to resolve the data, so a high harmonic cannot alias onto a low
+one.
 
 Instances are immutable after construction and every operation is pure.
 A ``PeriodicFunction``'s extrema and positive part are computed lazily, once
@@ -513,37 +515,70 @@ def _monotone_root(coeffs: list[float], slope: list[float], lo: float, hi: float
     return t
 
 
+def _summands(body: Body) -> list:
+    """The parts of a sum, nested sums flattened; any other body is its own one part."""
+    if isinstance(body, Sum):
+        return [q for p in body.parts for q in _summands(p)]
+    return [body]
+
+
+def _amplitude(terms: list[tuple[float, float]]) -> float:
+    """A bound on the amplitude of the sum of a*cos(x + phase) over (a, phase) in terms.
+
+    That sum is |sum of a*e^(i phase)| times a cosine, so terms that cancel
+    bound it by less than the sum of |a|; the phasor sum is widened by its
+    rounding, at most (len(terms) + 4) eps times the sum of |a|.
+    """
+    total = sum(abs(a) for a, _ in terms)
+    if len(terms) == 1:
+        return total
+    merged = abs(sum(complex(a * math.cos(phase), a * math.sin(phase)) for a, phase in terms))
+    return min(total, merged + (len(terms) + 4) * math.ulp(1.0) * total)
+
+
 def _bounds(body: Body, period: float) -> tuple[float, float]:
-    """(a bound on |f|, a bound on |f''| between breakpoints) for one body on [0, T]."""
+    """(a bound on |f|, a bound on |f''| between breakpoints) for one body on [0, T].
+
+    A sum adds its parts' bounds, but the cosine terms of one harmonic, in
+    one cosine or across the parts, bound |f''| as one phasor (``_amplitude``).
+    The bound on |f| stays the sum of |a|, which also scales the rounding of
+    the evaluation.
+    """
     if isinstance(body, Constant):
         return abs(body.value), 0.0
-    if isinstance(body, TrigPoly):
-        w = 2.0 * math.pi / period
-        size = abs(body.offset) + sum(abs(a) for a, _, _ in body.terms)
-        return size, sum(abs(a) * (w * k) ** 2 for a, k, _ in body.terms)
     if isinstance(body, PolyOnPeriod):
         c = body.coeffs
         size = sum(abs(x) * period**i for i, x in enumerate(c))
         return size, sum(i * (i - 1) * abs(x) * period ** (i - 2) for i, x in enumerate(c) if i > 1)
     if isinstance(body, PiecewiseLinear):
         return max(abs(v) for _, v in body.points), 0.0
-    if isinstance(body, Sum):
-        parts = [_bounds(p, period) for p in body.parts]
-        return sum(s for s, _ in parts), sum(c for _, c in parts)
-    return _bounds(body.inner, period)  # a clip: its inner body's
+    if isinstance(body, PositivePart):
+        return _bounds(body.inner, period)  # a clip: its inner body's
+    size, curvature, harmonics = 0.0, 0.0, {}
+    for part in _summands(body):
+        if isinstance(part, TrigPoly):
+            size += abs(part.offset) + sum(abs(a) for a, _, _ in part.terms)
+            for a, k, phase in part.terms:
+                harmonics.setdefault(k, []).append((a, phase))
+        else:
+            s, c = _bounds(part, period)
+            size, curvature = size + s, curvature + c
+    w = 2.0 * math.pi / period
+    return size, curvature + sum(_amplitude(terms) * (w * k) ** 2 for k, terms in harmonics.items())
 
 
-def _bisect(f: PeriodicFunction, keep) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(l, r, f(l), f(r)) of the cells of [0, T] that survive the bisection.
+def _bisect(f: PeriodicFunction, keep):
+    """(l, r, f(l), f(r), refined) of the cells of [0, T] that survive the bisection.
 
     It starts from _START_CELLS even cells with f's breakpoints added, so no
-    cell straddles a kink.  Each round ``keep(l, r, f(l), f(r))`` selects the
-    cells to keep, and every kept cell wider than EXTREMA_REFINE_TOL *
-    max(1, T) is halved, f being called once on all the new midpoints.  It
-    stops when no kept cell is that wide, or when halving would make more
-    than _MAX_CELLS cells (a stretch flat to within the |f''| bound, such as
-    a clip's zero stretch inside a sum); the cells of the last round are
-    returned.
+    cell straddles a kink.  Each round
+    ``keep(l, r, f(l), f(r))`` selects the cells to keep, and every kept
+    cell wider than EXTREMA_REFINE_TOL * max(1, T) is halved, f being
+    called once on all the new midpoints.  It stops when no kept cell is
+    that wide (``refined`` True), or when halving would make more than
+    _MAX_CELLS cells (``refined`` False: a stretch flat to within the |f''|
+    bound, such as a clip's zero stretch inside a sum); the cells of the
+    last round are returned.
     """
     T = f.period
     edges = np.linspace(0.0, T, _START_CELLS + 1)
@@ -559,7 +594,7 @@ def _bisect(f: PeriodicFunction, keep) -> tuple[np.ndarray, np.ndarray, np.ndarr
         wide = r - l > tol
         halved = int(np.count_nonzero(wide))
         if not halved or len(l) + halved > _MAX_CELLS:
-            return l, r, fl, fr
+            return l, r, fl, fr, not halved
         narrow = ~wide
         mid = 0.5 * (l[wide] + r[wide])
         fmid = np.asarray(f(mid), dtype=float)
@@ -579,10 +614,12 @@ def _extremum(f: PeriodicFunction, sign: float) -> tuple[float, float, float]:
     allowance for rounding.  ``bound`` is the lowest of those lower bounds
     over the cells left at the end and the best value less the allowance,
     times sign: every value of f lies on its side (f >= bound for the
-    minimum) up to the rounding of f's evaluation.  A clip inside a sum is
-    the exception: its crossings, which bound the cells, lie only within
-    EXTREMA_REFINE_TOL * max(1, T) of its kinks, so next to one the
-    minimum's bound can miss by max|f'| times that.
+    minimum) up to the rounding of f's evaluation.  When the cell cap stops
+    the halving, the cells left are wider than EXTREMA_REFINE_TOL, and
+    ``value`` is ``bound``, the enclosure's outer end, t staying at the best
+    cell end.  A clip inside a sum is the exception: its crossings, which
+    bound the cells, lie only within EXTREMA_REFINE_TOL * max(1, T) of its
+    kinks, so next to one the minimum's bound can miss by max|f'| times that.
     """
     size, curvature = _bounds(f.body, f.period)
     slack = 8.0 * np.finfo(float).eps * size
@@ -600,9 +637,9 @@ def _extremum(f: PeriodicFunction, sign: float) -> tuple[float, float, float]:
             best, best_t = float(low[i]), float(l[i] if gl[i] <= gr[i] else r[i])
         return lower(l, r, gl, gr) < best - slack
 
-    l, r, fl, fr = _bisect(f, keep)
+    l, r, fl, fr, refined = _bisect(f, keep)
     bound = float(np.min(lower(l, r, sign * fl, sign * fr), initial=best - slack))
-    return sign * best, best_t if best_t < f.period else 0.0, sign * bound
+    return sign * (best if refined else bound), best_t if best_t < f.period else 0.0, sign * bound
 
 
 def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:
@@ -613,7 +650,11 @@ def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:
     while f > 0 holds at one end only, or while the bound on |f''| lets f
     reach 0 between its ends.  Each final cell with f > 0 at one end only
     gives one zero: an end where f is exactly 0, else its midpoint.  A zero
-    at which f does not change sign is no crossing.
+    at which f does not change sign is no crossing.  When the cell cap stops
+    the halving, the cells with a sign change are halved on their own,
+    keeping the half with the sign change, to the same width; a pair of crossings inside a cell
+    left without a sign change at its ends, where |f| stays below
+    L (r - l)^2 / 8, is then missed.
     """
     if isinstance(f.body, PolyOnPeriod):
         coeffs = list(f.body.coeffs)
@@ -624,8 +665,15 @@ def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:
     def keep(l, r, fl, fr):
         return ((fl > 0.0) != (fr > 0.0)) | (np.minimum(abs(fl), abs(fr)) < curvature * (r - l) ** 2 / 8.0)
 
-    l, r, fl, fr = _bisect(f, keep)
+    l, r, fl, fr, refined = _bisect(f, keep)
     change = (fl > 0.0) != (fr > 0.0)
     l, r, fl, fr = l[change], r[change], fl[change], fr[change]
+    tol = EXTREMA_REFINE_TOL * max(1.0, period)
+    while not refined and np.any(r - l > tol):  # at the cell cap: halve the sign changes alone
+        mid = 0.5 * (l + r)
+        fmid = np.asarray(f(mid), dtype=float)
+        left = (fl > 0.0) != (fmid > 0.0)  # the sign changes in the left half, else in the right
+        l, r = np.where(left, l, mid), np.where(left, mid, r)
+        fl, fr = np.where(left, fl, fmid), np.where(left, fmid, fr)
     zeros = np.where(fl == 0.0, l, np.where(fr == 0.0, r, 0.5 * (l + r)))
     return sorted({0.0 if t >= period else t for t in zeros.tolist()})

@@ -416,6 +416,14 @@ class TestSearch:
         cert = search_certificate(LiebauProblem(a=1.6, mu=0.01, c=0.05, T=1.0, e=e))
         assert cert is None or not (cert.passed and cert.theorem == certify.THEOREM_POSITIVE_FORCING)
 
+    def test_cancelling_terms_are_not_certified_positive(self):
+        # 0.95 + cos(2 pi 65536 t + pi/8) as 1000 times the cosine less 999 times it;
+        # bounded term by term, the bisection stopped at its cell cap and read e_min +0.026
+        e = PeriodicFunction.trig(1.0, 0.95, [(1000.0, 65536, math.pi / 8), (-999.0, 65536, math.pi / 8)])
+        assert e.extrema()[0] < 0.0
+        cert = search_certificate(LiebauProblem(a=1.6, mu=0.01, c=0.05, T=1.0, e=e))
+        assert cert is None or not (cert.passed and cert.theorem == certify.THEOREM_POSITIVE_FORCING)
+
     @pytest.mark.parametrize("name", ["cosine_lp", "trapezoid_lp"])
     def test_search_builds_no_kernel(self, name, request, monkeypatch):
         # one kernel_constants pass over the whole grid, whose constants the

@@ -731,9 +731,33 @@ class TestBisection:
 
         monkeypatch.setattr(funcspec, "_bisect", recording)
         f = PeriodicFunction.trig(1.0, 0.0, [(1.0, 1, 0.0)]).positive_part().plus_constant(0.0)
-        assert f.extrema()[:2] == (0.0, 1.0)
+        (low, _, bound), curvature = funcspec._extremum(f, 1.0), funcspec._bounds(f.body, 1.0)[1]
+        # the cells left are at most T / 2**19 wide: the minimum reads the
+        # outer end of their enclosure, not the 0 the cells' ends all hold
+        assert f.extrema()[:2] == (low, 1.0)
+        assert -curvature * 2.0**-38 / 8 <= low == bound < 0.0
         np.testing.assert_allclose(funcspec._find_crossings(f, 1.0), [0.25, 0.75], rtol=0, atol=1e-12)
         assert max(sizes) <= funcspec._MAX_CELLS
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            PeriodicFunction.trig(1.0, 0.1, [(0.5, 2, 0.3), (0.2, 5, 1.0)]),
+            PeriodicFunction.sum_of([trapezoid(), PeriodicFunction.trig(1.0, -0.2, [(0.4, 5, 0.7), (0.2, 2, 1.1)])]),
+        ],
+    )
+    def test_a_small_cell_cap_keeps_the_enclosure_and_the_crossings(self, f, monkeypatch):
+        # a cap that stops the halving long before the cells reach the
+        # tolerance: each extremum reads the outer end of its enclosure, and
+        # the crossings are still narrowed to the tolerance
+        monkeypatch.setattr(funcspec, "_MAX_CELLS", 1)
+        for sign in (1.0, -1.0):
+            value, _, bound = funcspec._extremum(f, sign)
+            assert value == bound
+            assert sign * (mp_extremum(f, sign) - mpmath.mpf(bound)) >= -8.0 * EPS * funcspec._bounds(f.body, 1.0)[0]
+        new, ref = funcspec._find_crossings(f, f.period), mp_crossings(f)
+        assert len(new) == len(ref) > 0
+        np.testing.assert_allclose(new, ref, rtol=0, atol=funcspec.EXTREMA_REFINE_TOL)
 
     def test_top_harmonic_stays_under_the_cell_cap(self, monkeypatch):
         sizes = []
@@ -778,14 +802,18 @@ class TestBisection:
     )
     def test_plateau_plus_peak(self, offset, terms):
         # clips with zero plateaus and peaks, alone and inside a sum, whose
-        # zero stretch no cell can be dropped from
+        # zero stretch no cell can be dropped from: the sum's minimum stops at
+        # the cell cap, with cells at most T / 2**19 wide, and reads the outer
+        # end of its enclosure, at most max|f''| (T / 2**19)^2 / 8 below 0
         clip = PeriodicFunction.trig(1.0, offset, terms).positive_part()
         g = PeriodicFunction.sum_of([clip, PeriodicFunction.constant(1.0, 0.0)])
-        miss = derivative_bounds(g.body, 1.0)[0] * funcspec.EXTREMA_REFINE_TOL
         for sign in (1.0, -1.0):
-            ref = mp_extremum(clip, sign)
-            assert_encloses(clip, sign, ref)
-            assert_encloses(g, sign, ref, extra=miss if sign > 0 else 0.0)
+            assert_encloses(clip, sign, mp_extremum(clip, sign))
+        assert mp_extremum(clip, 1.0) == 0
+        miss = derivative_bounds(g.body, 1.0)[0] * funcspec.EXTREMA_REFINE_TOL
+        low, _, bound = funcspec._extremum(g, 1.0)
+        assert -funcspec._bounds(g.body, 1.0)[1] * 2.0**-38 / 8 - miss <= low == bound < 0.0
+        assert_encloses(g, -1.0, mp_extremum(clip, -1.0))
 
     def test_thousands_of_minima(self):
         # 3000 minima and 3000 maxima, each within the enclosure of offset -/+ amplitude
@@ -821,8 +849,11 @@ class TestBounds:
             trapezoid(),
             sum_with_breakpoints(),
             PeriodicFunction.trig(1.0, -0.5, [(1.0, 1, 0.0), (0.25, 3, 0.5)]).positive_part(),
+            PeriodicFunction.trig(1.0, 0.3, [(1.0, 3, 0.2), (-0.75, 3, 0.5), (0.5, 1, 0.0)]),
+            PeriodicFunction.sum_of([PeriodicFunction.trig(1.0, 0.0, [(1.0, 7, 2.0)]),
+                                     PeriodicFunction.trig(1.0, 0.2, [(0.9, 7, 2.5), (0.3, 2, 0.0)])]),
         ],
-        ids=["constant", "trig", "poly", "piecewise-linear", "sum", "clip"],
+        ids=["constant", "trig", "poly", "piecewise-linear", "sum", "clip", "one-harmonic-twice", "harmonic-across-sum"],
     )
     def test_samples_inside_the_bounds(self, f):
         size, curvature = funcspec._bounds(f.body, f.period)
@@ -835,6 +866,22 @@ class TestBounds:
         parts = sum_with_breakpoints().body.parts
         each = [funcspec._bounds(p, 1.0) for p in parts]
         assert funcspec._bounds(funcspec.Sum(parts), 1.0) == (each[0][0] + each[1][0], each[0][1] + each[1][1])
+
+    def test_terms_of_one_harmonic_bound_the_curvature_as_one_phasor(self):
+        # 1000 and -999 times one cosine, in one cosine and across a sum's two
+        # parts: |f''| is at most (2 pi k)^2, not 1999 (2 pi k)^2; |f| keeps the sum of |a|
+        w2 = (2.0 * math.pi * 3) ** 2
+        one = PeriodicFunction.trig(1.0, 0.0, [(1000.0, 3, 0.4), (-999.0, 3, 0.4)])
+        two = PeriodicFunction.sum_of([PeriodicFunction.trig(1.0, 0.0, [(1000.0, 3, 0.4)]),
+                                       PeriodicFunction.trig(1.0, 0.0, [(-999.0, 3, 0.4)])])
+        for f in (one, two):
+            size, curvature = funcspec._bounds(f.body, 1.0)
+            assert size == 1999.0
+            assert w2 <= curvature <= w2 * (1.0 + 12 * EPS * 1999.0)  # the phasor sum and its allowance
+        # a clip's terms do not merge with the other parts': where it is 0 they do not cancel
+        clipped = PeriodicFunction.sum_of([PeriodicFunction.trig(1.0, 0.0, [(1000.0, 3, 0.4)]).positive_part(),
+                                           PeriodicFunction.trig(1.0, 0.0, [(-999.0, 3, 0.4)])])
+        assert funcspec._bounds(clipped.body, 1.0)[1] == 1000.0 * w2 + 999.0 * w2
 
 
 class TestAliasing:
@@ -855,6 +902,30 @@ class TestAliasing:
         assert len(crossings) == 6556
         tol = funcspec.EXTREMA_REFINE_TOL
         assert np.all((ALIASED(crossings - tol) > 0.0) != (ALIASED(crossings + tol) > 0.0))
+
+
+class TestCancellingTerms:
+    """Two terms of one harmonic that nearly cancel: 0.95 + cos(2 pi 65536 t + pi/8), its
+    cosine given as 1000 times it less 999 times it.  Bounded term by term, |f''| read
+    about 3.4e14, no cell could be dropped, the halving stopped at the cell cap an eighth
+    of a period of the top harmonic wide, and the minimum read about +0.026."""
+
+    F = PeriodicFunction.trig(1.0, 0.95, [(1000.0, 65536, math.pi / 8), (-999.0, 65536, math.pi / 8)])
+
+    def test_extrema_inside_their_enclosures(self, monkeypatch):
+        sizes = []
+        bisect = funcspec._bisect
+
+        def recording(f, keep):
+            return bisect(f, lambda l, r, fl, fr: sizes.append(len(l)) or keep(l, r, fl, fr))
+
+        monkeypatch.setattr(funcspec, "_bisect", recording)
+        f = PeriodicFunction(self.F.period, self.F.body)  # a fresh instance, so the bisection runs
+        fmin, fmax, _, _ = f.extrema()
+        assert fmin < 0.0
+        assert_encloses(f, 1.0, mpmath.mpf(0.95) - 1)
+        assert_encloses(f, -1.0, mpmath.mpf(0.95) + 1)
+        assert max(sizes) < funcspec._MAX_CELLS
 
 
 class TestCrossings:
@@ -898,6 +969,7 @@ class TestPolyCrossings:
         new, ref = funcspec._find_crossings(f, f.period), mp_poly_roots(f)
         assert len(new) == len(ref) > 0
         np.testing.assert_allclose(new, ref, rtol=0, atol=1e-15 * f.period)
+        assert set(x for x in ref if f(x) == 0.0) <= set(new)  # exact zeros bit for bit
 
     @given(polys)
     def test_drawn_roots_are_roots(self, f):
