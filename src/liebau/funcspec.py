@@ -18,13 +18,11 @@ isolation.  A clip's extrema are those of its inner body, clipped at 0.
 
 Every other body (sums and cosines of several terms) goes through one
 bisection, after Shubert (SIAM J. Numer. Anal. 9, 1972): each body bounds
-|f| and |f''| between its breakpoints (the cosine terms of one harmonic as
-one phasor, so terms that cancel do not inflate the bound), so a cell
-[l, r] holds no value below min(f(l), f(r)) - max|f''| (r - l)^2 / 8.
-Cells that cannot beat the best value found, or cannot hold a zero, are
-dropped and the rest halved.  The extremum comes with an enclosure, and no
-grid has to resolve the data, so a high harmonic cannot alias onto a low
-one.
+|f| and |f''| between its breakpoints, so a cell [l, r] holds no value
+below min(f(l), f(r)) - max|f''| (r - l)^2 / 8.  Cells that cannot beat
+the best value found, or cannot hold a zero, are dropped and the rest
+halved.  The extremum comes with an enclosure, and no grid has to resolve
+the data, so a high harmonic cannot alias onto a low one.
 
 Instances are immutable after construction and every operation is pure.
 A ``PeriodicFunction``'s extrema and positive part are computed lazily, once
@@ -194,10 +192,7 @@ class Sum:
         return sum(p.mean(period) for p in self.parts)
 
     def breakpoints(self, period: float) -> list[float]:
-        out: list[float] = []
-        for p in self.parts:
-            out.extend(p.breakpoints(period))
-        return sorted(set(out))
+        return sorted({t for p in self.parts for t in p.breakpoints(period)})
 
     def scale(self, factor: float) -> "Sum":
         return Sum(tuple(p.scale(factor) for p in self.parts))
@@ -278,9 +273,8 @@ class PeriodicFunction:
         if not parts:
             raise LiebauError("a sum needs at least one part")
         period = parts[0].period
-        for p in parts:
-            if p.period != period:
-                raise LiebauError("all summands must share one period")
+        if any(p.period != period for p in parts):
+            raise LiebauError("all summands must share one period")
         return PeriodicFunction(period, Sum(tuple(p.body for p in parts)))
 
     # -- operations ------------------------------------------------------------
@@ -303,29 +297,15 @@ class PeriodicFunction:
     def extrema(self) -> tuple[float, float, float, float]:
         """(min, max, argmin, argmax) over one period.
 
-        Bodies with a finite set of candidate points take each value with
-        the body's own ``eval`` at its candidate, keeping the earliest
-        candidate on ties:
-
-        - a constant: its value, at t = 0;
-        - a piecewise-linear table: its vertices;
-        - a one-term cosine offset + amp*cos(2*pi*k*t/T + phase): the first
-          t in [0, T/k) of phase pi and of phase 0 (mod 2*pi), swapped for
-          amp < 0; zero amplitude is a constant;
-        - a polynomial: t = 0, the roots of p' in (0, T), and t = T, whose
-          value is the raw p(T), the left limit at the wrap (reported at
-          t = 0).  The roots are isolated between those of p'', and so on
-          down to a linear derivative, and refined by bracketed Newton on
-          Python floats.
-
-        - a clip max(g, 0): the extrema of g, clipped at 0, at the same t.
-
-        Anything else (sums, cosines of several terms) takes each extremum
-        from the bisection of ``_extremum``, which evaluates f on cell ends
-        only and stops when no cell it keeps is wider than
-        EXTREMA_REFINE_TOL * max(1, T): the value is the best cell end, and
-        the bisection also bounds the true extremum from the other side.
-        Computed on the first call; later calls return the same tuple.
+        A body with candidate points takes each value with its own ``eval``
+        there, the earliest candidate on ties: a constant at t = 0, a table
+        at its vertices, a one-term cosine at the first t in [0, T/k) of
+        phase pi and of phase 0 (swapped for amp < 0), and a polynomial at
+        t = 0, the roots of p' in (0, T) and t = T, whose value is the left
+        limit at the wrap (reported at t = 0).  A clip takes its inner
+        body's extrema, clipped at 0.  Sums and cosines of several terms go
+        through the bisection of ``_extremum``.  Computed on the first call;
+        later calls return the same tuple.
         """
         return self._extrema
 
@@ -412,13 +392,9 @@ def _validate(body: Body, period: float) -> None:
         if vs[0] != vs[-1]:
             raise LiebauError("piecewise-linear endpoint values must match exactly")
     elif isinstance(body, PolyOnPeriod):
-        p0 = float(body._value_raw(0.0))
-        pT = float(body._value_raw(period))
-        scale = max(1.0, abs(p0))
-        if abs(pT - p0) > 1e-10 * scale:
-            raise LiebauError(
-                f"polynomial is discontinuous across the period: p(0)={p0!r}, p(T)={pT!r}"
-            )
+        p0, pT = float(body._value_raw(0.0)), float(body._value_raw(period))
+        if abs(pT - p0) > 1e-10 * max(1.0, abs(p0)):
+            raise LiebauError(f"polynomial is discontinuous across the period: p(0)={p0!r}, p(T)={pT!r}")
     elif isinstance(body, Sum):
         for p in body.parts:
             _validate(p, period)
@@ -515,23 +491,10 @@ def _monotone_root(coeffs: list[float], slope: list[float], lo: float, hi: float
     return t
 
 
-def _summands(body: Body) -> list:
-    """The parts of a sum, nested sums flattened; any other body is its own one part."""
-    if isinstance(body, Sum):
-        return [q for p in body.parts for q in _summands(p)]
-    return [body]
-
-
 def _amplitude(terms: list[tuple[float, float]]) -> float:
-    """A bound on the amplitude of the sum of a*cos(x + phase) over (a, phase) in terms.
-
-    That sum is |sum of a*e^(i phase)| times a cosine, so terms that cancel
-    bound it by less than the sum of |a|; the phasor sum is widened by its
-    rounding, at most (len(terms) + 4) eps times the sum of |a|.
-    """
+    """A bound on the amplitude of the sum of a*cos(x + phase) over (a, phase) in
+    terms: |sum of a*e^(i phase)|, widened by its rounding, or the sum of |a|."""
     total = sum(abs(a) for a, _ in terms)
-    if len(terms) == 1:
-        return total
     merged = abs(sum(complex(a * math.cos(phase), a * math.sin(phase)) for a, phase in terms))
     return min(total, merged + (len(terms) + 4) * math.ulp(1.0) * total)
 
@@ -539,10 +502,8 @@ def _amplitude(terms: list[tuple[float, float]]) -> float:
 def _bounds(body: Body, period: float) -> tuple[float, float]:
     """(a bound on |f|, a bound on |f''| between breakpoints) for one body on [0, T].
 
-    A sum adds its parts' bounds, but the cosine terms of one harmonic, in
-    one cosine or across the parts, bound |f''| as one phasor (``_amplitude``).
-    The bound on |f| stays the sum of |a|, which also scales the rounding of
-    the evaluation.
+    A sum adds its parts' bounds, but the cosine terms of one harmonic, in a
+    cosine or across its parts, bound |f''| as one phasor (``_amplitude``).
     """
     if isinstance(body, Constant):
         return abs(body.value), 0.0
@@ -555,7 +516,7 @@ def _bounds(body: Body, period: float) -> tuple[float, float]:
     if isinstance(body, PositivePart):
         return _bounds(body.inner, period)  # a clip: its inner body's
     size, curvature, harmonics = 0.0, 0.0, {}
-    for part in _summands(body):
+    for part in body.parts if isinstance(body, Sum) else (body,):
         if isinstance(part, TrigPoly):
             size += abs(part.offset) + sum(abs(a) for a, _, _ in part.terms)
             for a, k, phase in part.terms:
@@ -570,21 +531,16 @@ def _bounds(body: Body, period: float) -> tuple[float, float]:
 def _bisect(f: PeriodicFunction, keep):
     """(l, r, f(l), f(r), refined) of the cells of [0, T] that survive the bisection.
 
-    It starts from _START_CELLS even cells with f's breakpoints added, so no
-    cell straddles a kink.  Each round
-    ``keep(l, r, f(l), f(r))`` selects the cells to keep, and every kept
-    cell wider than EXTREMA_REFINE_TOL * max(1, T) is halved, f being
-    called once on all the new midpoints.  It stops when no kept cell is
-    that wide (``refined`` True), or when halving would make more than
-    _MAX_CELLS cells (``refined`` False: a stretch flat to within the |f''|
-    bound, such as a clip's zero stretch inside a sum); the cells of the
-    last round are returned.
+    It starts from _START_CELLS even cells with f's breakpoints added.  Each
+    round ``keep(l, r, f(l), f(r))`` selects cells, and every kept cell wider
+    than EXTREMA_REFINE_TOL * max(1, T) is halved, f called once on all the
+    midpoints.  It stops when no kept cell is that wide (``refined``), or
+    when halving would make more than _MAX_CELLS cells (not ``refined``: a
+    stretch flat while the |f''| bound is not, such as a clip's zero stretch
+    inside a sum), and returns the cells of the last round.
     """
     T = f.period
-    edges = np.linspace(0.0, T, _START_CELLS + 1)
-    extra = f.breakpoints()
-    if extra:
-        edges = sorted_unique(np.concatenate([edges, np.asarray(extra, dtype=float)]))
+    edges = sorted_unique(np.concatenate([np.linspace(0.0, T, _START_CELLS + 1), f.breakpoints()]))
     vals = np.asarray(f(edges), dtype=float)
     l, r, fl, fr = edges[:-1], edges[1:], vals[:-1], vals[1:]
     tol = EXTREMA_REFINE_TOL * max(1.0, T)
@@ -614,12 +570,11 @@ def _extremum(f: PeriodicFunction, sign: float) -> tuple[float, float, float]:
     allowance for rounding.  ``bound`` is the lowest of those lower bounds
     over the cells left at the end and the best value less the allowance,
     times sign: every value of f lies on its side (f >= bound for the
-    minimum) up to the rounding of f's evaluation.  When the cell cap stops
-    the halving, the cells left are wider than EXTREMA_REFINE_TOL, and
-    ``value`` is ``bound``, the enclosure's outer end, t staying at the best
-    cell end.  A clip inside a sum is the exception: its crossings, which
-    bound the cells, lie only within EXTREMA_REFINE_TOL * max(1, T) of its
-    kinks, so next to one the minimum's bound can miss by max|f'| times that.
+    minimum) up to the rounding of f's evaluation.  If the cell cap stopped
+    the halving, ``value`` is ``bound``, t staying at the best cell end.  A
+    clip inside a sum is the exception: its crossings, which bound the
+    cells, lie only within EXTREMA_REFINE_TOL * max(1, T) of its kinks, so
+    next to one the minimum's bound can miss by max|f'| times that.
     """
     size, curvature = _bounds(f.body, f.period)
     slack = 8.0 * np.finfo(float).eps * size
@@ -650,11 +605,9 @@ def _find_crossings(f: PeriodicFunction, period: float) -> list[float]:
     while f > 0 holds at one end only, or while the bound on |f''| lets f
     reach 0 between its ends.  Each final cell with f > 0 at one end only
     gives one zero: an end where f is exactly 0, else its midpoint.  A zero
-    at which f does not change sign is no crossing.  When the cell cap stops
-    the halving, the cells with a sign change are halved on their own,
-    keeping the half with the sign change, to the same width; a pair of crossings inside a cell
-    left without a sign change at its ends, where |f| stays below
-    L (r - l)^2 / 8, is then missed.
+    at which f does not change sign is no crossing.  If the cell cap stopped
+    the halving, the sign changes are halved on to that width alone, and a
+    pair of zeros in a cell where |f| < L (r - l)^2 / 8 may be missed.
     """
     if isinstance(f.body, PolyOnPeriod):
         coeffs = list(f.body.coeffs)
