@@ -421,8 +421,8 @@ class TestSearch:
         # bounded term by term, the bisection stopped at its cell cap and read e_min +0.026
         e = PeriodicFunction.trig(1.0, 0.95, [(1000.0, 65536, math.pi / 8), (-999.0, 65536, math.pi / 8)])
         assert e.extrema()[0] < 0.0
-        cert = search_certificate(LiebauProblem(a=1.6, mu=0.01, c=0.05, T=1.0, e=e))
-        assert cert is None or not (cert.passed and cert.theorem == certify.THEOREM_POSITIVE_FORCING)
+        cert = check_positive_forcing(LiebauProblem(a=1.6, mu=0.01, c=0.05, T=1.0, e=e), 0.7)
+        assert cert.verdict == certify.VERDICT_INAPPLICABLE
 
     @pytest.mark.parametrize("name", ["cosine_lp", "trapezoid_lp"])
     def test_search_builds_no_kernel(self, name, request, monkeypatch):
