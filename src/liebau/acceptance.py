@@ -32,11 +32,6 @@ from .pump import pump_report, singular_residual, x_to_u
 from .solve import SolveOptions, cone_and_localization, solve_periodic
 from .numerics import format_float as f17
 
-# strictness used when re-checking the general system behind a passing
-# certificate: response margins that are exactly zero analytically come back
-# as quadrature-level noise
-QUAD_EPS = -1e-9
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -210,7 +205,7 @@ def check_search_soundness() -> CheckResult:
         g1 = PeriodicFunction.constant(lp.T, m * m * r2)
         g0 = (lp.e.positive_part().scale(cert.kappa) if cert.kappa is not None
               else PeriodicFunction.constant(lp.T, m * m * r1))
-        general = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
+        general = check_general(gp, m, r1, r2, g0, g1)  # at eps = 0: no tolerance
         _, sol = _solution(name)  # constant guess from the forcing mean
         cone = cone_and_localization(sol.values, cert.cone_const, r1, r2)
         facts.extend(

@@ -3,9 +3,12 @@
 A certificate records, for one sufficient-condition system and one parameter
 tuple (m, kappa, R1, R2), every inequality that was checked together with its
 two sides and its margin.  Margins are oriented so nonnegative means
-satisfied; all comparisons are plain floating-point with an optional
-strictness offset ``eps`` (no hidden epsilon: some published instances pass
-with relative margins as small as 1e-7 and must not be rejected).
+satisfied.  A condition holds when its relative margin, margin / max(|lhs|,
+|rhs|, 1e-300), is at least ``eps``; the default 0 is margin >= 0 (no hidden
+epsilon: some published instances pass with relative margins near 1e-7).  A
+condition with a zero side (the envelope facts, ``forcing_positive``) reads
+-1, 0 or 1 when its other side is at least 1e-300 in size, so eps acts on it
+only through its sign.  A side that overflows to inf reads NaN and fails.
 
 Three condition systems are implemented:
 
@@ -23,7 +26,9 @@ A deterministic search automates the parameter hunt for both pipe-level
 systems: it scans a grid of m and takes the other parameters in closed form
 at each m, so no grid or option bounds the radii.  It ranks the grid on the
 pipe-level checkers' own conditions (the same helpers build them), so a tuple
-it keeps passes the checker it returns.
+it keeps passes the checker it returns.  The closed-form tuple maximizes the
+minimum relative margin at its m whatever eps is, so eps only drops the grid
+points whose score is below it.
 """
 
 from __future__ import annotations
@@ -60,7 +65,8 @@ _TINY = 1e-300
 
 
 class Condition(NamedTuple):
-    """One checked inequality: ``lhs relation rhs`` with oriented margin.
+    """One checked inequality: ``lhs relation rhs`` with oriented margin;
+    ``satisfied`` says that ``relative_margin`` is at least the checker's eps.
 
     A named tuple, three times cheaper to build than a frozen dataclass; it
     reaches JSON only through ``to_dict`` (``dump_json`` writes tuples as lists).
@@ -71,7 +77,7 @@ class Condition(NamedTuple):
     rhs: float
     relation: str  # "<=" or ">="
     satisfied: bool
-    margin: float  # >= 0 iff satisfied (up to the strictness offset)
+    margin: float  # >= 0 iff satisfied at eps = 0
     applicable: bool = True
     note: str = ""
 
@@ -104,7 +110,7 @@ def _margin(lhs, rhs, relation):
 def _cond(name, lhs, rhs, relation, eps=0.0, note="") -> Condition:
     lhs, rhs = float(lhs), float(rhs)
     margin = _margin(lhs, rhs, relation)
-    return Condition(name, lhs, rhs, relation, margin >= eps, margin, True, note)
+    return Condition(name, lhs, rhs, relation, _relative_margin(margin, lhs, rhs) >= eps, margin, True, note)
 
 
 def _inapplicable(name, relation, note) -> Condition:
@@ -220,13 +226,15 @@ def check_general(
     * ``lower_response_max``:  max_t int G g0 >= R1
 
     The verdict is pass when the three envelope facts hold together with at
-    least one of each response pair, each with margin >= eps (a negative eps
-    tolerates quadrature noise).  Envelope facts are sampled on a t x x grid
-    (GENERAL_T_POINTS uniform t values with the coefficient breakpoints
-    inserted, GENERAL_X_POINTS log-spaced x values with the endpoints),
-    and each minimum is taken over blocks of _BAND_BLOCK_ROWS t rows;
-    responses come from ``greens.apply_kernel``, whose circular rule needs
-    T-periodic envelopes: LiebauError names a g0 or g1 of another period.
+    least one of each response pair, each with relative margin >= eps (a
+    negative eps tolerates quadrature noise; the envelope facts compare with
+    0, so eps acts on them only through its sign).  Envelope facts are
+    sampled on a t x x grid (GENERAL_T_POINTS uniform t values with the
+    coefficient breakpoints inserted, GENERAL_X_POINTS log-spaced x values
+    with the endpoints), and each minimum is taken over blocks of
+    _BAND_BLOCK_ROWS t rows; responses come from ``greens.apply_kernel``,
+    whose circular rule needs T-periodic envelopes: LiebauError names a g0
+    or g1 of another period.
     BadRadii refuses radii outside 0 < R1 < R2 < inf; ConfigError names what
     ``_check_numbers`` refuses and a g0 or g1 that is not a PeriodicFunction.
     """
@@ -324,10 +332,9 @@ def _power(base: float, exponent: float) -> float:
 
 def _nudged(x: float, holds, direction: int):
     """x, moved by relative steps 2^-52, 2^-51, ... up (direction 1) or down
-    (-1) until it is finite and ``holds``; None after 64 steps, or at once
-    for direction 0."""
+    (-1) until it is finite and ``holds``; None after 64 steps."""
     step = 2.0**-52
-    for _ in range(64 if direction else 1):
+    for _ in range(64):
         if x < math.inf and holds(x):
             return x
         x *= 1.0 + direction * step
@@ -440,7 +447,8 @@ def _shift_sides(lp: LiebauProblem, cm, m, m_max: float, e_min: float, e_max: fl
 
 
 def _forcing_gate(e_min: float, eps: float) -> Condition:
-    return _cond("forcing_positive", e_min, 0.0, ">=", max(eps, 1e-300))
+    """``forcing_positive``: e_min > 0 at every eps, and a relative margin of at least eps."""
+    return _cond("forcing_positive", e_min, 0.0, ">=", max(eps, _TINY))
 
 
 def _positive_scores(lp, kc: greens.KernelConstants, ms, e_min, e_max, eps) -> np.ndarray:
@@ -449,8 +457,8 @@ def _positive_scores(lp, kc: greens.KernelConstants, ms, e_min, e_max, eps) -> n
     gate = _forcing_gate(e_min, eps)
     score = np.full(len(ms), gate.relative_margin if gate.satisfied else -math.inf)
     for _, lhs, rhs, relation in _shift_sides(lp, kc.cone_constant, ms, kc.m_max, e_min, e_max):
-        margin = _margin(lhs, rhs, relation)
-        score = np.where(margin >= eps, np.minimum(score, _relative_margin(margin, lhs, rhs)), -math.inf)
+        relative = _relative_margin(_margin(lhs, rhs, relation), lhs, rhs)
+        score = np.where(relative >= eps, np.minimum(score, relative), -math.inf)
     return np.where(kc.ok, score, -math.inf)
 
 
@@ -539,91 +547,37 @@ SEARCH_M_POINTS = 64
 _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)  # normal floats
 
 
-def _newton(f, df, x: float) -> float:
-    """The root of a concave f (slope df) next to x, where f(x) <= 0: Newton's
-    steps approach it monotonically from x's side."""
-    for _ in range(100):
-        step = f(x) / df(x)
-        if x - step == x:
-            break
-        x -= step
-    return x
-
-
-def _log_u_window(mu, log_b, rho, k0e, eps):
-    """The interval of log u, u = (c_m R1)^mu, where root_clearance,
-    kappa_upper and kappa_lower hold at eps > 0 (kappa at the geometric
-    midpoint, B = e^log_b), or None when it is empty.
-
-    kappa_upper asks h(L) = p L + log1p(-B e^L) >= log eps, p = (1-2 mu)/mu;
-    h is concave with its peak where B e^L = p/(1+p).  Newton finds its left
-    root in v = log(B e^L) from L = log(eps)/p and its right root in
-    w = log1p(-B e^L) from w = log eps + p log B, where h is near linear, so
-    both stay on the infeasible side.
-    """
-    p, log_eps = (1.0 - 2.0 * mu) / mu, math.log(eps)
-    q = p / (1.0 + p)
-    if eps >= k0e or p * (math.log(q) - log_b) + math.log1p(-q) < log_eps:
-        return None
-    left = _newton(
-        lambda v: p * (v - log_b) + math.log1p(-math.exp(v)) - log_eps,
-        lambda v: p + math.exp(v) / math.expm1(v),
-        log_eps / p + log_b,
-    )
-    right = _newton(
-        lambda w: p * (math.log(-math.expm1(w)) - log_b) + w - log_eps,
-        lambda w: 1.0 + p * math.exp(w) / math.expm1(w),
-        log_eps + p * log_b,
-    )
-    lo = max(math.log(rho + eps), left - log_b)
-    hi = min(math.log1p(-eps / k0e), math.log(-math.expm1(right))) - log_b
-    return (lo, hi) if lo <= hi else None
-
-
-def _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass, eps):
+def _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass):
     """(score, (kappa, R1, R2)) of the sign-changing route at one m, or None.
 
     With u = (c_m R1)^mu, B = sqrt(mu / (K(0) integral e_+)), rho the right
     side of ``root_clearance`` and kappa at the geometric midpoint of its
     interval, root_clearance has relative margin 1 - rho/u and both kappa
-    conditions 1 - B u, so the best u is sqrt(rho/B), with score
-    s = 1 - sqrt(rho B); for eps > 0, u is clamped into ``_log_u_window``.
-    R2 = (e_max/(c (1-s)))^(1/mu) gives ceiling_clearance the same relative
-    margin (and a margin of at least eps).  All of it runs in log space;
-    then R1 and R2 are nudged until the conditions hold in floats.  None
-    when c_m R1 or R2 leaves float range or a condition fails at eps.
+    conditions 1 - B u, so u = sqrt(rho/B) maximizes the smaller, at
+    s = 1 - sqrt(rho B).  R2 = (e_max/(c (1-s)))^(1/mu) gives
+    ceiling_clearance the same relative margin (at least 0).  All of it runs
+    in log space; then R2 is nudged up until ceiling_clearance holds in
+    floats.  The score is the tuple's minimum relative margin, which the
+    search compares with eps.  None when c_m R1 or R2 leaves float range.
     """
     mu = lp.mu
     rho = _root_floor(lp, m, e_min)
     log_b = 0.5 * (math.log(mu) - math.log(k0 * epos_mass))
     log_u = 0.5 * (math.log(rho) - log_b)
-    direction = 0
-    if eps > 0.0:
-        window = _log_u_window(mu, log_b, rho, k0 * epos_mass, eps)
-        if window is None:
-            return None
-        direction = (log_u < window[0]) - (log_u > window[1])
-        log_u = min(max(log_u, window[0]), window[1])
     log_1ms = max(math.log(rho) - log_u, log_b + log_u)  # log(1 - s)
-    log_r2 = max(math.log(e_max / lp.c) - log_1ms, math.log((e_max + max(eps, 0.0)) / lp.c)) / mu
+    log_r2 = (math.log(e_max / lp.c) - min(log_1ms, 0.0)) / mu
     if not (_LOG_TINY < log_u / mu and log_u / mu - math.log(cm) < _LOG_HUGE and log_r2 < _LOG_HUGE):
         return None
-
-    def inner(r1):
-        y1 = cm * r1
-        power, kappa_lo, kappa_hi = _kappa_interval(y1, mu, k0, epos_mass)
-        kappa = math.sqrt(kappa_lo) * math.sqrt(kappa_hi)
-        return kappa, _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, eps)
-
-    r1 = _nudged(math.exp(log_u / mu) / cm, lambda r: all(cc.satisfied for cc in inner(r)[1]), direction)
-    if r1 is None:
-        return None
+    r1 = math.exp(log_u / mu) / cm
+    y1 = cm * r1
+    power, kappa_lo, kappa_hi = _kappa_interval(y1, mu, k0, epos_mass)
+    kappa = math.sqrt(kappa_lo) * math.sqrt(kappa_hi)
+    conditions = _inner_conditions(lp, m, kappa, y1, power, k0, epos_mass, e_min, 0.0)
     r2 = _nudged(max(math.exp(log_r2), math.nextafter(r1, math.inf)),
-                 lambda r: _ceiling_clearance(lp, e_max, r, eps).satisfied, 1)
+                 lambda r: _ceiling_clearance(lp, e_max, r, 0.0).satisfied, 1)
     if r2 is None:
         return None
-    kappa, conditions = inner(r1)
-    score = min(_min_relative_margin(conditions), _ceiling_clearance(lp, e_max, r2, eps).relative_margin)
+    score = min(_min_relative_margin(conditions), _ceiling_clearance(lp, e_max, r2, 0.0).relative_margin)
     return score, (kappa, r1, r2)
 
 
@@ -637,8 +591,11 @@ def search_certificate(lp: LiebauProblem, eps: float = 0.0):
     sign-changing forcing the kappa system (whose root clearance bound is
     only meaningful there) at the max-margin (kappa, R1, R2) of
     ``_sign_tuple``, skipping an m whose R1 or R2 would leave float range.
-    Both routes rank the grid on their checker's own conditions, all
-    required to hold at ``eps``, and make the certificate once, at the
+    Both routes rank the grid on the minimum relative margin of their
+    checker's own conditions.  That tuple is the best at its m for every
+    eps, so eps only drops the grid points scoring below it: the certificate
+    at any eps up to the eps = 0 winner's score is the eps = 0 certificate,
+    and above it there is none.  Both make the certificate once, at the
     winner (so the positive route computes R1 and R2 for it only), from the
     constants of one ``greens.kernel_constants`` pass: no kernel is built,
     and the certificate equals the public checker's bit for bit.  An m
@@ -669,7 +626,7 @@ def search_certificate(lp: LiebauProblem, eps: float = 0.0):
         return None
     best = None  # (score, the parameters of _sign_changing after lp)
     for m, cm, k0 in zip(*(x[kc.ok].tolist() for x in (ms, kc.cone_constant, kc.k0))):
-        found = _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass, eps)
-        if found is not None and (best is None or found[0] > best[0]):
+        found = _sign_tuple(lp, m, cm, k0, e_min, e_max, epos_mass)
+        if found is not None and found[0] >= eps and (best is None or found[0] > best[0]):
             best = (found[0], (m, *found[1], eps, cm, k0, kc.m_max))
     return None if best is None else _sign_changing(lp, *best[1])

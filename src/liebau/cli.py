@@ -530,12 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=float)
     p.add_argument("--r1", type=float)
     p.add_argument("--r2", type=float)
-    p.add_argument("--eps", type=float, help="required margin (negative tolerates noise)")
+    p.add_argument("--eps", type=float, help="least relative margin of every condition (negative tolerates noise)")
     p.set_defaults(handler=_cmd_certify)
 
     p = sub.add_parser("search", help="scan parameters for a passing certificate")
     add_problem_source(p)
-    p.add_argument("--eps", type=float)
+    p.add_argument("--eps", type=float, help="least relative margin of every condition of the certificate")
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("solve", help="compute a periodic solution")

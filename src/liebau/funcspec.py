@@ -200,7 +200,10 @@ class Sum:
 
 @dataclass(frozen=True)
 class PositivePart:
-    """max(inner, 0); sign crossings located once and kept as breakpoints."""
+    """max(inner, 0); sign crossings located once and kept as breakpoints.
+
+    A clip is never scaled and never a part of a sum: ``scale`` and
+    ``_validate`` raise LiebauError."""
 
     inner: object
     crossings: tuple[float, ...] = field(default=())
@@ -397,6 +400,8 @@ def _validate(body: Body, period: float) -> None:
             raise LiebauError(f"polynomial is discontinuous across the period: p(0)={p0!r}, p(T)={pT!r}")
     elif isinstance(body, Sum):
         for p in body.parts:
+            if isinstance(p, PositivePart):  # its kink would blur the bisection's enclosure
+                raise LiebauError("a clipped function cannot be part of a sum")
             _validate(p, period)
 
 
@@ -502,8 +507,9 @@ def _amplitude(terms: list[tuple[float, float]]) -> float:
 def _bounds(body: Body, period: float) -> tuple[float, float]:
     """(a bound on |f|, a bound on |f''| between breakpoints) for one body on [0, T].
 
-    A sum adds its parts' bounds, but the cosine terms of one harmonic, in a
-    cosine or across its parts, bound |f''| as one phasor (``_amplitude``).
+    A clip takes its inner body's.  A sum, which holds no clip, adds its
+    parts' bounds, but the cosine terms of one harmonic, in a cosine or
+    across its parts, bound |f''| as one phasor (``_amplitude``).
     """
     if isinstance(body, Constant):
         return abs(body.value), 0.0
@@ -514,7 +520,7 @@ def _bounds(body: Body, period: float) -> tuple[float, float]:
     if isinstance(body, PiecewiseLinear):
         return max(abs(v) for _, v in body.points), 0.0
     if isinstance(body, PositivePart):
-        return _bounds(body.inner, period)  # a clip: its inner body's
+        return _bounds(body.inner, period)
     size, curvature, harmonics = 0.0, 0.0, {}
     for part in body.parts if isinstance(body, Sum) else (body,):
         if isinstance(part, TrigPoly):
@@ -536,8 +542,8 @@ def _bisect(f: PeriodicFunction, keep):
     than EXTREMA_REFINE_TOL * max(1, T) is halved, f called once on all the
     midpoints.  It stops when no kept cell is that wide (``refined``), or
     when halving would make more than _MAX_CELLS cells (not ``refined``: a
-    stretch flat while the |f''| bound is not, such as a clip's zero stretch
-    inside a sum), and returns the cells of the last round.
+    stretch flat while the |f''| bound is not), and returns the cells of
+    the last round.
     """
     T = f.period
     edges = sorted_unique(np.concatenate([np.linspace(0.0, T, _START_CELLS + 1), f.breakpoints()]))
@@ -571,10 +577,7 @@ def _extremum(f: PeriodicFunction, sign: float) -> tuple[float, float, float]:
     over the cells left at the end and the best value less the allowance,
     times sign: every value of f lies on its side (f >= bound for the
     minimum) up to the rounding of f's evaluation.  If the cell cap stopped
-    the halving, ``value`` is ``bound``, t staying at the best cell end.  A
-    clip inside a sum is the exception: its crossings, which bound the
-    cells, lie only within EXTREMA_REFINE_TOL * max(1, T) of its kinks, so
-    next to one the minimum's bound can miss by max|f'| times that.
+    the halving, ``value`` is ``bound``, t staying at the best cell end.
     """
     size, curvature = _bounds(f.body, f.period)
     slack = 8.0 * np.finfo(float).eps * size

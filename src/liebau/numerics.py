@@ -72,7 +72,9 @@ def simpson_segmented(
     ``splits`` lists abscissae where the integrand has kinks; each segment
     between consecutive breaks gets its own composite rule with a panel
     count proportional to its length (minimum 2 panels, so short segments
-    are still integrated exactly for piecewise-linear data).
+    are still integrated exactly for piecewise-linear data).  f, which must
+    act elementwise, is called once on the nodes of every segment, so the
+    sum is bit for bit that of one call per segment.
     """
     if b <= a:
         return 0.0
@@ -81,16 +83,18 @@ def simpson_segmented(
         if a < s < b:
             pts.append(float(s))
     pts = sorted(set(pts))
-    total = 0.0
     length = b - a
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        n = max(2, int(round(base_panels * (hi - lo) / length)))
-        xs = np.linspace(lo, hi, 2 * n + 1)
-        ys = np.asarray(f(xs), dtype=float)
+    segments = [(lo, hi, max(2, int(round(base_panels * (hi - lo) / length)))) for lo, hi in zip(pts[:-1], pts[1:])]
+    # the nodes of np.linspace(lo, hi, 2 n + 1): i (hi - lo) / (2 n) + lo, then hi
+    xs = [x for lo, hi, n in segments for x in (np.arange(2 * n) * ((hi - lo) / (2 * n)) + lo, [hi])]
+    ys = np.asarray(f(np.concatenate(xs)), dtype=float)
+    total, start = 0.0, 0
+    for lo, hi, n in segments:
         w = np.ones(2 * n + 1)  # Simpson weights 1, 4, 2, ..., 2, 4, 1
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        total += (hi - lo) / (6.0 * n) * float(np.dot(w, ys))
+        total += (hi - lo) / (6.0 * n) * float(np.dot(w, ys[start:start + 2 * n + 1]))
+        start += 2 * n + 1
     return total
 
 

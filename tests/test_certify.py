@@ -28,9 +28,6 @@ from liebau.funcspec import PeriodicFunction
 from liebau.numerics import dump_json
 from liebau.problem import LiebauProblem, regularize, shifted_rhs
 
-# quadrature tolerance for response margins that are exactly zero analytically
-QUAD_EPS = -1e-9
-
 
 class TestSignChanging:
     def test_certified_tuple_passes(self, trapezoid_lp):
@@ -192,7 +189,7 @@ class TestGeneralChecker:
         m, r1, r2 = 0.7, 25.0, 1e4
         g1 = PeriodicFunction.constant(1.0, m * m * r2)
         g0 = PeriodicFunction.constant(1.0, m * m * r1)
-        cert = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
+        cert = check_general(gp, m, r1, r2, g0, g1)
         up_max = cert.condition("upper_response_max")
         assert abs(up_max.margin) < 1e-9
         assert up_max.satisfied
@@ -213,7 +210,7 @@ class TestGeneralChecker:
         g0 = (lp.e.positive_part().scale(cert.kappa) if cert.kappa is not None
               else PeriodicFunction.constant(lp.T, m * m * r1))
         monkeypatch.setattr(certify, "_BAND_BLOCK_ROWS", rows)
-        general = check_general(gp, m, r1, r2, g0, g1, eps=QUAD_EPS)
+        general = check_general(gp, m, r1, r2, g0, g1)
         cm = general.cone_const
         ts = certify._t_grid(gp, [g0, g1])
         g0_t, g1_t = g0(ts), g1(ts)
@@ -238,7 +235,7 @@ class TestGeneralChecker:
         gp = regularize(trapezoid_lp)
         g1 = PeriodicFunction.constant(1.0, 0.49 * 1e4)
         g0 = trapezoid_lp.e.positive_part().scale(2200.0)
-        gen = check_general(gp, 0.7, 25.0, 1e4, g0, g1, eps=QUAD_EPS)
+        gen = check_general(gp, 0.7, 25.0, 1e4, g0, g1)
         assert gen.passed
         for name in ("nonneg_on_band", "upper_envelope", "upper_response_max",
                      "lower_envelope", "lower_response_min"):
@@ -718,8 +715,8 @@ def hand_written_sign_scan(lp, eps, radii):
     """The earlier sign-changing route on the grid ``radii``, with the four
     inequalities written out by hand.
 
-    It did not require kappa_upper and kappa_lower to meet eps, and it
-    skipped every R2 below the floor (e_max/c)^(1/mu).
+    A tuple counts when each relative margin is at least eps, and every R2
+    below the floor (e_max/c)^(1/mu) is skipped.
     """
     e_min, e_max, _, _ = lp.e.extrema()
     m_max = greens.m_window(lp.a, lp.T)
@@ -739,8 +736,6 @@ def hand_written_sign_scan(lp, eps, radii):
         for r1 in radii:
             y1 = cm * r1
             margin1 = y1**mu - root_rhs
-            if margin1 < eps:
-                continue
             kappa_lo = y1 / (k0 * epos_mass)
             kappa_hi = y1 ** (1.0 - 2.0 * mu) / mu
             if kappa_lo > kappa_hi:
@@ -753,13 +748,14 @@ def hand_written_sign_scan(lp, eps, radii):
                 margin2 / max(y1 ** (1.0 - 2.0 * mu), kappa * mu),
                 margin3 / max(k0 * epos_mass, y1 / kappa),
             )
+            if common < eps:
+                continue
             for r2 in radii:
                 if r2 <= r1 or r2 < r2_floor:
                     continue
-                margin4 = c * r2**mu - e_max
-                if margin4 < eps:
+                score = min(common, (c * r2**mu - e_max) / max(abs(e_max), c * r2**mu))
+                if score < eps:
                     continue
-                score = min(common, margin4 / max(abs(e_max), c * r2**mu))
                 if winner is None or score > winner[0]:
                     winner = (score, float(m), float(r1), kappa, float(r2))
     if winner is None:
@@ -790,18 +786,18 @@ def brute_force_sign(lp, eps, radii):
 
 
 def assert_sound_sign_certificate(lp, cert, eps):
-    """A passing sign-changing certificate whose every margin meets eps, and
-    that the public checker reproduces byte for byte."""
+    """A passing sign-changing certificate whose every relative margin meets
+    eps, and that the public checker reproduces byte for byte."""
     assert cert is not None and cert.passed
     assert cert.theorem == certify.THEOREM_SIGN_CHANGING
-    assert all(cc.margin >= eps for cc in cert.conditions)
+    assert all(cc.relative_margin >= eps for cc in cert.conditions)
     again = check_sign_changing(lp, cert.m, cert.kappa, cert.r1, cert.r2, eps=eps)
     assert same_certificate(cert, again)
 
 
 class TestSignSearchRanksOnConditions:
-    # the hand-written scan does not require the kappa pair to meet eps, so
-    # for eps > 0 it is only a lower bound (and its winner may fail)
+    # the old grid does not hold the winner's radii, so its best tuple is
+    # only a lower bound
     @pytest.mark.parametrize("eps", [1e-6, 1e-4])
     @pytest.mark.parametrize("name", ["preset", *SIGN_PROBLEMS])
     def test_at_least_the_hand_written_scan(self, name, eps, trapezoid_lp):
@@ -812,6 +808,7 @@ class TestSignSearchRanksOnConditions:
             assert_sound_sign_certificate(lp, cert, eps)
         if oracle is not None:
             assert cert.min_relative_margin() >= oracle.min_relative_margin() - 1e-12
+            assert same_certificate(cert, search_certificate(lp))
 
     # with the winner's radii added to the old grid, each oracle's best score
     # is the search's: no grid tuple beats the closed form at any m, so the
@@ -834,12 +831,14 @@ class TestSignSearchRanksOnConditions:
         assert oracle.min_relative_margin() == pytest.approx(cert.min_relative_margin(), abs=1e-12)
 
     def test_closed_form_margins_on_the_preset(self, trapezoid_lp):
-        # the old grid search read 0.0367, 0.0310 and 0.0159
+        # every eps up to the winner's minimum relative margin keeps it (the
+        # old grid search read 0.0367 at eps = 0)
         margins = {}
-        for eps in (0.0, 1e-6, 1e-4):
+        for eps in (0.0, 1e-12, 1e-6, 1e-4, 0.3):
             cert = search_certificate(trapezoid_lp, eps=eps)
             margins[eps] = round(cert.min_relative_margin(), 4)
-        assert margins == {0.0: 0.3386, 1e-6: 0.0335, 1e-4: 0.0204}
+        assert set(margins.values()) == {0.3386}
+        assert search_certificate(trapezoid_lp, eps=0.34) is None
 
     def test_optimum_at_the_winning_m(self, trapezoid_lp):
         # at eps = 0 root_clearance and the kappa pair have equal relative
@@ -864,21 +863,19 @@ class TestSignSearchRanksOnConditions:
         assert cert.min_relative_margin() > 0.2
         assert cert.r1 < 1e-60
 
-    def test_strict_eps_needs_the_kappa_conditions(self, trapezoid_lp):
-        # at eps = 1e-6 the hand-written scan's winner fails kappa_upper or
-        # kappa_lower, so it returned nothing although grid tuples pass
-        assert hand_written_sign_scan(trapezoid_lp, 1e-6, old_grid()) is None
-        cert = search_certificate(trapezoid_lp, eps=1e-6)
-        assert_sound_sign_certificate(trapezoid_lp, cert, 1e-6)
-        assert (cert.m, cert.r1, cert.r2) == (
-            0.7481196927058039, 0.0012282844720899304, 300829.1953470734
-        )
+    def test_strict_eps_keeps_the_eps_zero_winner(self, trapezoid_lp):
+        # kappa_upper's sides are about 1e-77, so an absolute eps = 1e-6
+        # moved the winner to m = 0.748 with minimum relative margin 0.033
+        for eps in (1e-12, 1e-6):
+            cert = search_certificate(trapezoid_lp, eps=eps)
+            assert_sound_sign_certificate(trapezoid_lp, cert, eps)
+            assert (cert.m, cert.min_relative_margin()) == (2.244359078117412, 0.33858029372889176)
+            assert cert.condition("kappa_upper").lhs < 1e-76
 
     def test_no_radius_clears_the_ceiling(self, trapezoid_lp, monkeypatch):
         # ceiling_clearance needs R2 >= (e_max/c)^(1/mu), about 1.0e4, so a
-        # grid that stops at 5e3 finds nothing, while the tuple found at
-        # eps = 1e-6 passes the other three conditions; the closed form sets
-        # R2 above that floor
+        # grid that stops at 5e3 finds nothing, while the tuple below passes
+        # the other three conditions; the closed form sets R2 above that floor
         monkeypatch.setattr(certify, "SEARCH_M_POINTS", 8)
         radii = old_grid(radius_hi=5e3, points=12)
         assert hand_written_sign_scan(trapezoid_lp, 0.0, radii) is None
@@ -903,6 +900,51 @@ class TestSignSearchRanksOnConditions:
         cert = search_certificate(lp)
         assert cert is not None and cert.passed
         assert len(calls) == 1
+
+
+eps_problems = st.one_of(
+    st.sampled_from(presets.PRESET_NAMES).map(lambda name: presets.preset(name).problem),
+    st.builds(trapezoid, st.floats(1.4, 1.8), st.floats(0.005, 0.0058)),
+    # the search-positive benchmark's cosines, and cosines that dip below 0
+    st.builds(
+        lambda a, amp, k: LiebauProblem(a, 0.01, 1.49, 1.0, PeriodicFunction.trig(1.0, 1.54215, [(amp, k, 0.0)])),
+        st.floats(1.0, 2.0), st.floats(0.0, 0.0021), st.integers(1, 3),
+    ),
+    st.builds(
+        lambda a, offset: LiebauProblem(a, 0.01, 0.005, 1.0, PeriodicFunction.trig(1.0, offset, [(0.00275, 1, 0.0)])),
+        st.floats(1.4, 1.8), st.floats(0.0026, 0.00274),
+    ),
+)
+
+
+class TestRelativeEps:
+    """eps is a floor on every relative margin; the closed-form tuple is the best
+    at its m whatever eps is, so eps only drops the grid points scoring below it."""
+
+    @settings(max_examples=40)
+    @given(lp=eps_problems, below=st.floats(0.0, 1.0), above=st.floats(0.0, 1.0))
+    def test_eps_only_drops_grid_points_below_it(self, lp, below, above):
+        base = search_certificate(lp)
+        if base is None:
+            assert search_certificate(lp, eps=max(above, 1e-300)) is None
+            return
+        s0 = base.min_relative_margin()
+        eps = -1e-9 + below * (0.99 * s0 + 1e-9)
+        assert same_certificate(search_certificate(lp, eps=eps), base)
+        assert search_certificate(lp, eps=math.nextafter(s0, math.inf) * (1.0 + above)) is None
+
+    @given(eps=st.floats(allow_nan=False, allow_infinity=False))
+    @example(eps=0.0)
+    @example(eps=-1.0)
+    def test_forcing_positive_needs_a_positive_minimum_at_every_eps(self, eps):
+        for e_min in (0.0, -0.0):
+            assert not certify._forcing_gate(e_min, eps).satisfied
+        # 1 + cos has minimum exactly 0: inapplicable, even at a negative eps
+        lp = LiebauProblem(1.6, 0.01, 1.49, 1.0, PeriodicFunction.trig(1.0, 1.0, [(1.0, 1, 0.0)]))
+        cert = check_positive_forcing(lp, 0.7, eps=eps)
+        assert cert.extras["forcing_min"] == 0.0
+        assert cert.verdict == certify.VERDICT_INAPPLICABLE
+        assert not cert.condition("forcing_positive").satisfied
 
 
 class TestSortedUnique:

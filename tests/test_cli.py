@@ -216,17 +216,17 @@ class TestSearchCommand:
         assert code == EXIT_SEARCH_EMPTY
         assert json.loads(out) == {"result": "none"}
 
-    def test_trapezoid_strict_eps_finds(self, capsys):
-        # the search requires every condition, the kappa pair included, to meet eps
+    def test_trapezoid_strict_eps_keeps_the_eps_zero_winner(self, capsys):
+        # every relative margin of the eps = 0 winner is at least 0.339, so
+        # eps = 1e-6 keeps it; as an absolute margin it moved m to 0.748
+        _, default, _ = run_captured(capsys, ["search", "--preset", "trapezoid"])
         code, out, err = run_captured(capsys, ["search", "--preset", "trapezoid", "--eps", "1e-6"])
         assert code == EXIT_OK, err
+        assert out == default
         cert = json.loads(out)
         assert cert["verdict"] == "pass"
-        params = cert["params"]
-        assert (params["m"], params["r1"], params["r2"]) == (
-            0.74811969270580392, 0.0012282844720899304, 300829.19534707337
-        )
-        assert all(c["margin"] >= 1e-6 for c in cert["conditions"])
+        assert cert["params"]["m"] == 2.244359078117412
+        assert all(c["relative_margin"] >= 1e-6 for c in cert["conditions"])
 
 
 def write_config(tmp_path, problem) -> str:

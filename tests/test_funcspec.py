@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liebau import funcspec, presets
+from liebau import funcspec, greens, presets
 from liebau.errors import LiebauError
 from liebau.funcspec import PeriodicFunction
+from liebau.numerics import simpson_segmented
 
 # Trapezoidal forcing instance used throughout: ramps of width 5e-4 at both
 # ends of [0, 1], plateau at e_max, endpoints at e_min < 0.
@@ -651,16 +652,21 @@ class TestBisection:
             assert_encloses(f, sign, ref)
             assert_encloses(f.positive_part(), sign, max(ref, mpmath.mpf(0)))
 
-    @settings(max_examples=25)
-    @given(drawn_sums())
-    def test_drawn_clip_inside_a_sum(self, f):
-        # the clip's crossings, breakpoints of the sum, lie within the
-        # refinement tolerance of its kinks, so near a kink the minimum's
-        # bound can miss by max|f'| times that tolerance
-        g = PeriodicFunction.sum_of([f.positive_part(), PeriodicFunction.trig(f.period, 0.0, [(0.5, 3, 1.0)])])
-        miss = derivative_bounds(g.body, g.period)[0] * funcspec.EXTREMA_REFINE_TOL * max(1.0, g.period)
-        assert_encloses(g, 1.0, mp_extremum(g, 1.0, width=1e-19), extra=miss)
-        assert_encloses(g, -1.0, mp_extremum(g, -1.0))
+    def test_a_clip_cannot_be_part_of_a_sum(self):
+        # a clip's kink, known only to the refinement tolerance, would blur a
+        # sum's enclosure, and its zero stretch would run the halving to the
+        # cell cap; every way of building such a sum is refused
+        clip = PeriodicFunction.trig(1.0, 0.0, [(1.0, 1, 0.0), (0.5, 3, 1.0)]).positive_part()
+        other = PeriodicFunction.trig(1.0, 0.0, [(0.5, 3, 1.0)])
+        for build in (
+            lambda: PeriodicFunction.sum_of([clip, other]),
+            lambda: PeriodicFunction.sum_of([other, clip]),
+            lambda: PeriodicFunction.sum_of([clip]),
+            lambda: clip.plus_constant(0.0),
+            lambda: PeriodicFunction(1.0, funcspec.Sum((other.body, funcspec.Sum((clip.body,))))),
+        ):
+            with pytest.raises(LiebauError, match="clipped function cannot be part of a sum"):
+                build()
 
     @pytest.mark.parametrize("v0", [3.6, 4.0, 5.0, 10.0])
     def test_tank_forcing_against_the_quadratic_in_cos_t(self, v0):
@@ -719,25 +725,6 @@ class TestBisection:
         assert low < 0.0 < high
         assert inner.positive_part().extrema() == (0.0, high, t_low, t_high)
         assert inner.positive_part().positive_part() is inner.positive_part()
-
-    def test_zero_stretch_of_a_clip_in_a_sum_stops_at_the_cell_cap(self, monkeypatch):
-        # max(cos, 0) + 0 is flat on half the period while its |f''| bound is
-        # 4 pi^2, so no cell there can be dropped; halving stops at the cap
-        sizes = []
-        bisect = funcspec._bisect
-
-        def recording(f, keep):
-            return bisect(f, lambda l, r, fl, fr: sizes.append(len(l)) or keep(l, r, fl, fr))
-
-        monkeypatch.setattr(funcspec, "_bisect", recording)
-        f = PeriodicFunction.trig(1.0, 0.0, [(1.0, 1, 0.0)]).positive_part().plus_constant(0.0)
-        (low, _, bound), curvature = funcspec._extremum(f, 1.0), funcspec._bounds(f.body, 1.0)[1]
-        # the cells left are at most T / 2**19 wide: the minimum reads the
-        # outer end of their enclosure, not the 0 the cells' ends all hold
-        assert f.extrema()[:2] == (low, 1.0)
-        assert -curvature * 2.0**-38 / 8 <= low == bound < 0.0
-        np.testing.assert_allclose(funcspec._find_crossings(f, 1.0), [0.25, 0.75], rtol=0, atol=1e-12)
-        assert max(sizes) <= funcspec._MAX_CELLS
 
     @pytest.mark.parametrize(
         "f",
@@ -801,19 +788,11 @@ class TestBisection:
         ],
     )
     def test_plateau_plus_peak(self, offset, terms):
-        # clips with zero plateaus and peaks, alone and inside a sum, whose
-        # zero stretch no cell can be dropped from: the sum's minimum stops at
-        # the cell cap, with cells at most T / 2**19 wide, and reads the outer
-        # end of its enclosure, at most max|f''| (T / 2**19)^2 / 8 below 0
+        # clips with zero plateaus and peaks take their inner body's extrema
         clip = PeriodicFunction.trig(1.0, offset, terms).positive_part()
-        g = PeriodicFunction.sum_of([clip, PeriodicFunction.constant(1.0, 0.0)])
         for sign in (1.0, -1.0):
             assert_encloses(clip, sign, mp_extremum(clip, sign))
         assert mp_extremum(clip, 1.0) == 0
-        miss = derivative_bounds(g.body, 1.0)[0] * funcspec.EXTREMA_REFINE_TOL
-        low, _, bound = funcspec._extremum(g, 1.0)
-        assert -funcspec._bounds(g.body, 1.0)[1] * 2.0**-38 / 8 - miss <= low == bound < 0.0
-        assert_encloses(g, -1.0, mp_extremum(clip, -1.0))
 
     def test_thousands_of_minima(self):
         # 3000 minima and 3000 maxima, each within the enclosure of offset -/+ amplitude
@@ -878,10 +857,6 @@ class TestBounds:
             size, curvature = funcspec._bounds(f.body, 1.0)
             assert size == 1999.0
             assert w2 <= curvature <= w2 * (1.0 + 12 * EPS * 1999.0)  # the phasor sum and its allowance
-        # a clip's terms do not merge with the other parts': where it is 0 they do not cancel
-        clipped = PeriodicFunction.sum_of([PeriodicFunction.trig(1.0, 0.0, [(1000.0, 3, 0.4)]).positive_part(),
-                                           PeriodicFunction.trig(1.0, 0.0, [(-999.0, 3, 0.4)])])
-        assert funcspec._bounds(clipped.body, 1.0)[1] == 1000.0 * w2 + 999.0 * w2
 
 
 class TestAliasing:
@@ -902,6 +877,40 @@ class TestAliasing:
         assert len(crossings) == 6556
         tol = funcspec.EXTREMA_REFINE_TOL
         assert np.all((ALIASED(crossings - tol) > 0.0) != (ALIASED(crossings + tol) > 0.0))
+
+
+def simpson_one_call_per_segment(f, a, b, splits=(), base_panels=1024):
+    """The segmented Simpson rule as it was: one ``np.linspace`` and one call of f per segment."""
+    pts = sorted({a, b, *(float(s) for s in splits if a < s < b)})
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        n = max(2, int(round(base_panels * (hi - lo) / (b - a))))
+        w = np.ones(2 * n + 1)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        total += (hi - lo) / (6.0 * n) * float(np.dot(w, np.asarray(f(np.linspace(lo, hi, 2 * n + 1)), dtype=float)))
+    return total
+
+
+class TestSimpsonInOneCall:
+    """``simpson_segmented`` calls f once on every segment's nodes, bit for bit
+    the sum of one call per segment."""
+
+    @pytest.mark.parametrize("a, m, T", [(1.6, 0.7, 1.0), (0.0, 0.25, 2 * math.pi), (2.0, 1.0, 1.0)])
+    def test_unit_mass_kernels(self, a, m, T):
+        at = greens.build(a, m, T).at
+        assert simpson_segmented(at, 0.0, T) == simpson_one_call_per_segment(at, 0.0, T)
+
+    @pytest.mark.parametrize(
+        "f", [*(tank_forcing(v0) for v0 in (3.6, 4.0, 5.0, 10.0)), ALIASED], ids=["3.6", "4", "5", "10", "aliased"]
+    )
+    def test_positive_parts(self, f):
+        g = f.positive_part()
+        args = (lambda s: np.maximum(f(s), 0.0), 0.0, f.period)
+        kwargs = {"splits": g.breakpoints(), "base_panels": 4096}
+        assert len(g.breakpoints()) > 1
+        assert simpson_segmented(*args, **kwargs) == simpson_one_call_per_segment(*args, **kwargs)
+        assert g.mean() == simpson_segmented(*args, **kwargs) / f.period  # what the mean integrates
 
 
 class TestCancellingTerms:

@@ -30,6 +30,8 @@ for _p in PRESET_NAMES:
             continue
         _code = cli.EXIT_SEARCH_EMPTY if (_cmd, _p) == ("search", "benchmark") else cli.EXIT_OK
         CASES[f"{_cmd}-{_p}.json"] = ([_cmd, "--preset", _p], _code)
+# eps is a relative margin: the preset tuple's smallest is 1.79e-7
+CASES["certify-trapezoid-eps-1e-6.json"] = (["certify", "--preset", "trapezoid", "--eps", "1e-6"], cli.EXIT_CERT_FAIL)
 # the kernel of each root case: its constants and samples of K
 for _case, _params in (
     ("real-distinct", ["-a", "1.6", "-m", "0.7", "-T", "1"]),
@@ -43,6 +45,19 @@ for _case, _params in (
 def test_stdout_matches_golden(capsys, name):
     argv, code = CASES[name]
     assert cli.run(argv) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        # the winner's smallest relative margin is 0.339, the preset tuple's 1.79e-7
+        ("search-trapezoid.json", ["search", "--preset", "trapezoid", "--eps", "1e-12"]),
+        ("certify-trapezoid.json", ["certify", "--preset", "trapezoid", "--eps", "1e-7"]),
+    ],
+)
+def test_eps_below_every_relative_margin_keeps_the_bytes(capsys, name, argv):
+    assert cli.run(argv) == CASES[name][1]
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
