@@ -96,9 +96,11 @@ class Condition(NamedTuple):
 
 
 def _relative_margin(margin, lhs, rhs):
-    """margin / max(|lhs|, |rhs|, _TINY): floats, or arrays elementwise."""
+    """margin / max(|lhs|, |rhs|, _TINY): floats, or arrays elementwise; NaN
+    (without a warning) where a side is infinite."""
     if isinstance(margin, np.ndarray):
-        return margin / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TINY)
+        with np.errstate(invalid="ignore"):
+            return margin / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), _TINY)
     return margin / max(abs(lhs), abs(rhs), _TINY)
 
 
@@ -196,9 +198,10 @@ GENERAL_X_POINTS = 512
 _BAND_BLOCK_ROWS = 64
 
 
-def _t_grid(gp: GeneralProblem, extra: list[PeriodicFunction]) -> np.ndarray:
-    pts = list(np.linspace(0.0, gp.T, GENERAL_T_POINTS, endpoint=False))
-    for f in [gp.r, gp.s] + extra:
+def _t_grid(uniform: np.ndarray, functions: list[PeriodicFunction]) -> np.ndarray:
+    """The uniform t grid with the breakpoints of ``functions`` inserted."""
+    pts = list(uniform)
+    for f in functions:
         pts.extend(f.breakpoints())
     return sorted_unique(np.asarray(pts, dtype=float))
 
@@ -232,9 +235,11 @@ def check_general(
     sampled on a t x x grid (GENERAL_T_POINTS uniform t values with the
     coefficient breakpoints inserted, GENERAL_X_POINTS log-spaced x values
     with the endpoints), and each minimum is taken over blocks of
-    _BAND_BLOCK_ROWS t rows; responses come from ``greens.apply_kernel``,
-    whose circular rule needs T-periodic envelopes: LiebauError names a g0
-    or g1 of another period.
+    _BAND_BLOCK_ROWS t rows.  Responses come from ``greens.apply_kernel`` on
+    the uniform t values alone: they are C^1, so the breakpoints matter to
+    the envelope facts only, and a g0 or g1 without breakpoints keeps the
+    circular rule.  That rule needs T-periodic envelopes: LiebauError names
+    a g0 or g1 of another period.
     BadRadii refuses radii outside 0 < R1 < R2 < inf; ConfigError names what
     ``_check_numbers`` refuses and a g0 or g1 that is not a PeriodicFunction.
     """
@@ -248,7 +253,8 @@ def check_general(
     kernel = greens.build(gp.a, m, gp.T)
     cm = kernel.cone_constant
 
-    ts = _t_grid(gp, [g0, g1])
+    uniform = np.arange(GENERAL_T_POINTS) * (gp.T / GENERAL_T_POINTS)
+    ts = _t_grid(uniform, [gp.r, gp.s, g0, g1])
     g0_t = np.asarray(g0(ts), dtype=float)
     g1_t = np.asarray(g1(ts), dtype=float)
 
@@ -267,8 +273,8 @@ def check_general(
         "lower_envelope", h5_min, 0.0, ">=", eps, note="min of (f_m - g0) and of g0 on the band"
     )
 
-    delta = greens.apply_kernel(kernel, g1, ts)
-    gamma = greens.apply_kernel(kernel, g0, ts)
+    delta = greens.apply_kernel(kernel, g1, uniform)
+    gamma = greens.apply_kernel(kernel, g0, uniform)
     h3 = _cond("upper_response_min", float(delta.min()), cm * r2, "<=", eps)
     h4 = _cond("upper_response_max", float(delta.max()), r2, "<=", eps)
     h6 = _cond("lower_response_min", float(gamma.min()), cm * r1, ">=", eps)
@@ -440,9 +446,11 @@ def _shift_sides(lp: LiebauProblem, cm, m, m_max: float, e_min: float, e_max: fl
 
     ``cm`` and ``m`` are floats, or arrays with one element per m; c_m^mu
     is libm's pow either way, so the search ranks on the checker's bits.
+    Where mu e_min^2 underflows to 0 the factor c^2 / (mu e_min^2) is inf.
     """
     mu, c = lp.mu, lp.c
-    lhs = (c * c / (mu * e_min * e_min)) * (e_max / per_element(math.pow, cm, mu) - e_min)
+    scale = mu * e_min * e_min
+    lhs = (c * c / scale if scale else math.inf) * (e_max / per_element(math.pow, cm, mu) - e_min)
     return (("shift_lower", lhs, m * m, "<="), ("shift_window", m * m, m_max**2, "<="))
 
 

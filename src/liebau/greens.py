@@ -40,21 +40,21 @@ that function on one m, so the two agree bit for bit.  The modes and t* are
 Python arithmetic and libm, one m at a time; numpy sums the modes at tau
 (``_mode_sum``), for K(t*) as for ``GreensKernel.at``.
 
-Kernel responses x(t) = integral_0^T K((t - s) mod T) g(s) ds of smooth g
-come from one quadrature, ``circular_response``: the periodic trapezoid rule
-on a uniform n-grid is a circular convolution computed by FFT, and the term
+Kernel responses x(t) = integral_0^T K((t - s) mod T) g(s) ds come two ways.
+For g without breakpoints and t the uniform grid arange(M) * (T/M), they come
+from one quadrature, ``circular_response``: the periodic trapezoid rule on a
+uniform n-grid is a circular convolution computed by FFT, and the term
 h^2/12 * g(t) is the Euler-Maclaurin endpoint correction for the unit slope
-jump of K at the wrap, leaving an O(h^4) error.  ``apply_kernel`` runs it on
-a fine grid and reads off-grid t from the trigonometric interpolant of the
-fine-grid response.
+jump of K at the wrap, leaving an O(h^4) error.
 
-A g with breakpoints is integrated by one sweep that is exact in the kernel:
-the response of each mode only needs the causal sums P(t) = integral_0^t
-e^{lam (t-s)} g ds and, for the tau-mode of the double root, M(t) =
-integral_0^t (t-s) e^{lam (t-s)} g ds; the part s > t of the integral is P(T)
-and M(T) carried once round the period.  Both sums come from an 8-point
-Gauss-Legendre rule on sub-gaps of the sorted points {0, T}, t mod T and the
-breakpoints of g, accumulated by one anchored cumulative sum per mode.
+Every other call, a g with breakpoints or any other t, takes one sweep that
+is exact in the kernel: the response of each mode only needs the causal sums
+P(t) = integral_0^t e^{lam (t-s)} g ds and, for the tau-mode of the double
+root, M(t) = integral_0^t (t-s) e^{lam (t-s)} g ds; the part s > t of the
+integral is P(T) and M(T) carried once round the period.  Both sums come
+from an 8-point Gauss-Legendre rule on sub-gaps of the sorted points {0, T},
+t mod T and the breakpoints of g, accumulated by one anchored cumulative sum
+per mode.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ CASE_COMPLEX_PAIR = "complex_pair"
 # 10).
 _BRANCH_EPS = float(np.finfo(float).eps) ** (2.0 / 3.0)
 
-# The kinked-response sweep: the 8-point Gauss-Legendre rule on (-1, 1), as
+# The response sweep: the 8-point Gauss-Legendre rule on (-1, 1), as
 # numpy.polynomial.legendre.leggauss(8) gives it (written out, so importing
 # this module does not load numpy.polynomial); the widest |lam| * width of one
 # sub-gap, where the rule is exact to rounding for the exponential factor; and
@@ -100,8 +100,8 @@ _GAUSS_W = np.array([
 _SUBGAP_EXP = 2.0
 _BLOCK_EXP = 32.0
 
-# apply_kernel's resolution: at least 2 * BASE_PANELS fine-grid nodes for
-# kink-free g, sub-gaps no wider than T / BASE_PANELS for g with breakpoints
+# apply_kernel's resolution: at least 2 * BASE_PANELS fine-grid nodes for the
+# circular rule, sub-gaps no wider than T / BASE_PANELS for the sweep
 BASE_PANELS = 1024
 
 Mode = tuple[complex, int, complex]  # (c_j, p_j, lam_j)
@@ -324,23 +324,6 @@ def circular_response(kernel: GreensKernel, g_values) -> np.ndarray:
     return h * conv + (h * h / 12.0) * g
 
 
-def _interpolant_at(values: np.ndarray, T: float, t_values: np.ndarray) -> np.ndarray:
-    """The trigonometric interpolant of uniform periodic samples, summed at t_values.
-
-    The Nyquist bin of an even sample count is split symmetrically, so the
-    interpolant is real and passes through every sample.  Equal samples
-    (the response to a constant g) are their constant, with no sum.
-    """
-    if np.all(values == values[0]):
-        return np.full(len(t_values), values[0])
-    n = len(values)
-    coef = np.fft.rfft(values) / n
-    coef[1 : (n + 1) // 2] *= 2.0  # bins k and n - k fold into one real term
-    phase = np.outer(t_values, (2.0 * np.pi / T) * np.arange(len(coef)))
-    # Re(e^{i phase} coef) in real arithmetic: one len(t) x len(coef) temporary
-    return np.cos(phase) @ coef.real - np.sin(phase, out=phase) @ coef.imag
-
-
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
     """np.cumsum(a) with its rounding errors added back.
 
@@ -385,7 +368,7 @@ def _causal_sums(lam: complex, p: int, nodes, wg, edges):
 
 
 def _sweep_response(kernel: GreensKernel, g: PeriodicFunction, t: np.ndarray):
-    """integral_0^T K((t - s) mod T) g(s) ds for g with breakpoints, by one sweep."""
+    """integral_0^T K((t - s) mod T) g(s) ds at any t, by one sweep."""
     T = kernel.T
     modes = kernel.modes
     breaks = [b for b in g.breakpoints() if 0.0 < b < T]
@@ -419,20 +402,19 @@ def _sweep_response(kernel: GreensKernel, g: PeriodicFunction, t: np.ndarray):
 def apply_kernel(kernel: GreensKernel, g: PeriodicFunction, t_values: np.ndarray) -> np.ndarray:
     """Evaluate t -> integral_0^T G(t, s) g(s) ds on a set of t values.
 
-    For kink-free g the response is ``circular_response`` (the circular
-    convolution plus the h^2/12 kink term) on a uniform fine grid of at
-    least 2 * BASE_PANELS nodes.  When t_values is itself the uniform grid
-    arange(M) * (T/M), the fine grid has N nodes, the smallest multiple of M
-    that is at least that many, and every (N/M)-th sample is returned; other
-    t values read the trigonometric interpolant of the fine-grid response.
+    For g without breakpoints and t_values exactly the uniform grid
+    arange(M) * (T/M), the response is ``circular_response`` (the circular
+    convolution plus the h^2/12 kink term) on a fine grid of N nodes, the
+    smallest multiple of M that is at least 2 * BASE_PANELS, and every
+    (N/M)-th sample is returned.
 
-    For g with breakpoints the response comes from one sweep over the sorted
-    points {0, T}, t mod T and the breakpoints of g, each gap split into
-    equal sub-gaps no wider than T/BASE_PANELS (or 2/|lam| for the fastest
-    kernel mode) with an 8-point Gauss-Legendre rule on each, and g
-    evaluated once on all the nodes.  The kernel is summed exactly as its
-    exponential modes (see the module docstring); t values may come in any
-    order, repeat, or lie outside [0, T).
+    Every other call takes one sweep over the sorted points {0, T}, t mod T
+    and the breakpoints of g, each gap split into equal sub-gaps no wider
+    than T/BASE_PANELS (or 2/|lam| for the fastest kernel mode) with an
+    8-point Gauss-Legendre rule on each, and g evaluated once on all the
+    nodes.  The kernel is summed exactly as its exponential modes (see the
+    module docstring); t values may come in any order, repeat, or lie
+    outside [0, T).
 
     Raises LiebauError for non-finite t values.
     """
@@ -440,17 +422,11 @@ def apply_kernel(kernel: GreensKernel, g: PeriodicFunction, t_values: np.ndarray
     t_values = np.asarray(t_values, dtype=float)
     if not np.all(np.isfinite(t_values)):
         raise LiebauError("kernel response t values must be finite")
-    if not g.breakpoints():
-        n_fine = 2 * BASE_PANELS
-        M = len(t_values)
-        on_grid = M > 0 and np.array_equal(t_values, np.arange(M) * (T / M))
-        if on_grid:
-            n_fine = -(-n_fine // M) * M
-        nodes = np.arange(n_fine) * (T / n_fine)
-        fine = circular_response(kernel, g(nodes))
-        if on_grid:
-            return fine[:: n_fine // M]
-        return _interpolant_at(fine, T, t_values)
+    M = len(t_values)
+    if not g.breakpoints() and M > 0 and np.array_equal(t_values, np.arange(M) * (T / M)):
+        n_fine = -(-2 * BASE_PANELS // M) * M
+        fine = circular_response(kernel, g(np.arange(n_fine) * (T / n_fine)))
+        return fine[:: n_fine // M]
     return _sweep_response(kernel, g, t_values)
 
 

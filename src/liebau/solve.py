@@ -68,12 +68,6 @@ NEWTON_MAX_STEPS = 50
 # ``sup_residual`` is measured on a grid this many times finer than the solution's.
 REFINE_FACTOR = 4
 
-# Most points of one block of fine-grid phases in ``_refined_residuals``: at
-# n = 512 phases 1 to 3 go in one block (phase 0 is the n-grid, and needs no
-# transform), and from n = 4096 each goes alone, so a temporary holds
-# max(n, 4096) points at most, never REFINE_FACTOR * n.
-_PHASE_BLOCK_POINTS = 4096
-
 # Grid of the finite-difference Newton stage when the polish runs on a finer
 # grid: the polish only needs a start inside its basin, and the cyclic solves
 # cost O(n) Python-float work each.
@@ -378,11 +372,10 @@ def _refined_residuals(gp, values, node_res, spec, symbol, r_nodes, s_nodes):
     moves them by a few ulp.  For even n, irfft reads only the real part of
     the Nyquist bin, so that bin takes the real factor cos(w j h /
     REFINE_FACTOR) of the symmetric split in ``resample_spectrum``.  The
-    phases go in blocks of at most ``_PHASE_BLOCK_POINTS`` points, so no
-    REFINE_FACTOR * n array is built.  A coefficient whose node samples are
-    all equal is that constant, with no transform.  (The mean of equal
-    samples may miss them by an ulp, as s = 0.30000000000000004 of the tank
-    preset reads 0.29999999999999993.)
+    phases go one at a time, so no REFINE_FACTOR * n array is built.  A
+    coefficient whose node samples are all equal is that constant, with no
+    transform.  (The mean of equal samples may miss them by an ulp, as
+    s = 0.30000000000000004 of the tank preset reads 0.29999999999999993.)
     """
     T = gp.T
     n = len(values)
@@ -397,29 +390,23 @@ def _refined_residuals(gp, values, node_res, spec, symbol, r_nodes, s_nodes):
             c_mean = c.mean()
             coefficients.append((c_mean, np.fft.rfft(c - c_mean)))
     step = np.exp((2j * np.pi / n_f) * np.arange(n // 2 + 1))  # phase 1's factor
-    factors = [step]  # factors[j - 1] is phase j's, step**j by products
-    for _ in range(2, REFINE_FACTOR):
-        factors.append(factors[-1] * step)
     fine_index = REFINE_FACTOR * np.arange(n)
-    block = max(1, _PHASE_BLOCK_POINTS // n)
     node_sup = np.max(np.abs(node_res))
     sups_colloc, sups_exact = [node_sup], [node_sup]
-    for first in range(1, REFINE_FACTOR, block):
-        chunk = factors[first - 1 : first - 1 + block]
-        phases = np.arange(first, first + len(chunk))[:, None]
-        shift = chunk[0] if len(chunk) == 1 else np.array(chunk)
+    for phase in range(1, REFINE_FACTOR):
+        shift = step if phase == 1 else shift * step  # phase j's factor, step**j by products
 
-        def at_phases(spectrum):
+        def at_phase(spectrum):
             return np.fft.irfft(spectrum * shift, n=n)
 
-        positive = np.clip(at_phases(spec) + mean, 1e-300, None)
-        lin = at_phases(lin_spec)
+        positive = np.clip(at_phase(spec) + mean, 1e-300, None)
+        lin = at_phase(lin_spec)
         x_alpha, x_beta = positive**gp.alpha, positive**gp.beta
         r_interp, s_interp = (
-            c_mean if c_spec is None else at_phases(c_spec) + c_mean for c_mean, c_spec in coefficients
+            c_mean if c_spec is None else at_phase(c_spec) + c_mean for c_mean, c_spec in coefficients
         )
         sups_colloc.append(np.max(np.abs(lin - (r_interp * x_alpha - s_interp * x_beta))))
-        fine_nodes = (fine_index + phases) * (T / n_f)
+        fine_nodes = (fine_index + phase) * (T / n_f)
         r_exact = np.asarray(gp.r(fine_nodes), dtype=float)
         s_exact = np.asarray(gp.s(fine_nodes), dtype=float)
         sups_exact.append(np.max(np.abs(lin - (r_exact * x_alpha - s_exact * x_beta))))

@@ -129,6 +129,17 @@ class TestPositiveForcing:
         lhs = (c * c / (mu * e_min**2)) * (thr / cert.cone_const**mu - e_min)
         assert lhs == pytest.approx(0.49, rel=1e-12)
 
+    def test_tiny_forcing_minimum_is_out_of_float_range(self):
+        # mu e_min^2 underflows to 0, so shift_lower's left side is inf: the
+        # search finds nothing, and the checker names the threshold's ceiling
+        lp = LiebauProblem(1.6, 0.01, 1.49, 1.0, PeriodicFunction.constant(1.0, 1e-200))
+        kernel = greens.build(lp.a, 0.7, lp.T)
+        (_, lhs, _, _), _ = certify._shift_sides(lp, kernel.cone_constant, 0.7, kernel.m_max, 1e-200, 1e-200)
+        assert lhs == math.inf
+        assert search_certificate(lp) is None
+        with pytest.raises(OutOfFloatRange, match="bound_at_threshold"):
+            check_positive_forcing(lp, 0.7)
+
     def test_inapplicable_for_sign_changing(self, trapezoid_lp):
         cert = check_positive_forcing(trapezoid_lp, m=0.7)
         assert cert.verdict == certify.VERDICT_INAPPLICABLE
@@ -157,6 +168,17 @@ class TestLegacyCriterion:
         assert lhs == pytest.approx(0.01 / (4 * (1 / 3) * 0.3), rel=1e-12)
         assert rhs == pytest.approx(0.25, rel=1e-12)
         assert ok
+
+    def test_tiny_forcing_minimum_is_out_of_float_range(self):
+        # mu e_min^2 underflows to 0, so shift_lower's left side is inf: the
+        # search finds nothing, and the checker names the threshold's ceiling
+        lp = LiebauProblem(1.6, 0.01, 1.49, 1.0, PeriodicFunction.constant(1.0, 1e-200))
+        kernel = greens.build(lp.a, 0.7, lp.T)
+        (_, lhs, _, _), _ = certify._shift_sides(lp, kernel.cone_constant, 0.7, kernel.m_max, 1e-200, 1e-200)
+        assert lhs == math.inf
+        assert search_certificate(lp) is None
+        with pytest.raises(OutOfFloatRange, match="bound_at_threshold"):
+            check_positive_forcing(lp, 0.7)
 
     def test_inapplicable_for_sign_changing(self, trapezoid_lp):
         with pytest.raises(InapplicableCriterion):
@@ -212,7 +234,8 @@ class TestGeneralChecker:
         monkeypatch.setattr(certify, "_BAND_BLOCK_ROWS", rows)
         general = check_general(gp, m, r1, r2, g0, g1)
         cm = general.cone_const
-        ts = certify._t_grid(gp, [g0, g1])
+        uniform = np.arange(certify.GENERAL_T_POINTS) * (lp.T / certify.GENERAL_T_POINTS)
+        ts = certify._t_grid(uniform, [gp.r, gp.s, g0, g1])
         g0_t, g1_t = g0(ts), g1(ts)
 
         def band(lo, hi):
@@ -226,6 +249,28 @@ class TestGeneralChecker:
         assert {k: general.condition(k).lhs.hex() for k in full_band} == {
             k: v.hex() for k, v in full_band.items()
         }
+
+    @pytest.mark.parametrize(
+        "name, margin", [("trapezoid", 1.1703632916737853e-15), ("cosine", 2.4594038857941626e-16)]
+    )
+    def test_constant_response_is_the_circular_rules_constant(self, name, margin):
+        # search-soundness's g1 = m^2 R2 has response R2 in exact arithmetic,
+        # so upper_response_max is a tie that passes on the circular rule's
+        # rounding; the trapezoid's kinked g0 puts breakpoints in the envelope
+        # grid, which the responses do not see
+        lp = presets.preset(name).problem
+        cert = search_certificate(lp)
+        gp, m, r1, r2 = regularize(lp), cert.m, cert.r1, cert.r2
+        g1 = PeriodicFunction.constant(lp.T, m * m * r2)
+        g0 = (lp.e.positive_part().scale(cert.kappa) if cert.kappa is not None
+              else PeriodicFunction.constant(lp.T, m * m * r1))
+        general = check_general(gp, m, r1, r2, g0, g1)
+        kernel = greens.build(gp.a, m, gp.T)
+        fine = greens.circular_response(kernel, np.full(2 * greens.BASE_PANELS, g1(0.0)))
+        assert np.all(fine == fine[0])
+        for cond in ("upper_response_min", "upper_response_max"):
+            assert general.condition(cond).lhs.hex() == fine[0].hex()
+        assert general.condition("upper_response_max").relative_margin == margin
 
     def test_soundness_link_from_sign_changing(self, trapezoid_lp):
         # a passing kappa certificate implies the general system with
@@ -956,7 +1001,8 @@ class TestSortedUnique:
             pts.extend(f.breakpoints())
         # the breakpoints 0 and 1 - 0.0005 sit on or near the uniform points
         assert len(pts) > len(set(pts))
-        ts = certify._t_grid(gp, extra)
+        uniform = np.arange(certify.GENERAL_T_POINTS) * (gp.T / certify.GENERAL_T_POINTS)
+        ts = certify._t_grid(uniform, [gp.r, gp.s] + extra)
         assert ts.tobytes() == np.unique(np.asarray(pts, dtype=float)).tobytes()
         for lo, hi in [(0.5, 2.0), (1e-3, 1e-3 * (1 + 1e-15)), (3.0, 3.0)]:
             xs = np.concatenate([np.geomspace(lo, hi, certify.GENERAL_X_POINTS), [lo, hi]])

@@ -285,6 +285,26 @@ class TestSearchEdgeCases:
         assert "bound_at_threshold" in err and "beyond float range" in err
         assert "Traceback" not in err
 
+    # mu e_min^2 underflows to 0 at e_min = 1e-200; both commands raised ZeroDivisionError
+    TINY_FORCING = {
+        "kind": "liebau", "a": 1.6, "mu": 0.01, "c": 1.49, "T": 1.0,
+        "e": {"type": "constant", "period": 1.0, "value": 1e-200},
+    }
+
+    def test_tiny_forcing_minimum_finds_nothing(self, capsys, tmp_path):
+        code, out, err = run_captured(capsys, ["search", "--config", write_config(tmp_path, self.TINY_FORCING)])
+        assert code == EXIT_SEARCH_EMPTY
+        assert json.loads(out) == {"result": "none"}
+        assert "Traceback" not in err
+
+    def test_tiny_forcing_minimum_names_the_threshold_ceiling(self, capsys, tmp_path):
+        argv = ["certify", "--theorem", "positive_forcing", "-m", "0.7"]
+        code, out, err = run_captured(capsys, argv + ["--config", write_config(tmp_path, self.TINY_FORCING)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "bound_at_threshold" in err and "beyond float range" in err
+        assert "Traceback" not in err
+
     def test_small_mu_sign_route_finds_nothing(self, capsys, tmp_path):
         problem = {
             "kind": "liebau", "a": 1.6, "mu": 1e-5, "c": 0.005, "T": 1.0,

@@ -11,6 +11,9 @@ and lists the moved digits in its change log.
 
 import contextlib
 import io
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,6 +62,41 @@ def test_stdout_matches_golden(capsys, name):
 def test_eps_below_every_relative_margin_keeps_the_bytes(capsys, name, argv):
     assert cli.run(argv) == CASES[name][1]
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# numpy's AVX512 dispatch turned off, so it runs its AVX2 kernels; a feature
+# name that the host's numpy does not dispatch is ignored
+CAPPED_SIMD = "X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL AVX512_ICL AVX512_SPR"
+
+
+def test_certificates_keep_their_bytes_at_the_capped_simd_level():
+    # every certify and search golden, and liebau verify, in one subprocess
+    # at the capped dispatch level; search-soundness's upper_response_max is
+    # a tie decided by the circular rule's rounding (see README)
+    names = sorted(n for n in CASES if n.startswith(("certify-", "search-")))
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from liebau import cli\n"
+        "out = {}\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        out[name] = [cli.run(argv), buf.getvalue()]\n"
+        "print(json.dumps(out))\n"
+    )
+    argvs = {name: CASES[name][0] for name in names + ["verify.txt"]}
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES=CAPPED_SIMD)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert len(names) == 10
+    for name in names:
+        assert got[name] == [CASES[name][1], (GOLDEN / name).read_text(encoding="utf-8")], name
+    assert got["verify.txt"][0] == cli.EXIT_OK
+    assert got["verify.txt"][1].rstrip("\n").endswith("11/11 checks passed")
 
 
 def regenerate() -> None:

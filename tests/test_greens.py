@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -634,57 +635,66 @@ class TestApplyKernel:
             x = greens.apply_kernel(kernel, g, ts)
             assert np.max(np.abs(x - trig_response(a, m, T, offset, terms, ts))) <= 1e-11 * scale
 
-    @given(**_trig_forcings, M=st.sampled_from([8, 64, 512, 2048]))
-    def test_grid_and_interpolant_paths_agree(self, a, frac, T, offset, terms, M):
-        # M divides the 2048-node fine grid, so both paths read the same
-        # samples; the nudged nodes are off the grid and use the interpolant
+    @settings(max_examples=300)
+    @given(
+        **_trig_forcings,
+        M=st.integers(1, 64),
+        t_fracs=st.lists(st.floats(-2.0, 3.0), max_size=16),
+    )
+    def test_off_grid_t_take_the_sweep(self, a, frac, T, offset, terms, M, t_fracs):
+        # the shifted grid (i + 1/2) T/M is never arange(M) * (T/M), so every
+        # t here is answered by the sweep, exact in the kernel
         m = frac * greens.m_window(a, T)
         kernel = greens.build(a, m, T)
         g = PeriodicFunction.trig(T, offset, terms)
-        scale = abs(offset) + sum(abs(amp) for amp, _, _ in terms)
-        on_grid = np.arange(M) * (T / M)
-        nudged = on_grid + 1e-9 * T
-        moved = greens.apply_kernel(kernel, g, nudged) - greens.apply_kernel(kernel, g, on_grid)
-        exact = trig_response(a, m, T, offset, terms, nudged) - trig_response(
-            a, m, T, offset, terms, on_grid
-        )
-        assert np.max(np.abs(moved - exact)) <= 1e-12 * scale
+        scale = (abs(offset) + sum(abs(amp) for amp, _, _ in terms)) / min(1.0, m * m)
+        ts = np.concatenate([(np.arange(M) + 0.5) * (T / M), np.asarray(t_fracs) * T])
+        with mock.patch.object(greens, "circular_response", side_effect=AssertionError("circular rule")):
+            x = greens.apply_kernel(kernel, g, ts)
+        # a subnormal forcing rounds in absolute terms, below the smallest normal float
+        bound = max(1e-13 * scale, np.finfo(float).tiny)
+        assert np.max(np.abs(x - trig_response(a, m, T, offset, terms, ts))) <= bound
 
 
-def dense_interpolant(values, T, t_values):
-    """The trigonometric interpolant summed over every bin, as
-    ``greens._interpolant_at`` does for samples that are not all equal."""
-    n = len(values)
-    coef = np.fft.rfft(values) / n
-    coef[1 : (n + 1) // 2] *= 2.0
-    phase = np.outer(t_values, (2.0 * np.pi / T) * np.arange(len(coef)))
-    return np.cos(phase) @ coef.real - np.sin(phase) @ coef.imag
+class TestApplyKernelRoute:
+    """apply_kernel takes the circular rule only for g without breakpoints
+    at t = arange(M) * (T/M), and the sweep for every other call."""
 
+    @staticmethod
+    def route(kernel, g, ts, monkeypatch):
+        calls = []
+        circular = greens.circular_response
 
-class TestInterpolantAt:
-    # apply_kernel interpolates off-grid t from 2 * BASE_PANELS = 2048 samples.
-    # For a power-of-two count of equal samples the rfft's sums and
-    # differences are exact, so the dense sum returns the constant itself.
-    # (For other counts it may miss it by an ulp; the shortcut does not.)
-    @given(
-        value=st.floats(-1e200, 1e200),
-        n=st.sampled_from([8, 64, 1024, 2 * greens.BASE_PANELS]),
-        T=st.floats(1e-3, 1e3),
-        t_fracs=st.lists(st.floats(-2.0, 3.0), min_size=1, max_size=600),
-    )
-    def test_equal_samples_bitwise_equal_to_the_dense_sum(self, value, n, T, t_fracs):
-        values = np.full(n, value)
-        t_values = np.asarray(t_fracs) * T
-        got = greens._interpolant_at(values, T, t_values)
-        assert got.tobytes() == dense_interpolant(values, T, t_values).tobytes()
+        def spy(k, g_values):
+            calls.append(len(g_values))
+            return circular(k, g_values)
 
-    def test_samples_that_differ_take_the_dense_sum(self):
-        values = np.ones(64)
-        values[5] += 1e-12
-        t_values = np.linspace(0.0, 2.0, 37)
-        got = greens._interpolant_at(values, 2.0, t_values)
-        assert np.array_equal(got, dense_interpolant(values, 2.0, t_values))
-        assert not np.all(got == got[0])
+        monkeypatch.setattr(greens, "circular_response", spy)
+        return greens.apply_kernel(kernel, g, ts), calls
+
+    @pytest.mark.parametrize("M", [1, 7, 512, 2048, 3000])
+    def test_grid_t_of_a_kink_free_g_take_the_circular_rule(self, kernel_example, monkeypatch, M):
+        g = PeriodicFunction.trig(1.0, 0.5, [(1.0, 1, 1.3), (0.25, 3, 0.0)])
+        ts = np.arange(M) * (1.0 / M)
+        x, calls = self.route(kernel_example, g, ts, monkeypatch)
+        n_fine = -(-2 * greens.BASE_PANELS // M) * M  # the smallest multiple of M from 2048 on
+        assert calls == [n_fine]
+        fine = greens.circular_response(kernel_example, g(np.arange(n_fine) * (1.0 / n_fine)))
+        assert x.tobytes() == fine[:: n_fine // M].tobytes()
+
+    def test_every_other_call_takes_the_sweep(self, kernel_example, trapezoid_lp, monkeypatch):
+        smooth = PeriodicFunction.trig(1.0, 0.5, [(1.0, 1, 1.3)])
+        grid = np.arange(64) * (1.0 / 64)
+        for g, ts in [
+            (smooth, np.linspace(0.0, 1.0, 65)),  # the grid with its end point
+            (smooth, grid[::-1]),
+            (smooth, grid + 1e-9),
+            (smooth, grid[:-1]),
+            (smooth, np.array([])),
+            (trapezoid_forcing(trapezoid_lp, 1.0), grid),  # a g with breakpoints
+        ]:
+            x, calls = self.route(kernel_example, g, ts, monkeypatch)
+            assert calls == [] and x.shape == ts.shape
 
 
 class TestModes:

@@ -3,7 +3,6 @@ import hashlib
 import math
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -427,11 +426,9 @@ class TestRefinedResiduals:
         n=st.integers(8, 1100),
         noise=st.sampled_from([0.0, 1e-9, 1e-3]),
         seed=st.integers(0, 2**32 - 1),
-        # besides the default, one phase per block, and uneven blocks such as 2 + 1
-        block_points=st.sampled_from([solve._PHASE_BLOCK_POINTS, 1, 2048]),
         polish=st.booleans(),
     )
-    def test_matches_the_dense_grid(self, case, n, noise, seed, block_points, polish):
+    def test_matches_the_dense_grid(self, case, n, noise, seed, polish):
         gp, opts = _oracle_problem(case)
         sol = solve_periodic(gp, dataclasses.replace(opts, n=n, polish=polish))
         # relative noise reaches every mode, the Nyquist mode of an even n included
@@ -440,8 +437,7 @@ class TestRefinedResiduals:
         r, s = np.asarray(gp.r(nodes), dtype=float), np.asarray(gp.s(nodes), dtype=float)
         symbol = solve._operator_symbol(n, gp.T, gp.a)
         res, spec = solve._node_residual(x, symbol, solve._sampled(gp, n)[3])
-        with mock.patch.object(solve, "_PHASE_BLOCK_POINTS", block_points):
-            got = solve._refined_residuals(gp, x, res, spec, symbol, r, s)
+        got = solve._refined_residuals(gp, x, res, spec, symbol, r, s)
         want = dense_refined_residuals(gp, x)
         # without noise, the solve's own report (from the polish's final
         # residual, or from solve_periodic's without the polish) is checked too
