@@ -29,7 +29,7 @@ from .errors import PropertyViolation
 from .funcspec import PeriodicFunction
 from .problem import LiebauProblem, regularize
 from .pump import pump_report, singular_residual, x_to_u
-from .solve import SolveOptions, cone_and_localization, solve_periodic
+from .solve import SolveOptions, _fd_newton, _sampled, cone_and_localization, solve_periodic
 from .numerics import format_float as f17
 
 
@@ -220,12 +220,13 @@ def check_search_soundness() -> CheckResult:
 
 
 def check_scheme_order() -> CheckResult:
+    """The FD Newton stage alone at n, from the constant guess sqrt(4 * 40)."""
     gp = regularize(presets.tank_problem(4.0))
     errs = {}
     for n in (256, 512):
-        sol = solve_periodic(gp, SolveOptions(n=n, polish=False, bracket=(4.0, 40.0)))
-        exact = (2.0 + np.cos(sol.nodes)) ** 3
-        errs[n] = float(np.max(np.abs(sol.values - exact)))
+        nodes, _, _, f_of, fprime_of = _sampled(gp, n)
+        x, _ = _fd_newton(np.full(n, math.sqrt(4.0 * 40.0)), gp.T / n, gp.a, f_of, fprime_of)
+        errs[n] = float(np.max(np.abs(x - (2.0 + np.cos(nodes)) ** 3)))
     ratio = errs[256] / errs[512]
     return _all(
         (3.5 <= ratio <= 4.5,

@@ -160,7 +160,7 @@ OPTION_SCHEMA = {
     "certify": {"theorem": str, "m": float, "kappa": float, "r1": float, "r2": float,
                 "eps": float, "g0": "function", "g1": "function"},
     "search": {"eps": float},
-    "solve": {"n": int, "initial": float, "bracket": 2, "polish": bool},
+    "solve": {"n": int, "initial": float, "bracket": 2},
 }
 
 
@@ -541,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute a periodic solution")
     add_problem_source(p)
     p.add_argument("-n", type=int)
-    p.add_argument("--no-polish", dest="polish", action="store_false", default=None)
     p.add_argument("--initial", type=float)
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--csv-out", help="write t,x[,u] samples here ('-' for stdout)")

@@ -1,27 +1,24 @@
-"""Periodic solvers for the regular problem.
+"""Periodic solver for the regular problem.
 
 Three steps.  A damped Newton iteration on the cyclic second-order
-finite-difference (FD) system finds a discrete solution; its Jacobian is
-cyclic tridiagonal and solved by bordered elimination.  With the polish on
-and n above ``COARSE_N`` (128), this stage runs on the 128-point grid only,
-and its solution is lifted to the n-grid by zero-padded FFT resampling (the
-nested-iteration start of Newton-Krylov methods).  A polish stage then runs
-Newton on the Fourier collocation residual d2 + a d1 - f(x) at n, taken as
-one rfft of x - mean x times the symbol of D^2 + a D and one irfft (the
-spectral form of x'' + a x' that the residual diagnostic uses too).  Each
-polish step solves its linear system by a short GMRES, preconditioned by FFT
-with the constant-coefficient operator D^2 + a D - mean f'(x), so the polish
-makes no cyclic tridiagonal solves; it stops once a step fails to halve the
-residual, which for smooth coefficient data leaves residuals near rounding
-level.
+finite-difference (FD) system finds a discrete solution on ``fd_n`` =
+min(n, ``COARSE_N``) points (128); its Jacobian is cyclic tridiagonal and
+solved by bordered elimination.  For n above 128 this solution is lifted to
+the n-grid by zero-padded FFT resampling (the nested-iteration start of
+Newton-Krylov methods).  A polish stage then runs Newton on the Fourier
+collocation residual d2 + a d1 - f(x) at n, taken as one rfft of x - mean x
+times the symbol of D^2 + a D and one irfft (the spectral form of x'' + a x'
+that the residual diagnostic uses too).  Each polish step solves its linear
+system by a short GMRES, preconditioned by FFT with the constant-coefficient
+operator D^2 + a D - mean f'(x), so the polish makes no cyclic tridiagonal
+solves; it stops once a step fails to halve the residual, which for smooth
+coefficient data leaves residuals near rounding level.
 
 Each stage runs once, and nothing retries where the coarse start misses the
 polish's basin: a coarse Newton failure raises LeftPositiveCone or
 NoConvergence, a lift that is not strictly positive raises LeftPositiveCone,
 and a polish that ends above the rounding floor (on data 128 points cannot
-resolve) returns its iterate, whose level ``sup_residual`` reports.  Without
-the polish the FD stage runs at n alone: a clean second-order scheme whose
-order can be observed.
+resolve) returns its iterate, whose level ``sup_residual`` reports.
 
 Residual reporting: ``sup_residual`` is the collocated residual of the
 returned representation measured on a ``REFINE_FACTOR`` (4) times finer grid,
@@ -33,10 +30,9 @@ nodes instead, so it additionally sees how much of the continuum data the
 grid resolution cannot represent; for band-limited coefficients the two
 coincide.  The fine nodes are taken as ``REFINE_FACTOR`` phase-shifted
 copies of the n-grid.  Phase 0 is the n-grid itself, where both residuals
-are the node residual that the polish (or, without it, ``solve_periodic``)
-computed from its final transform of the solution; the other phases are
-evaluated by n-point inverse transforms of that same spectrum, so a solve
-transforms its final iterate once.
+are the node residual that the polish computed from its final transform of
+the solution; the other phases are evaluated by n-point inverse transforms
+of that same spectrum, so a solve transforms its final iterate once.
 """
 
 from __future__ import annotations
@@ -68,9 +64,8 @@ NEWTON_MAX_STEPS = 50
 # ``sup_residual`` is measured on a grid this many times finer than the solution's.
 REFINE_FACTOR = 4
 
-# Grid of the finite-difference Newton stage when the polish runs on a finer
-# grid: the polish only needs a start inside its basin, and the cyclic solves
-# cost O(n) Python-float work each.
+# Largest grid of the finite-difference Newton stage: the polish only needs a
+# start inside its basin, and the cyclic solves cost O(n) Python-float work each.
 COARSE_N = 128
 
 # The polish's inner GMRES: relative residual target, basis size per cycle
@@ -93,7 +88,6 @@ class SolveOptions:
     n: int = 512
     initial: float | None = None
     bracket: tuple[float, float] | None = None  # geometric midpoint used as constant guess
-    polish: bool = True
 
     def __post_init__(self):
         n_max = MAX_GRID // REFINE_FACTOR  # the residual check samples REFINE_FACTOR * n points
@@ -106,8 +100,6 @@ class SolveOptions:
             isinstance(b, tuple) and len(b) == 2 and all(map(is_finite_real, b)) and 0.0 < b[0] < b[1]
         ):
             raise ConfigError(f"need a pair (lo, hi) with 0 < lo < hi < inf, got {b!r}", "bracket")
-        if not isinstance(self.polish, (bool, np.bool_)):
-            raise ConfigError(f"must be a bool, got {self.polish!r}", "polish")
 
 
 @dataclass(frozen=True)
@@ -122,7 +114,7 @@ class GridSolution:
     iterations: int  # Newton steps and polish steps together
     converged: bool
     polish_iterations: int  # the polish's share of ``iterations``
-    fd_n: int  # grid of the FD Newton stage: min(n, COARSE_N) with the polish, n without
+    fd_n: int  # grid of the FD Newton stage: min(n, COARSE_N)
 
     @property
     def min_value(self) -> float:
@@ -205,28 +197,23 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
     """Compute a positive periodic solution on a uniform cyclic grid.
 
     One pass: damped Newton on central differences on ``fd_n`` = min(n,
-    COARSE_N) points with the polish (n without), the lift of its solution to
-    the n-grid and the collocation Newton polish there.  Raises NoConvergence
-    when the Newton budget runs out and LeftPositiveCone when damping cannot
-    keep the iterate positive or the lift is not (a bad initial guess, or no
-    positive solution nearby); see the module docstring.
+    COARSE_N) points, the lift of its solution to the n-grid and the
+    collocation Newton polish there.  Raises NoConvergence when the Newton
+    budget runs out and LeftPositiveCone when damping cannot keep the iterate
+    positive or the lift is not (a bad initial guess, or no positive solution
+    nearby); see the module docstring.
     """
     n, T, a = opts.n, gp.T, gp.a
     nodes, r_nodes, s_nodes, f_of, fprime_of = _sampled(gp, n)
-    fd_n = min(n, COARSE_N) if opts.polish else n
+    fd_n = min(n, COARSE_N)
     f_fd, fprime_fd = (f_of, fprime_of) if fd_n == n else _sampled(gp, fd_n)[3:]
     x, iterations = _fd_newton(_initial_values(gp, opts, fd_n), T / fd_n, a, f_fd, fprime_fd)
+    if fd_n < n:
+        x = trig_interpolate(x, n)
+        if not np.all(x > 0.0):
+            raise LeftPositiveCone("the lifted coarse solution is not strictly positive")
     symbol = _operator_symbol(n, T, a)
-    polish_iters = 0
-    if opts.polish:
-        if fd_n < n:
-            x = trig_interpolate(x, n)
-            if not np.all(x > 0.0):
-                raise LeftPositiveCone("the lifted coarse solution is not strictly positive")
-        x, polish_iters, res, spec = _polish(x, symbol, f_of, fprime_of)
-    else:
-        res, spec = _node_residual(x, symbol, f_of)
-
+    x, polish_iters, res, spec = _polish(x, symbol, f_of, fprime_of)
     sup_res, sup_res_exact = _refined_residuals(gp, x, res, spec, symbol, r_nodes, s_nodes)
     return GridSolution(
         T=T,

@@ -459,6 +459,7 @@ class TestBadInputExitsTwo:
             ("solve", "solve", {"tol": 1e-12}, "solve.tol"),
             ("solve", "solve", {"max_iter": 50}, "solve.max_iter"),
             ("solve", "solve", {"refine_factor": 4}, "solve.refine_factor"),
+            ("solve", "solve", {"polish": False}, "solve.polish"),
         ],
     )
     def test_option_type_and_key(self, capsys, tmp_path, command, section, options, field):
@@ -468,6 +469,15 @@ class TestBadInputExitsTwo:
         assert code == EXIT_CONFIG
         assert out == ""
         assert field in err
+
+    def test_removed_polish_flag(self, capsys):
+        # every solve runs the polish, and the flag that skipped it is gone
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--preset", "cosine", "--no-polish"])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "--no-polish" in captured.err
 
     @pytest.mark.parametrize(
         "command, config, field",

@@ -22,6 +22,14 @@ from liebau.solve import (
 )
 
 
+def fd_stage(gp, opts):
+    """The FD Newton stage alone on opts.n points from opts' start: nodes, values and steps."""
+    n = opts.n
+    nodes, _, _, f_of, fprime_of = solve._sampled(gp, n)
+    x, steps = solve._fd_newton(solve._initial_values(gp, opts, n), gp.T / n, gp.a, f_of, fprime_of)
+    return nodes, x, steps
+
+
 @pytest.fixture(scope="module")
 def constant_solution(cosine_lp):
     # e = 1.54 constant: the exact solution is the constant (1.54/1.49)^100
@@ -60,9 +68,8 @@ class TestSolvePeriodic:
         gp = regularize(tank_lp(4.0))
         errs = {}
         for n in (256, 512):
-            sol = solve_periodic(gp, SolveOptions(n=n, polish=False, bracket=(4.0, 40.0)))
-            exact = (2.0 + np.cos(sol.nodes)) ** 3
-            errs[n] = float(np.max(np.abs(sol.values - exact)))
+            nodes, x, _ = fd_stage(gp, SolveOptions(n=n, bracket=(4.0, 40.0)))
+            errs[n] = float(np.max(np.abs(x - (2.0 + np.cos(nodes)) ** 3)))
         assert 3.5 <= errs[256] / errs[512] <= 4.5
 
     def test_figure_problem_cosine(self, cosine_lp):
@@ -96,10 +103,12 @@ class TestSolvePeriodic:
     @pytest.mark.parametrize("polish", [True, False])
     def test_solution_beyond_float_range_is_not_converged(self, tank_lp, polish):
         # x = ((v0 - 2) + cos t)^3 is about 1e900: f'(x) overflows at most
-        # nodes, which once made a zero Newton step read as convergence
+        # nodes, which once made a zero Newton step read as convergence; the
+        # FD stage refuses it on the coarse grid and alone at n = 512
         gp = regularize(tank_lp(1e300))
+        opts = SolveOptions(bracket=(4.0, 40.0))
         with pytest.raises(NoConvergence, match="beyond float range"):
-            solve_periodic(gp, SolveOptions(bracket=(4.0, 40.0), polish=polish))
+            solve_periodic(gp, opts) if polish else fd_stage(gp, opts)
 
     def test_initial_guess_required_for_general(self):
         gp = GeneralProblem(
@@ -135,8 +144,6 @@ class TestSolveOptionsCheckThemselves:
             ({"bracket": 5.0}, "bracket"),
             ({"bracket": (4.0, 40.0, 99.0)}, "bracket"),
             ({"bracket": ("4", 40.0)}, "bracket"),
-            ({"polish": "no"}, "polish"),
-            ({"polish": 1}, "polish"),
         ],
     )
     def test_bad_field_raises_config_error(self, kwargs, field):
@@ -147,6 +154,12 @@ class TestSolveOptionsCheckThemselves:
     @pytest.mark.parametrize("bracket", [(4.0, 40.0), (4, 40), (np.float64(4.0), np.float64(40.0))])
     def test_numeric_bracket_is_accepted(self, bracket):
         assert SolveOptions(n=4096, bracket=bracket).bracket == bracket
+
+    def test_polish_is_not_an_option(self):
+        # every solve polishes: the fields are the grid and the start alone
+        assert [f.name for f in dataclasses.fields(SolveOptions)] == ["n", "initial", "bracket"]
+        with pytest.raises(TypeError, match="polish"):
+            SolveOptions(polish=False)
 
     def test_largest_grid_is_accepted(self):
         assert SolveOptions(n=2**20).n * solve.REFINE_FACTOR == solve.MAX_GRID
@@ -205,14 +218,14 @@ class TestCoarseToFine:
         polished = solve_periodic(gp, opts)
         coarse_sizes = sizes[:]
         sizes.clear()
-        bare = solve_periodic(gp, dataclasses.replace(opts, polish=False))
-        # one cyclic solve per Newton step, on 128 nodes with the polish and on n without
+        _, _, bare_steps = fd_stage(gp, opts)
+        # one cyclic solve per Newton step: on 128 nodes in a solve, and on n
+        # when the FD stage runs alone there
         assert coarse_sizes and set(coarse_sizes) == {solve.COARSE_N} == {128}
         assert len(coarse_sizes) == polished.iterations - polished.polish_iterations
         assert polished.fd_n == 128 and polished.polish_iterations >= 1
         assert sizes and set(sizes) == {4096}
-        assert len(sizes) == bare.iterations
-        assert bare.fd_n == 4096 and bare.polish_iterations == 0
+        assert len(sizes) == bare_steps
 
     @pytest.mark.parametrize(
         "case, v0", [("cosine", None), ("cubic", None), ("tank", 5.0), ("tank", 6.0)]
@@ -426,11 +439,10 @@ class TestRefinedResiduals:
         n=st.integers(8, 1100),
         noise=st.sampled_from([0.0, 1e-9, 1e-3]),
         seed=st.integers(0, 2**32 - 1),
-        polish=st.booleans(),
     )
-    def test_matches_the_dense_grid(self, case, n, noise, seed, polish):
+    def test_matches_the_dense_grid(self, case, n, noise, seed):
         gp, opts = _oracle_problem(case)
-        sol = solve_periodic(gp, dataclasses.replace(opts, n=n, polish=polish))
+        sol = solve_periodic(gp, dataclasses.replace(opts, n=n))
         # relative noise reaches every mode, the Nyquist mode of an even n included
         x = sol.values * (1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, n))
         nodes = np.arange(n) * (gp.T / n)
@@ -440,7 +452,7 @@ class TestRefinedResiduals:
         got = solve._refined_residuals(gp, x, res, spec, symbol, r, s)
         want = dense_refined_residuals(gp, x)
         # without noise, the solve's own report (from the polish's final
-        # residual, or from solve_periodic's without the polish) is checked too
+        # residual) is checked too
         reports = [got] if noise else [got, (sol.sup_residual, sol.sup_residual_exact_data)]
         # A converged residual is what is left of r x^alpha - s x^beta after
         # cancellation (1.6e-11 of terms near 4.5e3 for cosine at n = 37), so
@@ -488,7 +500,6 @@ class TestTransformsOncePerSolve:
             ("narrowband", True, 36),
             ("trapezoid", True, 74),
             ("benchmark", True, 72),
-            ("cosine", False, 12),
         ],
     )
     def test_fft_calls_per_solve(self, monkeypatch, case, polish, calls):
@@ -507,7 +518,8 @@ class TestTransformsOncePerSolve:
 
         monkeypatch.setattr(np.fft, "rfft", counting_rfft)
         monkeypatch.setattr(np.fft, "irfft", counting_irfft)
-        sol = solve_periodic(gp, SolveOptions(n=4096, polish=polish, **preset.solve))
+        sol = solve_periodic(gp, SolveOptions(n=4096, **preset.solve))
+        assert (sol.polish_iterations >= 1) == polish
         assert len(forward_inputs) + len(inverse_calls) == calls
         final = sol.values - sol.values.mean()
         assert sum(np.array_equal(v, final) for v in forward_inputs) == 1
@@ -516,7 +528,8 @@ class TestTransformsOncePerSolve:
 # sha256 of values.tobytes(), iterations, polish_iterations and fd_n of the
 # preset solves, recorded with numpy 2.4 on x86-64 before the residual
 # diagnostic took its data from the polish; the values must not move by a bit.
-# (Another FFT or libm build may round differently.)
+# (Another FFT or libm build may round differently.)  With polish False the
+# pin is the FD Newton stage run alone at n.
 _PINNED_SOLVES = {
     ("trapezoid", 512, True): ("3e64a01fbec23a5b347028b5978355e04751851616fc31b74ce42cb54e7d1939", 10, 6, 128),
     ("trapezoid", 4096, True): ("81eeceba3fdee40be349fbd3265422239f8ae1fbdc6e752996803d5b036ccc64", 10, 6, 128),
@@ -535,9 +548,14 @@ _PINNED_SOLVES = {
 @pytest.mark.parametrize("case, n, polish", sorted(_PINNED_SOLVES))
 def test_solution_bits_are_pinned(case, n, polish):
     preset = presets.preset(case)
-    sol = solve_periodic(regularize(preset.problem), SolveOptions(n=n, polish=polish, **preset.solve))
-    digest = hashlib.sha256(sol.values.tobytes()).hexdigest()
-    got = (digest, sol.iterations, sol.polish_iterations, sol.fd_n)
+    gp, opts = regularize(preset.problem), SolveOptions(n=n, **preset.solve)
+    if polish:
+        sol = solve_periodic(gp, opts)
+        values, counts = sol.values, (sol.iterations, sol.polish_iterations, sol.fd_n)
+    else:
+        _, values, steps = fd_stage(gp, opts)
+        counts = (steps, 0, n)
+    got = (hashlib.sha256(values.tobytes()).hexdigest(), *counts)
     assert got == _PINNED_SOLVES[case, n, polish]
 
 
