@@ -50,7 +50,7 @@ from .errors import (
     OutOfFloatRange,
 )
 from .funcspec import EXTREMA_REFINE_TOL, PeriodicFunction
-from .numerics import is_finite_real, per_element, sorted_unique
+from .numerics import is_finite_real, per_element, pow_or_inf, sorted_unique
 from .problem import GeneralProblem, LiebauProblem, shifted_rhs
 
 THEOREM_GENERAL = "general"
@@ -328,14 +328,6 @@ def _ceiling_clearance(lp: LiebauProblem, e_max: float, r2: float, eps: float) -
     return _cond("ceiling_clearance", e_max, lp.c * r2**lp.mu, "<=", eps)
 
 
-def _power(base: float, exponent: float) -> float:
-    """base ** exponent for base >= 0; inf where it overflows."""
-    try:
-        return base**exponent
-    except OverflowError:
-        return math.inf
-
-
 def _nudged(x: float, holds, direction: int):
     """x, moved by relative steps 2^-52, 2^-51, ... up (direction 1) or down
     (-1) until it is finite and ``holds``; None after 64 steps."""
@@ -393,13 +385,13 @@ def _sign_changing(lp, m, kappa, r1, r2, eps, cm, k0, m_max) -> Certificate:
         _ceiling_clearance(lp, e_max, r2, eps),
     )
     verdict = VERDICT_PASS if all(cc.satisfied for cc in conditions) else VERDICT_FAIL
-    r1_floor = _power(_root_floor(lp, m, e_min), 1.0 / mu) / cm if e_min <= 0.0 else 0.0
+    r1_floor = pow_or_inf(_root_floor(lp, m, e_min), 1.0 / mu) / cm if e_min <= 0.0 else 0.0
     extras = {
         "kappa_interval_lower": kappa_lo,
         "kappa_interval_upper": kappa_hi,
         "r1_window_lower": r1_floor,
-        "r1_window_upper": _power(k0 * epos_mass / mu, 0.5 / mu) / cm,
-        "r2_floor": _power(max(e_max, 0.0) / lp.c, 1.0 / mu),
+        "r1_window_upper": pow_or_inf(k0 * epos_mass / mu, 0.5 / mu) / cm,
+        "r2_floor": pow_or_inf(max(e_max, 0.0) / lp.c, 1.0 / mu),
         "forcing_min": e_min,
         "forcing_max": e_max,
         "positive_forcing_mass": epos_mass,
@@ -422,7 +414,7 @@ def _envelope_radius(cm: float, m: float, mu: float, c: float, e_min: float, r2:
     target = e_min * cm ** (1.0 - 2.0 * mu)
     quad = (1.0 - cm) * m * m * mu
     z = 2.0 * target / (c + math.sqrt(c * c + 4.0 * quad * target))
-    r1 = min(_power(z, 1.0 / mu), r2)
+    r1 = min(pow_or_inf(z, 1.0 / mu), r2)
     return _nudged(r1, lambda r: quad * r ** (2.0 * mu) + c * r**mu - target <= 0.0, -1)
 
 
@@ -432,7 +424,7 @@ def _ceiling(name: str, level: float, c: float, mu: float, cm: float) -> float:
     Raises OutOfFloatRange, naming ``name``, when the value overflows or
     underflows to 0; small mu makes the exponent large.
     """
-    value = (1.0 / cm) * _power(level / c, 1.0 / mu)
+    value = (1.0 / cm) * pow_or_inf(level / c, 1.0 / mu)
     if not 0.0 < value < math.inf:
         raise OutOfFloatRange(
             f"{name} = (1/c_m)(level/c)^(1/mu) is beyond float range "
@@ -507,7 +499,8 @@ def _positive_forcing(lp, m, eps, cm, k0, m_max) -> Certificate:
         verdict = VERDICT_INAPPLICABLE
     else:
         conditions += tuple(_cond(*sides, eps) for sides in _shift_sides(lp, cm, m, m_max, e_min, e_max))
-        threshold = cm**mu * (e_min + m * m * mu * e_min * e_min / (c * c))
+        c2 = c * c  # 0 where c^2 underflows: the threshold is then inf
+        threshold = cm**mu * (e_min + (m * m * mu * e_min * e_min / c2 if c2 else math.inf))
         extras["e_max_threshold"] = threshold
         extras["bound_at_threshold"] = _ceiling("bound_at_threshold", threshold, c, mu, cm)
         ok = all(cc.satisfied for cc in conditions)

@@ -13,7 +13,8 @@ green), 1 ``verify`` found a failing check, 2 configuration or usage error
 (including an unknown option key, an option, problem or function-record
 value of the wrong type, not finite or out of range, a malformed solution
 CSV or one whose t column is not the problem's grid arange(n) * (T/n), and
-a certificate ceiling or inner radius beyond float range), 3 certificate
+a certificate ceiling, inner radius or built-in solve guess beyond float
+range), 3 certificate
 failed, 4 certificate inapplicable, 5 search found nothing, 6 solver failed (no
 convergence, or the iterate left the positive cone), 141 stdout was closed
 before the output was written (a broken pipe, as in ``| head -1``).

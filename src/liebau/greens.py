@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import BadPeriod, LiebauError, MOutOfRange, PropertyViolation
 from .funcspec import PeriodicFunction
-from .numerics import cyclic_fd_operator, simpson_segmented
+from .numerics import cyclic_fd_operator, simpson_segmented, trace_array
 
 # the root case of a kernel, read off its modes; a label for output
 CASE_REAL_DISTINCT = "real_distinct"
@@ -416,12 +416,14 @@ def apply_kernel(kernel: GreensKernel, g: PeriodicFunction, t_values: np.ndarray
     module docstring); t values may come in any order, repeat, or lie
     outside [0, T).
 
-    Raises LiebauError for non-finite t values.
+    Raises LiebauError for t values that are not a 1-D array of finite
+    numbers (an empty one gives an empty response), and for a g whose period
+    is not the kernel's.
     """
     T = kernel.T
-    t_values = np.asarray(t_values, dtype=float)
-    if not np.all(np.isfinite(t_values)):
-        raise LiebauError("kernel response t values must be finite")
+    if g.period != T:
+        raise LiebauError(f"g period {g.period!r} does not match kernel period {T!r}")
+    t_values = trace_array(t_values, "kernel response t values", allow_empty=True)
     M = len(t_values)
     if not g.breakpoints() and M > 0 and np.array_equal(t_values, np.arange(M) * (T / M)):
         n_fine = -(-2 * BASE_PANELS // M) * M

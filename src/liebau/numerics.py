@@ -32,20 +32,31 @@ def is_finite_real(value) -> bool:
         return False
 
 
-def trace_array(values, name: str, nonpositive: type[LiebauError] | None = None) -> np.ndarray:
-    """``values`` as a float array, or LiebauError if not numbers, not 1-D, empty or not
-    finite; with ``nonpositive`` set, that error refuses an entry <= 0."""
+def trace_array(
+    values, name: str, nonpositive: type[LiebauError] | None = None, allow_empty: bool = False
+) -> np.ndarray:
+    """``values`` as a float array, or LiebauError if not numbers, not 1-D, empty (unless
+    ``allow_empty``) or not finite; with ``nonpositive`` set, that error refuses an entry <= 0."""
     try:
         x = np.asarray(values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise LiebauError(f"{name} must be an array of numbers: {exc}") from None
-    if x.ndim != 1 or not x.size:
-        raise LiebauError(f"{name} must be a non-empty 1-D array, got shape {x.shape}")
+    if x.ndim != 1 or not (x.size or allow_empty):
+        kind = "1-D array" if allow_empty else "non-empty 1-D array"
+        raise LiebauError(f"{name} must be a {kind}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise LiebauError(f"{name} has a non-finite entry")
     if nonpositive is not None and np.any(x <= 0.0):
         raise nonpositive(f"{name} must be strictly positive")
     return x
+
+
+def pow_or_inf(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0; inf where it overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
 
 
 def per_element(f, x, *args):

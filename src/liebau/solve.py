@@ -42,12 +42,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NegativeState, NoConvergence
+from .errors import (
+    BadRadii,
+    ConfigError,
+    LeftPositiveCone,
+    LiebauError,
+    NegativeState,
+    NoConvergence,
+    OutOfFloatRange,
+)
 from .problem import GeneralProblem, deregularize
 from .numerics import (
     cyclic_fd_operator,
     gmres,
     is_finite_real,
+    pow_or_inf,
     solve_cyclic_tridiagonal,
     trace_array,
     trig_interpolate,
@@ -141,10 +150,12 @@ class ConeReport:
 
 
 def _rounding_floor(x: np.ndarray, h: float, a: float) -> float:
-    """Sup-norm residual level that rounding alone gives the FD operator at step h."""
-    return 32.0 * np.finfo(float).eps * (4.0 / h**2 + 2.0 * a / h) * max(
-        1.0, float(np.max(np.abs(x)))
-    )
+    """Sup-norm residual level that rounding alone gives the FD operator at step h.
+
+    It scales with max |x|, so an iterate collapsing toward 0 cannot reach it
+    on the size of its residual alone.
+    """
+    return 32.0 * np.finfo(float).eps * (4.0 / h**2 + 2.0 * a / h) * float(np.max(np.abs(x)))
 
 
 def _operator_symbol(n: int, T: float, a: float) -> np.ndarray:
@@ -186,7 +197,13 @@ def _initial_values(gp: GeneralProblem, opts: SolveOptions, n: int) -> np.ndarra
     if lp is not None:
         ebar = lp.e.mean()
         if ebar > 0.0:
-            return np.full(n, (ebar / lp.c) ** (1.0 / lp.mu))
+            guess = pow_or_inf(ebar / lp.c, 1.0 / lp.mu)
+            if not 0.0 < guess < math.inf:
+                raise OutOfFloatRange(
+                    f"the built-in constant guess (mean e / c)^(1/mu) is beyond float range "
+                    f"(mean e={ebar!r}, c={lp.c!r}, mu={lp.mu!r}); provide SolveOptions.initial or .bracket"
+                )
+            return np.full(n, guess)
     raise LiebauError(
         "no usable initial guess: provide SolveOptions.initial or .bracket "
         "(the built-in constant guess needs a Liebau-derived problem with positive mean forcing)"
@@ -201,7 +218,8 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
     collocation Newton polish there.  Raises NoConvergence when the Newton
     budget runs out and LeftPositiveCone when damping cannot keep the iterate
     positive or the lift is not (a bad initial guess, or no positive solution
-    nearby); see the module docstring.
+    nearby), and OutOfFloatRange when the built-in constant guess overflows
+    or underflows to 0; see the module docstring.
     """
     n, T, a = opts.n, gp.T, gp.a
     nodes, r_nodes, s_nodes, f_of, fprime_of = _sampled(gp, n)

@@ -140,6 +140,17 @@ class TestPositiveForcing:
         with pytest.raises(OutOfFloatRange, match="bound_at_threshold"):
             check_positive_forcing(lp, 0.7)
 
+    @pytest.mark.parametrize("c", [1e-200, 1e-160])
+    def test_tiny_c_is_out_of_float_range(self, c):
+        # c^2 underflows to 0 below about 2e-162, where the threshold's term
+        # m^2 mu e_min^2 / c^2 is taken as inf (it raised ZeroDivisionError);
+        # at 1e-160 it is finite and the threshold's ceiling overflows
+        lp = LiebauProblem(1.6, 0.01, c, 1.0, PeriodicFunction.constant(1.0, 1.54))
+        with pytest.raises(OutOfFloatRange, match="bound_at_threshold"):
+            check_positive_forcing(lp, 0.7)
+        with pytest.raises(OutOfFloatRange, match="bound_at_threshold"):
+            search_certificate(lp)
+
     def test_inapplicable_for_sign_changing(self, trapezoid_lp):
         cert = check_positive_forcing(trapezoid_lp, m=0.7)
         assert cert.verdict == certify.VERDICT_INAPPLICABLE

@@ -305,6 +305,21 @@ class TestSearchEdgeCases:
         assert "bound_at_threshold" in err and "beyond float range" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["search"], ["certify", "--theorem", "positive_forcing", "-m", "0.7"]]
+    )
+    def test_tiny_c_names_the_threshold_ceiling(self, capsys, tmp_path, argv):
+        # c^2 underflows to 0 at c = 1e-200; both commands raised ZeroDivisionError
+        problem = {
+            "kind": "liebau", "a": 1.6, "mu": 0.01, "c": 1e-200, "T": 1.0,
+            "e": {"type": "constant", "period": 1.0, "value": 1.54},
+        }
+        code, out, err = run_captured(capsys, argv + ["--config", write_config(tmp_path, problem)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "bound_at_threshold" in err and "beyond float range" in err
+        assert "Traceback" not in err
+
     def test_small_mu_sign_route_finds_nothing(self, capsys, tmp_path):
         problem = {
             "kind": "liebau", "a": 1.6, "mu": 1e-5, "c": 0.005, "T": 1.0,
@@ -829,6 +844,14 @@ class TestSolverFailureExitsSix:
         assert out == ""
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("initial", ["1", "1e-300"])
+    def test_collapsed_start_is_not_a_solution(self, capsys, initial):
+        # both exited 0 with a near-zero "solution" whose |f| was its residual
+        code, out, err = run_captured(capsys, ["solve", "--preset", "cosine", "--initial", initial])
+        assert code == EXIT_SOLVER
+        assert out == ""
+        assert "no convergence" in err
+
     def test_pump_shares_the_exit_code(self, capsys, tmp_path):
         # the benchmark tank problem from a guess that leaves the positive cone
         e = {"type": "trig", "period": 2 * math.pi, "offset": 0.7,
@@ -840,6 +863,48 @@ class TestSolverFailureExitsSix:
         assert code == EXIT_SOLVER
         assert out == ""
         assert "nonpositive" in err
+
+
+class TestFloatRangeEdges:
+    @pytest.mark.parametrize("command", ["solve", "pump"])
+    @pytest.mark.parametrize("mu, c", [(1e-6, 1.49), (0.01, 1e-50)])
+    def test_default_guess_beyond_float_range_exits_two(self, capsys, tmp_path, command, mu, c):
+        # (mean e / c)^(1/mu) overflows; both commands raised OverflowError
+        problem = {
+            "kind": "liebau", "a": 1.6, "mu": mu, "c": c, "T": 1.0,
+            "e": {"type": "constant", "period": 1.0, "value": 1.54},
+        }
+        code, out, err = run_captured(capsys, [command, "--config", write_config(tmp_path, problem)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert "constant guess" in err and "beyond float range" in err
+
+    # mu = 1e-6 and c = 1e-200 or 1e50 put ceilings, thresholds and the
+    # built-in guess (mean e / c)^(1/mu) beyond float range
+    @pytest.mark.parametrize("a", [0.0, 1.6])
+    @pytest.mark.parametrize("mu, c", [(1e-6, 1.49), (0.01, 1e-200), (0.01, 1e50)])
+    @pytest.mark.parametrize(
+        "e",
+        [
+            {"type": "constant", "period": 1.0, "value": 1.54},
+            {"type": "trig", "period": 1.0, "offset": 1.54, "terms": [[0.5, 1, 0.0]]},
+        ],
+        ids=["constant", "cosine"],
+    )
+    def test_every_command_ends_in_an_exit_code(self, capsys, tmp_path, a, mu, c, e):
+        path = write_config(tmp_path, {"kind": "liebau", "a": a, "mu": mu, "c": c, "T": 1.0, "e": e})
+        commands = [
+            ["search"],
+            ["certify", "--theorem", "positive_forcing", "-m", "0.7"],
+            ["certify", "--theorem", "sign_changing", "-m", "0.7", "--kappa", "2200", "--r1", "25", "--r2", "1e4"],
+            ["solve", "-n", "64"],
+            ["pump", "-n", "64"],
+        ]
+        for argv in commands:
+            code = run([*argv, "--config", path])  # an exception fails the test
+            capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CERT_FAIL, EXIT_CERT_INAPPLICABLE,
+                            EXIT_SEARCH_EMPTY, EXIT_SOLVER), argv
 
 
 class TestOptionSchema:

@@ -872,3 +872,21 @@ class TestApplyKernelBoundary:
         for g in (PeriodicFunction.trig(1.0, 1.0, [(0.5, 1, 0.0)]), trapezoid_forcing(trapezoid_lp, 1.0)):
             with pytest.raises(LiebauError, match="finite"):
                 greens.apply_kernel(kernel_example, g, ts)
+
+    @pytest.mark.parametrize("bad", [0.5, np.zeros((2, 3)), [[0.1, 0.2]], "abc", "0.5", [0.1, [0.2]]])
+    def test_t_values_that_are_not_a_1d_array_raise(self, kernel_example, bad):
+        # a scalar raised TypeError, and a 2-D or string one ValueError
+        with pytest.raises(LiebauError, match="^kernel response t values must be"):
+            greens.apply_kernel(kernel_example, PeriodicFunction.trig(1.0, 1.0, [(0.5, 1, 0.0)]), bad)
+
+    @pytest.mark.parametrize("t_values", [np.arange(4) / 4, [0.1, 0.7]])
+    def test_g_of_another_period_raises(self, kernel_example, t_values):
+        # a g of period 2 against T = 1 once returned numbers
+        g = PeriodicFunction.trig(2.0, 1.0, [(0.5, 1, 0.0)])
+        with pytest.raises(LiebauError, match="period 2.0 does not match kernel period 1.0"):
+            greens.apply_kernel(kernel_example, g, t_values)
+
+    @pytest.mark.parametrize("empty", [[], np.array([])])
+    def test_empty_t_values_give_an_empty_response(self, kernel_example, empty):
+        x = greens.apply_kernel(kernel_example, PeriodicFunction.constant(1.0, 1.0), empty)
+        assert isinstance(x, np.ndarray) and x.shape == (0,)

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from test_numerics import BAD_TRACES, two_sweep_solve
 
 from liebau import greens, presets, solve
-from liebau.errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NoConvergence
+from liebau.errors import BadRadii, ConfigError, LeftPositiveCone, LiebauError, NoConvergence, OutOfFloatRange
 from liebau.funcspec import PeriodicFunction
 from liebau.numerics import resample_spectrum, spectral_derivatives, trig_interpolate
-from liebau.problem import GeneralProblem, regularize, shifted_rhs
+from liebau.problem import GeneralProblem, LiebauProblem, regularize, shifted_rhs
 from liebau.solve import (
     SolveOptions,
     cone_and_localization,
@@ -33,8 +33,6 @@ def fd_stage(gp, opts):
 @pytest.fixture(scope="module")
 def constant_solution(cosine_lp):
     # e = 1.54 constant: the exact solution is the constant (1.54/1.49)^100
-    from liebau.problem import LiebauProblem
-
     lp = LiebauProblem(1.6, 0.01, 1.49, 1.0, PeriodicFunction.constant(1.0, 1.54))
     gp = regularize(lp)
     return gp, solve_periodic(gp)
@@ -109,6 +107,21 @@ class TestSolvePeriodic:
         opts = SolveOptions(bracket=(4.0, 40.0))
         with pytest.raises(NoConvergence, match="beyond float range"):
             solve_periodic(gp, opts) if polish else fd_stage(gp, opts)
+
+    @pytest.mark.parametrize("initial", [1.0, 1e-300])
+    def test_collapsed_start_is_not_a_solution(self, cosine_lp, initial):
+        # the iterate collapses toward 0 (or starts there), where |f| is below
+        # an absolute rounding floor: a solve once returned mean x = 4.6e-12
+        # with sup_residual 3.4e-10, and the start 1e-300 after 0 steps
+        with pytest.raises(NoConvergence):
+            solve_periodic(regularize(cosine_lp), SolveOptions(initial=initial))
+
+    @pytest.mark.parametrize("mu, c", [(1e-6, 1.49), (0.01, 1e-50), (0.01, 1e50)])
+    def test_default_guess_beyond_float_range(self, mu, c):
+        # (mean e / c)^(1/mu) overflows (it raised OverflowError) or underflows to 0
+        lp = LiebauProblem(1.6, mu, c, 1.0, PeriodicFunction.constant(1.0, 1.54))
+        with pytest.raises(OutOfFloatRange, match="constant guess"):
+            solve_periodic(regularize(lp), SolveOptions(n=64))
 
     def test_initial_guess_required_for_general(self):
         gp = GeneralProblem(
@@ -330,8 +343,6 @@ class TestNewtonKrylovPolish:
         n=st.sampled_from([63, 64, 128, 256]),
     )
     def test_residual_at_rounding_floor(self, a, amp, k, n):
-        from liebau.problem import LiebauProblem
-
         e = PeriodicFunction.trig(1.0, 1.54215, [(amp, k, 0.0)])
         sol = solve_periodic(regularize(LiebauProblem(a, 0.01, 1.49, 1.0, e)), SolveOptions(n=n))
         floor = 64.0 * np.finfo(float).eps * (n / sol.T) ** 2 * max(1.0, sol.max_value)
@@ -649,8 +660,6 @@ class TestFixedPointOperator:
         assert np.array_equal(greens.circular_response(kernel, f), inline_response(kernel, f))
 
     def test_constant_solution_reproduced_by_one_response(self):
-        from liebau.problem import LiebauProblem
-
         lp = LiebauProblem(1.6, 0.01, 1.49, 1.0, PeriodicFunction.constant(1.0, 1.54))
         x_star = (1.54 / 1.49) ** 100
         assert fixed_point_defect(regularize(lp), 0.7, np.full(512, x_star)) < 1e-9
