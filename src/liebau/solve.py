@@ -216,7 +216,7 @@ def solve_periodic(gp: GeneralProblem, opts: SolveOptions = SolveOptions()) -> G
     One pass: damped Newton on central differences on ``fd_n`` = min(n,
     COARSE_N) points, the lift of its solution to the n-grid and the
     collocation Newton polish there.  Raises NoConvergence when the Newton
-    budget runs out and LeftPositiveCone when damping cannot keep the iterate
+    budget runs out, LeftPositiveCone when damping cannot keep the iterate
     positive or the lift is not (a bad initial guess, or no positive solution
     nearby), and OutOfFloatRange when the built-in constant guess overflows
     or underflows to 0; see the module docstring.

@@ -255,10 +255,7 @@ class TestCoarseToFine:
     def test_stalled_polish_returns_the_lifted_iterate(self, monkeypatch):
         lp, opts = _case("tank", 4096)
         gp = regularize(lp)
-        x_c, steps = solve._fd_newton(
-            np.full(128, math.sqrt(opts.bracket[0] * opts.bracket[1])),
-            gp.T / 128, gp.a, *solve._sampled(gp, 128)[3:],
-        )
+        _, x_c, steps = fd_stage(gp, dataclasses.replace(opts, n=128))
 
         def no_steps(x, symbol, f_of, fprime_of):
             return x, 0, *solve._node_residual(x, symbol, f_of)
