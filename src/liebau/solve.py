@@ -38,7 +38,7 @@ of that same spectrum, so a solve transforms its final iterate once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -97,8 +97,12 @@ class SolveOptions:
     n: int = 512
     initial: float | None = None
     bracket: tuple[float, float] | None = None  # geometric midpoint used as constant guess
+    # Not a field: the retired switch, refused by name when given.
+    polish: InitVar[object] = None
 
-    def __post_init__(self):
+    def __post_init__(self, polish):
+        if polish is not None:
+            raise ConfigError("was removed: every solve runs the FD stage, the lift and the polish", "polish")
         n_max = MAX_GRID // REFINE_FACTOR  # the residual check samples REFINE_FACTOR * n points
         if not (isinstance(self.n, (int, np.integer)) and 8 <= self.n <= n_max):
             raise ConfigError(f"must be an integer from 8 to {n_max}, got {self.n!r}", "n")

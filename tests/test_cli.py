@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import io
 import json
@@ -911,7 +912,7 @@ class TestOptionSchema:
     def test_keys_match_the_library_parameters(self):
         search_params = set(inspect.signature(certify.search_certificate).parameters) - {"lp"}
         assert set(OPTION_SCHEMA["search"]) == search_params == {"eps"}
-        assert set(OPTION_SCHEMA["solve"]) == set(SolveOptions.__dataclass_fields__)
+        assert set(OPTION_SCHEMA["solve"]) == {f.name for f in dataclasses.fields(SolveOptions)}
 
     def test_flag_dests_are_schema_keys(self):
         actions = build_parser()._actions

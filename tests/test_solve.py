@@ -157,6 +157,8 @@ class TestSolveOptionsCheckThemselves:
             ({"bracket": 5.0}, "bracket"),
             ({"bracket": (4.0, 40.0, 99.0)}, "bracket"),
             ({"bracket": ("4", 40.0)}, "bracket"),
+            ({"polish": "no"}, "polish"),
+            ({"polish": 1}, "polish"),
         ],
     )
     def test_bad_field_raises_config_error(self, kwargs, field):
@@ -171,8 +173,10 @@ class TestSolveOptionsCheckThemselves:
     def test_polish_is_not_an_option(self):
         # every solve polishes: the fields are the grid and the start alone
         assert [f.name for f in dataclasses.fields(SolveOptions)] == ["n", "initial", "bracket"]
-        with pytest.raises(TypeError, match="polish"):
-            SolveOptions(polish=False)
+        for polish in (False, True):
+            with pytest.raises(ConfigError, match="removed") as exc:
+                SolveOptions(n=4096, polish=polish)
+            assert exc.value.location == "polish"
 
     def test_largest_grid_is_accepted(self):
         assert SolveOptions(n=2**20).n * solve.REFINE_FACTOR == solve.MAX_GRID
